@@ -32,12 +32,11 @@ Unknown sections or keys are rejected so typos fail loudly.
 from __future__ import annotations
 
 import configparser
-import io
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ConfigError, WaveforgeError
-from .expr import Expr, parse
+from .expr import parse
 from .heat_solver import HeatPropagatorSpec
 from .problems import KINDS, CauchyProblem
 from .quadrature import QuadratureSpec

@@ -24,7 +24,7 @@ from .errors import InvalidOrder, NegativeDiffusionTime, UnsupportedDimension
 from .expr import Expr, compile_field
 from .kernels import first_order_weights
 from .problems import CauchyProblem, SolutionEvaluator
-from .quadrature import QuadratureSpec
+from .quadrature import QuadratureSpec, gauss_legendre
 from .wave_solver import laplacian_power
 
 __all__ = [
@@ -66,9 +66,9 @@ class HeatPropagator:
         self.spec = spec
         self._f = compile_field(field)
         half = 2.0 * spec.c_trunc
-        nodes, weights = np.polynomial.legendre.leggauss(spec.n_nodes)
-        zeta = half * nodes
-        w = half * weights * np.exp(-0.25 * zeta**2)
+        rule = gauss_legendre(spec.n_nodes, -half, half)
+        zeta = rule.nodes
+        w = rule.weights * np.exp(-0.25 * zeta**2)
         w /= w.sum()  # constants propagate exactly
         grids = np.meshgrid(*([zeta] * n), indexing="ij")
         self._zeta = np.stack([g.reshape(-1) for g in grids], axis=-1)
@@ -114,11 +114,6 @@ def heat_propagate(field: Expr, lam: float, x,
     return HeatPropagator(field, spec).apply(x, lam)
 
 
-def _gauss01(count):
-    nodes, weights = np.polynomial.legendre.leggauss(count)
-    return 0.5 * (nodes + 1.0), 0.5 * weights
-
-
 def solve_heat_product(problem: CauchyProblem,
                        spec: QuadratureSpec | None = None,
                        heat_spec: HeatPropagatorSpec | None = None
@@ -136,10 +131,7 @@ def solve_heat_product(problem: CauchyProblem,
         )
     spec = spec or QuadratureSpec()
     heat_spec = heat_spec or HeatPropagatorSpec()
-    m = problem.m
-    a = problem.speeds
-    equal = all(abs(v - a[0]) < 1e-14 for v in a)
-    if m == 1 or equal:
+    if problem.equal_speeds:
         fn = _equal_speed_eval(problem, spec, heat_spec)
     elif problem.distinct_speeds:
         fn = _distinct_speed_eval(problem, spec, heat_spec)
@@ -171,7 +163,8 @@ def _equal_speed_eval(problem, spec, heat_spec):
     src = None
     if problem.source is not None:
         src = HeatPropagator(problem.source, heat_spec)
-    z, wz = _gauss01(spec.n_time)
+    unit = gauss_legendre(spec.n_time, 0.0, 1.0)
+    z, wz = unit.nodes, unit.weights
     fact = math.factorial(m - 1)
 
     def evaluate(x, t):
@@ -213,7 +206,8 @@ def _distinct_speed_eval(problem, spec, heat_spec):
     src = None
     if problem.source is not None:
         src = HeatPropagator(problem.source, heat_spec)
-    z, wz = _gauss01(spec.n_time)
+    unit = gauss_legendre(spec.n_time, 0.0, 1.0)
+    z, wz = unit.nodes, unit.weights
     speeds = np.asarray(pf.speeds)
     weights = np.asarray(pf.weights)
 

@@ -18,13 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import accel
 from .errors import DataCountMismatch, InvalidBox, InvalidOrder
 from .expr import Expr, compile_field
 from .kernels import eigen_symbol
 from .oracle import ModeProblem, mode_solve
 from .problems import CauchyProblem, SolutionEvaluator
-from .quadrature import QuadratureSpec
+from .quadrature import QuadratureSpec, gauss_legendre
 
 __all__ = [
     "EigenBasis",
@@ -103,14 +102,6 @@ def build_basis(L, k_max: int = DEFAULT_K_MAX) -> EigenBasis:
     return EigenBasis(L, int(k_max), modes[order], lam[order], norm)
 
 
-def _axis_rules(basis: EigenBasis, count: int):
-    rules = []
-    for Li in basis.L:
-        nodes, weights = np.polynomial.legendre.leggauss(count)
-        rules.append((0.5 * Li * (nodes + 1.0), 0.5 * Li * weights))
-    return rules
-
-
 def project(field, basis: EigenBasis, quad_count: int | None = None,
             t: float = 0.0) -> ModeCoefficients:
     """Coefficients c_k = integral of field * e_k over the box.
@@ -121,19 +112,19 @@ def project(field, basis: EigenBasis, quad_count: int | None = None,
     f = compile_field(field) if isinstance(field, Expr) else field
     if quad_count is None:
         quad_count = max(2 * basis.k_max + 8, 32)
-    rules = _axis_rules(basis, quad_count)
+    rules = [gauss_legendre(quad_count, 0.0, Li) for Li in basis.L]
     d = basis.d
-    grids = np.meshgrid(*[r[0] for r in rules], indexing="ij")
+    grids = np.meshgrid(*[r.nodes for r in rules], indexing="ij")
     points = np.stack([g.reshape(-1) for g in grids], axis=-1)
     values = f(points, t).reshape([quad_count] * d)
     # per-axis sine matrices k x q, weights folded in
     k = np.arange(1, basis.k_max + 1)
     mats = []
-    for (nodes, weights), Li in zip(rules, basis.L):
+    for rule, Li in zip(rules, basis.L):
         mats.append(
             math.sqrt(2.0 / Li)
-            * np.sin(np.outer(k, nodes) * (np.pi / Li))
-            * weights[None, :]
+            * np.sin(np.outer(k, rule.nodes) * (np.pi / Li))
+            * rule.weights[None, :]
         )
     if d == 1:
         tensor = mats[0] @ values
@@ -182,23 +173,18 @@ class IbvpEvaluator(SolutionEvaluator):
         return float(self.grid(np.asarray(x, dtype=float)[None, :], t)[0])
 
     def grid(self, points, t):
-        amps = self.amplitudes(float(t))
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        freqs = self.basis.frequencies()
-        norms = np.full(self.basis.count, self.basis.norm)
-        return accel.mode_synthesis(points, freqs, norms, amps)
+        return self.basis.evaluate_modes(points) @ self.amplitudes(t)
 
 
 def _check_boundary_data(problem: CauchyProblem, basis: EigenBasis):
     probes = []
-    mid = [0.5 * v for v in basis.L]
     for i, Li in enumerate(basis.L):
         for edge in (0.0, Li):
             for frac in (0.25, 0.7):
                 p = [frac * v for v in basis.L]
                 p[i] = edge
                 probes.append(p)
-    probes = np.asarray(probes + [mid])[:-1]
+    probes = np.asarray(probes)
     for e in problem.data:
         if e is None:
             continue
@@ -210,11 +196,6 @@ def _check_boundary_data(problem: CauchyProblem, basis: EigenBasis):
                 stacklevel=3,
             )
             break
-
-
-def _gauss01(count):
-    nodes, weights = np.polynomial.legendre.leggauss(count)
-    return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
 def solve_ibvp(problem: CauchyProblem, basis: EigenBasis,
@@ -242,7 +223,8 @@ def solve_ibvp(problem: CauchyProblem, basis: EigenBasis,
                 src_cache[tau] = project(src_field, basis, t=tau).values
             return src_cache[tau]
 
-    z, wz = _gauss01(spec.n_time)
+    unit = gauss_legendre(spec.n_time, 0.0, 1.0)
+    z, wz = unit.nodes, unit.weights
     wave = problem.kind in ("wave-multiple", "wave-distinct")
 
     if wave and m == 1:
@@ -304,7 +286,7 @@ def solve_ibvp(problem: CauchyProblem, basis: EigenBasis,
 
     # heat-product
     speeds = problem.speeds
-    equal = all(abs(v - speeds[0]) < 1e-14 for v in speeds)
+    equal = problem.equal_speeds
     if not (equal or problem.distinct_speeds):
         raise InvalidOrder(
             "speeds must be all equal or pairwise distinct, got "

@@ -17,7 +17,6 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from . import accel
 from .errors import (
     GridTooCoarse,
     InsufficientDerivatives,
@@ -148,7 +147,16 @@ def poisson_kernel_sum(f_values: Sequence[float], l: float, x, z: float
         raise InvalidInterval(f"radius parameter must satisfy z < 0, got {z}")
     if l <= 0:
         raise InvalidInterval(f"half-period must be positive, got {l}")
-    out = accel.poisson_convolve(f_values, float(l), x, float(z))
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    xi = np.linspace(-l, l, f_values.size)
+    r = math.exp(z)
+    out = np.empty(xs.shape)
+    for i, xq in enumerate(xs):
+        kern = (1.0 - r * r) / (
+            1.0 - 2.0 * r * np.cos(math.pi * (xq - xi) / l) + r * r
+        )
+        # trapezoid over the periodic window [-l, l]
+        out[i] = np.trapezoid(f_values * kern, xi) / (2.0 * l)
     return float(out[0]) if np.isscalar(x) else out
 
 

@@ -7,7 +7,7 @@ at construction so solver code can assume a well-formed problem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -74,6 +74,10 @@ class CauchyProblem:
             raise NonPositiveSpeed(f"speeds must be positive: {self.speeds}")
         if self.kind in ("wave-distinct",) and self.m >= 2:
             self._require_distinct()
+        if self.kind == "wave-multiple" and not self.equal_speeds:
+            raise InvalidOrder(
+                f"wave-multiple repeats one speed, got unequal speeds {self.speeds}"
+            )
         for e in self.data:
             if e is not None and e.ndim != self.n:
                 raise DataCountMismatch(
@@ -92,6 +96,11 @@ class CauchyProblem:
                     raise DegenerateSpeeds(
                         f"speeds {a[i]} and {a[j]} closer than {SPEED_SEPARATION}"
                     )
+
+    @property
+    def equal_speeds(self) -> bool:
+        a = self.speeds
+        return all(abs(v - a[0]) < 1e-14 for v in a)
 
     @property
     def distinct_speeds(self) -> bool:

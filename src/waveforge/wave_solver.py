@@ -23,7 +23,7 @@ from .expr import Bin, Expr, Num, laplacian
 from .fd import differentiate_samples
 from .kernels import second_order_weights
 from .problems import CauchyProblem, SolutionEvaluator
-from .quadrature import QuadratureSpec, SinhKernel, double_factorial
+from .quadrature import QuadratureSpec, SinhKernel, double_factorial, gauss_legendre
 
 __all__ = ["solve_multiple_wave", "solve_distinct_speeds", "solve_wave"]
 
@@ -65,11 +65,6 @@ def _kernel_sum(kernels, x, ts, t_args=None):
         vals = w * kern.apply_many(x, ts, t_args)
         total = vals if total is None else total + vals
     return total
-
-
-def _gauss01(count):
-    nodes, weights = np.polynomial.legendre.leggauss(count)
-    return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
 def solve_multiple_wave(problem: CauchyProblem,
@@ -188,8 +183,8 @@ def _make_eval(problem, spec, pieces, src_kernels, weight, m):
     The same weight, shifted, drives the double Duhamel integral of the
     source term.
     """
-    n_time = spec.n_time
-    z, wz = _gauss01(n_time)
+    unit = gauss_legendre(spec.n_time, 0.0, 1.0)
+    z, wz = unit.nodes, unit.weights
 
     def data_value(piece: _DataPiece, x, t):
         if weight is None:

@@ -180,6 +180,18 @@ class TestSolveCommand:
         )
         assert main(["solve", str(cfgf)]) == 2
 
+    def test_unequal_wave_multiple_speeds_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        cfgf = tmp_path / "p.ini"
+        cfgf.write_text(
+            KIRCHHOFF.format(path=out).replace(
+                "m = 1\nspeeds = 2.0", "m = 2\nspeeds = 1.0, 2.0"
+            )
+        )
+        assert main(["solve", str(cfgf)]) == 2
+        assert "(1.0, 2.0)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.ini")]) == 2
 

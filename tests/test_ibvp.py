@@ -75,6 +75,31 @@ class TestProjection:
         assert np.all(np.diff(partial) >= 0)
 
 
+class TestSynthesis:
+    @pytest.mark.parametrize("L", [(PI,), (1.0, 2.0), (1.0, 1.5, 0.8)])
+    def test_grid_matches_mode_sum(self, L):
+        d = len(L)
+        bump = "*".join(f"x{i + 1}*({Li} - x{i + 1})" for i, Li in enumerate(L))
+        p = CauchyProblem(
+            "wave-multiple", d, 1, (1.0,), None, (parse(bump, d), None)
+        )
+        basis = build_basis(L, 5)
+        ev = solve_ibvp(p, basis)
+        points = np.random.default_rng(d).uniform(0.0, 1.0, (20, d)) * L
+        t = 0.6
+        amps = ev.amplitudes(t)
+        expected = []
+        for x in points:
+            total = 0.0
+            for k, amp in zip(basis.modes, amps):
+                term = basis.norm * amp
+                for ki, xi, Li in zip(k, x, L):
+                    term *= math.sin(ki * PI * xi / Li)
+                total += term
+            expected.append(total)
+        assert np.max(np.abs(ev.grid(points, t) - expected)) < 1e-13
+
+
 class TestWaveSolutions:
     def test_single_mode_exact(self):
         b = build_basis([PI], 12)

@@ -9,6 +9,7 @@ import pytest
 from waveforge.errors import (
     DataCountMismatch,
     DegenerateSpeeds,
+    InvalidOrder,
     NonPositiveSpeed,
     UnsupportedDimension,
 )
@@ -37,6 +38,9 @@ class TestValidation:
     def test_distinct_speeds_required(self):
         with pytest.raises(DegenerateSpeeds):
             CauchyProblem("wave-distinct", 3, 2, (1.0, 1.0), None, (None,) * 4)
+        # wave-multiple repeats one speed; unequal ones are not silently dropped
+        with pytest.raises(InvalidOrder, match=r"\(1\.0, 2\.0\)"):
+            CauchyProblem("wave-multiple", 3, 2, (1.0, 2.0), None, (None,) * 4)
 
     def test_even_dimension_rejected_at_solve(self):
         p = CauchyProblem("wave-multiple", 2, 1, (1.0,), None, (None, None))
