@@ -12,13 +12,19 @@ the independent ODE integrator, which doubles as cross-validation.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataCountMismatch, InvalidBox, InvalidOrder
+from .errors import (
+    DataCountMismatch,
+    InvalidBox,
+    InvalidOrder,
+    NegativeDiffusionTime,
+)
 from .expr import Expr, compile_field
 from .kernels import eigen_symbol
 from .oracle import ModeProblem, mode_solve
@@ -102,40 +108,51 @@ def build_basis(L, k_max: int = DEFAULT_K_MAX) -> EigenBasis:
     return EigenBasis(L, int(k_max), modes[order], lam[order], norm)
 
 
+@functools.lru_cache(maxsize=8)
+def _projection_plan(L: tuple[float, ...], k_max: int, quad_count: int):
+    """Tensor Gauss nodes, weighted per-axis sine matrices, reorder index.
+
+    Depends only on the box, the mode cutoff and the rule size, so every
+    projection onto one basis shares it.  The arrays are read-only because
+    the cache hands the same ones to every caller.
+    """
+    rules = [gauss_legendre(quad_count, 0.0, Li) for Li in L]
+    grids = np.meshgrid(*[r.nodes for r in rules], indexing="ij")
+    points = np.stack([g.reshape(-1) for g in grids], axis=-1)
+    # per-axis sine matrices k x q, weights folded in
+    k = np.arange(1, k_max + 1)
+    mats = tuple(
+        math.sqrt(2.0 / Li)
+        * np.sin(np.outer(k, rule.nodes) * (np.pi / Li))
+        * rule.weights[None, :]
+        for rule, Li in zip(rules, L)
+    )
+    # from the k-grid layout to the basis's eigenvalue ordering
+    modes = build_basis(L, k_max).modes
+    idx = np.ravel_multi_index(tuple((modes - 1).T), [k_max] * len(L))
+    for arr in (points, idx, *mats):
+        arr.flags.writeable = False
+    return points, mats, idx
+
+
 def project(field, basis: EigenBasis, quad_count: int | None = None,
             t: float = 0.0) -> ModeCoefficients:
     """Coefficients c_k = integral of field * e_k over the box.
 
     ``field`` may be an expression or a compiled callable; ``t`` is
-    passed through for fields with explicit time dependence.
+    passed through for fields with explicit time dependence.  The tensor
+    Gauss sum is contracted one axis at a time (sum factorisation).
     """
     f = compile_field(field) if isinstance(field, Expr) else field
     if quad_count is None:
         quad_count = max(2 * basis.k_max + 8, 32)
-    rules = [gauss_legendre(quad_count, 0.0, Li) for Li in basis.L]
-    d = basis.d
-    grids = np.meshgrid(*[r.nodes for r in rules], indexing="ij")
-    points = np.stack([g.reshape(-1) for g in grids], axis=-1)
-    values = f(points, t).reshape([quad_count] * d)
-    # per-axis sine matrices k x q, weights folded in
-    k = np.arange(1, basis.k_max + 1)
-    mats = []
-    for rule, Li in zip(rules, basis.L):
-        mats.append(
-            math.sqrt(2.0 / Li)
-            * np.sin(np.outer(k, rule.nodes) * (np.pi / Li))
-            * rule.weights[None, :]
-        )
-    if d == 1:
-        tensor = mats[0] @ values
-    elif d == 2:
-        tensor = np.einsum("aq,br,qr->ab", mats[0], mats[1], values)
-    else:
-        tensor = np.einsum("aq,br,cs,qrs->abc", mats[0], mats[1], mats[2], values)
-    flat = tensor.reshape(-1)
-    # reorder from the k-grid layout to the basis's eigenvalue ordering
-    idx = np.ravel_multi_index(tuple((basis.modes - 1).T), [basis.k_max] * d)
-    return ModeCoefficients(basis, flat[idx])
+    points, mats, idx = _projection_plan(basis.L, basis.k_max, quad_count)
+    tensor = f(points, t).reshape([quad_count] * basis.d)
+    # each step contracts the leading node axis and appends a mode axis,
+    # so after d steps the axes are (k_1, ..., k_d)
+    for mat in mats:
+        tensor = np.tensordot(tensor, mat, axes=([0], [1]))
+    return ModeCoefficients(basis, tensor.reshape(-1)[idx])
 
 
 class IbvpEvaluator(SolutionEvaluator):
@@ -231,16 +248,14 @@ def solve_ibvp(problem: CauchyProblem, basis: EigenBasis,
         a = problem.speeds[0]
 
         def amplitude_fn(t):
-            cosv = np.array([eigen_symbol("wave-cos", lv, a, t) for lv in lam])
-            sinv = np.array([eigen_symbol("wave-sin", lv, a, t) for lv in lam])
-            out = data_coeffs[0] * cosv + data_coeffs[1] * sinv
+            out = (
+                data_coeffs[0] * eigen_symbol("wave-cos", lam, a, t)
+                + data_coeffs[1] * eigen_symbol("wave-sin", lam, a, t)
+            )
             if src is not None and t != 0.0:
-                for zi, wi in zip(z, wz):
-                    tau = t * zi
-                    sym = np.array(
-                        [eigen_symbol("wave-sin", lv, a, t - tau) for lv in lam]
-                    )
-                    out = out + t * wi * sym * src(tau)
+                g_nodes = np.stack([src(t * zi) for zi in z])  # (Q, M)
+                G = eigen_symbol("wave-sin", lam[None, :], a, (t - t * z)[:, None])
+                out = out + t * (wz[:, None] * G * g_nodes).sum(axis=0)
             return out
 
         def derivative_fn(t):
@@ -333,7 +348,13 @@ def solve_ibvp(problem: CauchyProblem, basis: EigenBasis,
             out[i] = float(alpha @ np.exp(rates[:, i] * t))
         return out
 
+    def check_time(t):
+        # the modes decay forward in time only; backwards they overflow
+        if t < 0:
+            raise NegativeDiffusionTime(f"heat time must be >= 0, got {t}")
+
     def amplitude_fn(t):
+        check_time(t)
         out = homogeneous(t)
         if src is not None and t != 0.0:
             g_nodes = np.stack([src(t * zi) for zi in z])  # (Q, M)
@@ -346,6 +367,7 @@ def solve_ibvp(problem: CauchyProblem, basis: EigenBasis,
         a0 = problem.speeds[0]
 
         def derivative_fn(t):
+            check_time(t)
             return -a0 * lam * np.exp(-a0 * lam * t) * data_coeffs[0]
 
     return IbvpEvaluator(problem, basis, amplitude_fn, derivative_fn)

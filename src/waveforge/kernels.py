@@ -1,4 +1,4 @@
-"""Scalar symbol functions and partial-fraction weights.
+"""Symbol functions and partial-fraction weights.
 
 These are the per-mode building blocks every solver shares: the weights
 that distribute a factored operator over single-factor propagators, the
@@ -98,21 +98,31 @@ def gm_wave_symbol(omega: float, m: int, t: float, rule_count: int = 48) -> floa
     return integral / double_factorial(2 * m - 2)
 
 
-def eigen_symbol(kind: str, lam: float, a: float, t: float) -> float:
+def eigen_symbol(kind: str, lam, a: float, t):
     """Per-eigenvalue symbol: heat decay, or wave sin/cos at sqrt(lam).
 
-    The lam -> 0 limit of the wave-sin branch is t; below a*sqrt(lam)*t of
-    1e-4 the Taylor form t - a^2 lam t^3 / 6 avoids cancellation.
+    ``lam`` and ``t`` may be scalars or arrays that broadcast together; a
+    scalar pair gives a float, anything else an array.  The lam -> 0 limit
+    of the wave-sin branch is t; below a*sqrt(lam)*t of 1e-4 the Taylor
+    form t - a^2 lam t^3 / 6 avoids cancellation.
     """
-    if lam < 0:
-        raise InvalidOrder(f"eigenvalue must be >= 0, got {lam}")
+    lam = np.asarray(lam, dtype=float)
+    t = np.asarray(t, dtype=float)
+    if np.any(lam < 0):
+        raise InvalidOrder(f"eigenvalue must be >= 0, got {lam.min()}")
     if kind == "heat-exp":
-        return math.exp(-t * a * lam)
-    s = a * math.sqrt(lam)
-    if kind == "wave-cos":
-        return math.cos(s * t)
-    if kind == "wave-sin":
-        if abs(s * t) < 1e-4:
-            return t - (a * a * lam) * t**3 / 6.0
-        return math.sin(s * t) / s
-    raise InvalidOrder(f"unknown symbol kind '{kind}'")
+        out = np.exp(-t * a * lam)
+    elif kind == "wave-cos":
+        out = np.cos(a * np.sqrt(lam) * t)
+    elif kind == "wave-sin":
+        s = a * np.sqrt(lam)
+        # both branches are evaluated; the discarded one may divide by 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.where(
+                np.abs(s * t) < 1e-4,
+                t - (a * a * lam) * t**3 / 6.0,
+                np.sin(s * t) / s,
+            )
+    else:
+        raise InvalidOrder(f"unknown symbol kind '{kind}'")
+    return float(out) if out.ndim == 0 else out

@@ -192,6 +192,30 @@ class TestSolveCommand:
         assert "(1.0, 2.0)" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_box_heat_time_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        cfgf = tmp_path / "p.ini"
+        cfgf.write_text(
+            BOX_MODE.format(pi=math.pi, path=out)
+            .replace("kind = wave-multiple", "kind = heat-product")
+            .replace("t = 0:1:3", "t = -0.5:0:2")
+        )
+        assert main(["solve", str(cfgf)]) == 3
+        assert "heat time must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_box_wave_time_accepted(self, tmp_path):
+        # the wave equation is time-reversible: u(x, -t) = u(x, t) here
+        out = tmp_path / "o.csv"
+        cfgf = tmp_path / "p.ini"
+        cfgf.write_text(
+            BOX_MODE.format(pi=math.pi, path=out).replace("t = 0:1:3", "t = -1:0:2")
+        )
+        assert main(["solve", str(cfgf)]) == 0
+        _, rows = _read_csv(out)
+        exact = np.sin(rows[:, 0]) * np.cos(rows[:, 1])
+        assert np.allclose(rows[:, 2], exact, atol=1e-10)
+
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.ini")]) == 2
 

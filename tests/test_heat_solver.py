@@ -17,6 +17,7 @@ from waveforge.heat_solver import (
     heat_propagate,
     solve_heat_product,
 )
+from waveforge.ibvp import build_basis, solve_ibvp
 from waveforge.oracle import ModeProblem, heat_closed_form, mode_solve
 from waveforge.problems import CauchyProblem
 
@@ -53,6 +54,16 @@ class TestPropagator:
     def test_negative_time_rejected(self):
         with pytest.raises(NegativeDiffusionTime):
             heat_propagate(parse("x1", 1), -0.1, [0.0])
+        # the box solver, which decays each sine mode, rejects t < 0 too
+        box = solve_ibvp(
+            CauchyProblem(
+                "heat-product", 1, 1, (1.0,), None, (parse("sin(x1)", 1),)
+            ),
+            build_basis([math.pi], 24),
+        )
+        for t in (-0.5, -2.0):
+            with pytest.raises(NegativeDiffusionTime):
+                box([1.0], t)
 
     def test_semigroup_property(self):
         # two short steps equal one long step on a Gaussian

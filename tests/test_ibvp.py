@@ -1,5 +1,6 @@
 """Box eigenbasis, projection, and the initial-boundary solver."""
 
+import itertools
 import math
 import warnings
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from waveforge.errors import DataCountMismatch, InvalidBox
-from waveforge.expr import parse
+from waveforge.expr import compile_field, parse
 from waveforge.ibvp import build_basis, project, solve_ibvp
 from waveforge.oracle import ModeProblem, mode_solve
 from waveforge.problems import CauchyProblem
@@ -73,6 +74,57 @@ class TestProjection:
         mc = project(parse("x1*(pi - x1)", 1), b)
         partial = np.cumsum(mc.values**2)
         assert np.all(np.diff(partial) >= 0)
+
+    @pytest.mark.parametrize(
+        "L, k", [((1.0, 2.0), (2, 1)), ((1.0, 1.5, 0.8), (1, 3, 2))]
+    )
+    def test_multi_dimensional_product_mode(self, L, k):
+        # a different index on each axis catches an axis-order slip
+        d = len(L)
+        norm = math.prod(math.sqrt(2 / Li) for Li in L)
+        mode = parse(
+            f"{norm}*"
+            + "*".join(
+                f"sin({ki}*pi*x{i + 1}/{Li})"
+                for i, (ki, Li) in enumerate(zip(k, L))
+            ),
+            d,
+        )
+        mc = project(mode, build_basis(L, 6))
+        assert mc.coeff(k) == pytest.approx(1.0, abs=1e-12)
+        hit = (mc.basis.modes == k).all(axis=1)
+        assert np.max(np.abs(mc.values[~hit])) < 1e-10
+
+        # every coefficient against an explicit Gauss sum, mode by mode
+        basis = build_basis(L, 3)
+        bump = parse(
+            "*".join(f"x{i + 1}*({Li} - x{i + 1})" for i, Li in enumerate(L))
+            + "*exp(x1)",
+            d,
+        )
+        q = 12
+        mc = project(bump, basis, quad_count=q)
+        unit, unit_w = np.polynomial.legendre.leggauss(q)
+        axes = [0.5 * Li * (unit + 1.0) for Li in L]
+        weights = [0.5 * Li * unit_w for Li in L]
+        f = compile_field(bump)
+        nodes = list(itertools.product(range(q), repeat=d))
+        values = {
+            idx: float(f(np.array([axes[i][j] for i, j in enumerate(idx)])))
+            for idx in nodes
+        }
+        for kvec, got in zip(basis.modes, mc.values):
+            total = 0.0
+            for idx in nodes:
+                term = values[idx]
+                for i, j in enumerate(idx):
+                    term *= (
+                        weights[i][j]
+                        * math.sqrt(2 / L[i])
+                        * math.sin(kvec[i] * PI * axes[i][j] / L[i])
+                    )
+                total += term
+            assert got == pytest.approx(total, abs=1e-13)
 
 
 class TestSynthesis:

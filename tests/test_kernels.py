@@ -133,3 +133,22 @@ class TestEigenSymbol:
     def test_negative_eigenvalue(self):
         with pytest.raises(InvalidOrder):
             eigen_symbol("heat-exp", -1.0, 1.0, 1.0)
+        with pytest.raises(InvalidOrder):
+            eigen_symbol("wave-sin", np.array([0.0, 2.0, -1.0]), 1.0, 1.0)
+
+    @pytest.mark.parametrize("kind", ["heat-exp", "wave-cos", "wave-sin"])
+    def test_array_matches_scalar_calls(self, kind):
+        # 0, the Taylor regime (a*sqrt(lam)*t < 1e-4) and ordinary values
+        lam = np.array([0.0, 1e-12, 3e-9, 0.5, 2.0, 37.0, 900.0])
+        a, t = 1.3, 0.7
+        got = eigen_symbol(kind, lam, a, t)
+        assert isinstance(got, np.ndarray) and got.shape == lam.shape
+        expected = [eigen_symbol(kind, float(lv), a, t) for lv in lam]
+        assert got.tolist() == expected
+        # lam and t broadcast against each other, as in the Duhamel sum
+        ts = np.array([0.0, 0.25, 0.7])
+        grid = eigen_symbol(kind, lam[None, :], a, ts[:, None])
+        assert grid.tolist() == [
+            [eigen_symbol(kind, float(lv), a, float(tv)) for lv in lam]
+            for tv in ts
+        ]
