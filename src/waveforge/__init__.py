@@ -43,7 +43,7 @@ from .heat_solver import (
 from .ibvp import EigenBasis, ModeCoefficients, build_basis, project, solve_ibvp
 from .kernels import (
     PartialFractionWeights,
-    eigen_symbol,
+    exp_divided_differences,
     first_order_weights,
     gm_wave_symbol,
     second_order_weights,

@@ -5,9 +5,11 @@ package acts on them by multiplying with a scalar time symbol, so the
 solution is: project the data, evolve each mode amplitude in time, and
 sum the series at the evaluation points.
 
-Mode amplitudes for first-order-in-each-factor problems use closed
-forms; higher-order wave products delegate the per-mode time behavior to
-the independent ODE integrator, which doubles as cross-validation.
+On mode k the factored operator is a constant-coefficient ODE
+P(lam_k, D) T = g whose solutions are sums of divided differences of
+e^{zt} at the roots of P(lam_k, .).  One closed form covers every family
+and every speed cluster: the data in Newton form against those divided
+differences, plus a Duhamel integral of the last one.
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ from .errors import (
     NegativeDiffusionTime,
 )
 from .expr import Expr, compile_field
-from .kernels import eigen_symbol
-from .oracle import ModeProblem, mode_solve
+from .kernels import exp_divided_differences
 from .problems import CauchyProblem, SolutionEvaluator
 from .quadrature import QuadratureSpec, gauss_legendre
 
@@ -226,10 +227,10 @@ def solve_ibvp(problem: CauchyProblem, basis: EigenBasis,
     _check_boundary_data(problem, basis)
     m = problem.m
     lam = basis.eigenvalues
-    data_coeffs = [
+    data = np.array([
         np.zeros(basis.count) if e is None else project(e, basis).values
         for e in problem.data
-    ]
+    ])
     src = None
     if problem.source is not None:
         src_field = compile_field(problem.source)
@@ -242,132 +243,50 @@ def solve_ibvp(problem: CauchyProblem, basis: EigenBasis,
 
     unit = gauss_legendre(spec.n_time, 0.0, 1.0)
     z, wz = unit.nodes, unit.weights
-    wave = problem.kind in ("wave-multiple", "wave-distinct")
+    heat = problem.kind == "heat-product"
+    # roots of each mode's characteristic polynomial, shape (N, M): heat
+    # factors s + a lam, wave factors s^2 + a^2 lam
+    a = np.asarray(problem.speeds)[:, None]
+    if heat:
+        roots = -a * lam
+    else:
+        w = 1j * a * np.sqrt(lam)
+        roots = np.stack([w, -w], axis=1).reshape(2 * m, basis.count)
 
-    if wave and m == 1:
-        a = problem.speeds[0]
-
-        def amplitude_fn(t):
-            out = (
-                data_coeffs[0] * eigen_symbol("wave-cos", lam, a, t)
-                + data_coeffs[1] * eigen_symbol("wave-sin", lam, a, t)
-            )
-            if src is not None and t != 0.0:
-                g_nodes = np.stack([src(t * zi) for zi in z])  # (Q, M)
-                G = eigen_symbol("wave-sin", lam[None, :], a, (t - t * z)[:, None])
-                out = out + t * (wz[:, None] * G * g_nodes).sum(axis=0)
-            return out
-
-        def derivative_fn(t):
-            if src is not None:
-                raise InvalidOrder(
-                    "amplitude derivatives implemented for homogeneous "
-                    "problems only"
-                )
-            omega = a * np.sqrt(lam)
-            return (
-                -data_coeffs[0] * omega * np.sin(omega * t)
-                + data_coeffs[1] * np.cos(omega * t)
-            )
-
-        return IbvpEvaluator(problem, basis, amplitude_fn, derivative_fn)
-
-    if wave:
-        speeds = problem.speeds
-
-        def amplitude_fn(t):
-            out = np.empty(basis.count)
-            g_nodes = None
-            if src is not None and t != 0.0:
-                g_nodes = np.stack([src(t * zi) for zi in z])  # (Q, M)
-            impulse = (0.0,) * (2 * m - 1) + (1.0,)
-            for i, lv in enumerate(lam):
-                kvec = (math.sqrt(lv),)
-                mp = ModeProblem(
-                    "wave", speeds, kvec,
-                    tuple(c[i] for c in data_coeffs),
-                )
-                val = mode_solve(mp, t)
-                if g_nodes is not None:
-                    gi = mode_solve(
-                        ModeProblem("wave", speeds, kvec, impulse),
-                        t - t * z,
-                    )
-                    val += float(t * np.dot(wz, gi * g_nodes[:, i]))
-                out[i] = val
-            return out
-
-        return IbvpEvaluator(problem, basis, amplitude_fn)
-
-    # heat-product
-    speeds = problem.speeds
-    equal = problem.equal_speeds
-    if not (equal or problem.distinct_speeds):
-        raise InvalidOrder(
-            "speeds must be all equal or pairwise distinct, got "
-            f"{problem.speeds}"
-        )
-
-    def impulse_response(s: np.ndarray) -> np.ndarray:
-        """G(s) per mode, shape (len(s), M)."""
-        s = np.asarray(s, dtype=float)
-        if equal:
-            a = speeds[0]
-            base = s[:, None] ** (m - 1) / math.factorial(m - 1)
-            return base * np.exp(-a * lam[None, :] * s[:, None])
-        out = np.zeros((s.size, lam.size))
-        for j, aj in enumerate(speeds):
-            denom = np.prod([ai - aj for i, ai in enumerate(speeds) if i != j])
-            out += np.exp(-aj * lam[None, :] * s[:, None]) / (
-                denom * lam[None, :] ** (m - 1)
-            )
-        return out
-
-    def homogeneous(t: float) -> np.ndarray:
-        if equal:
-            a = speeds[0]
-            acc = np.zeros(basis.count)
-            for kk in range(m):
-                for r in range(kk + 1):
-                    acc += (
-                        (-1.0) ** (kk - r)
-                        * math.comb(kk, r)
-                        * t**kk
-                        / math.factorial(kk)
-                        * (-a * lam) ** (kk - r)
-                        * data_coeffs[r]
-                    )
-            return np.exp(-a * lam * t) * acc
-        # distinct speeds: fit sum_j alpha_j e^{-a_j lam t} to the data
-        out = np.empty(basis.count)
-        rates = -np.outer(np.asarray(speeds), lam)  # (m, M)
-        for i in range(basis.count):
-            A = np.vander(rates[:, i], m, increasing=True).T  # rows: T^(r)(0)
-            rhs = np.array([c[i] for c in data_coeffs])
-            alpha = np.linalg.solve(A, rhs)
-            out[i] = float(alpha @ np.exp(rates[:, i] * t))
-        return out
+    # Newton form c_j = [(D - r_{j-1}) ... (D - r_0) T](0) of the data;
+    # the rows of `poly` are the coefficients of that operator in D
+    poly = np.zeros_like(roots)
+    poly[0] = 1.0
+    newton = np.empty_like(roots)
+    for j, r in enumerate(roots):
+        newton[j] = (poly * data).sum(axis=0)
+        # np.roll wraps the top row, which is zero until the last pass
+        poly = np.roll(poly, 1, axis=0) - r * poly
 
     def check_time(t):
-        # the modes decay forward in time only; backwards they overflow
-        if t < 0:
+        # heat modes decay forward in time only; backwards they overflow
+        if heat and t < 0:
             raise NegativeDiffusionTime(f"heat time must be >= 0, got {t}")
 
     def amplitude_fn(t):
         check_time(t)
-        out = homogeneous(t)
+        out = np.real((newton * exp_divided_differences(roots, t)).sum(axis=0))
         if src is not None and t != 0.0:
-            g_nodes = np.stack([src(t * zi) for zi in z])  # (Q, M)
-            G = impulse_response(t - t * z)  # (Q, M)
-            out = out + t * (wz[:, None] * G * g_nodes).sum(axis=0)
+            # the impulse response is the last divided difference; one
+            # node at a time keeps the work arrays at M modes
+            for zi, wi in zip(z, wz):
+                g = exp_divided_differences(roots, t - t * zi)[-1]
+                out = out + t * wi * np.real(g) * src(t * zi)
         return out
 
     derivative_fn = None
-    if m == 1 and problem.source is None:
-        a0 = problem.speeds[0]
+    if m == 1 and src is None:
 
         def derivative_fn(t):
             check_time(t)
-            return -a0 * lam * np.exp(-a0 * lam * t) * data_coeffs[0]
+            phi = exp_divided_differences(roots, t)
+            dphi = roots * phi
+            dphi[1:] += phi[:-1]
+            return np.real((newton * dphi).sum(axis=0))
 
     return IbvpEvaluator(problem, basis, amplitude_fn, derivative_fn)

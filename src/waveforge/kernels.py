@@ -2,8 +2,9 @@
 
 These are the per-mode building blocks every solver shares: the weights
 that distribute a factored operator over single-factor propagators, the
-time-propagation symbol of the m-fold wave operator, and the per-eigenvalue
-symbols used by the initial-boundary solver.
+time-propagation symbol of the m-fold wave operator, and the divided
+differences of exp at the characteristic roots that give the
+initial-boundary solver its mode amplitudes.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ __all__ = [
     "first_order_weights",
     "second_order_weights",
     "gm_wave_symbol",
-    "eigen_symbol",
+    "exp_divided_differences",
+    "require_distinct",
     "SPEED_SEPARATION",
 ]
 
@@ -36,17 +38,21 @@ class PartialFractionWeights:
     order: str  # "first" (d/dt factors) or "second" (d^2/dt^2 factors)
 
 
-def _check_distinct(a):
-    a = [float(v) for v in a]
-    m = len(a)
-    if m < 2:
-        raise InvalidOrder("partial-fraction weights need at least two speeds")
-    for j in range(m):
+def require_distinct(a) -> None:
+    """Raise DegenerateSpeeds naming the first pair closer than SPEED_SEPARATION."""
+    for j in range(len(a)):
         for i in range(j):
             if abs(a[j] - a[i]) < SPEED_SEPARATION:
                 raise DegenerateSpeeds(
                     f"speeds {a[i]} and {a[j]} closer than {SPEED_SEPARATION}"
                 )
+
+
+def _check_distinct(a):
+    a = [float(v) for v in a]
+    if len(a) < 2:
+        raise InvalidOrder("partial-fraction weights need at least two speeds")
+    require_distinct(a)
     return a
 
 
@@ -98,31 +104,43 @@ def gm_wave_symbol(omega: float, m: int, t: float, rule_count: int = 48) -> floa
     return integral / double_factorial(2 * m - 2)
 
 
-def eigen_symbol(kind: str, lam, a: float, t):
-    """Per-eigenvalue symbol: heat decay, or wave sin/cos at sqrt(lam).
+# Taylor degree for exp of a matrix scaled to infinity norm <= 1: the
+# remainder is at most sum_{k > 18} 1/k! < 1e-17
+_EXP_TAYLOR_DEGREE = 18
 
-    ``lam`` and ``t`` may be scalars or arrays that broadcast together; a
-    scalar pair gives a float, anything else an array.  The lam -> 0 limit
-    of the wave-sin branch is t; below a*sqrt(lam)*t of 1e-4 the Taylor
-    form t - a^2 lam t^3 / 6 avoids cancellation.
+
+def exp_divided_differences(roots, t):
+    """phi_k(t) = e^{zt}[r_0, ..., r_k] for k = 0..N-1, batched over modes.
+
+    ``roots`` has shape (N, ...) with the N roots of each mode along the
+    first axis; ``t`` is a scalar or broadcasts against the mode axes.
+    The result has the shape of ``roots``.  phi_0 = e^{r_0 t} and
+    phi_k' = r_k phi_k + phi_{k-1}, so phi_{N-1} is the impulse response
+    of prod_k (D - r_k).
+
+    The divided differences are the first column of exp(t Z), with Z lower
+    bidiagonal: the roots on the diagonal, ones below it (Opitz), so equal
+    and nearly equal roots need no special case and lose no digits
+    (McCurdy, Ng & Parlett 1984).  exp is a Taylor sum of t Z / 2^s,
+    squared s times; each mode takes the least s that brings its norm to
+    at most 1, since every needless squaring doubles its rounding error.
     """
-    lam = np.asarray(lam, dtype=float)
+    roots = np.asarray(roots)
     t = np.asarray(t, dtype=float)
-    if np.any(lam < 0):
-        raise InvalidOrder(f"eigenvalue must be >= 0, got {lam.min()}")
-    if kind == "heat-exp":
-        out = np.exp(-t * a * lam)
-    elif kind == "wave-cos":
-        out = np.cos(a * np.sqrt(lam) * t)
-    elif kind == "wave-sin":
-        s = a * np.sqrt(lam)
-        # both branches are evaluated; the discarded one may divide by 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(
-                np.abs(s * t) < 1e-4,
-                t - (a * a * lam) * t**3 / 6.0,
-                np.sin(s * t) / s,
-            )
-    else:
-        raise InvalidOrder(f"unknown symbol kind '{kind}'")
-    return float(out) if out.ndim == 0 else out
+    n = roots.shape[0]
+    norm = np.abs(t) * (np.abs(roots).max(axis=0) + 1.0)
+    s = np.ceil(np.log2(np.maximum(norm, 1.0)))
+    h = t / 2.0**s
+    diag = (roots * h)[:, None]
+    eye = np.eye(n).reshape((n, n) + (1,) * (roots.ndim - 1))
+    # Horner steps X <- I + A X / j; A is bidiagonal, so A X is X with its
+    # rows scaled plus X shifted down one row
+    x = eye + np.zeros_like(diag)
+    for j in range(_EXP_TAYLOR_DEGREE, 0, -1):
+        ax = diag * x
+        ax[1:] += h * x[:-1]
+        x = eye + ax / j
+    for i in range(int(s.max())):
+        square = sum(x[:, k, None] * x[None, k] for k in range(n))
+        x = np.where(s > i, square, x)
+    return x[:, 0]

@@ -20,7 +20,7 @@ from .errors import (
     UnsupportedDimension,
 )
 from .expr import Expr
-from .kernels import SPEED_SEPARATION
+from .kernels import require_distinct
 
 __all__ = ["CauchyProblem", "SolutionEvaluator", "KINDS"]
 
@@ -73,7 +73,7 @@ class CauchyProblem:
         if any(a <= 0 for a in self.speeds):
             raise NonPositiveSpeed(f"speeds must be positive: {self.speeds}")
         if self.kind in ("wave-distinct",) and self.m >= 2:
-            self._require_distinct()
+            require_distinct(self.speeds)
         if self.kind == "wave-multiple" and not self.equal_speeds:
             raise InvalidOrder(
                 f"wave-multiple repeats one speed, got unequal speeds {self.speeds}"
@@ -88,15 +88,6 @@ class CauchyProblem:
                 f"source has dimension {self.source.ndim}, problem has {self.n}"
             )
 
-    def _require_distinct(self):
-        a = self.speeds
-        for j in range(len(a)):
-            for i in range(j):
-                if abs(a[j] - a[i]) < SPEED_SEPARATION:
-                    raise DegenerateSpeeds(
-                        f"speeds {a[i]} and {a[j]} closer than {SPEED_SEPARATION}"
-                    )
-
     @property
     def equal_speeds(self) -> bool:
         a = self.speeds
@@ -104,12 +95,11 @@ class CauchyProblem:
 
     @property
     def distinct_speeds(self) -> bool:
-        a = self.speeds
-        return all(
-            abs(a[j] - a[i]) >= SPEED_SEPARATION
-            for j in range(len(a))
-            for i in range(j)
-        )
+        try:
+            require_distinct(self.speeds)
+        except DegenerateSpeeds:
+            return False
+        return True
 
 
 class SolutionEvaluator:

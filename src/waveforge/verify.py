@@ -119,6 +119,20 @@ def _suite_ibvp() -> list[CheckResult]:
     e0 = ev.energy(0.0)
     drift = max(abs(ev.energy(t) - e0) for t in (1.0, 2.0, 3.0))
     out.append(CheckResult("ibvp", "energy-drift", drift, 1e-8))
+    # two-factor resonant forcing of the first mode against the integrator
+    p = CauchyProblem(
+        "wave-multiple", 1, 2, (1.0, 1.0), parse("sin(x1)*sin(t)", 1),
+        (parse("0.5*sin(x1)", 1), None, None, parse("sin(x1)", 1)),
+    )
+    ev = solve_ibvp(p, build_basis([math.pi], 8))
+    mp = ModeProblem(
+        "wave", (1.0, 1.0), (1.0,), (0.5, 0.0, 0.0, 1.0),
+        source=parse("sin(t)", 0),
+    )
+    err = max(
+        abs(ev([0.7], t) - mode_solve(mp, t) * math.sin(0.7)) for t in (0.9, 2.1)
+    )
+    out.append(CheckResult("ibvp", "wave-m2-source-modes", err, 1e-9))
     return out
 
 

@@ -236,6 +236,21 @@ class TestWaveSolutions:
             mode_solve(mp, t) * math.sin(0.7), abs=1e-9
         )
 
+    def test_two_factor_time_reversal(self):
+        # the operator is even in t, so T(-t; d_j) = T(t; (-1)^j d_j)
+        b = build_basis([PI], 8)
+        d = ("sin(x1)", "0.4*sin(2*x1)", "-0.3*sin(x1)", "0.2*sin(3*x1)")
+
+        def solve(signs):
+            data = tuple(parse(f"{sg}*({e})", 1) for sg, e in zip(signs, d))
+            p = CauchyProblem("wave-multiple", 1, 2, (1.3, 1.3), None, data)
+            return solve_ibvp(p, b)
+
+        forward = solve((1, -1, 1, -1))
+        backward = solve((1, 1, 1, 1))
+        for x, t in ((0.7, 0.9), (2.2, 2.4)):
+            assert backward([x], -t) == pytest.approx(forward([x], t), abs=1e-13)
+
     def test_2d_product_mode(self):
         b = build_basis([PI, PI], 6)
         p = CauchyProblem(
@@ -297,6 +312,38 @@ class TestHeatSolutions:
         assert ev([0.7], t) == pytest.approx(
             mode_solve(mp, t) * math.sin(0.7), abs=1e-10
         )
+
+
+    def test_mixed_cluster_with_source(self):
+        b = build_basis([PI], 8)
+        p = CauchyProblem(
+            "heat-product", 1, 3, (1.0, 1.0, 2.0), parse("sin(x1)*cos(t)", 1),
+            (parse("sin(x1)", 1), None, parse("0.5*sin(x1)", 1)),
+        )
+        ev = solve_ibvp(p, b)
+        mp = ModeProblem(
+            "heat", (1.0, 1.0, 2.0), (1.0,), (1.0, 0.0, 0.5),
+            source=parse("cos(t)", 0),
+        )
+        for t in (0.4, 1.1):
+            assert ev([0.7], t) == pytest.approx(
+                mode_solve(mp, t) * math.sin(0.7), abs=1e-10
+            )
+
+    @pytest.mark.parametrize("delta", [1e-4, 1e-8, 1e-12])
+    def test_near_equal_speeds_limit(self, delta):
+        # speeds closing in on each other tend to the equal-speed answer
+        # at the rate of its speed derivative, without 1/delta weights
+        b = build_basis([PI], 8)
+        data = (parse("sin(x1)", 1), parse("0.5*sin(2*x1)", 1))
+
+        def value(speeds):
+            p = CauchyProblem(
+                "heat-product", 1, 2, speeds, parse("sin(x1)*cos(t)", 1), data
+            )
+            return solve_ibvp(p, b)([0.7], 1.0)
+
+        assert abs(value((1.0, 1.0 + delta)) - value((1.0, 1.0))) <= 2 * delta
 
 
 class TestDiagnostics:

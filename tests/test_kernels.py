@@ -1,4 +1,4 @@
-"""Partial-fraction weights and scalar time symbols."""
+"""Partial-fraction weights, time symbols and divided differences of exp."""
 
 import math
 
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from waveforge.errors import DegenerateSpeeds, InvalidOrder, NonPositiveSpeed
 from waveforge.kernels import (
-    eigen_symbol,
+    exp_divided_differences,
     first_order_weights,
     gm_wave_symbol,
     second_order_weights,
@@ -106,49 +106,124 @@ class TestGmWaveSymbol:
             gm_wave_symbol(-1.0, 1, 1.0)
 
 
+def _time_symbol(kind, lam, a, t):
+    """The time symbols of the box solvers, read off the divided differences:
+    e^{-a lam t} at the root -a lam, cos(wt) and sin(wt)/w at +-iw."""
+    lam = np.asarray(lam, dtype=float)
+    if kind == "heat-exp":
+        return exp_divided_differences((-a * lam)[None], t)[0].real
+    w = 1j * a * np.sqrt(lam)
+    phi = exp_divided_differences(np.stack([w, -w]), t)
+    return phi[0].real if kind == "wave-cos" else phi[1].real
+
+
 class TestEigenSymbol:
-    def test_heat_decay(self):
-        assert eigen_symbol("heat-exp", 4.0, 0.5, 1.0) == pytest.approx(
-            math.exp(-2.0)
-        )
-
-    def test_wave_pair(self):
-        lam, a, t = 2.0, 1.5, 0.8
-        s = a * math.sqrt(lam)
-        assert eigen_symbol("wave-cos", lam, a, t) == pytest.approx(
-            math.cos(s * t)
-        )
-        assert eigen_symbol("wave-sin", lam, a, t) == pytest.approx(
-            math.sin(s * t) / s
-        )
-
-    def test_wave_sin_small_argument(self):
-        # tiny s*t switches to the series branch; limit is t
-        assert eigen_symbol("wave-sin", 1e-12, 1.0, 0.5) == pytest.approx(0.5)
-
-    def test_unknown_kind(self):
-        with pytest.raises(InvalidOrder):
-            eigen_symbol("nope", 1.0, 1.0, 1.0)
-
-    def test_negative_eigenvalue(self):
-        with pytest.raises(InvalidOrder):
-            eigen_symbol("heat-exp", -1.0, 1.0, 1.0)
-        with pytest.raises(InvalidOrder):
-            eigen_symbol("wave-sin", np.array([0.0, 2.0, -1.0]), 1.0, 1.0)
-
     @pytest.mark.parametrize("kind", ["heat-exp", "wave-cos", "wave-sin"])
     def test_array_matches_scalar_calls(self, kind):
-        # 0, the Taylor regime (a*sqrt(lam)*t < 1e-4) and ordinary values
+        # 0, tiny a*sqrt(lam)*t and ordinary values
         lam = np.array([0.0, 1e-12, 3e-9, 0.5, 2.0, 37.0, 900.0])
         a, t = 1.3, 0.7
-        got = eigen_symbol(kind, lam, a, t)
+        got = _time_symbol(kind, lam, a, t)
         assert isinstance(got, np.ndarray) and got.shape == lam.shape
-        expected = [eigen_symbol(kind, float(lv), a, t) for lv in lam]
+        expected = [float(_time_symbol(kind, lv, a, t)) for lv in lam]
         assert got.tolist() == expected
+        w = a * np.sqrt(lam)
+        closed = {
+            "heat-exp": np.exp(-a * lam * t),
+            "wave-cos": np.cos(w * t),
+            "wave-sin": np.where(w > 0, np.sin(w * t) / np.where(w > 0, w, 1.0), t),
+        }[kind]
+        # e^{-33.7} at lam = 37 carries exp's own conditioning, |a lam t| eps
+        assert np.allclose(got, closed, rtol=1e-13, atol=0.0)
         # lam and t broadcast against each other, as in the Duhamel sum
         ts = np.array([0.0, 0.25, 0.7])
-        grid = eigen_symbol(kind, lam[None, :], a, ts[:, None])
+        grid = _time_symbol(kind, lam[None, :], a, ts[:, None])
         assert grid.tolist() == [
-            [eigen_symbol(kind, float(lv), a, float(tv)) for lv in lam]
+            [float(_time_symbol(kind, lv, a, tv)) for lv in lam]
             for tv in ts
         ]
+
+
+def _explicit_divided_differences(roots, t):
+    """Textbook formula for distinct roots: sum_j e^{r_j t} / prod_{i!=j} (r_j - r_i)."""
+    out = []
+    for k in range(len(roots)):
+        rs = roots[: k + 1]
+        out.append(sum(
+            np.exp(rj * t) / np.prod([rj - ri for i, ri in enumerate(rs) if i != j])
+            for j, rj in enumerate(rs)
+        ))
+    return np.array(out)
+
+
+class TestExpDividedDifferences:
+    def test_single_root_is_exp(self):
+        # the heat decay e^{-a lam t} of one factor
+        a, lam, t = 0.5, 4.0, 1.0
+        got = exp_divided_differences(np.array([-a * lam]), t)
+        assert got.shape == (1,)
+        assert got[0] == pytest.approx(math.exp(-2.0), rel=1e-15)
+
+    def test_wave_pair(self):
+        # roots +-i w: e^{iwt} and sin(wt)/w, so the real parts carry cos
+        lam, a, t = 2.0, 1.5, 0.8
+        w = a * math.sqrt(lam)
+        phi = exp_divided_differences(np.array([1j * w, -1j * w]), t)
+        assert phi[0].real == pytest.approx(math.cos(w * t), abs=1e-15)
+        assert phi[0].imag == pytest.approx(math.sin(w * t), abs=1e-15)
+        assert phi[1].real == pytest.approx(math.sin(w * t) / w, abs=1e-15)
+        assert abs(phi[1].imag) < 1e-15
+
+    def test_wave_sin_small_argument(self):
+        # nearly coalescing roots +-i w: sin(wt)/w tends to t
+        w, t = 1e-6, 0.5
+        phi = exp_divided_differences(np.array([1j * w, -1j * w]), t)
+        assert phi[1].real == pytest.approx(t - w * w * t**3 / 6, rel=1e-15)
+
+    @pytest.mark.parametrize("t", [0.3, 1.7, -0.9])
+    def test_distinct_roots_match_formula(self, t):
+        roots = np.array([-1.0, 0.5j, -2.5 + 1j, 3.0])
+        got = exp_divided_differences(roots, t)
+        want = _explicit_divided_differences(roots, t)
+        assert np.max(np.abs(got - want)) < 1e-14
+
+    @pytest.mark.parametrize("r", [-3.0, 0.0, 2j])
+    def test_confluent_roots(self, r):
+        # an N-fold root gives t^k e^{rt} / k!
+        t = 1.3
+        got = exp_divided_differences(np.full(4, r), t)
+        want = [t**k * np.exp(r * t) / math.factorial(k) for k in range(4)]
+        assert np.max(np.abs(got - want)) < 1e-14
+
+    @pytest.mark.parametrize("delta", [1e-4, 1e-8, 1e-12])
+    def test_near_confluent_roots_keep_digits(self, delta):
+        # the 1/delta weights of the textbook formula are never formed:
+        # the result moves from the confluent one by O(delta) only
+        t = 0.9
+        roots = np.array([-1.0, -1.0 - delta, -2.0])
+        got = exp_divided_differences(roots, t)
+        conf = exp_divided_differences(np.array([-1.0, -1.0, -2.0]), t)
+        assert np.max(np.abs(got - conf)) <= delta
+        assert conf[1] == pytest.approx(t * math.exp(-t), rel=1e-14)
+
+    def test_zero_time(self):
+        got = exp_divided_differences(np.array([-4.0, 3j, -3j]), 0.0)
+        assert got.tolist() == [1.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("kind", ["heat", "wave"])
+    def test_batch_matches_single_calls(self, kind):
+        # per-mode time arrays broadcast against the mode axis; each mode
+        # is scaled on its own, so the large eigenvalues' many squarings
+        # leave the others' values bit for bit as in single calls
+        lam = np.array([1e-12, 0.5, 2.0, 37.0, 900.0, 1.2e4])
+        speeds = np.array([[0.7], [1.3]])
+        if kind == "heat":
+            roots = -speeds * lam
+        else:
+            w = 1j * speeds * np.sqrt(lam)
+            roots = np.stack([w, -w], axis=1).reshape(4, lam.size)
+        ts = np.linspace(0.05, 1.0, lam.size)
+        got = exp_divided_differences(roots, ts)
+        assert got.shape == roots.shape
+        for i, t in enumerate(ts):
+            assert got[:, i].tolist() == exp_divided_differences(roots[:, i], t).tolist()

@@ -1,10 +1,13 @@
 """The mode integrator and finite-difference residual checker themselves."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import waveforge
 from waveforge.errors import InvalidOrder
 from waveforge.expr import parse
 from waveforge.oracle import (
@@ -173,3 +176,25 @@ class TestHeatClosedForm:
     def test_width_validation(self):
         with pytest.raises(InvalidOrder):
             heat_closed_form(0.0, 1.0, [0.0])
+
+
+class TestIndependence:
+    def test_solvers_do_not_import_oracle(self):
+        # the oracle checks the solvers only while they share none of it;
+        # verify runs it, the CLI reaches it through verify, the package
+        # re-exports it
+        allowed = {"oracle", "verify", "__init__"}
+        importers = set()
+        for path in Path(waveforge.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                    names += [f"{node.module or ''}.{a.name}" for a in node.names]
+                elif isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                else:
+                    continue
+                if any(n.split(".")[-1] == "oracle" for n in names):
+                    importers.add(path.stem)
+        assert importers <= allowed, sorted(importers - allowed)
+        assert "verify" in importers
