@@ -26,7 +26,6 @@ from .expr import parse
 from .heat_solver import solve_heat_product
 from .ibvp import build_basis, solve_ibvp
 from .opcalc import FourierSeriesSpec, abel_poisson_sum
-from .verify import SUITES, run_suite
 from .wave_solver import solve_wave
 
 __all__ = ["main", "build_evaluator"]
@@ -111,6 +110,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # verify pulls in the oracle and its ODE integrator; solve never uses them
+    from .verify import SUITES, run_suite
+
     if args.suite != "all" and args.suite not in SUITES:
         names = ", ".join(sorted(SUITES) + ["all"])
         print(f"error: unknown suite '{args.suite}' (choose from {names})",

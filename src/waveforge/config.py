@@ -35,6 +35,8 @@ import configparser
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .errors import ConfigError, WaveforgeError
 from .expr import parse
 from .heat_solver import HeatPropagatorSpec
@@ -56,8 +58,6 @@ class GridAxis:
     count: int
 
     def points(self):
-        import numpy as np
-
         if self.count == 1:
             return np.array([self.lo])
         return np.linspace(self.lo, self.hi, self.count)

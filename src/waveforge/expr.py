@@ -46,7 +46,6 @@ __all__ = [
     "laplacian",
     "to_string",
     "compile_field",
-    "constant",
 ]
 
 FUNCTIONS = (
@@ -146,10 +145,6 @@ class Expr:
 
     def __str__(self):
         return to_string(self)
-
-
-def constant(value: float, ndim: int) -> Expr:
-    return Expr(Num(float(value)), ndim)
 
 
 # ---------------------------------------------------------------------------

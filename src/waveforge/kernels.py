@@ -35,7 +35,6 @@ SPEED_SEPARATION = 1e-9
 class PartialFractionWeights:
     speeds: tuple[float, ...]
     weights: tuple[float, ...]
-    order: str  # "first" (d/dt factors) or "second" (d^2/dt^2 factors)
 
 
 def require_distinct(a) -> None:
@@ -67,7 +66,7 @@ def first_order_weights(a) -> PartialFractionWeights:
             if i != j:
                 denom *= a[j] - a[i]
         weights.append(a[j] ** (m - 1) / denom)
-    return PartialFractionWeights(tuple(a), tuple(weights), "first")
+    return PartialFractionWeights(tuple(a), tuple(weights))
 
 
 def second_order_weights(a) -> PartialFractionWeights:
@@ -83,7 +82,7 @@ def second_order_weights(a) -> PartialFractionWeights:
             if i != j:
                 denom *= a[j] ** 2 - a[i] ** 2
         weights.append(a[j] ** (2 * m - 2) / denom)
-    return PartialFractionWeights(tuple(a), tuple(weights), "second")
+    return PartialFractionWeights(tuple(a), tuple(weights))
 
 
 def gm_wave_symbol(omega: float, m: int, t: float, rule_count: int = 48) -> float:

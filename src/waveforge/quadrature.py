@@ -9,11 +9,12 @@ operations are pure.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import roots_chebyu, roots_jacobi
+from numpy.polynomial.legendre import leggauss
 
 from .errors import InvalidInterval, InvalidOrder, UnsupportedDimension
 from .expr import Expr, compile_field, laplacian
@@ -82,31 +83,46 @@ def gauss_legendre(count: int, a: float, b: float) -> GaussRule:
         raise InvalidOrder("node count must be positive")
     if a >= b:
         raise InvalidInterval(f"need a < b, got ({a}, {b})")
-    nodes, weights = np.polynomial.legendre.leggauss(count)
+    nodes, weights = leggauss(count)
     half = 0.5 * (b - a)
     mid = 0.5 * (b + a)
     return GaussRule(mid + half * nodes, half * weights, (a, b))
 
 
-_SPHERE_CACHE: dict[tuple[int, int], SphereRule] = {}
+def _jacobi11_rule(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jacobi(1, 1) nodes and unnormalized weights, weight (1-u^2).
+
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric Jacobi
+    matrix of the monic recurrence, the weights the squared first
+    components of its eigenvectors.
+    """
+    k = np.arange(1, count, dtype=float)
+    off = np.sqrt(k * (k + 2.0) / ((2.0 * k + 1.0) * (2.0 * k + 3.0)))
+    nodes, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    return nodes, vecs[0] ** 2
 
 
+def _chebyu_rule(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Chebyshev-U nodes (ascending) and unnormalized weights,
+    weight sqrt(1-u^2), in closed form."""
+    theta = np.arange(count, 0, -1) * (np.pi / (count + 1))
+    return np.cos(theta), np.sin(theta) ** 2
+
+
+@functools.lru_cache(maxsize=None)
 def sphere_rule(n: int, degree: int) -> SphereRule:
     """Product quadrature for surface means over the unit sphere in R^n.
 
     n=3 uses Gauss-Legendre in cos(theta) times a uniform azimuth grid;
     n=5 uses Gauss rules matched to the sin^k surface weights of the
-    (theta1, theta2, theta3, phi) parametrization.
+    (theta1, theta2, theta3, phi) parametrization.  Rules are cached and
+    their arrays are read-only.
     """
     if degree < 2:
         raise InvalidOrder("degree must be at least 2")
-    key = (n, degree)
-    cached = _SPHERE_CACHE.get(key)
-    if cached is not None:
-        return cached
 
     if n == 3:
-        u, wu = np.polynomial.legendre.leggauss(degree)
+        u, wu = leggauss(degree)
         phi = np.arange(2 * degree) * (np.pi / degree)
         s = np.sqrt(1.0 - u**2)
         dirs = np.empty((degree, 2 * degree, 3))
@@ -121,9 +137,9 @@ def sphere_rule(n: int, degree: int) -> SphereRule:
         # surface element sin^3(t1) sin^2(t2) sin(t3) dt1 dt2 dt3 dphi;
         # substituting u = cos(t) turns the three polar weights into
         # (1-u^2), sqrt(1-u^2) and 1.
-        u1, w1 = roots_jacobi(degree, 1.0, 1.0)
-        u2, w2 = roots_chebyu(degree)
-        u3, w3 = np.polynomial.legendre.leggauss(degree)
+        u1, w1 = _jacobi11_rule(degree)
+        u2, w2 = _chebyu_rule(degree)
+        u3, w3 = leggauss(degree)
         phi = np.arange(2 * degree) * (np.pi / degree)
         s1 = np.sqrt(np.clip(1.0 - u1**2, 0.0, None))
         s2 = np.sqrt(np.clip(1.0 - u2**2, 0.0, None))
@@ -149,7 +165,8 @@ def sphere_rule(n: int, degree: int) -> SphereRule:
     else:
         raise UnsupportedDimension(f"sphere rules exist for n in {{3, 5}}, not {n}")
 
-    _SPHERE_CACHE[key] = rule
+    rule.directions.flags.writeable = False
+    rule.weights.flags.writeable = False
     return rule
 
 
@@ -186,7 +203,7 @@ def iterated_time_integral(g: Callable[[np.ndarray], np.ndarray], m: int,
         raise InvalidOrder(f"fold count must be >= 1, got {m}")
     if t == 0.0:
         return 0.0
-    nodes, weights = np.polynomial.legendre.leggauss(rule_count)
+    nodes, weights = leggauss(rule_count)
     tau = 0.5 * t * (nodes + 1.0)
     w = 0.5 * t * weights
     values = np.asarray(g(tau), dtype=float)
@@ -219,6 +236,7 @@ class SinhKernel:
         self.rule = sphere_rule(n, spec.sphere_degree)
         self._f = compile_field(field)
         self._lap = compile_field(laplacian(field)) if self.nu >= 1 else None
+        self._radial = leggauss(spec.n_radial) if self.nu >= 1 else None
 
     def _means(self, x: np.ndarray, radii: np.ndarray, f: Callable,
                t_args=None) -> np.ndarray:
@@ -259,8 +277,7 @@ class SinhKernel:
             return out
         # n = 5: one radial fold over the Laplacian's spherical mean,
         # then the t*f(x) residual term.
-        n_r = self.spec.n_radial
-        nodes, weights = np.polynomial.legendre.leggauss(n_r)
+        nodes, weights = self._radial
         # radial nodes for every t at once: tau[i, j] in (0, t_i)
         tau = 0.5 * tlive[:, None] * (nodes[None, :] + 1.0)
         w = 0.5 * tlive[:, None] * weights[None, :]

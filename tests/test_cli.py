@@ -2,10 +2,15 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import waveforge
 from waveforge.cli import main
 from waveforge.config import dump_config, parse_config
 from waveforge.errors import ConfigError
@@ -238,6 +243,83 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "PASS" in out
         assert "FAIL" not in out
+        # the ibvp suite reaches the oracle through the deferred import
+        assert main(["verify", "ibvp"]) == 0
+
+
+WAVE5 = """
+[problem]
+kind = wave-multiple
+n = 5
+m = 1
+speeds = 1.0
+
+[data]
+phi0 = sin(x1 + x2)
+phi1 = cos(x3)
+
+[domain]
+x1 = 0.1:0.1:1
+x2 = 0:0:1
+x3 = 0.2:0.2:1
+x4 = 0:0:1
+x5 = 0:0:1
+t = 0:0.5:2
+
+[quadrature]
+sphere_degree = 4
+n_radial = 4
+
+[output]
+path = {path}
+"""
+
+HEAT = """
+[problem]
+kind = heat-product
+n = 2
+m = 1
+speeds = 1.0
+
+[data]
+phi0 = sin(x1)*cos(x2)
+
+[domain]
+x1 = 0:1:2
+x2 = 0:0:1
+t = 0:0.5:2
+
+[output]
+path = {path}
+"""
+
+SOLVE_IMPORTS = """
+import sys
+from waveforge.cli import main
+for ini in sys.argv[1:]:
+    assert main(["solve", ini]) == 0, ini
+print(" ".join(m for m in ("scipy", "waveforge.oracle") if m in sys.modules))
+"""
+
+
+class TestSolveImports:
+    def test_solve_loads_neither_scipy_nor_oracle(self, tmp_path):
+        # solvers stay independent of the oracle, and solve runs on numpy
+        # alone; a fresh interpreter shows what one solve imports
+        inis = []
+        for name, text in (("wave5", WAVE5), ("heat", HEAT), ("box", BOX_MODE)):
+            ini = tmp_path / f"{name}.ini"
+            ini.write_text(text.format(pi=math.pi, path=tmp_path / f"{name}.csv"))
+            inis.append(str(ini))
+        src = str(Path(waveforge.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        proc = subprocess.run([sys.executable, "-c", SOLVE_IMPORTS, *inis],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == ""
 
 
 class TestSumSeriesCommand:

@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import roots_chebyu, roots_jacobi
 
 from waveforge.errors import InvalidInterval, InvalidOrder, UnsupportedDimension
 from waveforge.expr import parse
 from waveforge.quadrature import (
     QuadratureSpec,
     SinhKernel,
+    _chebyu_rule,
+    _jacobi11_rule,
     double_factorial,
     gauss_legendre,
     iterated_time_integral,
@@ -54,13 +57,40 @@ class TestSphereRules:
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_coordinate_moments(self, n):
-        # mean of xi_i^2 over the unit sphere is 1/n; odd moments vanish
+        # mean of xi_i^2 over the unit sphere is 1/n; odd moments vanish;
+        # E[xi_i^4] = 3/(n(n+2)) and E[xi_i^2 xi_j^2] = 1/(n(n+2)), i != j
         rule = sphere_rule(n, 10)
+        xi = rule.directions
         for i in range(n):
-            m2 = np.dot(rule.weights, rule.directions[:, i] ** 2)
+            m2 = np.dot(rule.weights, xi[:, i] ** 2)
             assert m2 == pytest.approx(1.0 / n, abs=1e-12)
-            m1 = np.dot(rule.weights, rule.directions[:, i])
+            m1 = np.dot(rule.weights, xi[:, i])
             assert abs(m1) < 1e-12
+            m4 = np.dot(rule.weights, xi[:, i] ** 4)
+            assert m4 == pytest.approx(3.0 / (n * (n + 2)), abs=1e-15)
+            for j in range(i + 1, n):
+                m22 = np.dot(rule.weights, xi[:, i] ** 2 * xi[:, j] ** 2)
+                assert m22 == pytest.approx(1.0 / (n * (n + 2)), abs=1e-15)
+
+    @pytest.mark.parametrize("degree", range(2, 25))
+    @pytest.mark.parametrize("ours, reference", [
+        (_jacobi11_rule, lambda d: roots_jacobi(d, 1.0, 1.0)),
+        (_chebyu_rule, roots_chebyu),
+    ], ids=["jacobi11", "chebyu"])
+    def test_polar_rules_match_scipy(self, ours, reference, degree):
+        # the n=5 polar factors; scipy serves only as the reference here
+        nodes, weights = ours(degree)
+        ref_nodes, ref_weights = reference(degree)
+        np.testing.assert_allclose(nodes, ref_nodes, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(weights / weights.sum(),
+                                   ref_weights / ref_weights.sum(),
+                                   rtol=0, atol=1e-14)
+
+    def test_rule_cached_and_read_only(self):
+        rule = sphere_rule(5, 6)
+        assert sphere_rule(5, 6) is rule
+        assert not rule.directions.flags.writeable
+        assert not rule.weights.flags.writeable
 
     def test_unsupported_dimension(self):
         with pytest.raises(UnsupportedDimension):
