@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .quadrature import row_dot
+
 __all__ = ["fornberg_weights", "central_stencil", "differentiate_samples"]
 
 
@@ -43,16 +45,12 @@ def central_stencil(order: int, accuracy: int = 8) -> np.ndarray:
 
 
 def differentiate_samples(g, t: float, order: int, h: float,
-                          accuracy: int = 8) -> float:
-    """d^order/dt^order of callable g at t via a centered stencil.
-
-    ``g`` must accept an array of sample times and return an array of
-    values (so callers can batch whatever work one sample costs).
-    """
+                          accuracy: int = 8) -> np.ndarray:
+    """d^order/dt^order at t, by a centered stencil, of g: S sample times ->
+    (P, S) values at P points, so callers batch what one sample costs."""
     if order == 0:
-        return float(np.asarray(g(np.array([t])))[0])
+        return g(np.array([t]))[:, 0]
     offsets = central_stencil(order, accuracy)
     times = t + h * offsets
     weights = fornberg_weights(t, times, order)
-    values = np.asarray(g(times), dtype=float)
-    return float(np.dot(weights, values))
+    return row_dot(g(times), weights)

@@ -24,7 +24,7 @@ from .errors import InvalidOrder, NegativeDiffusionTime, UnsupportedDimension
 from .expr import Expr, compile_field
 from .kernels import first_order_weights
 from .problems import CauchyProblem, SolutionEvaluator
-from .quadrature import QuadratureSpec, gauss_legendre
+from .quadrature import QuadratureSpec, centre_chunks, gauss_legendre, row_dot
 from .wave_solver import laplacian_power
 
 __all__ = [
@@ -50,7 +50,7 @@ class HeatPropagatorSpec:
 
 
 class HeatPropagator:
-    """Evaluator of e^{lam Lap} f at a point, vectorized over lam.
+    """Evaluator of e^{lam Lap} f at points, vectorized over lam.
 
     Substituting y = x + sqrt(lam) * zeta turns the Gaussian convolution
     into a lam-independent weight exp(-zeta^2/4) / (2 sqrt(pi)) on each
@@ -77,41 +77,43 @@ class HeatPropagator:
             wt = np.multiply.outer(wt, w)
         self._w = wt.reshape(-1)
 
-    def apply(self, x, lam: float, t_arg: float | None = None) -> float:
-        args = None if t_arg is None else np.asarray([t_arg])
-        return float(self.apply_many(x, np.asarray([lam]), args)[0])
-
     def apply_many(self, x, lams: np.ndarray, t_args=None) -> np.ndarray:
-        """Semigroup at each diffusion time in ``lams`` (zeros allowed)."""
+        """Semigroup at each diffusion time in ``lams`` (zeros allowed).
+
+        ``x`` is one point (n,) or many (P, n); the result has shape
+        (len(lams),) or (P, len(lams)).  The stacked matmul reduces each
+        centre's (L, nodes) values by its own BLAS call, so a centre's
+        values do not depend on the other centres.
+        """
         x = np.asarray(x, dtype=float)
+        centres = np.atleast_2d(x)
         lams = np.asarray(lams, dtype=float)
         if np.any(lams < 0):
             raise NegativeDiffusionTime(
                 f"diffusion times must be >= 0, got min {lams.min()}"
             )
-        out = np.empty_like(lams)
-        live = lams > 0.0
-        frozen = ~live
+        # the field's time argument for each diffusion time
+        t_args = np.broadcast_to(0.0 if t_args is None else t_args, lams.shape)
+        out = np.empty((len(centres), lams.size))
+        frozen = lams == 0.0
         if np.any(frozen):
-            pts = np.broadcast_to(x, (int(frozen.sum()), self.n))
-            ts = 0.0 if t_args is None else np.asarray(t_args, dtype=float)[frozen]
-            out[frozen] = self._f(pts, ts)
+            pts = np.broadcast_to(centres[:, None, :], out[:, frozen].shape + (self.n,))
+            out[:, frozen] = self._f(pts, t_args[frozen])
+        live = ~frozen
         if np.any(live):
-            s = np.sqrt(lams[live])
-            points = x[None, None, :] + s[:, None, None] * self._zeta[None, :, :]
-            if t_args is None:
-                values = self._f(points)
-            else:
-                tl = np.asarray(t_args, dtype=float)[live]
-                values = self._f(points, tl[:, None])
-            out[live] = values @ self._w
-        return out
+            s = np.sqrt(lams[live])[:, None, None]
+            tl = t_args[live][:, None]
+            for sl in centre_chunks(len(centres), s.size * len(self._w)):
+                # unnamed, a chunk's arrays are freed before the next's exist
+                out[sl, live] = (
+                    self._f(centres[sl, None, None] + s * self._zeta, tl) @ self._w)
+        return out[0] if x.ndim == 1 else out
 
 
 def heat_propagate(field: Expr, lam: float, x,
                    spec: HeatPropagatorSpec | None = None) -> float:
     """One-shot e^{lam Lap} field at a single point."""
-    return HeatPropagator(field, spec).apply(x, lam)
+    return float(HeatPropagator(field, spec).apply_many(x, [lam])[0])
 
 
 def solve_heat_product(problem: CauchyProblem,
@@ -167,15 +169,15 @@ def _equal_speed_eval(problem, spec, heat_spec):
     z, wz = unit.nodes, unit.weights
     fact = math.factorial(m - 1)
 
-    def evaluate(x, t):
-        total = 0.0
+    def evaluate(points, t):
+        total = np.zeros(points.shape[0])
         for k, factor, prop in pieces:
-            total += factor * t**k * prop.apply(x, a * t)
+            total += factor * t**k * prop.apply_many(points, np.asarray([a * t]))[:, 0]
         if src is not None and t > 0.0:
             tau = t * z
             span = t - tau
-            vals = src.apply_many(x, a * span, t_args=tau)
-            total += t * np.dot(wz, span ** (m - 1) / fact * vals)
+            vals = src.apply_many(points, a * span, t_args=tau)
+            total += t * row_dot(span ** (m - 1) / fact * vals, wz)
         return total
 
     return evaluate
@@ -211,36 +213,35 @@ def _distinct_speed_eval(problem, spec, heat_spec):
     speeds = np.asarray(pf.speeds)
     weights = np.asarray(pf.weights)
 
-    def semigroup_sum(prop, x, taus, t_args=None):
-        total = np.zeros_like(np.asarray(taus, dtype=float))
+    def semigroup_sum(prop, points, taus, t_args=None):
+        total = np.zeros((points.shape[0], taus.size))
         for aj, w in zip(speeds, weights):
-            total = total + w * prop.apply_many(x, aj * np.asarray(taus), t_args)
+            total = total + w * prop.apply_many(points, aj * taus, t_args)
         return total
 
-    def evaluate(x, t):
-        total = 0.0
+    def evaluate(points, t):
+        total = np.zeros(points.shape[0])
         for bk, d, prop in pieces:
             if bk == 0.0:
                 continue
             if d == m - 1:
-                total += bk * float(semigroup_sum(prop, x, np.asarray([t]))[0])
-            else:
+                total += bk * semigroup_sum(prop, points, np.asarray([t]))[:, 0]
+            elif t > 0.0:
                 p = m - 2 - d
-                if t > 0.0:
-                    tau = t * z
-                    vals = semigroup_sum(prop, x, tau)
-                    wfun = (t - tau) ** p / math.factorial(p)
-                    total += bk * t * np.dot(wz, wfun * vals)
+                tau = t * z
+                vals = semigroup_sum(prop, points, tau)
+                wfun = (t - tau) ** p / math.factorial(p)
+                total += bk * t * row_dot(wfun * vals, wz)
         if src is not None and t > 0.0:
             tau_o = t * z
             span = t - tau_o
             tau_i = span[:, None] * z[None, :]
             t_args = np.broadcast_to(tau_o[:, None], tau_i.shape).reshape(-1)
-            vals = semigroup_sum(src, x, tau_i.reshape(-1), t_args)
-            vals = vals.reshape(tau_i.shape)
+            vals = semigroup_sum(src, points, tau_i.reshape(-1), t_args)
+            vals = vals.reshape((-1,) + tau_i.shape)
             wfun = (span[:, None] - tau_i) ** (m - 2) / math.factorial(m - 2)
-            inner = (span[:, None] * wz[None, :] * wfun * vals).sum(axis=1)
-            total += float(t * np.dot(wz, inner))
+            inner = (span[:, None] * wz[None, :] * wfun * vals).sum(axis=-1)
+            total += t * row_dot(inner, wz)
         return total
 
     return evaluate

@@ -1,27 +1,23 @@
 """Symbol functions and partial-fraction weights.
 
 These are the per-mode building blocks every solver shares: the weights
-that distribute a factored operator over single-factor propagators, the
-time-propagation symbol of the m-fold wave operator, and the divided
-differences of exp at the characteristic roots that give the
+that distribute a factored operator over single-factor propagators, and
+the divided differences of exp at the characteristic roots that give the
 initial-boundary solver its mode amplitudes.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateSpeeds, InvalidOrder, NonPositiveSpeed
-from .quadrature import double_factorial, iterated_time_integral
 
 __all__ = [
     "PartialFractionWeights",
     "first_order_weights",
     "second_order_weights",
-    "gm_wave_symbol",
     "exp_divided_differences",
     "require_distinct",
     "SPEED_SEPARATION",
@@ -83,24 +79,6 @@ def second_order_weights(a) -> PartialFractionWeights:
                 denom *= a[j] ** 2 - a[i] ** 2
         weights.append(a[j] ** (2 * m - 2) / denom)
     return PartialFractionWeights(tuple(a), tuple(weights))
-
-
-def gm_wave_symbol(omega: float, m: int, t: float, rule_count: int = 48) -> float:
-    """Time symbol of the m-fold wave kernel at frequency omega.
-
-    m = 1 is sin(omega t)/omega; m >= 2 applies m-1 iterated time integrals
-    (collapsed to one quadrature) with the 1/(2m-2)!! prefactor.
-    """
-    if m < 1:
-        raise InvalidOrder(f"order must be >= 1, got {m}")
-    if omega <= 0:
-        raise InvalidOrder(f"frequency must be positive, got {omega}")
-    if m == 1:
-        return math.sin(omega * t) / omega
-    integral = iterated_time_integral(
-        lambda tau: np.sin(omega * tau) / omega, m - 1, t, rule_count
-    )
-    return integral / double_factorial(2 * m - 2)
 
 
 # Taylor degree for exp of a matrix scaled to infinity norm <= 1: the

@@ -16,6 +16,7 @@ from .errors import (
     DataCountMismatch,
     DegenerateSpeeds,
     InvalidOrder,
+    NegativeDiffusionTime,
     NonPositiveSpeed,
     UnsupportedDimension,
 )
@@ -103,25 +104,37 @@ class CauchyProblem:
 
 
 class SolutionEvaluator:
-    """Callable wrapper around a pointwise solver closure.
+    """The one evaluation entry point of every solver.
 
-    ``__call__`` accepts a single point (sequence of n floats) and a time
-    and returns the solution value there.  ``grid`` evaluates over an
-    array of points at one time.
+    ``evaluate(points (P, n), times (T,))`` returns the solution on their
+    product, shape (P, T).  The solver supplies ``fn(points, t)``, its
+    values at every point at one time; a point's value must not depend on
+    the other points in the call.  ``__call__`` and ``grid`` wrap it.
     """
 
     def __init__(self, problem: CauchyProblem, fn: Callable):
         self.problem = problem
         self._fn = fn
 
-    def __call__(self, x: Sequence[float], t: float) -> float:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.problem.n,):
-            raise DataCountMismatch(
-                f"point must have shape ({self.problem.n},), got {x.shape}"
-            )
-        return float(self._fn(x, float(t)))
-
-    def grid(self, points: np.ndarray, t: float) -> np.ndarray:
+    def evaluate(self, points, times) -> np.ndarray:
         points = np.asarray(points, dtype=float)
-        return np.array([self._fn(p, float(t)) for p in points])
+        times = np.asarray(times, dtype=float)
+        n = self.problem.n
+        if points.ndim != 2 or points.shape[1] != n or times.ndim != 1:
+            raise DataCountMismatch(
+                f"need points of shape (P, {n}) and times of shape (T,), "
+                f"got {points.shape} and {times.shape}"
+            )
+        # diffusion runs forward only; backwards its modes blow up
+        if self.problem.kind == "heat-product" and np.any(times < 0):
+            raise NegativeDiffusionTime(f"heat time must be >= 0, got {times.min()}")
+        out = np.empty((points.shape[0], times.size))
+        for j, t in enumerate(times):
+            out[:, j] = self._fn(points, float(t))
+        return out
+
+    def __call__(self, x: Sequence[float], t: float) -> float:
+        return float(self.evaluate(np.asarray(x, dtype=float)[None], [float(t)])[0, 0])
+
+    def grid(self, points, t: float) -> np.ndarray:
+        return self.evaluate(points, [float(t)])[:, 0]

@@ -19,11 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidOrder, UnsupportedDimension
-from .expr import Bin, Expr, Num, laplacian
+from .expr import Expr, laplacian
 from .fd import differentiate_samples
 from .kernels import second_order_weights
 from .problems import CauchyProblem, SolutionEvaluator
-from .quadrature import QuadratureSpec, SinhKernel, double_factorial, gauss_legendre
+from .quadrature import (QuadratureSpec, SinhKernel, double_factorial,
+                         gauss_legendre, row_dot)
 
 __all__ = ["solve_multiple_wave", "solve_distinct_speeds", "solve_wave"]
 
@@ -44,12 +45,6 @@ def laplacian_power(e: Expr, p: int) -> Expr:
     return e
 
 
-def _scaled(e: Expr, c: float) -> Expr:
-    if c == 1.0:
-        return e
-    return Expr(Bin("*", Num(float(c)), e.root), e.ndim)
-
-
 @dataclass
 class _DataPiece:
     """One differentiated data integral: coeff * d^order/dt^order [...]"""
@@ -59,10 +54,10 @@ class _DataPiece:
     kernels: list  # [(weight, SinhKernel)]
 
 
-def _kernel_sum(kernels, x, ts, t_args=None):
+def _kernel_sum(kernels, points, ts, t_args=None):
     total = None
     for w, kern in kernels:
-        vals = w * kern.apply_many(x, ts, t_args)
+        vals = w * kern.apply_many(points, ts, t_args)
         total = vals if total is None else total + vals
     return total
 
@@ -105,10 +100,7 @@ def solve_multiple_wave(problem: CauchyProblem,
         def weight(t_outer, tau):
             return (t_outer**2 - tau**2) ** (m - 2) * tau / norm
 
-    return SolutionEvaluator(
-        problem,
-        _make_eval(problem, spec, pieces, src_kernels, weight, m),
-    )
+    return _evaluator(problem, spec, pieces, src_kernels, weight)
 
 
 def solve_distinct_speeds(problem: CauchyProblem,
@@ -127,8 +119,7 @@ def solve_distinct_speeds(problem: CauchyProblem,
             "wave-multiple", problem.n, 1, problem.speeds,
             problem.source, problem.data,
         )
-        ev = solve_multiple_wave(inner, spec)
-        return SolutionEvaluator(problem, ev._fn)
+        return SolutionEvaluator(problem, solve_multiple_wave(inner, spec)._fn)
 
     pf = second_order_weights(problem.speeds)
     # b_{2k}: coefficients of chi^{2k} in prod_i (chi^2 - a_i^2)
@@ -159,10 +150,7 @@ def solve_distinct_speeds(problem: CauchyProblem,
     def weight(t_outer, tau):
         return (t_outer - tau) ** (2 * m - 3) / fact
 
-    return SolutionEvaluator(
-        problem,
-        _make_eval(problem, spec, pieces, src_kernels, weight, m),
-    )
+    return _evaluator(problem, spec, pieces, src_kernels, weight)
 
 
 def solve_wave(problem: CauchyProblem,
@@ -175,8 +163,8 @@ def solve_wave(problem: CauchyProblem,
     raise InvalidOrder(f"not a wave problem kind: {problem.kind}")
 
 
-def _make_eval(problem, spec, pieces, src_kernels, weight, m):
-    """Build the pointwise evaluation closure shared by both families.
+def _evaluator(problem, spec, pieces, src_kernels, weight) -> SolutionEvaluator:
+    """The evaluator shared by both families, batched over the points.
 
     ``weight`` is the data-integral weight w(t, tau), or None when m = 1
     and the kernel applies directly without an intermediate integral.
@@ -186,47 +174,46 @@ def _make_eval(problem, spec, pieces, src_kernels, weight, m):
     unit = gauss_legendre(spec.n_time, 0.0, 1.0)
     z, wz = unit.nodes, unit.weights
 
-    def data_value(piece: _DataPiece, x, t):
+    def data_value(piece: _DataPiece, points, t):
         if weight is None:
-            g = lambda ts: _kernel_sum(piece.kernels, x, np.asarray(ts))
+            g = lambda ts: _kernel_sum(piece.kernels, points, ts)
         else:
 
             def g(ts):
-                ts = np.asarray(ts, dtype=float)
                 tau = ts[:, None] * z[None, :]
-                vals = _kernel_sum(piece.kernels, x, tau.reshape(-1))
-                vals = vals.reshape(tau.shape)
+                vals = _kernel_sum(piece.kernels, points, tau.reshape(-1))
+                vals = vals.reshape((-1,) + tau.shape)
                 integrand = weight(ts[:, None], tau) * vals
-                return (ts[:, None] * wz[None, :] * integrand).sum(axis=1)
+                return (ts[:, None] * wz[None, :] * integrand).sum(axis=-1)
 
         h = _fd_step(piece.order, t)
         return piece.coeff * differentiate_samples(g, t, piece.order, h)
 
-    def source_value(x, t):
+    def source_value(points, t):
         if t == 0.0:
             return 0.0
         tau_o = t * z  # outer Duhamel times
         if weight is None:
-            vals = _kernel_sum(src_kernels, x, t - tau_o, t_args=tau_o)
-            return float(t * np.dot(wz, vals))
+            vals = _kernel_sum(src_kernels, points, t - tau_o, t_args=tau_o)
+            return t * row_dot(vals, wz)
         # inner integral over tau' in (0, t - tau_o) for every outer node
         span = t - tau_o
         tau_i = span[:, None] * z[None, :]
         t_args = np.broadcast_to(tau_o[:, None], tau_i.shape)
         vals = _kernel_sum(
-            src_kernels, x, tau_i.reshape(-1), t_args=t_args.reshape(-1)
-        ).reshape(tau_i.shape)
+            src_kernels, points, tau_i.reshape(-1), t_args=t_args.reshape(-1)
+        ).reshape((-1,) + tau_i.shape)
         inner = (
             span[:, None] * wz[None, :] * weight(span[:, None], tau_i) * vals
-        ).sum(axis=1)
-        return float(t * np.dot(wz, inner))
+        ).sum(axis=-1)
+        return t * row_dot(inner, wz)
 
-    def evaluate(x, t):
-        total = 0.0
+    def evaluate(points, t):
+        total = np.zeros(points.shape[0])
         for piece in pieces:
-            total += data_value(piece, x, t)
+            total += data_value(piece, points, t)
         if src_kernels is not None:
-            total += source_value(x, t)
+            total += source_value(points, t)
         return total
 
-    return evaluate
+    return SolutionEvaluator(problem, evaluate)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import waveforge
+from waveforge import cli
 from waveforge.cli import main
 from waveforge.config import dump_config, parse_config
 from waveforge.errors import ConfigError
@@ -208,6 +209,45 @@ class TestSolveCommand:
         assert main(["solve", str(cfgf)]) == 3
         assert "heat time must be >= 0" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_negative_heat_time_exit_code(self, tmp_path, capsys):
+        # whole space, source only: no term reaches a diffusion propagator
+        out = tmp_path / "o.csv"
+        cfgf = tmp_path / "p.ini"
+        cfgf.write_text(
+            KIRCHHOFF.format(path=out)
+            .replace("kind = wave-multiple", "kind = heat-product")
+            .replace("phi1 = 1", "f = sin(x1)*t")
+            .replace("t = 0:1:3", "t = -0.5:0:2")
+        )
+        assert main(["solve", str(cfgf)]) == 3
+        assert "heat time must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_evaluate_call_per_solve(self, tmp_path, monkeypatch):
+        calls = []
+        build = cli.build_evaluator
+
+        def counting_build(cfg):
+            ev = build(cfg)
+            evaluate = ev.evaluate
+
+            def counted(points, times):
+                calls.append((points.shape, times.shape))
+                return evaluate(points, times)
+
+            ev.evaluate = counted
+            return ev
+
+        monkeypatch.setattr(cli, "build_evaluator", counting_build)
+        for text in (KIRCHHOFF, BOX_MODE):
+            calls.clear()
+            out = tmp_path / "o.csv"
+            cfgf = tmp_path / "p.ini"
+            cfgf.write_text(text.format(pi=math.pi, path=out))
+            assert main(["solve", str(cfgf)]) == 0
+            assert calls == [((3, 3 if text is KIRCHHOFF else 1), (3,))]
+            assert len(_read_csv(out)[1]) == 9
 
     def test_negative_box_wave_time_accepted(self, tmp_path):
         # the wave equation is time-reversible: u(x, -t) = u(x, t) here

@@ -65,6 +65,25 @@ class TestPropagator:
             with pytest.raises(NegativeDiffusionTime):
                 box([1.0], t)
 
+    @pytest.mark.parametrize("speeds, source, data", [
+        ((1.0, 2.0), None, (None, "sin(x1)")),
+        ((1.0,), "sin(x1)*t", (None,)),
+        ((1.5, 1.5), "sin(x1)*t", (None, None)),
+    ], ids=["distinct-phi1-only", "m1-source-only", "m2-source-only"])
+    def test_negative_time_rejected_whole_space(self, speeds, source, data):
+        # each term of these problems is an integral over (0, t), so no
+        # propagator call would see the negative time
+        p = CauchyProblem(
+            "heat-product", 1, len(speeds), speeds,
+            None if source is None else parse(source, 1),
+            tuple(None if d is None else parse(d, 1) for d in data),
+        )
+        ev = solve_heat_product(p)
+        with pytest.raises(NegativeDiffusionTime):
+            ev([0.3], -0.5)
+        with pytest.raises(NegativeDiffusionTime):
+            ev.evaluate(np.array([[0.3]]), [0.5, -0.5])
+
     def test_semigroup_property(self):
         # two short steps equal one long step on a Gaussian
         sigma, t1, t2 = 1.0, 0.3, 0.4

@@ -18,7 +18,6 @@ from waveforge.quadrature import (
     double_factorial,
     gauss_legendre,
     iterated_time_integral,
-    sinh_kernel_apply,
     sphere_rule,
     spherical_mean,
 )
@@ -178,14 +177,14 @@ class TestSinhKernel:
 
     def test_zero_time(self):
         e = parse("exp(x1)", 3)
-        assert sinh_kernel_apply(e, 1.0, 0.0, [0.3, 0, 0]) == 0.0
+        assert SinhKernel(e, 1.0).apply([0.3, 0, 0], 0.0) == 0.0
 
     def test_small_time_linear(self):
         # sinh(at sqrt(Lap))/(a sqrt(Lap)) f ~ t f as t -> 0
         e = parse("exp(-(x1^2+x2^2+x3^2))", 3)
         x = [0.2, 0.1, -0.3]
         t = 1e-6
-        got = sinh_kernel_apply(e, 2.0, t, x)
+        got = SinhKernel(e, 2.0).apply(x, t)
         from waveforge.expr import eval_real
 
         assert got == pytest.approx(t * eval_real(e, x), rel=1e-9)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from waveforge import quadrature
 from waveforge.errors import (
     DataCountMismatch,
     DegenerateSpeeds,
@@ -14,6 +15,8 @@ from waveforge.errors import (
     UnsupportedDimension,
 )
 from waveforge.expr import parse
+from waveforge.heat_solver import HeatPropagatorSpec, solve_heat_product
+from waveforge.ibvp import build_basis, solve_ibvp
 from waveforge.oracle import ModeProblem, mode_solve
 from waveforge.problems import CauchyProblem, SolutionEvaluator
 from waveforge.quadrature import QuadratureSpec
@@ -218,3 +221,95 @@ class TestEvaluatorInterface:
         ev = solve_wave(p)
         pts = np.zeros((3, 3))
         assert np.allclose(ev.grid(pts, 0.5), 0.5)
+
+    @pytest.mark.parametrize("family", ["wave-m1", "heat-equal", "box"])
+    @pytest.mark.parametrize("width", ["one", "n+1"])
+    def test_grid_rejects_wrong_width(self, family, width):
+        # a (P, 1) array must not broadcast to (x, x, ..., x)
+        ev = _evaluator(family)
+        width = 1 if width == "one" else ev.problem.n + 1
+        with pytest.raises(DataCountMismatch, match=rf"got \(2, {width}\)"):
+            ev.grid(np.full((2, width), 0.3), 0.5)
+        with pytest.raises(DataCountMismatch):
+            ev.evaluate(np.full((2, width), 0.3), [0.5])
+
+    def test_evaluate_rejects_bad_shapes(self):
+        ev = _evaluator("wave-m1")
+        with pytest.raises(DataCountMismatch, match=r"got \(3,\) and \(1,\)"):
+            ev.evaluate(np.zeros(3), [0.5])
+        with pytest.raises(DataCountMismatch, match=r"and \(1, 2\)"):
+            ev.evaluate(np.zeros((2, 3)), [[0.5, 1.0]])
+        with pytest.raises(DataCountMismatch, match=r"and \(\)"):
+            ev.evaluate(np.zeros((2, 3)), 0.5)
+
+    def test_evaluate_shape(self):
+        p = CauchyProblem(
+            "wave-multiple", 3, 1, (1.0,), None, (None, parse("1", 3))
+        )
+        ev = solve_wave(p)
+        out = ev.evaluate(np.zeros((4, 3)), [0.5, 1.0])
+        assert out.shape == (4, 2)
+        assert np.allclose(out, [[0.5, 1.0]] * 4)
+
+
+def _evaluator(family):
+    """A small instance of each solver family, with cheap rules."""
+    small = QuadratureSpec(n_time=8, n_radial=6, sphere_degree=4)
+    wave = "sin(0.9*x1 + 0.4*x2) + x3^2"
+    if family == "wave-m1":
+        p = CauchyProblem("wave-multiple", 3, 1, (1.2,), None,
+                          (parse(wave, 3), parse("cos(x3)", 3)))
+        return solve_wave(p, small)
+    if family == "wave-m2-source":
+        p = CauchyProblem("wave-multiple", 3, 2, (0.8, 0.8),
+                          parse("sin(x1)*cos(t)", 3),
+                          (parse(wave, 3), None, parse("cos(x2)", 3),
+                           parse("x1*x2", 3)))
+        return solve_wave(p, small)
+    if family == "wave-distinct-source":
+        p = CauchyProblem("wave-distinct", 3, 2, (1.0, 1.7),
+                          parse("x2*exp(-t)", 3),
+                          (None, parse(wave, 3), parse("sin(x3)", 3), None))
+        return solve_wave(p, small)
+    if family == "wave-n5":
+        p = CauchyProblem("wave-multiple", 5, 1, (1.0,), None,
+                          (parse("sin(x1 + 0.5*x4)*cos(x5)", 5), None))
+        return solve_wave(p, small)
+    heat = HeatPropagatorSpec(n_nodes=16)
+    if family == "heat-equal":
+        p = CauchyProblem("heat-product", 2, 2, (0.7, 0.7),
+                          parse("sin(x1)*exp(-t)", 2),
+                          (parse("cos(x1 - x2)", 2), parse("x1*x2", 2)))
+        return solve_heat_product(p, small, heat)
+    if family == "heat-distinct":
+        p = CauchyProblem("heat-product", 2, 2, (0.6, 1.3),
+                          parse("cos(x2)*t", 2),
+                          (parse("sin(x1 + x2)", 2), parse("cos(x1)", 2)))
+        return solve_heat_product(p, small, heat)
+    # an odd k_max puts each mode at a different SIMD lane per point
+    p = CauchyProblem("wave-multiple", 2, 1, (1.1,), parse("x1*(1-x1)*t", 2),
+                      (parse("sin(pi*x1)*sin(x2)*x2*(1.5-x2)", 2), None))
+    return solve_ibvp(p, build_basis([1.0, 1.5], 7), small)
+
+
+FAMILIES = ["wave-m1", "wave-m2-source", "wave-distinct-source", "wave-n5",
+            "heat-equal", "heat-distinct", "box"]
+
+
+class TestBatchIndependence:
+    """A point's value does not depend on the points evaluated with it, so
+    the CLI's output is the same however its points are chunked."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_batch_equals_single_points(self, family, monkeypatch):
+        ev = _evaluator(family)
+        n = ev.problem.n
+        rng = np.random.default_rng(7)
+        points = rng.uniform(0.05, 0.95, size=(5, n))
+        times = np.array([0.0, 0.35, 0.8])
+        single = np.array([[ev(p, t) for t in times] for p in points])
+        assert np.array_equal(ev.evaluate(points, times), single)
+        # a budget that splits the small rules' work into chunks of one to
+        # three centres, and n=5's into single centres above the budget
+        monkeypatch.setattr(quadrature, "BATCH_POINTS", 1000)
+        assert np.array_equal(ev.evaluate(points, times), single)
