@@ -100,12 +100,13 @@ def _cmd_solve(args) -> int:
     # rows in itertools.product(x1, ..., xn, t) order: t varies fastest
     n = cfg.problem.n
     header = ",".join([f"x{i + 1}" for i in range(n)] + ["t", "u"])
+    rows = np.column_stack([np.repeat(points, len(times), axis=0),
+                            np.tile(times, len(points)), values.reshape(-1)])
+    # one template per row, each field as _format writes it
+    line = ",".join(["%.16e"] * (n + 2)) + "\n"
     with open(cfg.output_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for x, row in zip(points, values):
-            coords = ",".join(_format(c) for c in x) + ","
-            for t, v in zip(times, row):
-                fh.write(coords + _format(t) + "," + _format(v) + "\n")
+        fh.writelines(line % tuple(row) for row in rows.tolist())
     return EXIT_OK
 
 

@@ -44,6 +44,7 @@ __all__ = [
     "eval_complex",
     "differentiate",
     "laplacian",
+    "laplacian_power",
     "to_string",
     "compile_field",
 ]
@@ -555,6 +556,13 @@ def laplacian(e: Expr) -> Expr:
         second = _d(_simplify(_d(e.root, var)), var)
         total = Bin("+", total, second)
     return Expr(_simplify(total), e.ndim)
+
+
+def laplacian_power(e: Expr, p: int) -> Expr:
+    """Lap^p applied symbolically to an expression."""
+    for _ in range(p):
+        e = laplacian(e)
+    return e
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidOrder, NegativeDiffusionTime, UnsupportedDimension
-from .expr import Expr, compile_field
+from .expr import Expr, compile_field, laplacian_power
 from .kernels import first_order_weights
 from .problems import CauchyProblem, SolutionEvaluator
 from .quadrature import QuadratureSpec, centre_chunks, gauss_legendre, row_dot
-from .wave_solver import laplacian_power
 
 __all__ = [
     "HeatPropagatorSpec",

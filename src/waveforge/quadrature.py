@@ -17,7 +17,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import InvalidInterval, InvalidOrder, UnsupportedDimension
-from .expr import Expr, compile_field, laplacian
+from .expr import Expr, compile_field, differentiate, laplacian
 
 __all__ = [
     "GaussRule",
@@ -191,23 +191,29 @@ def row_dot(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def sphere_means(field, centres: np.ndarray, radii, rule: SphereRule,
-                 t_args=None) -> np.ndarray:
+                 t_args=None, grad=()) -> np.ndarray:
     """Means of ``field`` over the sphere of every radius (R,) around every
     centre (P, n), shape (P, R).
 
     ``field`` may be an :class:`Expr` or a compiled field ``f(X, t)``;
-    ``t_args`` optionally gives its time argument per radius.  The stacked
-    matmul reduces each centre's (R, D) values by its own BLAS call, so a
-    centre's means do not depend on the other centres.
+    ``t_args`` optionally gives its time argument per radius.  Given the
+    compiled components of the field's gradient, ``grad``, the means are
+    of f + r w.grad(f) instead: the radial derivative of r M_f(r).  The
+    stacked matmul reduces each centre's (R, D) values by its own BLAS
+    call, so a centre's means do not depend on the other centres.
     """
     f = compile_field(field) if isinstance(field, Expr) else field
-    radii = np.asarray(radii, dtype=float)[:, None, None]
+    # r w for every radius and direction, shape (R, D, n)
+    offsets = np.asarray(radii, dtype=float)[:, None, None] * rule.directions
     t_args = 0.0 if t_args is None else np.asarray(t_args, dtype=float)[:, None]
-    out = np.empty((len(centres), radii.size))
-    for sl in centre_chunks(len(centres), radii.size * len(rule.weights)):
-        # unnamed, a chunk's arrays are freed before the next chunk's exist
-        out[sl] = (
-            f(centres[sl, None, None] + radii * rule.directions, t_args) @ rule.weights)
+    out = np.empty((len(centres), offsets.shape[0]))
+    for sl in centre_chunks(len(centres), offsets.shape[0] * len(rule.weights)):
+        pts = centres[sl, None, None] + offsets
+        vals = f(pts, t_args)
+        for i, g in enumerate(grad):
+            vals += offsets[..., i] * g(pts, t_args)
+        out[sl] = vals @ rule.weights
+        del pts, vals  # freed before the next chunk's arrays exist
     return out
 
 
@@ -243,13 +249,17 @@ def iterated_time_integral(g: Callable[[np.ndarray], np.ndarray], m: int,
 
 
 class SinhKernel:
-    """Evaluator of sinh(a t Lap^(1/2)) / (a Lap^(1/2)) applied to a field.
+    """Evaluator of S_a(t) = sinh(a t Lap^(1/2)) / (a Lap^(1/2)) applied to a
+    field, and, when built with ``cosh``, of its time derivative
+    C_a(t) = cosh(a t Lap^(1/2)).
 
-    Precompiles the field (and, for n = 5, its Laplacian) so applications
-    at many points and times are vectorized numpy reductions.
+    Precompiles the field (for n = 5 its Laplacian, and for the cosh
+    kernel in n = 3 its gradient) so applications at many points and
+    times are vectorized numpy reductions.
     """
 
-    def __init__(self, field: Expr, a: float, spec: QuadratureSpec | None = None):
+    def __init__(self, field: Expr, a: float, spec: QuadratureSpec | None = None,
+                 cosh: bool = False):
         spec = spec or QuadratureSpec()
         n = field.ndim
         if n not in (3, 5):
@@ -264,39 +274,57 @@ class SinhKernel:
         self._f = compile_field(field)
         self._lap = compile_field(laplacian(field)) if self.nu >= 1 else None
         self._radial = leggauss(spec.n_radial) if self.nu >= 1 else None
+        self._grad = None
+        if cosh and self.nu == 0:
+            self._grad = tuple(compile_field(differentiate(field, f"x{i + 1}"))
+                               for i in range(n))
 
     def apply(self, x: Sequence[float], t: float) -> float:
         return float(self.apply_many(x, np.asarray([t]))[0])
 
-    def apply_many(self, x, ts: np.ndarray, t_args=None) -> np.ndarray:
+    def apply_many(self, x, ts: np.ndarray, t_args=None,
+                   cosh: bool = False) -> np.ndarray:
         """Kernel applied at each time in ``ts`` (may include 0).
 
         ``x`` is one point (n,) or many (P, n); the result has shape
         (len(ts),) or (P, len(ts)).  ``t_args``, if given, is an array
         aligned with ``ts`` holding the parameter passed to the field as
-        its explicit time argument.
+        its explicit time argument.  ``cosh`` applies C_a in place of S_a.
         """
+        if cosh and self.nu == 0 and self._grad is None:
+            raise InvalidOrder("this kernel was built without its cosh part")
         x = np.asarray(x, dtype=float)
         centres = np.atleast_2d(x)
         ts = np.asarray(ts, dtype=float)
+        t_args = None if t_args is None else np.asarray(t_args, dtype=float)
         out = np.zeros((centres.shape[0], ts.size))
         live = ts != 0.0
+        if cosh and not np.all(live):
+            # C_a(0) is the identity
+            frozen = ~live
+            pts = np.broadcast_to(centres[:, None, :], out[:, frozen].shape + (self.n,))
+            out[:, frozen] = self._f(pts, 0.0 if t_args is None else t_args[frozen])
         if np.any(live):
-            plive = None if t_args is None else np.asarray(t_args, dtype=float)[live]
-            out[:, live] = self._apply_live(centres, ts[live], plive)
+            plive = None if t_args is None else t_args[live]
+            out[:, live] = self._apply_live(centres, ts[live], plive, cosh)
         return out[0] if x.ndim == 1 else out
 
-    def _apply_live(self, centres, tlive, plive):
+    def _apply_live(self, centres, tlive, plive, cosh):
         """The kernel at nonzero times ``tlive``, shape (P, len(tlive))."""
         if self.nu == 0:
-            means = sphere_means(self._f, centres, self.a * tlive, self.rule, plive)
-            return tlive * means
-        # n = 5: one radial fold over the Laplacian's spherical mean,
-        # then the t*f(x) residual term.
+            # S_a(t) = t M_f(a t); its t-derivative C_a(t) is the mean of
+            # f + r w.grad(f)
+            means = sphere_means(self._f, centres, self.a * tlive, self.rule,
+                                 plive, self._grad if cosh else ())
+            return means if cosh else tlive * means
+        # n = 5: S_a(t) = t R(t) + t f(x), with R the radial fold over the
+        # Laplacian's spherical mean; C_a(t) = R(t) + t R'(t) + f(x).
         nodes, weights = self._radial
         # radial nodes for every t at once: tau[i, j] in (0, t_i)
         tau = 0.5 * tlive[:, None] * (nodes[None, :] + 1.0)
         w = 0.5 * tlive[:, None] * weights[None, :]
+        if cosh:  # R'(t) needs the mean at the end point tau = t too
+            tau = np.concatenate([tau, tlive[:, None]], axis=1)
         inner_t = None if plive is None else np.repeat(plive, tau.shape[1])
         # the surface normalizer 2(2pi)^(nu+1)(a t)^(n-1) exceeds the true
         # sphere area by (n-2)!!, so rescale the plain mean accordingly
@@ -304,7 +332,9 @@ class SinhKernel:
             self._lap, centres, (self.a * tau).reshape(-1), self.rule, inner_t
         )
         means = means.reshape((-1,) + tau.shape) / double_factorial(self.n - 2)
-        radial = np.sum(w * (self.a**2) * means * tau, axis=-1)
+        count = len(nodes)
+        radial = np.sum(
+            w * (self.a**2) * means[..., :count] * tau[:, :count], axis=-1)
         if plive is None:
             f_at_x = self._f(centres)[:, None]
         else:
@@ -312,4 +342,6 @@ class SinhKernel:
                 np.broadcast_to(centres[:, None, :], radial.shape + (self.n,)),
                 plive,
             )
+        if cosh:
+            return radial + (self.a * tlive) ** 2 * means[..., count] + f_at_x
         return tlive * radial + tlive * f_at_x

@@ -52,24 +52,26 @@ def _suite_modes() -> list[CheckResult]:
     out = []
     rng = np.random.default_rng(20240811)
     x = np.array([0.4, -0.2, 0.7])
-    for m in (1, 2):
+    for kind, m in (("wave-multiple", 1), ("wave-multiple", 2),
+                    ("wave-multiple", 3), ("wave-distinct", 2)):
         k = tuple(float(v) for v in rng.uniform(0.5, 1.5, size=3))
         a = float(rng.uniform(0.8, 1.6))
+        speeds = (a,) * m if kind == "wave-multiple" else (a, a + 0.5)
         data_vals = tuple(float(v) for v in rng.uniform(-1, 1, size=2 * m))
         kx = float(np.dot(k, x))
         data = tuple(
             parse(f"{v!r}*sin({k[0]!r}*x1+{k[1]!r}*x2+{k[2]!r}*x3)", 3)
             for v in data_vals
         )
-        p = CauchyProblem("wave-multiple", 3, m, (a,) * m, None, data)
+        p = CauchyProblem(kind, 3, m, speeds, None, data)
         ev = solve_wave(p)
-        mp = ModeProblem("wave", (a,) * m, tuple(k), data_vals)
+        mp = ModeProblem("wave", speeds, tuple(k), data_vals)
         worst = 0.0
         for t in (0.5, 1.2):
             got = ev(x, t)
             ref = mode_solve(mp, t) * math.sin(kx)
             worst = max(worst, abs(got - ref) / max(1.0, abs(ref)))
-        out.append(CheckResult("modes", f"wave-multiple-m{m}", worst, 1e-6))
+        out.append(CheckResult("modes", f"{kind}-m{m}", worst, 1e-6))
     return out
 
 

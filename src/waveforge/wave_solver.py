@@ -7,20 +7,23 @@ Two operator families are covered:
   with positive pairwise-distinct speeds.
 
 Both reduce to compositions of the sinh kernel with one-dimensional time
-quadratures and outer time derivatives; Laplacian powers are applied to
-the data symbolically, time derivatives by high-order centered stencils.
+quadratures and outer time derivatives.  Laplacian powers are applied to
+the data symbolically, and time derivatives exactly: they move onto the
+polynomial weight of the time integral and onto boundary terms, where
+S_a'' = a^2 Lap S_a turns every derivative of the kernel into a sinh or
+cosh kernel of a Laplacian power of the data.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import defaultdict
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .errors import InvalidOrder, UnsupportedDimension
-from .expr import Expr, laplacian
-from .fd import differentiate_samples
+from .expr import laplacian_power
 from .kernels import second_order_weights
 from .problems import CauchyProblem, SolutionEvaluator
 from .quadrature import (QuadratureSpec, SinhKernel, double_factorial,
@@ -28,38 +31,43 @@ from .quadrature import (QuadratureSpec, SinhKernel, double_factorial,
 
 __all__ = ["solve_multiple_wave", "solve_distinct_speeds", "solve_wave"]
 
-def _fd_step(order: int, t: float) -> float:
-    """Centered-stencil step balancing truncation against roundoff.
 
-    The integrand samples carry relative noise around 1e-14; an order-d
-    derivative amplifies it by h^-d while the stencil truncates at h^8,
-    so the optimum scales like (1e-14)^(1/(d+8)).
+def _weight(e: int, q: int, s: int, norm: float) -> np.ndarray:
+    """Coefficients c[i, j] of t^i tau^j in (t^e - tau^e)^q tau^s / norm."""
+    c = np.zeros((e * q + 1, e * q + s + 1))
+    for j in range(q + 1):
+        c[e * (q - j), e * j + s] = (-1) ** j * math.comb(q, j) / norm
+    return c
+
+
+def _polyval2d(c: np.ndarray, t, tau):
+    """sum c[i, j] t^i tau^j, broadcast over t and tau."""
+    return sum(v * t**i * tau**j for (i, j), v in np.ndenumerate(c) if v)
+
+
+def _derivative(w: np.ndarray | None, order: int):
+    """The order-th t-derivative of int_0^t w(t, tau) K(tau) dtau, exactly.
+
+    ``w`` holds the coefficients of w(t, tau) as in :func:`_weight`, or is
+    None for K(t) itself.  Returns (W, b): the derivative equals
+    int_0^t W(t, tau) K(tau) dtau + sum_j b[j](t) K^(j)(t), with W None
+    once it vanishes and b[j] the coefficients of a polynomial in t.
     """
-    return max(abs(t), 1.0) * 1e-14 ** (1.0 / (order + 8))
-
-
-def laplacian_power(e: Expr, p: int) -> Expr:
-    """Lap^p applied symbolically to an expression."""
-    for _ in range(p):
-        e = laplacian(e)
-    return e
-
-
-@dataclass
-class _DataPiece:
-    """One differentiated data integral: coeff * d^order/dt^order [...]"""
-
-    order: int
-    coeff: float
-    kernels: list  # [(weight, SinhKernel)]
-
-
-def _kernel_sum(kernels, points, ts, t_args=None):
-    total = None
-    for w, kern in kernels:
-        vals = w * kern.apply_many(points, ts, t_args)
-        total = vals if total is None else total + vals
-    return total
+    W = w
+    b = [np.ones(1)] if w is None else []
+    for _ in range(order):
+        # Leibniz on each boundary term: (b_j K^(j))' = b_j' K^(j) + b_j K^(j+1)
+        b = [P.polyadd(P.polyder(bj), prev)
+             for bj, prev in zip(b + [np.zeros(1)], [np.zeros(1)] + b)]
+        if W is not None:
+            # the upper limit adds W(t, t) K(t)
+            diag = np.zeros(sum(W.shape) - 1)
+            for (i, j), v in np.ndenumerate(W):
+                diag[i + j] += v
+            b[0] = P.polyadd(b[0], diag)
+            W = P.polyder(W, axis=0)
+            W = W if W.any() else None
+    return W, b
 
 
 def solve_multiple_wave(problem: CauchyProblem,
@@ -71,36 +79,21 @@ def solve_multiple_wave(problem: CauchyProblem,
         raise UnsupportedDimension(
             f"whole-space wave solvers need n in {{3, 5}}, got {problem.n}"
         )
-    spec = spec or QuadratureSpec()
     m = problem.m
     a = problem.speeds[0]
 
-    pieces: list[_DataPiece] = []
+    # coeff_k d^(2m-1-2k-r)/dt^(2m-1-2k-r) of the data integral of Lap^k phi_r
+    terms = []
     for k in range(m):
         coeff_k = (-1.0) ** k * math.comb(m, k) * a ** (2 * k)
         for r in range(2 * m - 2 * k):
-            phi = problem.data[r]
-            if phi is None:
-                continue
-            psi = laplacian_power(phi, k)
-            kern = SinhKernel(psi, a, spec)
-            pieces.append(
-                _DataPiece(2 * m - 1 - 2 * k - r, coeff_k, [(1.0, kern)])
-            )
+            terms.append((coeff_k, 2 * m - 1 - 2 * k - r, r, k))
 
-    src_kernels = None
-    if problem.source is not None:
-        src_kernels = [(1.0, SinhKernel(problem.source, a, spec))]
-
-    if m == 1:
-        weight = None
-    else:
+    w = None
+    if m > 1:
         norm = double_factorial(2 * m - 2) * double_factorial(2 * m - 4)
-
-        def weight(t_outer, tau):
-            return (t_outer**2 - tau**2) ** (m - 2) * tau / norm
-
-    return _evaluator(problem, spec, pieces, src_kernels, weight)
+        w = _weight(2, m - 2, 1, norm)  # (t^2 - tau^2)^(m-2) tau / norm
+    return _evaluator(problem, spec or QuadratureSpec(), terms, [(1.0, a)], w)
 
 
 def solve_distinct_speeds(problem: CauchyProblem,
@@ -124,33 +117,14 @@ def solve_distinct_speeds(problem: CauchyProblem,
     pf = second_order_weights(problem.speeds)
     # b_{2k}: coefficients of chi^{2k} in prod_i (chi^2 - a_i^2)
     poly = np.poly([v**2 for v in problem.speeds])  # highest power first
-    b = [poly[m - k] for k in range(m + 1)]
-
-    def kernel_set(field: Expr):
-        return [
-            (w, SinhKernel(field, aj, spec))
-            for aj, w in zip(pf.speeds, pf.weights)
-        ]
-
-    pieces: list[_DataPiece] = []
+    terms = []
     for k in range(1, m + 1):
         for r in range(2 * k):
-            phi = problem.data[r]
-            if phi is None:
-                continue
-            psi = laplacian_power(phi, m - k)
-            pieces.append(_DataPiece(2 * k - 1 - r, float(b[k]), kernel_set(psi)))
+            terms.append((float(poly[m - k]), 2 * k - 1 - r, r, m - k))
 
-    src_kernels = None
-    if problem.source is not None:
-        src_kernels = kernel_set(problem.source)
-
-    fact = math.factorial(2 * m - 3)
-
-    def weight(t_outer, tau):
-        return (t_outer - tau) ** (2 * m - 3) / fact
-
-    return _evaluator(problem, spec, pieces, src_kernels, weight)
+    speeds = list(zip(pf.weights, pf.speeds))
+    w = _weight(1, 2 * m - 3, 0, math.factorial(2 * m - 3))  # (t-tau)^(2m-3)/(2m-3)!
+    return _evaluator(problem, spec, terms, speeds, w)
 
 
 def solve_wave(problem: CauchyProblem,
@@ -163,56 +137,82 @@ def solve_wave(problem: CauchyProblem,
     raise InvalidOrder(f"not a wave problem kind: {problem.kind}")
 
 
-def _evaluator(problem, spec, pieces, src_kernels, weight) -> SolutionEvaluator:
+def _evaluator(problem, spec, terms, speeds, w) -> SolutionEvaluator:
     """The evaluator shared by both families, batched over the points.
 
-    ``weight`` is the data-integral weight w(t, tau), or None when m = 1
-    and the kernel applies directly without an intermediate integral.
-    The same weight, shifted, drives the double Duhamel integral of the
-    source term.
+    Each of ``terms``, (coeff, order, r, p), stands for coeff times the
+    order-th time derivative of int_0^t w(t, tau) K(tau) dtau, with K the
+    sum over ``speeds`` (weight, a) of weight * S_a applied to Lap^p phi_r.
+    ``w`` holds the weight's coefficients, or is None when m = 1 and the
+    kernel applies directly.  The same weight, shifted, drives the double
+    Duhamel integral of the source term.
     """
+    # per field Lap^q phi_r and speed a: the weights of its integral terms
+    # and the polynomial b(t) of its value at t, b(t) S_a(t) or b(t) C_a(t);
+    # K^(2i) is sum weight a^(2i) S_a Lap^i, and K^(2i+1) the same with C_a
+    integrals = []
+    values = defaultdict(lambda: np.zeros(1))
+    for coeff, order, r, p in terms:
+        if problem.data[r] is None:
+            continue
+        W, b = _derivative(w, order)
+        for weight, a in speeds:
+            if W is not None:
+                integrals.append((coeff * weight * W, (r, p, a)))
+            for j, bj in enumerate(b):
+                key = (r, p + j // 2, a, j % 2 == 1)
+                values[key] = P.polyadd(
+                    values[key], coeff * weight * a ** (2 * (j // 2)) * bj)
+    values = {key: b for key, b in values.items() if b.any()}
+    # one kernel per field and speed, with a cosh part only where one is used
+    needed = dict.fromkeys([key for _, key in integrals] + [key[:3] for key in values])
+    fields = {(r, q): laplacian_power(problem.data[r], q)
+              for r, q in dict.fromkeys(key[:2] for key in needed)}
+    cosh = {key[:3] for key in values if key[3]}
+    kernels = {key: SinhKernel(fields[key[:2]], key[2], spec, cosh=key in cosh)
+               for key in needed}
+    src_kernels = []
+    if problem.source is not None:
+        src_kernels = [(weight, SinhKernel(problem.source, a, spec))
+                       for weight, a in speeds]
+
     unit = gauss_legendre(spec.n_time, 0.0, 1.0)
     z, wz = unit.nodes, unit.weights
 
-    def data_value(piece: _DataPiece, points, t):
-        if weight is None:
-            g = lambda ts: _kernel_sum(piece.kernels, points, ts)
-        else:
-
-            def g(ts):
-                tau = ts[:, None] * z[None, :]
-                vals = _kernel_sum(piece.kernels, points, tau.reshape(-1))
-                vals = vals.reshape((-1,) + tau.shape)
-                integrand = weight(ts[:, None], tau) * vals
-                return (ts[:, None] * wz[None, :] * integrand).sum(axis=-1)
-
-        h = _fd_step(piece.order, t)
-        return piece.coeff * differentiate_samples(g, t, piece.order, h)
+    def src_sum(points, ts, t_args):
+        return sum(weight * kern.apply_many(points, ts, t_args)
+                   for weight, kern in src_kernels)
 
     def source_value(points, t):
         if t == 0.0:
             return 0.0
         tau_o = t * z  # outer Duhamel times
-        if weight is None:
-            vals = _kernel_sum(src_kernels, points, t - tau_o, t_args=tau_o)
+        if w is None:
+            vals = src_sum(points, t - tau_o, tau_o)
             return t * row_dot(vals, wz)
         # inner integral over tau' in (0, t - tau_o) for every outer node
         span = t - tau_o
         tau_i = span[:, None] * z[None, :]
         t_args = np.broadcast_to(tau_o[:, None], tau_i.shape)
-        vals = _kernel_sum(
-            src_kernels, points, tau_i.reshape(-1), t_args=t_args.reshape(-1)
-        ).reshape((-1,) + tau_i.shape)
+        vals = src_sum(points, tau_i.reshape(-1), t_args.reshape(-1))
+        vals = vals.reshape((-1,) + tau_i.shape)
         inner = (
-            span[:, None] * wz[None, :] * weight(span[:, None], tau_i) * vals
+            span[:, None] * wz[None, :] * _polyval2d(w, span[:, None], tau_i)
+            * vals
         ).sum(axis=-1)
         return t * row_dot(inner, wz)
 
     def evaluate(points, t):
         total = np.zeros(points.shape[0])
-        for piece in pieces:
-            total += data_value(piece, points, t)
-        if src_kernels is not None:
+        if t != 0.0:
+            tau = t * z
+            for c, key in integrals:
+                vals = kernels[key].apply_many(points, tau)
+                total += t * row_dot(_polyval2d(c, t, tau) * vals, wz)
+        for (r, q, a, cosh), b in values.items():
+            kern = kernels[r, q, a]
+            total += P.polyval(t, b) * kern.apply_many(points, [t], cosh=cosh)[:, 0]
+        if src_kernels:
             total += source_value(points, t)
         return total
 

@@ -286,6 +286,12 @@ class TestVerifyCommand:
         # the ibvp suite reaches the oracle through the deferred import
         assert main(["verify", "ibvp"]) == 0
 
+    def test_modes_suite_covers_high_order_and_distinct(self, capsys):
+        assert main(["verify", "modes"]) == 0
+        out = capsys.readouterr().out
+        assert "PASS modes/wave-multiple-m3:" in out
+        assert "PASS modes/wave-distinct-m2:" in out
+
 
 WAVE5 = """
 [problem]

@@ -175,6 +175,21 @@ class TestSinhKernel:
             )
             assert kern.apply(x, t) == pytest.approx(exact, abs=5e-13)
 
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_cosh_on_plane_waves(self, n):
+        # C_a = d/dt S_a multiplies sin(k.x) by cos(a|k|t); at t = 0 it is
+        # the identity
+        a, k1, k2 = 1.3, 1.2, 0.9
+        e = parse(f"sin({k1}*x1 + {k2}*x2)", n)
+        x = np.array([0.5, -0.3, 0.2, 0.1, -0.4][:n])
+        mag = math.hypot(k1, k2)
+        spec = QuadratureSpec(sphere_degree=12)
+        ts = np.array([0.0, 0.5, 2.0, -1.5])
+        got = SinhKernel(e, a, spec, cosh=True).apply_many(x, ts, cosh=True)
+        exact = np.cos(a * mag * ts) * math.sin(k1 * x[0] + k2 * x[1])
+        assert np.allclose(got, exact, rtol=0, atol=1e-13)
+        assert got[0] == math.sin(k1 * x[0] + k2 * x[1])
+
     def test_zero_time(self):
         e = parse("exp(x1)", 3)
         assert SinhKernel(e, 1.0).apply([0.3, 0, 0], 0.0) == 0.0

@@ -17,6 +17,7 @@ from waveforge.errors import (
 from waveforge.expr import parse
 from waveforge.heat_solver import HeatPropagatorSpec, solve_heat_product
 from waveforge.ibvp import build_basis, solve_ibvp
+from waveforge.kernels import exp_divided_differences
 from waveforge.oracle import ModeProblem, mode_solve
 from waveforge.problems import CauchyProblem, SolutionEvaluator
 from waveforge.quadrature import QuadratureSpec
@@ -205,6 +206,52 @@ class TestDistinctSpeeds:
         )
 
 
+def _plane_wave_amplitude(speeds, kk, t):
+    """T(t) of prod_j (D^2 + a_j^2 kk^2) T = 0 with T(0) = 1 and every
+    other initial derivative 0, in Newton form: the coefficients
+    prod_{i<j} (-r_i) against the divided differences e^{zt}[r_0..r_j]."""
+    w = 1j * kk * np.asarray(speeds)
+    roots = np.stack([w, -w], axis=1).reshape(-1)
+    newton = np.concatenate([[1.0], np.cumprod(-roots[:-1])])
+    return float(np.real(newton @ exp_divided_differences(roots, t)))
+
+
+class TestHighOrderAccuracy:
+    """Time derivatives are exact, so accuracy holds as the order grows."""
+
+    @pytest.mark.parametrize("t", [2.0, -2.0])
+    @pytest.mark.parametrize("kind, n, speeds", [
+        ("wave-multiple", 3, (1.0,)),
+        ("wave-multiple", 3, (1.0,) * 2),
+        ("wave-multiple", 3, (1.0,) * 3),
+        ("wave-multiple", 3, (1.0,) * 4),
+        ("wave-distinct", 3, (1.0, 1.3, 1.6)),
+        ("wave-multiple", 5, (1.0,)),
+        ("wave-multiple", 5, (1.0,) * 2),
+    ])
+    def test_position_data_against_closed_form(self, kind, n, speeds, t):
+        m = len(speeds)
+        data = (parse("sin(0.95*x1)", n),) + (None,) * (2 * m - 1)
+        p = CauchyProblem(kind, n, m, speeds, None, data)
+        spec = QuadratureSpec() if n == 3 else QuadratureSpec(
+            sphere_degree=8, n_radial=16)
+        x = np.array([0.4, -0.2, 0.7, 0.1, 0.3][:n])
+        exact = _plane_wave_amplitude(speeds, 0.95, t) * math.sin(0.95 * x[0])
+        assert solve_wave(p, spec)(x, t) == pytest.approx(exact, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_initial_value_reproduces_phi0(self, m):
+        phi0 = "sin(0.9*x1 + 0.4*x2) + x3^2"
+        others = ("cos(x3)", "x1*x2", "sin(x2)", "exp(-x1^2)", "0.5*x3")
+        data = (parse(phi0, 3),) + tuple(parse(e, 3) for e in others[:2 * m - 1])
+        p = CauchyProblem("wave-multiple", 3, m, (0.8,) * m, None, data)
+        ev = solve_wave(p, QuadratureSpec(n_time=8, sphere_degree=4))
+        points = np.random.default_rng(3).uniform(-1, 1, size=(5, 3))
+        got = ev.evaluate(points, [0.0])[:, 0]
+        exact = np.sin(0.9 * points[:, 0] + 0.4 * points[:, 1]) + points[:, 2] ** 2
+        assert np.allclose(got, exact, rtol=0, atol=1e-14)
+
+
 class TestEvaluatorInterface:
     def test_point_shape_checked(self):
         p = CauchyProblem(
@@ -260,6 +307,11 @@ def _evaluator(family):
         p = CauchyProblem("wave-multiple", 3, 1, (1.2,), None,
                           (parse(wave, 3), parse("cos(x3)", 3)))
         return solve_wave(p, small)
+    if family == "wave-m3":
+        p = CauchyProblem("wave-multiple", 3, 3, (0.9,) * 3, None,
+                          (parse(wave, 3), parse("cos(x3)", 3), None,
+                           parse("x1*x2", 3), parse("sin(x2)", 3), None))
+        return solve_wave(p, small)
     if family == "wave-m2-source":
         p = CauchyProblem("wave-multiple", 3, 2, (0.8, 0.8),
                           parse("sin(x1)*cos(t)", 3),
@@ -292,8 +344,8 @@ def _evaluator(family):
     return solve_ibvp(p, build_basis([1.0, 1.5], 7), small)
 
 
-FAMILIES = ["wave-m1", "wave-m2-source", "wave-distinct-source", "wave-n5",
-            "heat-equal", "heat-distinct", "box"]
+FAMILIES = ["wave-m1", "wave-m3", "wave-m2-source", "wave-distinct-source",
+            "wave-n5", "heat-equal", "heat-distinct", "box"]
 
 
 class TestBatchIndependence:
