@@ -1,12 +1,10 @@
-"""Closed-form solvers for products of heat-type factors on the whole space.
+"""Closed-form solver for products of heat-type factors on the whole space.
 
-Covers prod_j (d/dt - a_j Lap) u = f with m initial data, in the two
-regimes the factorization allows:
-
-* all speeds equal: the m-fold power with a polynomial-in-t correction
-  of the initial data under a single diffusion semigroup,
-* pairwise distinct speeds: partial-fraction weights distribute the
-  inverse over single-factor semigroups.
+Covers prod_j (d/dt - a_j Lap) u = f with m initial data and any positive
+speeds.  Confluent partial fractions over the speed clusters
+(:func:`~waveforge.problems.cluster_evaluator`) write the solution as
+t^(i-1)/(i-1)! e^{t c Lap} of Laplacian powers of the data, and time
+integrals of such terms, for each cluster centre c.
 
 The diffusion semigroup e^{lam Lap} is realized as a Gauss quadrature of
 the Gaussian convolution, one axis at a time, on a truncated window.  The
@@ -15,16 +13,14 @@ weights are renormalized so constants propagate exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidOrder, NegativeDiffusionTime, UnsupportedDimension
-from .expr import Expr, compile_field, laplacian_power
-from .kernels import first_order_weights
-from .problems import CauchyProblem, SolutionEvaluator
-from .quadrature import QuadratureSpec, centre_chunks, gauss_legendre, row_dot
+from .expr import Expr, compile_field
+from .problems import CauchyProblem, SolutionEvaluator, cluster_evaluator
+from .quadrature import QuadratureSpec, centre_chunks, gauss_legendre
 
 __all__ = [
     "HeatPropagatorSpec",
@@ -119,128 +115,19 @@ def solve_heat_product(problem: CauchyProblem,
                        spec: QuadratureSpec | None = None,
                        heat_spec: HeatPropagatorSpec | None = None
                        ) -> SolutionEvaluator:
-    """Solver for prod_j (d/dt - a_j Lap) u = f with m initial data.
-
-    Speeds must be either all equal or pairwise distinct; a mixed cluster
-    has no closed form in this family.
-    """
+    """Solver for prod_j (d/dt - a_j Lap) u = f with m initial data, any
+    positive speeds."""
     if problem.kind != "heat-product":
         raise InvalidOrder(f"expected heat-product, got {problem.kind}")
     if problem.n > 3:
         raise UnsupportedDimension(
             f"diffusion solver needs n <= 3, got {problem.n}"
         )
-    spec = spec or QuadratureSpec()
-    heat_spec = heat_spec or HeatPropagatorSpec()
-    if problem.equal_speeds:
-        fn = _equal_speed_eval(problem, spec, heat_spec)
-    elif problem.distinct_speeds:
-        fn = _distinct_speed_eval(problem, spec, heat_spec)
-    else:
-        raise InvalidOrder(
-            "speeds must be all equal or pairwise distinct, got "
-            f"{problem.speeds}"
-        )
-    return SolutionEvaluator(problem, fn)
 
+    def kernel(field, cosh):
+        # one propagator serves every speed: the speed scales the diffusion time
+        prop = HeatPropagator(field, heat_spec)
+        return lambda points, c, taus, t_args=None, cosh=False: prop.apply_many(
+            points, c * taus, t_args)
 
-def _equal_speed_eval(problem, spec, heat_spec):
-    """(d/dt - a Lap)^m: single semigroup, binomial data correction."""
-    m = problem.m
-    a = problem.speeds[0]
-
-    # data pieces: coeff(t) * e^{t a Lap} [(a Lap)^{k-r} phi_r]
-    pieces = []  # (k, factor, propagator)
-    for k in range(m):
-        for r in range(k + 1):
-            phi = problem.data[r]
-            if phi is None:
-                continue
-            psi = laplacian_power(phi, k - r)
-            factor = (-1.0) ** (k - r) * math.comb(k, r) \
-                * a ** (k - r) / math.factorial(k)
-            pieces.append((k, factor, HeatPropagator(psi, heat_spec)))
-
-    src = None
-    if problem.source is not None:
-        src = HeatPropagator(problem.source, heat_spec)
-    unit = gauss_legendre(spec.n_time, 0.0, 1.0)
-    z, wz = unit.nodes, unit.weights
-    fact = math.factorial(m - 1)
-
-    def evaluate(points, t):
-        total = np.zeros(points.shape[0])
-        for k, factor, prop in pieces:
-            total += factor * t**k * prop.apply_many(points, np.asarray([a * t]))[:, 0]
-        if src is not None and t > 0.0:
-            tau = t * z
-            span = t - tau
-            vals = src.apply_many(points, a * span, t_args=tau)
-            total += t * row_dot(span ** (m - 1) / fact * vals, wz)
-        return total
-
-    return evaluate
-
-
-def _distinct_speed_eval(problem, spec, heat_spec):
-    """prod (d/dt - a_j Lap): partial fractions over single semigroups."""
-    m = problem.m
-    pf = first_order_weights(problem.speeds)
-    # b_k: coefficients of chi^k in prod_i (chi - a_i)
-    poly = np.poly(problem.speeds)  # highest power first
-    b = [poly[m - k] for k in range(m + 1)]
-
-    # data pieces: the outer d^{k-1-r}/dt^{k-1-r} of the (t-tau)-weighted
-    # integral collapses analytically; d <= m-2 keeps an integral with the
-    # weight power reduced by d, d = m-1 evaluates the semigroup sum at t.
-    pieces = []  # (b_k, d, propagator of Lap^{m-k} phi_r)
-    for k in range(1, m + 1):
-        for r in range(k):
-            phi = problem.data[r]
-            if phi is None:
-                continue
-            psi = laplacian_power(phi, m - k)
-            # one propagator serves every speed: the speed only scales
-            # the diffusion time
-            pieces.append((float(b[k]), k - 1 - r, HeatPropagator(psi, heat_spec)))
-
-    src = None
-    if problem.source is not None:
-        src = HeatPropagator(problem.source, heat_spec)
-    unit = gauss_legendre(spec.n_time, 0.0, 1.0)
-    z, wz = unit.nodes, unit.weights
-    speeds = np.asarray(pf.speeds)
-    weights = np.asarray(pf.weights)
-
-    def semigroup_sum(prop, points, taus, t_args=None):
-        total = np.zeros((points.shape[0], taus.size))
-        for aj, w in zip(speeds, weights):
-            total = total + w * prop.apply_many(points, aj * taus, t_args)
-        return total
-
-    def evaluate(points, t):
-        total = np.zeros(points.shape[0])
-        for bk, d, prop in pieces:
-            if bk == 0.0:
-                continue
-            if d == m - 1:
-                total += bk * semigroup_sum(prop, points, np.asarray([t]))[:, 0]
-            elif t > 0.0:
-                p = m - 2 - d
-                tau = t * z
-                vals = semigroup_sum(prop, points, tau)
-                wfun = (t - tau) ** p / math.factorial(p)
-                total += bk * t * row_dot(wfun * vals, wz)
-        if src is not None and t > 0.0:
-            tau_o = t * z
-            span = t - tau_o
-            tau_i = span[:, None] * z[None, :]
-            t_args = np.broadcast_to(tau_o[:, None], tau_i.shape).reshape(-1)
-            vals = semigroup_sum(src, points, tau_i.reshape(-1), t_args)
-            vals = vals.reshape((-1,) + tau_i.shape)
-            wfun = (span[:, None] - tau_i) ** (m - 2) / math.factorial(m - 2)
-            inner = (span[:, None] * wz[None, :] * wfun * vals).sum(axis=-1)
-            total += t * row_dot(inner, wz)
-        return total
-
-    return evaluate
+    return cluster_evaluator(problem, spec or QuadratureSpec(), kernel)

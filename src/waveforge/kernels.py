@@ -1,16 +1,19 @@
 """Symbol functions and partial-fraction weights.
 
-These are the per-mode building blocks every solver shares: the weights
-that distribute a factored operator over single-factor propagators, and
-the divided differences of exp at the characteristic roots that give the
+These are the per-mode building blocks every solver shares: the
+confluent partial fractions over speed clusters that distribute a
+factored operator over single-factor propagators, and the divided
+differences of exp at the characteristic roots that give the
 initial-boundary solver its mode amplitudes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .errors import DegenerateSpeeds, InvalidOrder, NonPositiveSpeed
 
@@ -19,12 +22,17 @@ __all__ = [
     "first_order_weights",
     "second_order_weights",
     "exp_divided_differences",
+    "speed_clusters",
+    "cluster_fractions",
     "require_distinct",
     "SPEED_SEPARATION",
 ]
 
-# weights blow up like 1/separation; desk-scale speeds are O(1)
+# the simple-pole weights below blow up like 1/separation, so they and the
+# wave-distinct input check refuse closer speeds; desk-scale speeds are O(1)
 SPEED_SEPARATION = 1e-9
+
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -79,6 +87,67 @@ def second_order_weights(a) -> PartialFractionWeights:
                 denom *= a[j] ** 2 - a[i] ** 2
         weights.append(a[j] ** (2 * m - 2) / denom)
     return PartialFractionWeights(tuple(a), tuple(weights))
+
+
+def speed_clusters(values):
+    """The sorted ``values`` grouped into clusters of near-equal ones.
+
+    Returns (centres, sizes): the mean and the count of each cluster.  A
+    value joins the cluster before it while the cluster's spread stays
+    within eps^(1/(n+1)) of the value, n the grown cluster's size.  The
+    solution is symmetric in the speeds, so merging them at their mean
+    errs by O(spread^2), while separate poles lose eps/spread^(n-1) to
+    cancellation; the two balance at that gap.
+    """
+    groups = []
+    for v in np.sort(np.asarray(values, dtype=float)):
+        if groups and v - groups[-1][0] <= v * _EPS ** (1 / (len(groups[-1]) + 2)):
+            groups[-1].append(v)
+        else:
+            groups.append([v])
+    # offsets from the first value keep an exact repeat exact
+    centres = [g[0] + np.mean(np.subtract(g, g[0])) for g in groups]
+    return np.array(centres), [len(g) for g in groups]
+
+
+def cluster_fractions(values):
+    """Confluent partial fractions of the data numerators over the clusters.
+
+    With P(s) = prod_l (s - c_l)^(n_l) over the clusters of ``values``
+    (:func:`speed_clusters`) and b_k its coefficients, datum r = 0..m-1
+    enters as N_r(s) / P(s), N_r(s) = sum_{k>r} b_k s^(k-1-r).  Returns
+    (centres, sizes, fractions) with fractions[r] = (p, alpha) and
+
+        s^p N_r(s) / P(s) = sum_{l, i} alpha[l, i-1] / (s - c_l)^i.
+
+    Restoring the Laplacian by homogeneity, the pole (l, i) carries
+    Lap^(i-1-r+p).  p is the least power that keeps these nonnegative:
+    0 for one cluster, whose poles below order r+1 vanish, and r for
+    several, whose simple poles do not.  The coefficients are Taylor
+    coefficients about each centre (Hermite interpolation), so a cluster
+    needs no 1/separation weights.
+    """
+    centres, sizes = speed_clusters(values)
+    poly = np.ones(1)
+    for c, n in zip(centres, sizes):
+        poly = P.polymul(poly, P.polypow([-c, 1.0], n))
+    fractions = []
+    for r in range(len(values)):
+        p = 0 if len(centres) == 1 else r
+        num = np.concatenate([np.zeros(p), poly[r + 1:]])
+        alpha = np.zeros((len(centres), max(sizes)))
+        for l, (c, n) in enumerate(zip(centres, sizes)):
+            # num(c + h) / prod_{other clusters} (c + h - c2)^n2 to order h^(n-1)
+            series = [P.polyval(c, P.polyder(num, j)) / math.factorial(j)
+                      for j in range(n)]
+            for l2, (c2, n2) in enumerate(zip(centres, sizes)):
+                if l2 != l:
+                    inverse = [(-1) ** k * math.comb(n2 + k - 1, k)
+                               / (c - c2) ** (n2 + k) for k in range(n)]
+                    series = np.convolve(series, inverse)[:n]
+            alpha[l, :n] = series[::-1]
+        fractions.append((p, alpha))
+    return centres, sizes, fractions
 
 
 # Taylor degree for exp of a matrix scaled to infinity norm <= 1: the

@@ -1,32 +1,38 @@
-"""Problem descriptions for the whole-space (Cauchy) solvers.
+"""Problem descriptions and the one solve path of the whole-space solvers.
 
 A :class:`CauchyProblem` bundles the operator family, its order, the
 propagation speeds, the source, and the initial data.  Validation happens
 at construction so solver code can assume a well-formed problem.
+:func:`cluster_evaluator` evaluates G(Lap, t) = L^-1[1/P(Lap, s)] on the
+data and the source for every family and every speed cluster; the heat
+and wave solvers supply only their kernel.
 """
 
 from __future__ import annotations
 
+import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .errors import (
     DataCountMismatch,
-    DegenerateSpeeds,
     InvalidOrder,
     NegativeDiffusionTime,
     NonPositiveSpeed,
     UnsupportedDimension,
 )
-from .expr import Expr
-from .kernels import require_distinct
+from .expr import Expr, laplacian_power
+from .kernels import cluster_fractions, require_distinct
+from .quadrature import QuadratureSpec, double_factorial, gauss_legendre, row_dot
 
-__all__ = ["CauchyProblem", "SolutionEvaluator", "KINDS"]
+__all__ = ["CauchyProblem", "SolutionEvaluator", "KINDS", "cluster_evaluator"]
 
 # operator families: m-fold wave with one speed, product of wave factors
-# with distinct speeds, and product of heat factors (equal or distinct)
+# with distinct speeds, and product of heat factors with any speeds
 KINDS = ("wave-multiple", "wave-distinct", "heat-product")
 
 
@@ -75,7 +81,8 @@ class CauchyProblem:
             raise NonPositiveSpeed(f"speeds must be positive: {self.speeds}")
         if self.kind in ("wave-distinct",) and self.m >= 2:
             require_distinct(self.speeds)
-        if self.kind == "wave-multiple" and not self.equal_speeds:
+        if self.kind == "wave-multiple" and any(
+                abs(v - self.speeds[0]) >= 1e-14 for v in self.speeds):
             raise InvalidOrder(
                 f"wave-multiple repeats one speed, got unequal speeds {self.speeds}"
             )
@@ -88,19 +95,6 @@ class CauchyProblem:
             raise DataCountMismatch(
                 f"source has dimension {self.source.ndim}, problem has {self.n}"
             )
-
-    @property
-    def equal_speeds(self) -> bool:
-        a = self.speeds
-        return all(abs(v - a[0]) < 1e-14 for v in a)
-
-    @property
-    def distinct_speeds(self) -> bool:
-        try:
-            require_distinct(self.speeds)
-        except DegenerateSpeeds:
-            return False
-        return True
 
 
 class SolutionEvaluator:
@@ -138,3 +132,157 @@ class SolutionEvaluator:
 
     def grid(self, points, t: float) -> np.ndarray:
         return self.evaluate(points, [float(t)])[:, 0]
+
+
+def _add2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum of two coefficient arrays c[i, j] of t^i tau^j."""
+    out = np.zeros(np.maximum(a.shape, b.shape))
+    out[:a.shape[0], :a.shape[1]] += a
+    out[:b.shape[0], :b.shape[1]] += b
+    return out
+
+
+def _weight(e: int, q: int, s: int, norm: float) -> np.ndarray:
+    """Coefficients c[i, j] of t^i tau^j in (t^e - tau^e)^q tau^s / norm."""
+    c = np.zeros((e * q + 1, e * q + s + 1))
+    for j in range(q + 1):
+        c[e * (q - j), e * j + s] = (-1) ** j * math.comb(q, j) / norm
+    return c
+
+
+def _polyval2d(c: np.ndarray, t, tau):
+    """sum c[i, j] t^i tau^j, broadcast over t and tau."""
+    return sum(v * t**i * tau**j for (i, j), v in np.ndenumerate(c) if v)
+
+
+# A term (W, b) stands for
+#     int_0^t W(t, tau) K(tau) dtau + sum_j b[j](t) K^(j)(t),
+# W a coefficient array as in _weight, or None once it vanishes, and b[j]
+# the coefficients of a polynomial in t.
+
+def _pole(nu: int, i: int):
+    """The term of L^-1[1/(s^nu - c Lap)^i], K = L^-1[1/(s^nu - c Lap)]:
+    t^(i-1)/(i-1)! K(t) for the heat; for the wave K itself, or for i >= 2
+    the weight (t^2 - tau^2)^(i-2) tau / ((2i-2)!! (2i-4)!!) against K."""
+    if nu == 1:
+        return None, [np.append(np.zeros(i - 1), 1 / math.factorial(i - 1))]
+    if i == 1:
+        return None, [np.ones(1)]
+    norm = double_factorial(2 * i - 2) * double_factorial(2 * i - 4)
+    return _weight(2, i - 2, 1, norm), []
+
+
+def _integral(W, b):
+    """int_0^t of the term (W, b), whose b holds at most K itself.
+
+    int_0^t b0(t') K(t') dt' has the weight b0(tau); the integral over t'
+    of int_0^t' W(t', tau) K(tau) dtau has the weight int_tau^t W(t', tau) dt'.
+    """
+    out = np.zeros((1, 1)) if not b else np.asarray(b[0])[None, :]
+    if W is not None:
+        upper = P.polyint(W, axis=0)
+        lower = np.zeros((1, sum(upper.shape) - 1))
+        for (i, j), v in np.ndenumerate(upper):
+            lower[0, i + j] -= v
+        out = _add2(_add2(out, upper), lower)
+    return out, []
+
+
+def _derivative(W, b, order: int):
+    """The order-th t-derivative of the term (W, b), exactly."""
+    b = list(b)
+    for _ in range(order):
+        # Leibniz on each boundary term: (b_j K^(j))' = b_j' K^(j) + b_j K^(j+1)
+        b = [P.polyadd(P.polyder(bj), prev)
+             for bj, prev in zip(b + [np.zeros(1)], [np.zeros(1)] + b)]
+        if W is not None:
+            # the upper limit adds W(t, t) K(t)
+            diag = np.zeros(sum(W.shape) - 1)
+            for (i, j), v in np.ndenumerate(W):
+                diag[i + j] += v
+            b[0] = P.polyadd(b[0], diag)
+            W = P.polyder(W, axis=0)
+            W = W if W.any() else None
+    return W, b
+
+
+def cluster_evaluator(problem: CauchyProblem, spec: QuadratureSpec,
+                      kernel: Callable) -> SolutionEvaluator:
+    """Evaluator of prod_j (d^nu/dt^nu - c_j Lap) u = f on the whole space.
+
+    The heat has nu = 1 and c_j its speeds, the wave nu = 2 and c_j the
+    squared speeds.  In Laplace space datum r enters as N(s)/P(s) and the
+    source as 1/P(s); :func:`~waveforge.kernels.cluster_fractions` splits
+    both over the clusters of the c_j, each pole a nonnegative Laplacian
+    power of the field under L^-1[s^(-nu p)/(s^nu - c Lap)^i].  For the
+    wave, s^(2q+1) in a numerator adds one time derivative.  The source
+    takes the last datum's term, integrated against it by Duhamel.
+
+    ``kernel(field, cosh)`` returns ``apply(points, c, taus, t_args=None,
+    cosh=False)``: K = L^-1[1/(s^nu - c Lap)] of the field at each time in
+    ``taus``, shape (P, len(taus)), or with ``cosh`` its time derivative.
+    ``t_args``, aligned with ``taus``, is the field's time argument.  Then
+    K^(j) is c^(j//nu) Lap^(j//nu) times K, or for odd j with nu = 2 its
+    derivative.
+    """
+    nu = 1 if problem.kind == "heat-product" else 2
+    centres, _, fractions = cluster_fractions(np.asarray(problem.speeds) ** nu)
+    fields = problem.data + (problem.source,)
+    # per field, Laplacian power q and centre c: the weight of the integral
+    # term, and the polynomial b(t) of the value term, K(t) or K'(t)
+    integrals = [defaultdict(lambda: np.zeros((1, 1))) for _ in fields]
+    values = [defaultdict(lambda: np.zeros(1)) for _ in fields]
+    kernels = {}
+    for g, field in enumerate(fields):
+        if field is None:
+            continue
+        r = min(g, nu * problem.m - 1)
+        p, alpha = fractions[r // nu]
+        for (l, i), coeff in np.ndenumerate(alpha):
+            if coeff == 0.0:
+                continue
+            W, b = _pole(nu, i + 1)
+            for _ in range(nu * p):
+                W, b = _integral(W, b)
+            W, b = _derivative(W, b, nu - 1 - r % nu)
+            q, c = i - r // nu + p, centres[l]
+            if W is not None:
+                integrals[g][q, c] = _add2(integrals[g][q, c], coeff * W)
+            for j, bj in enumerate(b):
+                key = (q + j // nu, c, j % nu == 1)
+                values[g][key] = P.polyadd(values[g][key], coeff * c ** (j // nu) * bj)
+        integrals[g] = {key: W for key, W in integrals[g].items() if W.any()}
+        values[g] = {key: b for key, b in values[g].items() if b.any()}
+        # one kernel per Laplacian power, with a cosh part only where one is used
+        cosh = {q for q, _, odd in values[g] if odd}
+        powers = [key[0] for key in list(integrals[g]) + list(values[g])]
+        for q in dict.fromkeys(powers):
+            kernels[g, q] = kernel(laplacian_power(field, q), q in cosh)
+
+    unit = gauss_legendre(spec.n_time, 0.0, 1.0)
+    z, wz = unit.nodes, unit.weights
+
+    def terms(points, g, T, t_args=None):
+        """Field g's terms at the times T (S,), shape (P, S)."""
+        out = np.zeros((len(points), T.size))
+        if T.any():
+            tau = T[:, None] * z
+            t_in = None if t_args is None else np.repeat(t_args, z.size)
+            for (q, c), W in integrals[g].items():
+                vals = kernels[g, q](points, c, tau.reshape(-1), t_in)
+                out += (T[:, None] * wz * _polyval2d(W, T[:, None], tau)
+                        * vals.reshape(out.shape + z.shape)).sum(axis=-1)
+        for (q, c, odd), b in values[g].items():
+            out += P.polyval(T, b) * kernels[g, q](points, c, T, t_args, cosh=odd)
+        return out
+
+    def evaluate(points, t):
+        total = np.zeros(points.shape[0])
+        for g in range(len(problem.data)):
+            total += terms(points, g, np.array([t]))[:, 0]
+        if problem.source is not None and t != 0.0:
+            tau_o = t * z  # outer Duhamel times
+            total += t * row_dot(terms(points, len(fields) - 1, t - tau_o, tau_o), wz)
+        return total
+
+    return SolutionEvaluator(problem, evaluate)

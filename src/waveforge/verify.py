@@ -52,11 +52,16 @@ def _suite_modes() -> list[CheckResult]:
     out = []
     rng = np.random.default_rng(20240811)
     x = np.array([0.4, -0.2, 0.7])
-    for kind, m in (("wave-multiple", 1), ("wave-multiple", 2),
-                    ("wave-multiple", 3), ("wave-distinct", 2)):
+    # wave-distinct-near: speeds 1e-6 apart, merged into one cluster
+    for name, kind, m, gap in (
+            ("wave-multiple-m1", "wave-multiple", 1, 0.0),
+            ("wave-multiple-m2", "wave-multiple", 2, 0.0),
+            ("wave-multiple-m3", "wave-multiple", 3, 0.0),
+            ("wave-distinct-m2", "wave-distinct", 2, 0.5),
+            ("wave-distinct-near", "wave-distinct", 2, 1e-6)):
         k = tuple(float(v) for v in rng.uniform(0.5, 1.5, size=3))
         a = float(rng.uniform(0.8, 1.6))
-        speeds = (a,) * m if kind == "wave-multiple" else (a, a + 0.5)
+        speeds = (a,) * m if kind == "wave-multiple" else (a, a + gap)
         data_vals = tuple(float(v) for v in rng.uniform(-1, 1, size=2 * m))
         kx = float(np.dot(k, x))
         data = tuple(
@@ -71,7 +76,7 @@ def _suite_modes() -> list[CheckResult]:
             got = ev(x, t)
             ref = mode_solve(mp, t) * math.sin(kx)
             worst = max(worst, abs(got - ref) / max(1.0, abs(ref)))
-        out.append(CheckResult("modes", f"{kind}-m{m}", worst, 1e-6))
+        out.append(CheckResult("modes", name, worst, 1e-6))
     return out
 
 
@@ -104,6 +109,20 @@ def _suite_heat() -> list[CheckResult]:
     t = 0.9
     err = abs(ev([0.6], t) - (1 + t) * math.exp(-t) * math.sin(0.6))
     out.append(CheckResult("heat", "two-factor-manufactured", err, 1e-6))
+    # a mixed speed cluster with a source against the mode integrator
+    p = CauchyProblem(
+        "heat-product", 1, 3, (1.0, 1.0, 2.0), parse("sin(x1)*cos(t)", 1),
+        (parse("sin(x1)", 1), None, parse("0.5*sin(x1)", 1)),
+    )
+    ev = solve_heat_product(p)
+    mp = ModeProblem(
+        "heat", (1.0, 1.0, 2.0), (1.0,), (1.0, 0.0, 0.5),
+        source=parse("cos(t)", 0),
+    )
+    err = max(
+        abs(ev([0.7], t) - mode_solve(mp, t) * math.sin(0.7)) for t in (0.4, 1.1)
+    )
+    out.append(CheckResult("heat", "mixed-cluster-modes", err, 1e-9))
     return out
 
 

@@ -15,6 +15,7 @@ from waveforge import cli
 from waveforge.cli import main
 from waveforge.config import dump_config, parse_config
 from waveforge.errors import ConfigError
+from waveforge.oracle import ModeProblem, mode_solve
 
 KIRCHHOFF = """
 [problem]
@@ -224,6 +225,19 @@ class TestSolveCommand:
         assert "heat time must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_mixed_heat_cluster_solves(self, tmp_path):
+        # speeds (1, 1, 2): whole-space heat takes any speed cluster
+        out = tmp_path / "o.csv"
+        cfgf = tmp_path / "p.ini"
+        cfgf.write_text(HEAT.format(path=out))
+        assert main(["solve", str(cfgf)]) == 0
+        _, rows = _read_csv(out)
+        # the mode sin(x1) cos(x2) decays at lam = 2 under each factor
+        mp = ModeProblem("heat", (1.0, 1.0, 2.0), (1.0, 1.0), (1.0, 0.0, 0.5))
+        exact = [mode_solve(mp, t) for t in rows[:, 2]] \
+            * np.sin(rows[:, 0]) * np.cos(rows[:, 1])
+        assert np.allclose(rows[:, 3], exact, rtol=0, atol=1e-10)
+
     def test_one_evaluate_call_per_solve(self, tmp_path, monkeypatch):
         calls = []
         build = cli.build_evaluator
@@ -291,6 +305,11 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "PASS modes/wave-multiple-m3:" in out
         assert "PASS modes/wave-distinct-m2:" in out
+        assert "PASS modes/wave-distinct-near:" in out
+
+    def test_heat_suite_covers_mixed_cluster(self, capsys):
+        assert main(["verify", "heat"]) == 0
+        assert "PASS heat/mixed-cluster-modes:" in capsys.readouterr().out
 
 
 WAVE5 = """
@@ -320,15 +339,17 @@ n_radial = 4
 path = {path}
 """
 
+# a mixed speed cluster: one double speed and one simple
 HEAT = """
 [problem]
 kind = heat-product
 n = 2
-m = 1
-speeds = 1.0
+m = 3
+speeds = 1.0, 1.0, 2.0
 
 [data]
 phi0 = sin(x1)*cos(x2)
+phi2 = 0.5*sin(x1)*cos(x2)
 
 [domain]
 x1 = 0:1:2

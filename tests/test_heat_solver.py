@@ -20,6 +20,7 @@ from waveforge.heat_solver import (
 from waveforge.ibvp import build_basis, solve_ibvp
 from waveforge.oracle import ModeProblem, heat_closed_form, mode_solve
 from waveforge.problems import CauchyProblem
+from test_wave_solver import _plane_wave_amplitude
 
 
 class TestPropagator:
@@ -207,9 +208,42 @@ class TestDistinctSpeeds:
         exact = math.exp(-2 * t) * math.sin(0.3) * math.sin(0.8)
         assert ev([0.3, 0.8], t) == pytest.approx(exact, abs=1e-11)
 
-    def test_mixed_speed_cluster_rejected(self):
+    def test_mixed_cluster_with_source(self):
         p = CauchyProblem(
-            "heat-product", 1, 3, (1.0, 1.0, 2.0), None, (None,) * 3
+            "heat-product", 1, 3, (1.0, 1.0, 2.0), parse("sin(x1)*cos(t)", 1),
+            (parse("sin(x1)", 1), None, parse("0.5*sin(x1)", 1)),
         )
-        with pytest.raises(InvalidOrder):
-            solve_heat_product(p)
+        ev = solve_heat_product(p)
+        mp = ModeProblem(
+            "heat", (1.0, 1.0, 2.0), (1.0,), (1.0, 0.0, 0.5),
+            source=parse("cos(t)", 0),
+        )
+        for t in (0.4, 1.1):
+            assert ev([0.7], t) == pytest.approx(
+                mode_solve(mp, t) * math.sin(0.7), abs=1e-10
+            )
+
+    def test_mixed_cluster_against_closed_form(self):
+        speeds = (0.5, 1.1, 1.1, 1.1)
+        p = CauchyProblem(
+            "heat-product", 1, 4, speeds, None,
+            (parse("sin(0.95*x1)", 1), None, None, None),
+        )
+        ev = solve_heat_product(p)
+        for t in (0.4, 1.1):
+            exact = _plane_wave_amplitude(speeds, 0.95, t, "heat") * math.sin(0.38)
+            assert ev([0.4], t) == pytest.approx(exact, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("delta", [1e-4, 1e-8, 1e-12])
+    def test_near_equal_speeds_limit(self, delta):
+        # speeds closing in on each other tend to the equal-speed answer
+        # at the rate of its speed derivative, without 1/delta weights
+        data = (parse("sin(x1)", 1), parse("0.5*sin(2*x1)", 1))
+
+        def value(speeds):
+            p = CauchyProblem(
+                "heat-product", 1, 2, speeds, parse("sin(x1)*cos(t)", 1), data
+            )
+            return solve_heat_product(p)([0.7], 1.0)
+
+        assert abs(value((1.0, 1.0 + delta)) - value((1.0, 1.0))) <= 2 * delta

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from waveforge.errors import DegenerateSpeeds, InvalidOrder, NonPositiveSpeed
 from waveforge.kernels import (
+    cluster_fractions,
     exp_divided_differences,
     first_order_weights,
     second_order_weights,
+    speed_clusters,
 )
 
 _distinct_speeds = st.lists(
@@ -227,3 +229,59 @@ class TestExpDividedDifferences:
         assert got.shape == roots.shape
         for i, t in enumerate(ts):
             assert got[:, i].tolist() == exp_divided_differences(roots[:, i], t).tolist()
+
+
+class TestClusterFractions:
+    """The confluent partial fractions reproduce the mode ODE in Newton form."""
+
+    @staticmethod
+    def _newton(speeds, lam, r, t):
+        # prod_j (D + a_j lam) T = 0 with T^(r)(0) = 1: the coefficients
+        # [prod_{i<k} (D - z_i) T](0) against e^{zt}[z_0..z_k]
+        z = -lam * np.asarray(speeds, dtype=float)
+        coeffs = [np.polynomial.polynomial.polyfromroots(z[:k])[r]
+                  if r <= k else 0.0 for k in range(len(z))]
+        return float(np.dot(coeffs, exp_divided_differences(z, t)))
+
+    @staticmethod
+    def _fractions(speeds, lam, r, t):
+        # pole (l, i) with s^-p: Lap^(i-1-r+p) under the impulse response of
+        # D^p (D - z_l)^i, which is e^{zt}[0 (p times), z_l (i times)]
+        centres, _, fractions = cluster_fractions(speeds)
+        p, alpha = fractions[r]
+        total = 0.0
+        for (l, i), coeff in np.ndenumerate(alpha):
+            if coeff != 0.0:
+                assert i - r + p >= 0
+                roots = np.array([0.0] * p + [-lam * centres[l]] * (i + 1))
+                total += coeff * (-lam) ** (i - r + p) \
+                    * exp_divided_differences(roots, t)[-1]
+        return total
+
+    @pytest.mark.parametrize("speeds", [
+        (1.0, 1.0), (1.0, 2.0), (1.0, 1.0, 2.0), (0.7, 0.7, 0.7),
+        (0.5, 1.1, 1.1, 1.1), (0.3, 0.9, 1.5),
+    ])
+    def test_against_newton_form(self, speeds):
+        for lam in (0.5, 2.0):
+            for t in (0.4, 1.1):
+                for r in range(len(speeds)):
+                    assert self._fractions(speeds, lam, r, t) == pytest.approx(
+                        self._newton(speeds, lam, r, t), rel=0, abs=1e-14)
+
+    def test_one_cluster_needs_no_integrals(self):
+        _, _, fractions = cluster_fractions((1.3,) * 4)
+        assert [p for p, _ in fractions] == [0] * 4
+        _, _, fractions = cluster_fractions((1.0, 1.0, 2.0))
+        assert [p for p, _ in fractions] == [0, 1, 2]
+
+    def test_near_equal_speeds_merge(self):
+        centres, sizes = speed_clusters((1.0 + 1e-7, 1.0))
+        assert sizes == [2] and centres[0] == pytest.approx(1.0 + 5e-8, abs=1e-15)
+        assert speed_clusters((1.0, 1.0 + 1e-4))[1] == [1, 1]
+        # a merged pair takes in a third value at a wider spread
+        assert speed_clusters((1.0, 1.0 + 1e-6, 1.0 + 1e-4))[1] == [3]
+        assert speed_clusters((1.0, 1.0 + 1e-4, 1.0 + 2e-4))[1] == [1, 1, 1]
+        # an exact repeat keeps its exact value
+        centres, sizes = speed_clusters((0.7, 0.7, 0.7, 2.0))
+        assert sizes == [3, 1] and centres[0] == 0.7

@@ -21,7 +21,7 @@ from waveforge.kernels import exp_divided_differences
 from waveforge.oracle import ModeProblem, mode_solve
 from waveforge.problems import CauchyProblem, SolutionEvaluator
 from waveforge.quadrature import QuadratureSpec
-from waveforge.wave_solver import solve_distinct_speeds, solve_multiple_wave, solve_wave
+from waveforge.wave_solver import solve_wave
 
 X3 = np.array([0.4, -0.2, 0.7])
 
@@ -49,7 +49,7 @@ class TestValidation:
     def test_even_dimension_rejected_at_solve(self):
         p = CauchyProblem("wave-multiple", 2, 1, (1.0,), None, (None, None))
         with pytest.raises(UnsupportedDimension):
-            solve_multiple_wave(p)
+            solve_wave(p)
 
     def test_data_dimension_must_match(self):
         with pytest.raises(DataCountMismatch):
@@ -186,7 +186,7 @@ class TestDistinctSpeeds:
             "wave-distinct", 3, 1, (1.3,), None,
             (None, parse("sin(x1)", 3)),
         )
-        ev = solve_distinct_speeds(p)
+        ev = solve_wave(p)
         exact = math.sin(X3[0]) * math.sin(1.3 * 0.7) / 1.3
         assert ev(X3, 0.7) == pytest.approx(exact, abs=1e-12)
 
@@ -206,12 +206,16 @@ class TestDistinctSpeeds:
         )
 
 
-def _plane_wave_amplitude(speeds, kk, t):
-    """T(t) of prod_j (D^2 + a_j^2 kk^2) T = 0 with T(0) = 1 and every
-    other initial derivative 0, in Newton form: the coefficients
-    prod_{i<j} (-r_i) against the divided differences e^{zt}[r_0..r_j]."""
-    w = 1j * kk * np.asarray(speeds)
-    roots = np.stack([w, -w], axis=1).reshape(-1)
+def _plane_wave_amplitude(speeds, kk, t, kind="wave"):
+    """T(t) of prod_j (D^2 + a_j^2 kk^2) T = 0, or for the heat of
+    prod_j (D + a_j kk^2) T = 0, with T(0) = 1 and every other initial
+    derivative 0, in Newton form: the coefficients prod_{i<j} (-r_i)
+    against the divided differences e^{zt}[r_0..r_j]."""
+    if kind == "heat":
+        roots = -kk**2 * np.asarray(speeds, dtype=complex)
+    else:
+        w = 1j * kk * np.asarray(speeds)
+        roots = np.stack([w, -w], axis=1).reshape(-1)
     newton = np.concatenate([[1.0], np.cumprod(-roots[:-1])])
     return float(np.real(newton @ exp_divided_differences(roots, t)))
 
@@ -250,6 +254,41 @@ class TestHighOrderAccuracy:
         got = ev.evaluate(points, [0.0])[:, 0]
         exact = np.sin(0.9 * points[:, 0] + 0.4 * points[:, 1]) + points[:, 2] ** 2
         assert np.allclose(got, exact, rtol=0, atol=1e-14)
+
+
+class TestNearEqualSpeeds:
+    """Speeds closing in on each other keep their accuracy: a cluster is
+    expanded about its centre, without 1/separation weights."""
+
+    @pytest.mark.parametrize("kind, delta", [
+        *[("wave", d) for d in (1e-2, 1e-4, 1e-6, 1e-8)],
+        *[("heat", d) for d in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12)],
+    ])
+    def test_position_data_against_closed_form(self, kind, delta):
+        speeds, t = (1.0, 1.0 + delta), 1.0
+        if kind == "heat":
+            data = (parse("sin(0.95*x1)", 1), None)
+            p = CauchyProblem("heat-product", 1, 2, speeds, None, data)
+            got = solve_heat_product(p)([0.4], t)
+        else:
+            data = (parse("sin(0.95*x1)", 3),) + (None,) * 3
+            p = CauchyProblem("wave-distinct", 3, 2, speeds, None, data)
+            got = solve_wave(p)(X3, t)
+        exact = _plane_wave_amplitude(speeds, 0.95, t, kind) * math.sin(0.95 * 0.4)
+        assert got == pytest.approx(exact, rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("delta", [1e-4, 1e-8])
+    def test_distinct_tends_to_multiple(self, delta):
+        data = (parse("sin(x1)", 3), parse("0.5*sin(2*x1)", 3), None,
+                parse("0.3*cos(x2)", 3))
+        source = parse("sin(x1)*cos(t)", 3)
+
+        def value(kind, speeds):
+            p = CauchyProblem(kind, 3, 2, speeds, source, data)
+            return solve_wave(p)(X3, 1.0)
+
+        near = value("wave-distinct", (1.0, 1.0 + delta))
+        assert abs(near - value("wave-multiple", (1.0, 1.0))) <= 2 * delta
 
 
 class TestEvaluatorInterface:
