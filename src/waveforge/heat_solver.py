@@ -20,7 +20,7 @@ import numpy as np
 from .errors import InvalidOrder, NegativeDiffusionTime, UnsupportedDimension
 from .expr import Expr, compile_field
 from .problems import CauchyProblem, SolutionEvaluator, cluster_evaluator
-from .quadrature import QuadratureSpec, centre_chunks, gauss_legendre
+from .quadrature import QuadratureSpec, centre_sums, gauss_legendre
 
 __all__ = [
     "HeatPropagatorSpec",
@@ -57,7 +57,6 @@ class HeatPropagator:
         n = field.ndim
         if n > 3:
             raise UnsupportedDimension(f"diffusion semigroup needs n <= 3, got {n}")
-        self.n = n
         self.spec = spec
         self._f = compile_field(field)
         half = 2.0 * spec.c_trunc
@@ -76,32 +75,17 @@ class HeatPropagator:
         """Semigroup at each diffusion time in ``lams`` (zeros allowed).
 
         ``x`` is one point (n,) or many (P, n); the result has shape
-        (len(lams),) or (P, len(lams)).  The stacked matmul reduces each
-        centre's (L, nodes) values by its own BLAS call, so a centre's
-        values do not depend on the other centres.
+        (len(lams),) or (P, len(lams)).  ``t_args``, aligned with ``lams``,
+        is the field's time argument.
         """
         x = np.asarray(x, dtype=float)
-        centres = np.atleast_2d(x)
         lams = np.asarray(lams, dtype=float)
         if np.any(lams < 0):
             raise NegativeDiffusionTime(
                 f"diffusion times must be >= 0, got min {lams.min()}"
             )
-        # the field's time argument for each diffusion time
-        t_args = np.broadcast_to(0.0 if t_args is None else t_args, lams.shape)
-        out = np.empty((len(centres), lams.size))
-        frozen = lams == 0.0
-        if np.any(frozen):
-            pts = np.broadcast_to(centres[:, None, :], out[:, frozen].shape + (self.n,))
-            out[:, frozen] = self._f(pts, t_args[frozen])
-        live = ~frozen
-        if np.any(live):
-            s = np.sqrt(lams[live])[:, None, None]
-            tl = t_args[live][:, None]
-            for sl in centre_chunks(len(centres), s.size * len(self._w)):
-                # unnamed, a chunk's arrays are freed before the next's exist
-                out[sl, live] = (
-                    self._f(centres[sl, None, None] + s * self._zeta, tl) @ self._w)
+        out = centre_sums(lambda pts, offs, t: self._f(pts, t), np.atleast_2d(x),
+                          np.sqrt(lams), self._zeta, self._w, t_args)
         return out[0] if x.ndim == 1 else out
 
 

@@ -1,9 +1,10 @@
 """Gauss rules, hypersphere surface means, and the sinh-kernel realization.
 
-The sinh kernel is the workhorse of every wave-type solver here: in odd
-dimension n = 2*nu + 3 it reduces to spherical means of the field over a
-sphere of radius a*t, composed with nu iterated radial integrals and a short
-polynomial residual.  All rules are immutable value objects and all
+The sinh kernel is the workhorse of every wave-type solver here: in
+Darboux's form it is one spherical mean of the field and its radial
+derivatives per time, over the sphere of radius a*t.  Sphere means and the
+heat propagator's Gaussian sums share one bounded reduction,
+:func:`centre_sums`.  All rules are immutable value objects and all
 operations are pure.
 """
 
@@ -64,7 +65,11 @@ class SphereRule:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Node counts for the solver pipelines."""
+    """Node counts for the solver pipelines.
+
+    ``n_radial`` is accepted and validated but unused: the sinh kernel
+    needs no radial rule.
+    """
 
     n_time: int = 32
     n_radial: int = 32
@@ -169,52 +174,78 @@ def sphere_rule(n: int, degree: int) -> SphereRule:
     return rule
 
 
-# Most field points one batched reduction builds at once, in chunks of
-# whole centres; a chunk holds at least one centre, so no array outgrows
-# the single-centre ones.  Larger chunks were no faster, and freeing their
-# larger arrays raises malloc's mmap threshold, so more freed memory stays
-# resident: 1 << 20 added 25 MiB to the whole-space configs' peak RSS.
+# Most field points one reduction builds at once: chunks of whole centres
+# while one centre's rows fit, else rows of a single centre, so no array
+# outgrows BATCH_POINTS unless one row of nodes does.  Larger chunks were
+# no faster, and freeing their larger arrays raises malloc's mmap
+# threshold, so more freed memory stays resident: 1 << 20 added 25 MiB to
+# the whole-space configs' peak RSS.
 BATCH_POINTS = 1 << 16
 
 
-def centre_chunks(count: int, per_centre: int) -> list[slice]:
-    """Contiguous slices of ``count`` centres, each within BATCH_POINTS."""
-    step = max(1, BATCH_POINTS // max(per_centre, 1))
-    return [slice(i, i + step) for i in range(0, count, step)]
-
-
 def row_dot(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """weights . values[p] for each row of a (P, S) array, by the dot product
-    a lone row gets: a (P, S) @ (S,) product switches BLAS routine with P,
-    which would make a row's rounding depend on the batch."""
-    return (values[:, None, :] @ weights[:, None])[:, 0, 0]
+    """weights . values[..., :] for every row of a (..., S) array, shape
+    (...), by the dot product a lone row gets: a (P, S) @ (S,) product
+    switches BLAS routine with P, which would make a row's rounding depend
+    on the batch."""
+    return (values[..., None, :] @ weights[:, None])[..., 0, 0]
+
+
+def centre_sums(g, centres: np.ndarray, steps, nodes: np.ndarray,
+                weights: np.ndarray, t_args=None) -> np.ndarray:
+    """sum_d weights[d] g(x + s_j u_d) for every centre x (P, n) and step
+    s_j (J,), shape (P, J), with u_d the rows of ``nodes`` (D, n).
+
+    ``g(points, offsets, t)`` maps points (C, J', D', n), their offsets
+    s_j u_d (J', D', n) and the time arguments (J', 1) from ``t_args`` to
+    values (C, J', D').  A zero step is g at the centre itself, exactly.
+    Each (centre, step) is reduced by its own dot product, so its value
+    does not depend on how the work is chunked.
+    """
+    steps = np.asarray(steps, dtype=float)
+    t_args = np.broadcast_to(0.0 if t_args is None else t_args, steps.shape)[:, None]
+    out = np.empty((len(centres), steps.size))
+    zero = steps == 0.0
+    # a zero step takes one node of weight 1: the centre
+    for idx, u, w in ((np.flatnonzero(zero), np.zeros_like(nodes[:1]), np.ones(1)),
+                      (np.flatnonzero(~zero), nodes, weights)):
+        rows = max(1, min(idx.size, BATCH_POINTS // len(w)))
+        step = max(1, BATCH_POINTS // (rows * len(w)))
+        for i in range(0, len(centres), step):
+            for j in range(0, idx.size, rows):
+                r = idx[j:j + rows]
+                offs = steps[r, None, None] * u
+                # unnamed, a chunk's points are freed before the next's exist
+                out[i:i + step, r] = row_dot(
+                    g(centres[i:i + step, None, None] + offs, offs, t_args[r]), w)
+    return out
 
 
 def sphere_means(field, centres: np.ndarray, radii, rule: SphereRule,
-                 t_args=None, grad=()) -> np.ndarray:
+                 t_args=None, grad=(), lap=None, k: float = 1.0) -> np.ndarray:
     """Means of ``field`` over the sphere of every radius (R,) around every
     centre (P, n), shape (P, R).
 
     ``field`` may be an :class:`Expr` or a compiled field ``f(X, t)``;
     ``t_args`` optionally gives its time argument per radius.  Given the
     compiled components of the field's gradient, ``grad``, the means are
-    of f + r w.grad(f) instead: the radial derivative of r M_f(r).  The
-    stacked matmul reduces each centre's (R, D) values by its own BLAS
-    call, so a centre's means do not depend on the other centres.
+    of f + k r w.grad(f) instead, and with its compiled Laplacian ``lap``
+    too, of f + k (r w.grad(f) + r^2 Lap f).
     """
     f = compile_field(field) if isinstance(field, Expr) else field
-    # r w for every radius and direction, shape (R, D, n)
-    offsets = np.asarray(radii, dtype=float)[:, None, None] * rule.directions
-    t_args = 0.0 if t_args is None else np.asarray(t_args, dtype=float)[:, None]
-    out = np.empty((len(centres), offsets.shape[0]))
-    for sl in centre_chunks(len(centres), offsets.shape[0] * len(rule.weights)):
-        pts = centres[sl, None, None] + offsets
-        vals = f(pts, t_args)
-        for i, g in enumerate(grad):
-            vals += offsets[..., i] * g(pts, t_args)
-        out[sl] = vals @ rule.weights
-        del pts, vals  # freed before the next chunk's arrays exist
-    return out
+
+    def integrand(pts, offs, t):
+        vals = f(pts, t)
+        if grad:
+            slope = k * offs  # k r w
+            for i, g in enumerate(grad):
+                vals += slope[..., i] * g(pts, t)
+            if lap is not None:
+                vals += (slope * offs).sum(axis=-1) * lap(pts, t)
+        return vals
+
+    return centre_sums(integrand, centres, radii, rule.directions, rule.weights,
+                       t_args)
 
 
 def spherical_mean(field, center: Sequence[float], radius: float,
@@ -253,9 +284,17 @@ class SinhKernel:
     field, and, when built with ``cosh``, of its time derivative
     C_a(t) = cosh(a t Lap^(1/2)).
 
-    Precompiles the field (for n = 5 its Laplacian, and for the cosh
-    kernel in n = 3 its gradient) so applications at many points and
-    times are vectorized numpy reductions.
+    Both take Darboux's form (Evans, *Partial Differential Equations*,
+    2.4.1), S_a(t) = (t^-1 d/dt)^((n-3)/2) (t^(n-2) M(t)) / (n-2)!! in the
+    sphere mean M of radius r = a t, which needs one mean per time:
+
+    * n = 3: S_a = t M[f] and C_a = M[f + r w.grad f];
+    * n = 5: S_a = t M[f + (r/3) w.grad f] and
+      C_a = M[f + (r/3) w.grad f + (r^2/3) Lap f], by Darboux's equation
+      M'' + (4/r) M' = M[Lap f].
+
+    The field and the derivatives these need are compiled once, so
+    applications at many points and times are vectorized numpy reductions.
     """
 
     def __init__(self, field: Expr, a: float, spec: QuadratureSpec | None = None,
@@ -267,17 +306,16 @@ class SinhKernel:
                 f"sinh kernel implemented for n in {{3, 5}}, not {n}"
             )
         self.n = n
-        self.nu = (n - 3) // 2
         self.a = float(a)
         self.spec = spec
         self.rule = sphere_rule(n, spec.sphere_degree)
+        self._cosh = cosh
         self._f = compile_field(field)
-        self._lap = compile_field(laplacian(field)) if self.nu >= 1 else None
-        self._radial = leggauss(spec.n_radial) if self.nu >= 1 else None
-        self._grad = None
-        if cosh and self.nu == 0:
+        self._grad = ()
+        if cosh or n == 5:
             self._grad = tuple(compile_field(differentiate(field, f"x{i + 1}"))
                                for i in range(n))
+        self._lap = compile_field(laplacian(field)) if cosh and n == 5 else None
 
     def apply(self, x: Sequence[float], t: float) -> float:
         return float(self.apply_many(x, np.asarray([t]))[0])
@@ -291,57 +329,13 @@ class SinhKernel:
         aligned with ``ts`` holding the parameter passed to the field as
         its explicit time argument.  ``cosh`` applies C_a in place of S_a.
         """
-        if cosh and self.nu == 0 and self._grad is None:
+        if cosh and not self._cosh:
             raise InvalidOrder("this kernel was built without its cosh part")
         x = np.asarray(x, dtype=float)
-        centres = np.atleast_2d(x)
         ts = np.asarray(ts, dtype=float)
-        t_args = None if t_args is None else np.asarray(t_args, dtype=float)
-        out = np.zeros((centres.shape[0], ts.size))
-        live = ts != 0.0
-        if cosh and not np.all(live):
-            # C_a(0) is the identity
-            frozen = ~live
-            pts = np.broadcast_to(centres[:, None, :], out[:, frozen].shape + (self.n,))
-            out[:, frozen] = self._f(pts, 0.0 if t_args is None else t_args[frozen])
-        if np.any(live):
-            plive = None if t_args is None else t_args[live]
-            out[:, live] = self._apply_live(centres, ts[live], plive, cosh)
+        grad = self._grad if cosh or self.n == 5 else ()
+        means = sphere_means(self._f, np.atleast_2d(x), self.a * ts, self.rule,
+                             t_args, grad, self._lap if cosh else None,
+                             1.0 / (self.n - 2))
+        out = means if cosh else ts * means
         return out[0] if x.ndim == 1 else out
-
-    def _apply_live(self, centres, tlive, plive, cosh):
-        """The kernel at nonzero times ``tlive``, shape (P, len(tlive))."""
-        if self.nu == 0:
-            # S_a(t) = t M_f(a t); its t-derivative C_a(t) is the mean of
-            # f + r w.grad(f)
-            means = sphere_means(self._f, centres, self.a * tlive, self.rule,
-                                 plive, self._grad if cosh else ())
-            return means if cosh else tlive * means
-        # n = 5: S_a(t) = t R(t) + t f(x), with R the radial fold over the
-        # Laplacian's spherical mean; C_a(t) = R(t) + t R'(t) + f(x).
-        nodes, weights = self._radial
-        # radial nodes for every t at once: tau[i, j] in (0, t_i)
-        tau = 0.5 * tlive[:, None] * (nodes[None, :] + 1.0)
-        w = 0.5 * tlive[:, None] * weights[None, :]
-        if cosh:  # R'(t) needs the mean at the end point tau = t too
-            tau = np.concatenate([tau, tlive[:, None]], axis=1)
-        inner_t = None if plive is None else np.repeat(plive, tau.shape[1])
-        # the surface normalizer 2(2pi)^(nu+1)(a t)^(n-1) exceeds the true
-        # sphere area by (n-2)!!, so rescale the plain mean accordingly
-        means = sphere_means(
-            self._lap, centres, (self.a * tau).reshape(-1), self.rule, inner_t
-        )
-        means = means.reshape((-1,) + tau.shape) / double_factorial(self.n - 2)
-        count = len(nodes)
-        radial = np.sum(
-            w * (self.a**2) * means[..., :count] * tau[:, :count], axis=-1)
-        if plive is None:
-            f_at_x = self._f(centres)[:, None]
-        else:
-            f_at_x = self._f(
-                np.broadcast_to(centres[:, None, :], radial.shape + (self.n,)),
-                plive,
-            )
-        if cosh:
-            return radial + (self.a * tlive) ** 2 * means[..., count] + f_at_x
-        return tlive * radial + tlive * f_at_x

@@ -24,6 +24,7 @@ from .opcalc import (
 )
 from .oracle import ModeProblem, heat_closed_form, mode_solve, residual_check
 from .problems import CauchyProblem
+from .quadrature import QuadratureSpec
 from .wave_solver import solve_wave
 
 __all__ = ["CheckResult", "run_suite", "SUITES"]
@@ -51,29 +52,29 @@ class CheckResult:
 def _suite_modes() -> list[CheckResult]:
     out = []
     rng = np.random.default_rng(20240811)
-    x = np.array([0.4, -0.2, 0.7])
+    x = np.array([0.4, -0.2, 0.7, 0.1, 0.3])
     # wave-distinct-near: speeds 1e-6 apart, merged into one cluster
-    for name, kind, m, gap in (
-            ("wave-multiple-m1", "wave-multiple", 1, 0.0),
-            ("wave-multiple-m2", "wave-multiple", 2, 0.0),
-            ("wave-multiple-m3", "wave-multiple", 3, 0.0),
-            ("wave-distinct-m2", "wave-distinct", 2, 0.5),
-            ("wave-distinct-near", "wave-distinct", 2, 1e-6)):
-        k = tuple(float(v) for v in rng.uniform(0.5, 1.5, size=3))
+    for name, kind, n, m, gap in (
+            ("wave-multiple-m1", "wave-multiple", 3, 1, 0.0),
+            ("wave-multiple-m2", "wave-multiple", 3, 2, 0.0),
+            ("wave-multiple-m3", "wave-multiple", 3, 3, 0.0),
+            ("wave-distinct-m2", "wave-distinct", 3, 2, 0.5),
+            ("wave-distinct-near", "wave-distinct", 3, 2, 1e-6),
+            ("wave5-multiple-m2", "wave-multiple", 5, 2, 0.0)):
+        k = tuple(float(v) for v in rng.uniform(0.5, 1.5, size=n))
         a = float(rng.uniform(0.8, 1.6))
         speeds = (a,) * m if kind == "wave-multiple" else (a, a + gap)
         data_vals = tuple(float(v) for v in rng.uniform(-1, 1, size=2 * m))
-        kx = float(np.dot(k, x))
-        data = tuple(
-            parse(f"{v!r}*sin({k[0]!r}*x1+{k[1]!r}*x2+{k[2]!r}*x3)", 3)
-            for v in data_vals
-        )
-        p = CauchyProblem(kind, 3, m, speeds, None, data)
-        ev = solve_wave(p)
-        mp = ModeProblem("wave", speeds, tuple(k), data_vals)
+        kx = float(np.dot(k, x[:n]))
+        phase = "+".join(f"{v!r}*x{i + 1}" for i, v in enumerate(k))
+        data = tuple(parse(f"{v!r}*sin({phase})", n) for v in data_vals)
+        p = CauchyProblem(kind, n, m, speeds, None, data)
+        # the n=5 default rule takes 131,072 directions per mean
+        ev = solve_wave(p, QuadratureSpec(sphere_degree=8) if n == 5 else None)
+        mp = ModeProblem("wave", speeds, k, data_vals)
         worst = 0.0
         for t in (0.5, 1.2):
-            got = ev(x, t)
+            got = ev(x[:n], t)
             ref = mode_solve(mp, t) * math.sin(kx)
             worst = max(worst, abs(got - ref) / max(1.0, abs(ref)))
         out.append(CheckResult("modes", name, worst, 1e-6))

@@ -306,6 +306,7 @@ class TestVerifyCommand:
         assert "PASS modes/wave-multiple-m3:" in out
         assert "PASS modes/wave-distinct-m2:" in out
         assert "PASS modes/wave-distinct-near:" in out
+        assert "PASS modes/wave5-multiple-m2:" in out
 
     def test_heat_suite_covers_mixed_cluster(self, capsys):
         assert main(["verify", "heat"]) == 0

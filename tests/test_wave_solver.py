@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from waveforge import quadrature
+from waveforge import heat_solver, quadrature
 from waveforge.errors import (
     DataCountMismatch,
     DegenerateSpeeds,
@@ -110,6 +110,16 @@ class TestSingleFactor:
         assert ev(x, 0.8) == pytest.approx(
             math.sin(0.4) * math.cos(0.8), abs=1e-9
         )
+
+    def test_n5_ignores_n_radial(self):
+        p = CauchyProblem("wave-multiple", 5, 1, (0.9,), None,
+                          (parse("sin(x1 + 0.5*x4)*cos(x5)", 5),
+                           parse("cos(x2 - x3)", 5)))
+        points = np.random.default_rng(5).uniform(-1, 1, size=(3, 5))
+        times = np.array([0.0, 0.6, -1.1])
+        got = [solve_wave(p, QuadratureSpec(n_time=8, n_radial=r, sphere_degree=4))
+               .evaluate(points, times) for r in (4, 32)]
+        assert np.array_equal(got[0], got[1])
 
 
 class TestMultipleFactor:
@@ -401,6 +411,42 @@ class TestBatchIndependence:
         single = np.array([[ev(p, t) for t in times] for p in points])
         assert np.array_equal(ev.evaluate(points, times), single)
         # a budget that splits the small rules' work into chunks of one to
-        # three centres, and n=5's into single centres above the budget
+        # three centres, and n=5's into rows of a single centre
         monkeypatch.setattr(quadrature, "BATCH_POINTS", 1000)
         assert np.array_equal(ev.evaluate(points, times), single)
+        # one that splits every family's rows
+        monkeypatch.setattr(quadrature, "BATCH_POINTS", 64)
+        assert np.array_equal(ev.evaluate(points, times), single)
+
+
+class TestMemoryBound:
+    """No field evaluation builds more than BATCH_POINTS points, unless one
+    row of nodes is larger."""
+
+    # one row: the degree-4 sphere rule's directions, or 16^n heat nodes
+    @pytest.mark.parametrize("family, row", [
+        ("wave-n5", 4**3 * 8), ("wave-m2-source", 4 * 8),
+        ("heat-equal", 16**2), ("heat-distinct", 16**2)])
+    def test_field_calls_within_budget(self, family, row, monkeypatch):
+        sizes = []
+
+        def recording(compile_field):
+            def compile_recorded(e):
+                field = compile_field(e)
+
+                def recorded(X, t=0.0):
+                    sizes.append(int(np.prod(np.shape(X)[:-1])))
+                    return field(X, t)
+
+                return recorded
+
+            return compile_recorded
+
+        for module in (quadrature, heat_solver):
+            monkeypatch.setattr(module, "compile_field",
+                                recording(module.compile_field))
+        monkeypatch.setattr(quadrature, "BATCH_POINTS", 1000)
+        ev = _evaluator(family)
+        points = np.random.default_rng(7).uniform(0.05, 0.95, size=(5, ev.problem.n))
+        ev.evaluate(points, np.array([0.0, 0.35, 0.8]))
+        assert sizes and max(sizes) <= max(1000, row)
