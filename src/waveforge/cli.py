@@ -13,7 +13,6 @@ error, 3 evaluation failure.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -40,18 +39,6 @@ def _format(v: float) -> str:
     return f"{v:.16e}"
 
 
-def _thread_count(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("WAVEFORGE_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"WAVEFORGE_THREADS must be an integer, got '{env}'")
-    return 1
-
-
 def build_evaluator(cfg: ProblemConfig):
     """Construct the solver the config asks for."""
     if cfg.box is not None:
@@ -74,12 +61,7 @@ def _cmd_solve(args) -> int:
     if args.dump_config:
         sys.stdout.write(dump_config(cfg))
         return EXIT_OK
-    try:
-        threads = _thread_count(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
+    threads = max(1, args.threads)
     try:
         ev = build_evaluator(cfg)
         mesh = np.meshgrid(*[ax.points() for ax in cfg.axes], indexing="ij")
@@ -176,8 +158,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Closed-form wave and heat equation evaluation",
     )
     parser.add_argument(
-        "--threads", type=int, default=None,
-        help="grid evaluation threads (default: WAVEFORGE_THREADS or 1)",
+        "--threads", type=int, default=1,
+        help="grid evaluation threads (default: 1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -1,10 +1,16 @@
 """Scalar expression engine over space-time variables.
 
-Expressions are parsed from infix text into an immutable AST over the
-variables ``x1..xn`` and ``t``.  They evaluate at real points (IEEE double,
-with domain violations reported as :class:`DomainError` rather than silent
-NaN), at complex points (principal branches throughout, which is what the
-complex-shift operators need), and differentiate exactly by symbolic rules.
+Expressions are parsed from infix text into an immutable DAG over the
+variables ``x1..xn`` and ``t``.  Nodes are hash-consed, so equal
+subexpressions are one object, and a node's exact symbolic derivatives and
+simplified form are computed once and kept on it: Laplacian powers grow
+with their distinct subexpressions, not as trees.
+
+There is one evaluator: one code generator turns a DAG into a numpy
+function that computes each distinct node once.  It serves vectorized
+fields (:func:`compile_field`) and single real or complex points
+(:func:`eval_real`, :func:`eval_complex`) alike, and a non-finite value,
+a domain violation among them, raises :class:`DomainError`.
 
 Grammar (EBNF)::
 
@@ -19,17 +25,18 @@ Grammar (EBNF)::
 There is no implicit multiplication.  Whitespace is insignificant.  Error
 messages carry byte offsets into the source text.
 
-Branch conventions in complex mode: ``log``, ``sqrt``, ``atan`` and
-non-integer powers use the principal branch (cut along the negative real
-axis for log/sqrt/pow, along ``(-i inf, -i] and [i, i inf)`` for atan).
-In real mode a negative base with a non-integer exponent is a
-:class:`DomainError`.
+Complex points use numpy's principal branches, which are C99's: ``log``,
+``sqrt`` and non-integer powers are cut along the negative real axis, and
+``atan`` along ``(-i inf, -i] and [i, i inf)``, each continuous from the
+side that the sign of the zero on the cut selects.  At real points a
+negative base with a non-integer exponent is a :class:`DomainError`.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
+import operator
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -49,92 +56,87 @@ __all__ = [
     "compile_field",
 ]
 
-FUNCTIONS = (
-    "sin",
-    "cos",
-    "tan",
-    "exp",
-    "log",
-    "sqrt",
-    "sinh",
-    "cosh",
-    "atan",
-    "abs",
-)
+# each function's numpy name: the generated code and constant folding both
+# call it, so a folded constant is the value the compiled field computes
+_NUMPY_FN = dict(sin="sin", cos="cos", tan="tan", exp="exp", log="log",
+                 sqrt="sqrt", sinh="sinh", cosh="cosh", atan="arctan", abs="abs")
+FUNCTIONS = tuple(_NUMPY_FN)
 
-_REAL_FN = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "exp": math.exp,
-    "log": math.log,
-    "sqrt": math.sqrt,
-    "sinh": math.sinh,
-    "cosh": math.cosh,
-    "atan": math.atan,
-    "abs": abs,
-}
-
-_COMPLEX_FN = {
-    "sin": cmath.sin,
-    "cos": cmath.cos,
-    "tan": cmath.tan,
-    "exp": cmath.exp,
-    "log": cmath.log,
-    "sqrt": cmath.sqrt,
-    "sinh": cmath.sinh,
-    "cosh": cmath.cosh,
-    "atan": cmath.atan,
-    "abs": abs,
-}
-
-_NUMPY_FN = {
-    "sin": "np.sin",
-    "cos": "np.cos",
-    "tan": "np.tan",
-    "exp": "np.exp",
-    "log": "np.log",
-    "sqrt": "np.sqrt",
-    "sinh": "np.sinh",
-    "cosh": "np.cosh",
-    "atan": "np.arctan",
-    "abs": "np.abs",
-}
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+          "/": operator.truediv, "^": operator.pow}
 
 
 # ---------------------------------------------------------------------------
-# AST
+# DAG
+
+_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-@dataclass(frozen=True)
-class Num:
+class _Interned:
+    """Equal fields give the one node object, so identity is equality.
+
+    Numbers are keyed by their ``repr``, which keeps -0.0 apart from 0.0.
+    A node lives while anything refers to it; the caches of :func:`_memo`
+    live in its ``__dict__`` and die with it.
+    """
+
+    def __new__(cls, *fields):
+        key = (cls,) + tuple(repr(f) if isinstance(f, float) else f for f in fields)
+        node = _INTERNED.get(key)
+        if node is None:
+            node = _INTERNED[key] = super().__new__(cls)
+        return node
+
+
+@dataclass(frozen=True, eq=False)
+class Num(_Interned):
     value: float
 
 
-@dataclass(frozen=True)
-class Var:
+@dataclass(frozen=True, eq=False)
+class Var(_Interned):
     name: str  # "t" or "x<k>"
 
 
-@dataclass(frozen=True)
-class Neg:
+@dataclass(frozen=True, eq=False)
+class Neg(_Interned):
     arg: "Node"
 
 
-@dataclass(frozen=True)
-class Bin:
+@dataclass(frozen=True, eq=False)
+class Bin(_Interned):
     op: str  # one of + - * / ^
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True)
-class Call:
+@dataclass(frozen=True, eq=False)
+class Call(_Interned):
     fn: str
     arg: "Node"
 
 
 Node = Union[Num, Var, Neg, Bin, Call]
+
+
+def _memo(rule):
+    """Compute ``rule(node, *args)`` once per node and arguments, kept on the node."""
+
+    def cached(node, *args):
+        cache = node.__dict__.setdefault(rule.__name__, {})
+        if args not in cache:
+            cache[args] = rule(node, *args)
+        return cache[args]
+
+    return cached
+
+
+def _children(node: Node) -> tuple:
+    if isinstance(node, Bin):
+        return (node.left, node.right)
+    if isinstance(node, (Neg, Call)):
+        return (node.arg,)
+    return ()
 
 
 @dataclass(frozen=True)
@@ -282,7 +284,7 @@ class _Parser:
                 raise DimensionError(
                     f"variable '{name}' out of range for dimension {self.ndim}"
                 )
-            return Var(name)
+            return Var(f"x{index}")  # x01 is x1
         raise UnknownSymbol(start, f"unknown identifier '{name}'")
 
 
@@ -332,88 +334,26 @@ def to_string(e: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
-
-
-def _bindings(ndim: int, coords: Sequence, t=None) -> dict:
-    coords = list(coords)
-    if len(coords) != ndim:
-        raise DimensionError(f"expected {ndim} coordinates, got {len(coords)}")
-    env = {f"x{i + 1}": coords[i] for i in range(ndim)}
-    if t is not None:
-        env["t"] = t
-    return env
-
-
-def _eval(node: Node, env: dict, fns: dict, complex_mode: bool):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        try:
-            return env[node.name]
-        except KeyError:
-            raise DomainError(f"unbound variable '{node.name}'") from None
-    if isinstance(node, Neg):
-        return -_eval(node.arg, env, fns, complex_mode)
-    if isinstance(node, Call):
-        arg = _eval(node.arg, env, fns, complex_mode)
-        if not complex_mode:
-            if node.fn == "log" and arg <= 0:
-                raise DomainError(f"log of non-positive value {arg}")
-            if node.fn == "sqrt" and arg < 0:
-                raise DomainError(f"sqrt of negative value {arg}")
-        else:
-            if node.fn == "log" and arg == 0:
-                raise DomainError("log branch point at 0")
-        try:
-            return fns[node.fn](arg)
-        except (ValueError, OverflowError) as exc:
-            raise DomainError(f"{node.fn}: {exc}") from None
-    left = _eval(node.left, env, fns, complex_mode)
-    right = _eval(node.right, env, fns, complex_mode)
-    op = node.op
-    try:
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            if right == 0:
-                raise DomainError("division by zero")
-            return left / right
-        # power
-        if not complex_mode and left < 0 and right != int(right):
-            raise DomainError(
-                f"negative base {left} with non-integer exponent {right}"
-            )
-        if left == 0 and (right.real if complex_mode else right) < 0:
-            raise DomainError("zero base with negative exponent")
-        return left ** right
-    except OverflowError as exc:
-        raise DomainError(f"overflow in '{op}': {exc}") from None
-
-
-def eval_real(e: Expr, coords: Sequence[float], t: float | None = None) -> float:
-    """Evaluate at a real point; domain violations raise DomainError."""
-    env = _bindings(e.ndim, coords, t)
-    value = _eval(e.root, env, _REAL_FN, complex_mode=False)
-    if isinstance(value, float) and math.isnan(value):
-        raise DomainError("evaluation produced NaN")
-    return float(value)
-
-
-def eval_complex(e: Expr, coords: Sequence[complex], t=None) -> complex:
-    """Evaluate at a complex point using principal branches."""
-    env = {k: complex(v) for k, v in _bindings(e.ndim, coords, t).items()}
-    return complex(_eval(e.root, env, _COMPLEX_FN, complex_mode=True))
-
-
-# ---------------------------------------------------------------------------
 # Differentiation
 
 
+# d fn(u) / du
+_OUTER = {
+    "sin": lambda u: Call("cos", u),
+    "cos": lambda u: Neg(Call("sin", u)),
+    "tan": lambda u: Bin("/", Num(1.0), Bin("^", Call("cos", u), Num(2.0))),
+    "exp": lambda u: Call("exp", u),
+    "log": lambda u: Bin("/", Num(1.0), u),
+    "sqrt": lambda u: Bin("/", Num(1.0), Bin("*", Num(2.0), Call("sqrt", u))),
+    "sinh": lambda u: Call("cosh", u),
+    "cosh": lambda u: Call("sinh", u),
+    "atan": lambda u: Bin("/", Num(1.0), Bin("+", Num(1.0), Bin("^", u, Num(2.0)))),
+    # kink at 0 surfaces as DomainError on evaluation
+    "abs": lambda u: Bin("/", u, Call("abs", u)),
+}
+
+
+@_memo
 def _d(node: Node, var: str) -> Node:
     if isinstance(node, Num):
         return Num(0.0)
@@ -422,33 +362,7 @@ def _d(node: Node, var: str) -> Node:
     if isinstance(node, Neg):
         return Neg(_d(node.arg, var))
     if isinstance(node, Call):
-        inner = _d(node.arg, var)
-        u = node.arg
-        fn = node.fn
-        if fn == "sin":
-            outer = Call("cos", u)
-        elif fn == "cos":
-            outer = Neg(Call("sin", u))
-        elif fn == "tan":
-            outer = Bin("/", Num(1.0), Bin("^", Call("cos", u), Num(2.0)))
-        elif fn == "exp":
-            outer = Call("exp", u)
-        elif fn == "log":
-            outer = Bin("/", Num(1.0), u)
-        elif fn == "sqrt":
-            outer = Bin("/", Num(1.0), Bin("*", Num(2.0), Call("sqrt", u)))
-        elif fn == "sinh":
-            outer = Call("cosh", u)
-        elif fn == "cosh":
-            outer = Call("sinh", u)
-        elif fn == "atan":
-            outer = Bin("/", Num(1.0), Bin("+", Num(1.0), Bin("^", u, Num(2.0))))
-        elif fn == "abs":
-            # kink at 0 surfaces as DomainError on evaluation
-            outer = Bin("/", u, Call("abs", u))
-        else:  # pragma: no cover - parser rejects unknown functions
-            raise UnknownSymbol(0, fn)
-        return Bin("*", outer, inner)
+        return Bin("*", _OUTER[node.fn](node.arg), _d(node.arg, var))
     op = node.op
     a, b = node.left, node.right
     if op == "+":
@@ -463,8 +377,7 @@ def _d(node: Node, var: str) -> Node:
     # power: constant exponent gets the monomial rule, the general case
     # goes through exp/log
     if isinstance(b, Num):
-        power = Bin("*", Bin("*", b, Bin("^", a, Num(b.value - 1.0))), _d(a, var))
-        return power
+        return Bin("*", Bin("*", b, Bin("^", a, Num(b.value - 1.0))), _d(a, var))
     rewritten = Call("exp", Bin("*", b, Call("log", a)))
     return _d(rewritten, var)
 
@@ -473,6 +386,7 @@ def _is_num(node: Node, value=None) -> bool:
     return isinstance(node, Num) and (value is None or node.value == value)
 
 
+@_memo
 def _simplify(node: Node) -> Node:
     if isinstance(node, (Num, Var)):
         return node
@@ -486,28 +400,22 @@ def _simplify(node: Node) -> Node:
     if isinstance(node, Call):
         arg = _simplify(node.arg)
         if isinstance(arg, Num):
-            try:
-                return Num(float(_REAL_FN[node.fn](arg.value)))
-            except (ValueError, OverflowError):
-                pass
+            with np.errstate(all="ignore"):
+                value = float(getattr(np, _NUMPY_FN[node.fn])(arg.value))
+            if math.isfinite(value):
+                return Num(value)
         return Call(node.fn, arg)
     a = _simplify(node.left)
     b = _simplify(node.right)
     op = node.op
     if isinstance(a, Num) and isinstance(b, Num):
         try:
-            if op == "+":
-                return Num(a.value + b.value)
-            if op == "-":
-                return Num(a.value - b.value)
-            if op == "*":
-                return Num(a.value * b.value)
-            if op == "/" and b.value != 0:
-                return Num(a.value / b.value)
-            if op == "^" and not (a.value < 0 and b.value != int(b.value)):
-                return Num(a.value ** b.value)
-        except (OverflowError, ZeroDivisionError):
-            pass
+            value = _ARITH[op](a.value, b.value)
+        except ArithmeticError:  # division by zero, overflow
+            value = math.nan
+        # a negative base to a non-integer power gives a complex value
+        if isinstance(value, float) and math.isfinite(value):
+            return Num(value)
     if op == "+":
         if _is_num(a, 0.0):
             return b
@@ -545,6 +453,7 @@ def differentiate(e: Expr, var: str) -> Expr:
             raise DimensionError(f"unknown variable '{var}'")
         if not 1 <= int(var[1:]) <= e.ndim:
             raise DimensionError(f"variable '{var}' out of range")
+        var = f"x{int(var[1:])}"  # x01 is x1
     return Expr(_simplify(_d(e.root, var)), e.ndim)
 
 
@@ -566,25 +475,113 @@ def laplacian_power(e: Expr, p: int) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized compilation (the hot path for quadrature pipelines)
+# Code generation and evaluation
 
 
-def _codegen(node: Node) -> str:
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        if node.name == "t":
-            return "t"
-        return f"X[..., {int(node.name[1:]) - 1}]"
-    if isinstance(node, Neg):
-        return f"(-{_codegen(node.arg)})"
-    if isinstance(node, Call):
-        return f"{_NUMPY_FN[node.fn]}({_codegen(node.arg)})"
-    a = _codegen(node.left)
-    b = _codegen(node.right)
-    if node.op == "^":
-        return f"({a})**({b})"
-    return f"({a}{node.op}{b})"
+def _source(root: Node, literal: Callable[[float], str]) -> tuple[str, bool]:
+    """Source of ``f(X, t)`` computing the DAG at ``root``, and whether it
+    reads ``t``.
+
+    Distinct nodes are emitted once, in post-order.  A node with several
+    parents is assigned to a temporary, deleted after the last statement
+    that reads it; every other node is inlined into its parent, so a DAG
+    without shared nodes gives a single expression.
+    """
+    uses: dict = {}
+    order = []
+
+    def visit(node):
+        for child in _children(node):
+            uses[child] = uses.get(child, 0) + 1
+            if uses[child] == 1:
+                visit(child)
+        order.append(node)
+
+    visit(root)
+    text, temps = {}, {}  # per node: its code, and the temporaries it reads
+    body = []  # (temporary, code, temporaries read)
+    for node in order:
+        args = []
+        read = set()
+        for child in _children(node):
+            shared = uses[child] > 1
+            args.append(text[child] if shared else text.pop(child))
+            read |= temps[child] if shared else temps.pop(child)
+        if isinstance(node, Num):
+            code = literal(node.value)
+        elif isinstance(node, Var):
+            code = "t" if node.name == "t" else f"X[..., {int(node.name[1:]) - 1}]"
+        elif isinstance(node, Neg):
+            code = f"(-{args[0]})"
+        elif isinstance(node, Call):
+            code = f"np.{_NUMPY_FN[node.fn]}({args[0]})"
+        elif node.op == "^":
+            code = f"({args[0]})**({args[1]})"
+        else:
+            code = f"({args[0]}{node.op}{args[1]})"
+        if uses.get(node, 0) > 1 and _children(node):
+            name = f"_{len(body)}"
+            body.append((name, code, read))
+            code, read = name, {name}
+        text[node], temps[node] = code, read
+    last = {}
+    for i, (_, _, read) in enumerate(body):
+        last.update(dict.fromkeys(read, i))
+    lines = ["def f(X, t):"]
+    for i, (name, code, read) in enumerate(body):
+        lines.append(f"    {name} = {code}")
+        dead = sorted(v for v in read if last[v] == i and v not in temps[root])
+        if dead:
+            lines.append(f"    del {', '.join(dead)}")
+    lines.append(f"    return {text[root]}")
+    reads_t = any(isinstance(n, Var) and n.name == "t" for n in order)
+    return "\n".join(lines) + "\n", reads_t
+
+
+@_memo
+def _compiled(root: Node, complex_mode: bool) -> tuple[Callable, bool]:
+    """The generated function of a simplified root, real or complex, and
+    whether it reads ``t``."""
+    # complex constants keep the principal value of an unfolded sqrt(-4)
+    literal = (lambda v: f"complex({v!r})") if complex_mode else repr
+    source, reads_t = _source(root, literal)
+    namespace = {"np": np, "inf": math.inf, "nan": math.nan}
+    exec(compile(source, "<expr>", "exec"), namespace)
+    return namespace["f"], reads_t
+
+
+def _call(fn: Callable, X: np.ndarray, t) -> np.ndarray:
+    """``fn(X, t)`` as an array; a non-finite value raises DomainError."""
+    try:
+        with np.errstate(all="ignore"):
+            out = np.asarray(fn(X, t))
+    except ArithmeticError as exc:  # Python arithmetic on two constants
+        raise DomainError(f"evaluation failed: {exc}") from None
+    if out.dtype.kind == "c" and X.dtype.kind != "c":
+        raise DomainError("real evaluation produced a complex value")
+    if not np.isfinite(out).all():
+        raise DomainError("evaluation produced non-finite values")
+    return out
+
+
+def _at_point(e: Expr, coords, t, dtype):
+    X = np.asarray(coords, dtype=dtype)
+    if X.shape != (e.ndim,):
+        raise DimensionError(f"expected {e.ndim} coordinates, got {X.size}")
+    fn, reads_t = _compiled(_simplify(e.root), dtype is complex)
+    if t is None and reads_t:
+        raise DomainError("unbound variable 't'")
+    return _call(fn, X, dtype(0.0 if t is None else t))[()]
+
+
+def eval_real(e: Expr, coords: Sequence[float], t: float | None = None) -> float:
+    """Evaluate at a real point; domain violations raise DomainError."""
+    return float(_at_point(e, coords, t, float))
+
+
+def eval_complex(e: Expr, coords: Sequence[complex], t=None) -> complex:
+    """Evaluate at a complex point using principal branches."""
+    return complex(_at_point(e, coords, t, complex))
 
 
 def compile_field(e: Expr) -> Callable:
@@ -592,11 +589,9 @@ def compile_field(e: Expr) -> Callable:
 
     ``X`` has shape ``(..., n)``; the result has shape ``(...,)``.  ``t``
     may be a scalar or any array broadcastable against ``X[..., 0]``.
-    Non-finite results raise :class:`DomainError`, matching the scalar
-    evaluator's contract.
+    Non-finite results raise :class:`DomainError`.
     """
-    source = _codegen(_simplify(e.root))
-    raw = eval(f"lambda X, t: {source}", {"np": np})
+    fn, _ = _compiled(_simplify(e.root), False)
     ndim = e.ndim
 
     def field(X, t=0.0):
@@ -605,11 +600,7 @@ def compile_field(e: Expr) -> Callable:
             raise DimensionError(
                 f"expected trailing axis of length {ndim}, got {X.shape[-1]}"
             )
-        with np.errstate(all="ignore"):
-            out = raw(X, t)
-        out = np.broadcast_to(np.asarray(out, dtype=float), X.shape[:-1]).copy()
-        if not np.all(np.isfinite(out)):
-            raise DomainError("vectorized evaluation produced non-finite values")
-        return out
+        return np.broadcast_to(_call(fn, X, t).astype(float, copy=False),
+                               X.shape[:-1]).copy()
 
     return field

@@ -10,7 +10,6 @@ same regularization as convolving with the Poisson kernel.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -115,7 +114,7 @@ def abel_poisson_sum(spec: FourierSeriesSpec, x: float, z: float,
         raise InvalidInterval(f"radius parameter must satisfy z < 0, got {z}")
 
     def value(zz: float) -> float:
-        w = cmath.exp(complex(zz, math.pi * x / spec.l))
+        w = complex(np.exp(complex(zz, math.pi * x / spec.l)))
         total = 0.0
         if spec.s_plus is not None:
             total += _generator_value(spec.s_plus, w).real

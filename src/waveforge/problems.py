@@ -103,7 +103,7 @@ class SolutionEvaluator:
     ``evaluate(points (P, n), times (T,))`` returns the solution on their
     product, shape (P, T).  The solver supplies ``fn(points, t)``, its
     values at every point at one time; a point's value must not depend on
-    the other points in the call.  ``__call__`` and ``grid`` wrap it.
+    the other points in the call.  ``__call__`` wraps it.
     """
 
     def __init__(self, problem: CauchyProblem, fn: Callable):
@@ -129,9 +129,6 @@ class SolutionEvaluator:
 
     def __call__(self, x: Sequence[float], t: float) -> float:
         return float(self.evaluate(np.asarray(x, dtype=float)[None], [float(t)])[0, 0])
-
-    def grid(self, points, t: float) -> np.ndarray:
-        return self.evaluate(points, [float(t)])[:, 0]
 
 
 def _add2(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Expression parsing, evaluation, and symbolic differentiation."""
 
+import cmath
 import math
 
 import numpy as np
@@ -14,11 +15,13 @@ from waveforge.errors import (
     UnknownSymbol,
 )
 from waveforge.expr import (
+    Num,
     compile_field,
     differentiate,
     eval_complex,
     eval_real,
     laplacian,
+    laplacian_power,
     parse,
     to_string,
 )
@@ -64,6 +67,14 @@ class TestParsing:
         with pytest.raises(ExprSyntaxError):
             parse("", 1)
 
+    def test_leading_zero_names_the_same_axis(self):
+        # x01 is x1 to every path: evaluation, derivatives and compilation
+        e = parse("x01^2", 1)
+        assert eval_real(e, [3.0]) == 9.0
+        assert compile_field(e)(np.array([[3.0]]))[0] == 9.0
+        assert eval_real(laplacian(e), [3.0]) == pytest.approx(2.0)
+        assert eval_real(differentiate(parse("x1^2", 1), "x01"), [3.0]) == 6.0
+
 
 class TestEvaluation:
     def test_functions(self):
@@ -96,6 +107,57 @@ class TestEvaluation:
         e = parse("cos(x1)", 1)
         v = eval_complex(e, [0.5 + 0.25j])
         assert v.real == pytest.approx(math.cosh(0.25) * math.cos(0.5))
+
+    @pytest.mark.parametrize("text, reference, z", [
+        # the sign of a zero imaginary part picks the side of the cut
+        ("log(x1)", cmath.log, complex(-1.0, 0.0)),
+        ("log(x1)", cmath.log, complex(-1.0, -0.0)),
+        ("log(x1)", cmath.log, 2.0 - 3.0j),
+        ("sqrt(x1)", cmath.sqrt, complex(-4.0, 0.0)),
+        ("sqrt(x1)", cmath.sqrt, complex(-4.0, -0.0)),
+        ("sqrt(x1)", cmath.sqrt, 1.0j),
+        ("atan(x1)", cmath.atan, complex(0.0, 2.0)),
+        ("atan(x1)", cmath.atan, complex(-0.0, 2.0)),
+        ("atan(x1)", cmath.atan, complex(0.0, -2.0)),
+        ("atan(x1)", cmath.atan, complex(-0.0, -2.0)),
+        ("atan(x1)", cmath.atan, 0.5 + 0.5j),
+        ("x1^0.5", lambda z: cmath.exp(0.5 * cmath.log(z)), complex(-4.0, 0.0)),
+        ("x1^0.5", lambda z: cmath.exp(0.5 * cmath.log(z)), complex(-4.0, -0.0)),
+        ("x1^(1/3)", lambda z: cmath.exp(cmath.log(z) / 3), complex(-8.0, -0.0)),
+        ("x1^(1+2*t)", lambda z: cmath.exp((1 + 1j) * cmath.log(z)), 0.5 - 2.0j),
+    ])
+    def test_principal_branches(self, text, reference, z):
+        got = eval_complex(parse(text, 1), [z], 0.5j)
+        assert got == pytest.approx(reference(z), rel=1e-14, abs=1e-15)
+
+    def test_complex_constant_keeps_its_branch(self):
+        # sqrt(-4) is not folded at real points; at complex ones it is 2i
+        assert eval_complex(parse("sqrt(-4)*x1", 1), [2.0]) == pytest.approx(4.0j)
+
+    @pytest.mark.parametrize("evaluate", [eval_real, eval_complex])
+    def test_unbound_time(self, evaluate):
+        with pytest.raises(DomainError, match="'t'"):
+            evaluate(parse("x1 + t", 1), [1.0])
+        assert evaluate(parse("x1 + 0*t", 1), [1.0]) == 1.0
+
+    @pytest.mark.parametrize("text", ["sqrt(-4)*x1", "1/0 + x1", "(-8)^(1/3)*x1"])
+    def test_constant_domain_error(self, text):
+        e = parse(text, 1)
+        with pytest.raises(DomainError):
+            eval_real(e, [2.0])
+        with pytest.raises(DomainError):
+            compile_field(e)(np.array([[2.0]]))
+
+    @pytest.mark.parametrize("text", ["log(x1)", "1/x1", "x1^(-2)"])
+    def test_complex_pole(self, text):
+        with pytest.raises(DomainError):
+            eval_complex(parse(text, 1), [0.0j])
+
+    def test_wrong_coordinate_count(self):
+        with pytest.raises(DimensionError):
+            eval_real(parse("x1", 2), [1.0])
+        with pytest.raises(DimensionError):
+            eval_complex(parse("x1", 1), [1.0, 2.0])
 
 
 class TestDifferentiation:
@@ -135,13 +197,14 @@ class TestDifferentiation:
 
 
 class TestCompiledField:
-    def test_matches_scalar_eval(self):
+    def test_matches_math_reference(self):
         e = parse("sin(x1)*exp(-x2^2) + x1*x2", 2)
         f = compile_field(e)
         pts = np.array([[0.1, 0.2], [1.0, -1.0], [0.0, 0.0]])
         got = f(pts)
-        for i, p in enumerate(pts):
-            assert got[i] == pytest.approx(eval_real(e, p), abs=1e-15)
+        for i, (x, y) in enumerate(pts):
+            want = math.sin(x) * math.exp(-y * y) + x * y
+            assert got[i] == pytest.approx(want, abs=1e-15)
 
     def test_time_broadcast(self):
         e = parse("x1 + t", 1)
@@ -165,18 +228,53 @@ class TestCompiledField:
             f(np.zeros((4, 3)))
 
 
-_expr_texts = st.sampled_from(
-    [
-        "x1",
-        "x1^2 + 3*x1",
-        "sin(x1)*cos(x1)",
-        "exp(-x1^2)",
-        "x1/(1 + x1^2)",
-        "sin(x1^2) - x1*cos(x1)",
-        "sinh(x1) + cosh(x1)",
-        "atan(x1)",
-    ]
-)
+def _distinct_nodes(root) -> int:
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(getattr(node, f) for f in ("arg", "left", "right")
+                         if hasattr(node, f))
+    return len(seen)
+
+
+class TestDag:
+    def test_gaussian_laplacian_power(self):
+        # as a tree, Lap^4 of this Gaussian has about 1.7e5 node objects
+        e = laplacian_power(parse("exp(-(x1^2 + x2^2 + x3^2)/4)", 3), 4)
+        assert _distinct_nodes(e.root) < 2000
+        X = np.random.default_rng(4).uniform(-1.5, 1.5, (8, 3))
+        got = compile_field(e)(X)
+        # the heat flow exp(s Lap) takes the Gaussian to
+        # g(s) = (1+s)^(-3/2) exp(-|x|^2/(4(1+s))), so Lap^4 is the fourth
+        # s-derivative of g at 0: 4! times its Taylor coefficient, here by
+        # the trapezoid rule on the circle |s| = 1/2
+        s = 0.5 * np.exp(2j * np.pi * np.arange(64) / 64)
+        r2 = np.sum(X**2, axis=1)[:, None]
+        g = (1 + s) ** -1.5 * np.exp(-r2 / (4 * (1 + s)))
+        want = 24 * np.mean(g / s**4, axis=1).real
+        assert np.max(np.abs(got - want)) < 1e-11 * np.max(np.abs(want))
+
+    def test_equal_subexpressions_are_one_node(self):
+        e = parse("sin(x1)*x2 + sin(x1)", 2).root
+        assert e.left.left is e.right
+        assert Num(2.5) is Num(2.5)
+        assert Num(-0.0) is not Num(0.0)
+
+
+# hand-written references for the property tests
+_REFERENCE = {
+    "x1": lambda x: x,
+    "x1^2 + 3*x1": lambda x: x * x + 3 * x,
+    "sin(x1)*cos(x1)": lambda x: math.sin(x) * math.cos(x),
+    "exp(-x1^2)": lambda x: math.exp(-x * x),
+    "x1/(1 + x1^2)": lambda x: x / (1 + x * x),
+    "sin(x1^2) - x1*cos(x1)": lambda x: math.sin(x * x) - x * math.cos(x),
+    "sinh(x1) + cosh(x1)": lambda x: math.sinh(x) + math.cosh(x),
+    "atan(x1)": math.atan,
+}
+_expr_texts = st.sampled_from(sorted(_REFERENCE))
 
 
 class TestProperties:
@@ -200,9 +298,10 @@ class TestProperties:
 
     @given(_expr_texts, st.floats(-2.0, 2.0))
     @settings(max_examples=40, deadline=None)
-    def test_compiled_matches_scalar(self, text, x):
+    def test_matches_math_reference(self, text, x):
         e = parse(text, 1)
-        f = compile_field(e)
-        assert f(np.array([[x]]))[0] == pytest.approx(
-            eval_real(e, [x]), abs=1e-13, rel=1e-13
+        want = _REFERENCE[text](x)
+        assert compile_field(e)(np.array([[x]]))[0] == pytest.approx(
+            want, abs=1e-13, rel=1e-13
         )
+        assert eval_real(e, [x]) == pytest.approx(want, abs=1e-13, rel=1e-13)

@@ -149,7 +149,7 @@ class TestSynthesis:
                     term *= math.sin(ki * PI * xi / Li)
                 total += term
             expected.append(total)
-        assert np.max(np.abs(ev.grid(points, t) - expected)) < 1e-13
+        assert np.max(np.abs(ev.evaluate(points, [t])[:, 0] - expected)) < 1e-13
 
 
 class TestWaveSolutions:

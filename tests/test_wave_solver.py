@@ -316,7 +316,7 @@ class TestEvaluatorInterface:
         )
         ev = solve_wave(p)
         pts = np.zeros((3, 3))
-        assert np.allclose(ev.grid(pts, 0.5), 0.5)
+        assert np.allclose(ev.evaluate(pts, [0.5])[:, 0], 0.5)
 
     @pytest.mark.parametrize("family", ["wave-m1", "heat-equal", "box"])
     @pytest.mark.parametrize("width", ["one", "n+1"])
@@ -325,9 +325,7 @@ class TestEvaluatorInterface:
         ev = _evaluator(family)
         width = 1 if width == "one" else ev.problem.n + 1
         with pytest.raises(DataCountMismatch, match=rf"got \(2, {width}\)"):
-            ev.grid(np.full((2, width), 0.3), 0.5)
-        with pytest.raises(DataCountMismatch):
-            ev.evaluate(np.full((2, width), 0.3), [0.5])
+            ev.evaluate(np.full((2, width), 0.3), [0.5])[:, 0]
 
     def test_evaluate_rejects_bad_shapes(self):
         ev = _evaluator("wave-m1")
