@@ -47,7 +47,7 @@ __all__ = ["GridAxis", "ProblemConfig", "load_config", "parse_config", "dump_con
 
 _PROBLEM_KEYS = {"kind", "n", "m", "speeds"}
 _DOMAIN_FIXED = {"t", "box", "k_max"}
-_QUAD_KEYS = {"n_time", "n_radial", "sphere_degree", "heat_nodes", "heat_window"}
+_QUAD_KEYS = {"n_time", "n_radial", "sphere_degree", "heat_nodes"}
 _OUTPUT_KEYS = {"path", "format"}
 
 
@@ -197,8 +197,6 @@ def parse_config(text: str) -> ProblemConfig:
                     quad_kwargs[key] = int(sec[key])
             if "heat_nodes" in sec:
                 heat_kwargs["n_nodes"] = int(sec["heat_nodes"])
-            if "heat_window" in sec:
-                heat_kwargs["c_trunc"] = float(sec["heat_window"])
         except ValueError as exc:
             raise ConfigError(f"bad [quadrature] value: {exc}") from None
 
@@ -271,7 +269,6 @@ def dump_config(cfg: ProblemConfig) -> str:
         f"n_radial = {q.n_radial}",
         f"sphere_degree = {q.sphere_degree}",
         f"heat_nodes = {cfg.heat.n_nodes}",
-        f"heat_window = {cfg.heat.c_trunc!r}",
         "",
         "[output]",
         f"path = {cfg.output_path}",

@@ -50,6 +50,10 @@ class NegativeDiffusionTime(WaveforgeError):
     pass
 
 
+class UnresolvedData(WaveforgeError):
+    """The data vary faster than the largest quadrature rule resolves."""
+
+
 class DataCountMismatch(WaveforgeError):
     """Initial-data count does not match the operator order."""
 

@@ -6,21 +6,30 @@ speeds.  Confluent partial fractions over the speed clusters
 t^(i-1)/(i-1)! e^{t c Lap} of Laplacian powers of the data, and time
 integrals of such terms, for each cluster centre c.
 
-The diffusion semigroup e^{lam Lap} is realized as a Gauss quadrature of
-the Gaussian convolution, one axis at a time, on a truncated window.  The
-weights are renormalized so constants propagate exactly.
+The diffusion semigroup e^{lam Lap} is the Gaussian convolution, realized
+by tensor Gauss-Hermite rules on the whole space.  Each (point, diffusion
+time) climbs a ladder of per-axis node counts until two neighbouring rules
+agree to a tolerance relative to the data's own size there; data that no
+rule on the ladder resolves raise :class:`~waveforge.errors.UnresolvedData`.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.hermite import hermgauss
 
-from .errors import InvalidOrder, NegativeDiffusionTime, UnsupportedDimension
+from .errors import (
+    InvalidOrder,
+    NegativeDiffusionTime,
+    UnresolvedData,
+    UnsupportedDimension,
+)
 from .expr import Expr, compile_field
 from .problems import CauchyProblem, SolutionEvaluator, cluster_evaluator
-from .quadrature import QuadratureSpec, centre_sums, gauss_legendre
+from .quadrature import QuadratureSpec, centre_sums
 
 __all__ = [
     "HeatPropagatorSpec",
@@ -29,27 +38,61 @@ __all__ = [
     "solve_heat_product",
 ]
 
+# Per-axis Gauss-Hermite node counts a (point, diffusion time) climbs
+LADDER = (16, 24, 32, 48, 64, 96)
+# Neighbouring rules agree when they differ by at most this fraction of
+# sum w |f|, the data's size under the larger rule
+TOLERANCE = 1e-10
+
 
 @dataclass(frozen=True)
 class HeatPropagatorSpec:
-    """Window half-width (in decay lengths) and per-axis node count."""
+    """Per-axis node count of the first rule; larger rules come from
+    :data:`LADDER`."""
 
-    c_trunc: float = 6.0
-    n_nodes: int = 48
+    n_nodes: int = 16
 
     def __post_init__(self):
-        if self.c_trunc < 4.0:
-            raise InvalidOrder("truncation window must be at least 4 decay lengths")
         if self.n_nodes < 16:
             raise InvalidOrder("need at least 16 nodes per axis")
+        if self.n_nodes >= LADDER[-1]:
+            raise InvalidOrder(
+                f"need fewer than {LADDER[-1]} nodes per axis, so a larger "
+                "rule can check the first"
+            )
+
+    @property
+    def rungs(self) -> tuple[int, ...]:
+        return (self.n_nodes,) + tuple(c for c in LADDER if c > self.n_nodes)
+
+
+@functools.lru_cache(maxsize=None)
+def hermite_rule(n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor Gauss-Hermite rule for the weight exp(-|zeta|^2/4) on R^n:
+    nodes (count^n, n) and weights (count^n,) normalized to sum to 1.
+    Rules are cached and their arrays are read-only."""
+    z, w = hermgauss(count)
+    zeta = 2.0 * z
+    w = w / w.sum()
+    grids = np.meshgrid(*([zeta] * n), indexing="ij")
+    nodes = np.stack([g.reshape(-1) for g in grids], axis=-1)
+    wt = w
+    for _ in range(n - 1):
+        wt = np.multiply.outer(wt, w)
+    wt = wt.reshape(-1)
+    nodes.flags.writeable = False
+    wt.flags.writeable = False
+    return nodes, wt
 
 
 class HeatPropagator:
     """Evaluator of e^{lam Lap} f at points, vectorized over lam.
 
     Substituting y = x + sqrt(lam) * zeta turns the Gaussian convolution
-    into a lam-independent weight exp(-zeta^2/4) / (2 sqrt(pi)) on each
-    axis, so one precomputed tensor rule serves every diffusion time.
+    into a lam-independent weight exp(-|zeta|^2/4) / (4 pi)^(n/2), so each
+    tensor Gauss-Hermite rule serves every diffusion time.  Each (point,
+    diffusion time) starts on the spec's first two rules of the ladder and
+    moves up one rule while the two disagree.
     """
 
     def __init__(self, field: Expr, spec: HeatPropagatorSpec | None = None):
@@ -58,18 +101,26 @@ class HeatPropagator:
         if n > 3:
             raise UnsupportedDimension(f"diffusion semigroup needs n <= 3, got {n}")
         self.spec = spec
-        self._f = compile_field(field)
-        half = 2.0 * spec.c_trunc
-        rule = gauss_legendre(spec.n_nodes, -half, half)
-        zeta = rule.nodes
-        w = rule.weights * np.exp(-0.25 * zeta**2)
-        w /= w.sum()  # constants propagate exactly
-        grids = np.meshgrid(*([zeta] * n), indexing="ij")
-        self._zeta = np.stack([g.reshape(-1) for g in grids], axis=-1)
-        wt = w
-        for _ in range(n - 1):
-            wt = np.multiply.outer(wt, w)
-        self._w = wt.reshape(-1)
+        self.field = field
+        f = compile_field(field)
+        self._g = lambda pts, offs, t: f(pts, t)
+
+    def _sums(self, centres, steps, t_args, count, pending):
+        """Rule ``count``'s sums and sum w |f| at the ``pending`` (P, J)
+        entries; the others are left 0."""
+        nodes, w = hermite_rule(centres.shape[1], count)
+        vals = np.zeros(pending.shape)
+        scale = np.zeros(pending.shape)
+        # steps pending at the same centres share one reduction
+        cols, group = np.unique(pending, axis=1, return_inverse=True)
+        for k, col in enumerate(cols.T):
+            rows, js = np.flatnonzero(col), np.flatnonzero(group.reshape(-1) == k)
+            if rows.size:
+                block = np.ix_(rows, js)
+                vals[block], scale[block] = centre_sums(
+                    self._g, centres[rows], steps[js], nodes, w, t_args[js],
+                    scale=True)
+        return vals, scale
 
     def apply_many(self, x, lams: np.ndarray, t_args=None) -> np.ndarray:
         """Semigroup at each diffusion time in ``lams`` (zeros allowed).
@@ -80,13 +131,35 @@ class HeatPropagator:
         """
         x = np.asarray(x, dtype=float)
         lams = np.asarray(lams, dtype=float)
-        if np.any(lams < 0):
+        bad = ~(np.isfinite(lams) & (lams >= 0))
+        if bad.any():
             raise NegativeDiffusionTime(
-                f"diffusion times must be >= 0, got min {lams.min()}"
+                f"diffusion times must be finite and >= 0, got {lams[bad][0]}"
             )
-        out = centre_sums(lambda pts, offs, t: self._f(pts, t), np.atleast_2d(x),
-                          np.sqrt(lams), self._zeta, self._w, t_args)
-        return out[0] if x.ndim == 1 else out
+        centres = np.atleast_2d(x)
+        steps = np.sqrt(lams)
+        t_args = np.broadcast_to(0.0 if t_args is None else t_args, steps.shape)
+        out = np.empty((len(centres), steps.size))
+        pending = np.ones(out.shape, dtype=bool)
+        rungs = self.spec.rungs
+        lo, _ = self._sums(centres, steps, t_args, rungs[0], pending)
+        for count in rungs[1:]:
+            hi, scale = self._sums(centres, steps, t_args, count, pending)
+            gap = np.abs(hi - lo)
+            done = pending & (gap <= TOLERANCE * scale)
+            out[done] = hi[done]
+            pending &= ~done
+            if not pending.any():
+                return out[0] if x.ndim == 1 else out
+            lo = hi
+        p, j = np.argwhere(pending)[0]
+        raise UnresolvedData(
+            f"e^(lam Lap) of {self.field} at diffusion time lam = "
+            f"{float(lams[j])!r}, x = {centres[p].tolist()}: the {rungs[-2]}- "
+            f"and {rungs[-1]}-node Gauss-Hermite rules per axis differ by "
+            f"{gap[p, j]:.3g}, more than {TOLERANCE:g} of the data's size "
+            f"{scale[p, j]:.3g}"
+        )
 
 
 def heat_propagate(field: Expr, lam: float, x,

@@ -120,8 +120,10 @@ class SolutionEvaluator:
                 f"got {points.shape} and {times.shape}"
             )
         # diffusion runs forward only; backwards its modes blow up
-        if self.problem.kind == "heat-product" and np.any(times < 0):
-            raise NegativeDiffusionTime(f"heat time must be >= 0, got {times.min()}")
+        bad = ~(np.isfinite(times) & (times >= 0))
+        if self.problem.kind == "heat-product" and bad.any():
+            raise NegativeDiffusionTime(
+                f"heat time must be >= 0 and finite, got {times[bad][0]}")
         out = np.empty((points.shape[0], times.size))
         for j, t in enumerate(times):
             out[:, j] = self._fn(points, float(t))

@@ -192,7 +192,7 @@ def row_dot(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def centre_sums(g, centres: np.ndarray, steps, nodes: np.ndarray,
-                weights: np.ndarray, t_args=None) -> np.ndarray:
+                weights: np.ndarray, t_args=None, scale: bool = False):
     """sum_d weights[d] g(x + s_j u_d) for every centre x (P, n) and step
     s_j (J,), shape (P, J), with u_d the rows of ``nodes`` (D, n).
 
@@ -200,11 +200,14 @@ def centre_sums(g, centres: np.ndarray, steps, nodes: np.ndarray,
     s_j u_d (J', D', n) and the time arguments (J', 1) from ``t_args`` to
     values (C, J', D').  A zero step is g at the centre itself, exactly.
     Each (centre, step) is reduced by its own dot product, so its value
-    does not depend on how the work is chunked.
+    does not depend on how the work is chunked.  With ``scale``, the
+    result is a pair: the sums, and sum_d weights[d] |g(...)| from the same
+    values.
     """
     steps = np.asarray(steps, dtype=float)
     t_args = np.broadcast_to(0.0 if t_args is None else t_args, steps.shape)[:, None]
     out = np.empty((len(centres), steps.size))
+    mag = np.empty_like(out) if scale else None
     zero = steps == 0.0
     # a zero step takes one node of weight 1: the centre
     for idx, u, w in ((np.flatnonzero(zero), np.zeros_like(nodes[:1]), np.ones(1)),
@@ -215,10 +218,14 @@ def centre_sums(g, centres: np.ndarray, steps, nodes: np.ndarray,
             for j in range(0, idx.size, rows):
                 r = idx[j:j + rows]
                 offs = steps[r, None, None] * u
-                # unnamed, a chunk's points are freed before the next's exist
-                out[i:i + step, r] = row_dot(
-                    g(centres[i:i + step, None, None] + offs, offs, t_args[r]), w)
-    return out
+                # the points are unnamed and the values deleted, so a
+                # chunk's arrays are freed before the next's exist
+                vals = g(centres[i:i + step, None, None] + offs, offs, t_args[r])
+                out[i:i + step, r] = row_dot(vals, w)
+                if scale:
+                    mag[i:i + step, r] = row_dot(np.abs(vals), w)
+                del vals
+    return (out, mag) if scale else out
 
 
 def sphere_means(field, centres: np.ndarray, radii, rule: SphereRule,

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import UnresolvedData
 from .expr import parse
 from .heat_solver import solve_heat_product
 from .ibvp import build_basis, solve_ibvp
@@ -124,6 +125,20 @@ def _suite_heat() -> list[CheckResult]:
         abs(ev([0.7], t) - mode_solve(mp, t) * math.sin(0.7)) for t in (0.4, 1.1)
     )
     out.append(CheckResult("heat", "mixed-cluster-modes", err, 1e-9))
+    # a sharp mode the Gauss-Hermite ladder resolves, and one beyond it
+    p = CauchyProblem("heat-product", 1, 1, (1.0,), None,
+                      (parse("sin(5.5*x1)", 1),))
+    err = abs(solve_heat_product(p)([0.3], 1.0)
+              - math.exp(-30.25) * math.sin(5.5 * 0.3))
+    out.append(CheckResult("heat", "sharp-mode-resolved", err, 1e-12))
+    p = CauchyProblem("heat-product", 1, 1, (1.0,), None,
+                      (parse("sin(8*x1)", 1),))
+    try:
+        solve_heat_product(p)([0.3], 1.0)
+        missed = 1.0
+    except UnresolvedData:
+        missed = 0.0
+    out.append(CheckResult("heat", "unresolved-raises", missed, 0.0))
     return out
 
 

@@ -225,6 +225,35 @@ class TestSolveCommand:
         assert "heat time must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unresolved_heat_exit_code(self, tmp_path, capsys):
+        # e^{Lap} sin(8 x1) is beyond every Gauss-Hermite rule on the ladder
+        out = tmp_path / "o.csv"
+        cfgf = tmp_path / "p.ini"
+        cfgf.write_text(
+            HEAT.format(path=out)
+            .replace("m = 3\nspeeds = 1.0, 1.0, 2.0", "m = 1\nspeeds = 1.0")
+            .replace("phi0 = sin(x1)*cos(x2)\nphi2 = 0.5*sin(x1)*cos(x2)",
+                     "phi0 = sin(8*x1)*cos(x2)")
+            .replace("t = 0:0.5:2", "t = 0.25:1:2")
+        )
+        assert main(["solve", str(cfgf)]) == 3
+        captured = capsys.readouterr()
+        assert "diffusion time lam = 1.0" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_heat_window_rejected(self, tmp_path, capsys):
+        # the Gauss-Hermite rules have no window; the old key is an error
+        text = KIRCHHOFF.format(path=tmp_path / "o.csv") + (
+            "\n[quadrature]\nheat_window = 6.0\n"
+        )
+        with pytest.raises(ConfigError, match="heat_window"):
+            parse_config(text)
+        cfgf = tmp_path / "p.ini"
+        cfgf.write_text(text)
+        assert main(["solve", str(cfgf)]) == 2
+        assert "heat_window" in capsys.readouterr().err
+
     def test_mixed_heat_cluster_solves(self, tmp_path):
         # speeds (1, 1, 2): whole-space heat takes any speed cluster
         out = tmp_path / "o.csv"
@@ -310,7 +339,10 @@ class TestVerifyCommand:
 
     def test_heat_suite_covers_mixed_cluster(self, capsys):
         assert main(["verify", "heat"]) == 0
-        assert "PASS heat/mixed-cluster-modes:" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "PASS heat/mixed-cluster-modes:" in out
+        assert "PASS heat/sharp-mode-resolved:" in out
+        assert "PASS heat/unresolved-raises:" in out
 
 
 WAVE5 = """

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from waveforge import quadrature
 from waveforge.errors import (
     InvalidOrder,
     NegativeDiffusionTime,
+    UnresolvedData,
     UnsupportedDimension,
 )
 from waveforge.expr import parse
@@ -102,9 +104,86 @@ class TestPropagator:
 
     def test_spec_validation(self):
         with pytest.raises(InvalidOrder):
-            HeatPropagatorSpec(c_trunc=2.0)
-        with pytest.raises(InvalidOrder):
             HeatPropagatorSpec(n_nodes=8)
+        # the first rule needs a larger one on the ladder to check it
+        with pytest.raises(InvalidOrder):
+            HeatPropagatorSpec(n_nodes=96)
+
+    def test_rungs_start_at_the_first_count(self):
+        assert HeatPropagatorSpec().rungs == (16, 24, 32, 48, 64, 96)
+        assert HeatPropagatorSpec(n_nodes=20).rungs == (20, 24, 32, 48, 64, 96)
+        assert HeatPropagatorSpec(n_nodes=64).rungs == (64, 96)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("text", ["3", "sin(x1)"])
+    def test_non_finite_time_rejected(self, lam, text):
+        with pytest.raises(NegativeDiffusionTime, match="finite"):
+            heat_propagate(parse(text, 2), lam, [0.0, 0.0])
+        with pytest.raises(NegativeDiffusionTime, match="finite"):
+            HeatPropagator(parse(text, 2)).apply_many([0.0, 0.0], [0.5, lam])
+        p = CauchyProblem("heat-product", 2, 1, (1.0,), None, (parse(text, 2),))
+        with pytest.raises(NegativeDiffusionTime):
+            solve_heat_product(p).evaluate(np.zeros((1, 2)), [0.5, lam])
+
+
+class TestResolution:
+    """Each (point, diffusion time) climbs the Gauss-Hermite ladder until
+    two neighbouring rules agree, or raises UnresolvedData past its top."""
+
+    @pytest.mark.parametrize("k", [0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 5.5])
+    @pytest.mark.parametrize("lam", [0.3, 1.0])
+    def test_sharp_modes_resolved(self, k, lam):
+        # e^{lam Lap} sin(kx) = e^{-k^2 lam} sin(kx)
+        x = np.array([[0.3], [-1.7], [2.9]])
+        got = HeatPropagator(parse(f"sin({k}*x1)", 1)).apply_many(x, [lam])[:, 0]
+        exact = math.exp(-k * k * lam) * np.sin(k * x[:, 0])
+        assert np.max(np.abs(got - exact)) <= 1e-12
+
+    @pytest.mark.parametrize("k", [8.0, 12.0])
+    def test_unresolved_modes_raise(self, k):
+        with pytest.raises(UnresolvedData) as info:
+            heat_propagate(parse(f"sin({k}*x1)", 1), 1.0, [0.3])
+        msg = str(info.value)
+        assert f"sin({k:g}*x1)" in msg
+        assert "diffusion time lam = 1.0" in msg
+        assert "Gauss-Hermite" in msg
+
+    def test_unresolved_through_the_solver(self):
+        p = CauchyProblem("heat-product", 1, 1, (1.0,), None,
+                          (parse("sin(8*x1)", 1),))
+        ev = solve_heat_product(p)
+        # short times are resolved; t = 1 is not
+        assert ev([0.3], 0.01) == pytest.approx(
+            math.exp(-0.64) * math.sin(2.4), abs=1e-12)
+        with pytest.raises(UnresolvedData):
+            ev([0.3], 1.0)
+
+    def test_escalation_is_per_entry(self, monkeypatch):
+        # sin(4x) escalates further as lam grows, except at x = 0, where
+        # every rule gives 0; the t argument separates equal lams
+        prop = HeatPropagator(parse("sin(4*x1)*exp(-t)", 1))
+        points = np.array([[0.3], [1.1], [0.0], [-2.5]])
+        lams = np.array([0.0, 0.05, 0.3, 1.0, 0.3, 1.0])
+        t_args = np.array([0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
+        rungs = []
+        sums = HeatPropagator._sums
+
+        def recording(self, centres, steps, t, count, pending):
+            rungs.append((count, int(pending.sum())))
+            return sums(self, centres, steps, t, count, pending)
+
+        monkeypatch.setattr(HeatPropagator, "_sums", recording)
+        batch = prop.apply_many(points, lams, t_args)
+        # some entries stop at the first pair, others climb to 64 nodes
+        assert rungs[0] == (16, 24) and rungs[1] == (24, 24)
+        assert 0 < rungs[2][1] < 24 and rungs[-1][0] == 64
+        single = np.array([[prop.apply_many(p, [lam], [ta])[0]
+                            for lam, ta in zip(lams, t_args)] for p in points])
+        assert np.array_equal(batch, single)
+        monkeypatch.setattr(quadrature, "BATCH_POINTS", 64)
+        assert np.array_equal(prop.apply_many(points, lams, t_args), single)
+        exact = np.exp(-16 * lams - t_args) * np.sin(4 * points)
+        assert np.max(np.abs(batch - exact)) <= 1e-12
 
 
 class TestEqualSpeeds:

@@ -421,11 +421,10 @@ class TestMemoryBound:
     """No field evaluation builds more than BATCH_POINTS points, unless one
     row of nodes is larger."""
 
-    # one row: the degree-4 sphere rule's directions, or 16^n heat nodes
-    @pytest.mark.parametrize("family, row", [
-        ("wave-n5", 4**3 * 8), ("wave-m2-source", 4 * 8),
-        ("heat-equal", 16**2), ("heat-distinct", 16**2)])
-    def test_field_calls_within_budget(self, family, row, monkeypatch):
+    @staticmethod
+    def _record_sizes(monkeypatch) -> list:
+        """Points per field call, recorded from the next evaluators built,
+        under a budget of 1000 points."""
         sizes = []
 
         def recording(compile_field):
@@ -444,7 +443,26 @@ class TestMemoryBound:
             monkeypatch.setattr(module, "compile_field",
                                 recording(module.compile_field))
         monkeypatch.setattr(quadrature, "BATCH_POINTS", 1000)
+        return sizes
+
+    # one row: the degree-4 sphere rule's directions, or the 24^n nodes of
+    # the larger heat rule of the first pair
+    @pytest.mark.parametrize("family, row", [
+        ("wave-n5", 4**3 * 8), ("wave-m2-source", 4 * 8),
+        ("heat-equal", 24**2), ("heat-distinct", 24**2)])
+    def test_field_calls_within_budget(self, family, row, monkeypatch):
+        sizes = self._record_sizes(monkeypatch)
         ev = _evaluator(family)
         points = np.random.default_rng(7).uniform(0.05, 0.95, size=(5, ev.problem.n))
         ev.evaluate(points, np.array([0.0, 0.35, 0.8]))
         assert sizes and max(sizes) <= max(1000, row)
+
+    def test_heat_escalation_within_budget(self, monkeypatch):
+        # sin(4 x1) at lam = 2 climbs to the top rule, 96^2 nodes a row
+        sizes = self._record_sizes(monkeypatch)
+        prop = heat_solver.HeatPropagator(parse("sin(4*x1)*cos(x2)", 2))
+        points = np.random.default_rng(7).uniform(0.05, 0.95, size=(3, 2))
+        prop.apply_many(points, np.array([0.0, 0.3, 2.0]))
+        top = heat_solver.LADDER[-1] ** 2
+        assert max(sizes) == top  # the top rule ran, one row a call
+        assert max(sizes) <= max(quadrature.BATCH_POINTS, top)
