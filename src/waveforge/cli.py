@@ -45,7 +45,7 @@ def build_evaluator(cfg: ProblemConfig):
         basis = build_basis(cfg.box, cfg.k_max)
         return solve_ibvp(cfg.problem, basis, cfg.quadrature)
     if cfg.problem.kind == "heat-product":
-        return solve_heat_product(cfg.problem, cfg.quadrature, cfg.heat)
+        return solve_heat_product(cfg.problem, cfg.heat)
     return solve_wave(cfg.problem, cfg.quadrature)
 
 

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .expr import Expr, compile_field
 from .problems import CauchyProblem, SolutionEvaluator, cluster_evaluator
-from .quadrature import QuadratureSpec, centre_sums
+from .quadrature import TOLERANCE, centre_sums
 
 __all__ = [
     "HeatPropagatorSpec",
@@ -38,11 +38,10 @@ __all__ = [
     "solve_heat_product",
 ]
 
-# Per-axis Gauss-Hermite node counts a (point, diffusion time) climbs
+# Per-axis Gauss-Hermite node counts a (point, diffusion time) climbs; two
+# neighbours agree within quadrature.TOLERANCE of sum w |f|, the data's size
+# under the larger rule
 LADDER = (16, 24, 32, 48, 64, 96)
-# Neighbouring rules agree when they differ by at most this fraction of
-# sum w |f|, the data's size under the larger rule
-TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -122,12 +121,13 @@ class HeatPropagator:
                     scale=True)
         return vals, scale
 
-    def apply_many(self, x, lams: np.ndarray, t_args=None) -> np.ndarray:
+    def apply_many(self, x, lams: np.ndarray, t_args=None, scale: bool = False):
         """Semigroup at each diffusion time in ``lams`` (zeros allowed).
 
         ``x`` is one point (n,) or many (P, n); the result has shape
         (len(lams),) or (P, len(lams)).  ``t_args``, aligned with ``lams``,
-        is the field's time argument.
+        is the field's time argument.  With ``scale``, the result is a pair:
+        the values, and sum w |f| under each entry's accepted rule.
         """
         x = np.asarray(x, dtype=float)
         lams = np.asarray(lams, dtype=float)
@@ -140,17 +140,20 @@ class HeatPropagator:
         steps = np.sqrt(lams)
         t_args = np.broadcast_to(0.0 if t_args is None else t_args, steps.shape)
         out = np.empty((len(centres), steps.size))
+        mag = np.empty_like(out)
         pending = np.ones(out.shape, dtype=bool)
         rungs = self.spec.rungs
         lo, _ = self._sums(centres, steps, t_args, rungs[0], pending)
         for count in rungs[1:]:
-            hi, scale = self._sums(centres, steps, t_args, count, pending)
+            hi, size = self._sums(centres, steps, t_args, count, pending)
             gap = np.abs(hi - lo)
-            done = pending & (gap <= TOLERANCE * scale)
-            out[done] = hi[done]
+            done = pending & (gap <= TOLERANCE * size)
+            out[done], mag[done] = hi[done], size[done]
             pending &= ~done
             if not pending.any():
-                return out[0] if x.ndim == 1 else out
+                if x.ndim == 1:
+                    out, mag = out[0], mag[0]
+                return (out, mag) if scale else out
             lo = hi
         p, j = np.argwhere(pending)[0]
         raise UnresolvedData(
@@ -158,7 +161,7 @@ class HeatPropagator:
             f"{float(lams[j])!r}, x = {centres[p].tolist()}: the {rungs[-2]}- "
             f"and {rungs[-1]}-node Gauss-Hermite rules per axis differ by "
             f"{gap[p, j]:.3g}, more than {TOLERANCE:g} of the data's size "
-            f"{scale[p, j]:.3g}"
+            f"{size[p, j]:.3g}"
         )
 
 
@@ -169,11 +172,12 @@ def heat_propagate(field: Expr, lam: float, x,
 
 
 def solve_heat_product(problem: CauchyProblem,
-                       spec: QuadratureSpec | None = None,
                        heat_spec: HeatPropagatorSpec | None = None
                        ) -> SolutionEvaluator:
     """Solver for prod_j (d/dt - a_j Lap) u = f with m initial data, any
-    positive speeds."""
+    positive speeds.  It takes no :class:`~waveforge.quadrature.QuadratureSpec`:
+    its time rules are sized per point, its Gauss-Hermite rules per
+    diffusion time."""
     if problem.kind != "heat-product":
         raise InvalidOrder(f"expected heat-product, got {problem.kind}")
     if problem.n > 3:
@@ -184,7 +188,7 @@ def solve_heat_product(problem: CauchyProblem,
     def kernel(field, cosh):
         # one propagator serves every speed: the speed scales the diffusion time
         prop = HeatPropagator(field, heat_spec)
-        return lambda points, c, taus, t_args=None, cosh=False: prop.apply_many(
-            points, c * taus, t_args)
+        return lambda points, c, taus, t_args=None, cosh=False, scale=False: (
+            prop.apply_many(points, c * taus, t_args, scale))
 
-    return cluster_evaluator(problem, spec or QuadratureSpec(), kernel)
+    return cluster_evaluator(problem, kernel)

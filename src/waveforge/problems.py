@@ -10,6 +10,7 @@ and wave solvers supply only their kernel.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -20,20 +21,28 @@ from numpy.polynomial import polynomial as P
 
 from .errors import (
     DataCountMismatch,
+    DomainError,
     InvalidOrder,
     NegativeDiffusionTime,
     NonPositiveSpeed,
+    UnresolvedData,
     UnsupportedDimension,
 )
 from .expr import Expr, laplacian_power
 from .kernels import cluster_fractions, require_distinct
-from .quadrature import QuadratureSpec, double_factorial, gauss_legendre, row_dot
+from .quadrature import TOLERANCE, double_factorial, gauss_legendre, row_dot
 
-__all__ = ["CauchyProblem", "SolutionEvaluator", "KINDS", "cluster_evaluator"]
+__all__ = ["CauchyProblem", "SolutionEvaluator", "KINDS", "TIME_LADDER",
+           "cluster_evaluator"]
 
 # operator families: m-fold wave with one speed, product of wave factors
 # with distinct speeds, and product of heat factors with any speeds
 KINDS = ("wave-multiple", "wave-distinct", "heat-product")
+
+# Gauss-Legendre counts of the whole-space time rules a point climbs; two
+# neighbours agree within quadrature.TOLERANCE of the data's size under
+# the larger rule
+TIME_LADDER = (8, 12, 16, 24, 32, 48, 64)
 
 
 @dataclass(frozen=True)
@@ -120,10 +129,14 @@ class SolutionEvaluator:
                 f"got {points.shape} and {times.shape}"
             )
         # diffusion runs forward only; backwards its modes blow up
-        bad = ~(np.isfinite(times) & (times >= 0))
-        if self.problem.kind == "heat-product" and bad.any():
-            raise NegativeDiffusionTime(
-                f"heat time must be >= 0 and finite, got {times[bad][0]}")
+        if self.problem.kind == "heat-product":
+            bad = ~(np.isfinite(times) & (times >= 0))
+            if bad.any():
+                raise NegativeDiffusionTime(
+                    f"heat time must be >= 0 and finite, got {times[bad][0]}")
+        elif not np.isfinite(times).all():
+            raise DomainError(
+                f"time must be finite, got {times[~np.isfinite(times)][0]}")
         out = np.empty((points.shape[0], times.size))
         for j, t in enumerate(times):
             out[:, j] = self._fn(points, float(t))
@@ -205,8 +218,17 @@ def _derivative(W, b, order: int):
     return W, b
 
 
-def cluster_evaluator(problem: CauchyProblem, spec: QuadratureSpec,
-                      kernel: Callable) -> SolutionEvaluator:
+@functools.lru_cache(maxsize=None)
+def _time_rule(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the count-node Gauss-Legendre rule on (0, 1),
+    built on first use; the arrays are read-only."""
+    rule = gauss_legendre(count, 0.0, 1.0)
+    rule.nodes.flags.writeable = False
+    rule.weights.flags.writeable = False
+    return rule.nodes, rule.weights
+
+
+def cluster_evaluator(problem: CauchyProblem, kernel: Callable) -> SolutionEvaluator:
     """Evaluator of prod_j (d^nu/dt^nu - c_j Lap) u = f on the whole space.
 
     The heat has nu = 1 and c_j its speeds, the wave nu = 2 and c_j the
@@ -217,12 +239,22 @@ def cluster_evaluator(problem: CauchyProblem, spec: QuadratureSpec,
     wave, s^(2q+1) in a numerator adds one time derivative.  The source
     takes the last datum's term, integrated against it by Duhamel.
 
+    The data's value terms b(t) K(t) need no rule.  Their integral terms
+    and the whole Duhamel term take one Gauss-Legendre count of
+    :data:`TIME_LADDER`, for the inner integrals and the outer one alike.
+    Each point starts on the first two counts and moves up one count while
+    the two differ by more than ``TOLERANCE`` of the data's size under the
+    larger: sum |time weight| times the kernel's own scale.  Past the last
+    count it raises :class:`~waveforge.errors.UnresolvedData`.  A point's
+    rule depends only on its own values, so it does not depend on its batch.
+
     ``kernel(field, cosh)`` returns ``apply(points, c, taus, t_args=None,
-    cosh=False)``: K = L^-1[1/(s^nu - c Lap)] of the field at each time in
-    ``taus``, shape (P, len(taus)), or with ``cosh`` its time derivative.
-    ``t_args``, aligned with ``taus``, is the field's time argument.  Then
-    K^(j) is c^(j//nu) Lap^(j//nu) times K, or for odd j with nu = 2 its
-    derivative.
+    cosh=False, scale=False)``: K = L^-1[1/(s^nu - c Lap)] of the field at
+    each time in ``taus``, shape (P, len(taus)), or with ``cosh`` its time
+    derivative; with ``scale``, a pair of that and the kernel applied to
+    the absolute value of its integrand under its rule.  ``t_args``,
+    aligned with ``taus``, is the field's time argument.  Then K^(j) is
+    c^(j//nu) Lap^(j//nu) times K, or for odd j with nu = 2 its derivative.
     """
     nu = 1 if problem.kind == "heat-product" else 2
     centres, _, fractions = cluster_fractions(np.asarray(problem.speeds) ** nu)
@@ -257,31 +289,78 @@ def cluster_evaluator(problem: CauchyProblem, spec: QuadratureSpec,
         powers = [key[0] for key in list(integrals[g]) + list(values[g])]
         for q in dict.fromkeys(powers):
             kernels[g, q] = kernel(laplacian_power(field, q), q in cosh)
+    source = len(fields) - 1
+    ruled = [g for g in range(len(problem.data)) if integrals[g]]
+    forced = problem.source is not None
 
-    unit = gauss_legendre(spec.n_time, 0.0, 1.0)
-    z, wz = unit.nodes, unit.weights
-
-    def terms(points, g, T, t_args=None):
-        """Field g's terms at the times T (S,), shape (P, S)."""
-        out = np.zeros((len(points), T.size))
+    def integral_terms(points, g, T, count, t_args=None):
+        """Field g's integral terms at the times T (S,) on the count-node
+        rule, and their scale, shape (P, S) each."""
+        out, mag = np.zeros((2, len(points), T.size))
         if T.any():
+            z, wz = _time_rule(count)
             tau = T[:, None] * z
             t_in = None if t_args is None else np.repeat(t_args, z.size)
             for (q, c), W in integrals[g].items():
-                vals = kernels[g, q](points, c, tau.reshape(-1), t_in)
-                out += (T[:, None] * wz * _polyval2d(W, T[:, None], tau)
-                        * vals.reshape(out.shape + z.shape)).sum(axis=-1)
+                vals, size = kernels[g, q](points, c, tau.reshape(-1), t_in,
+                                           scale=True)
+                w = T[:, None] * wz * _polyval2d(W, T[:, None], tau)
+                out += (w * vals.reshape(out.shape + z.shape)).sum(axis=-1)
+                mag += (np.abs(w) * size.reshape(out.shape + z.shape)).sum(axis=-1)
+        return out, mag
+
+    def value_terms(points, g, T, t_args=None, scale=False):
+        """Field g's value terms at the times T (S,), shape (P, S); with
+        ``scale``, and their scale."""
+        out, mag = np.zeros((2, len(points), T.size))
         for (q, c, odd), b in values[g].items():
-            out += P.polyval(T, b) * kernels[g, q](points, c, T, t_args, cosh=odd)
-        return out
+            bT = P.polyval(T, b)
+            res = kernels[g, q](points, c, T, t_args, cosh=odd, scale=scale)
+            out += bT * (res[0] if scale else res)
+            if scale:
+                mag += np.abs(bT) * res[1]
+        return (out, mag) if scale else out
+
+    def ruled_part(points, t, count):
+        """The data's integral terms and the Duhamel term at time t on the
+        count-node rule, and their scale, shape (P,) each."""
+        out, mag = np.zeros((2, len(points)))
+        for g in ruled:
+            vals, size = integral_terms(points, g, np.array([t]), count)
+            out += vals[:, 0]
+            mag += size[:, 0]
+        if forced and t != 0.0:
+            z, wz = _time_rule(count)
+            tau_o = t * z  # outer Duhamel times
+            vals, size = integral_terms(points, source, t - tau_o, count, tau_o)
+            bvals, bsize = value_terms(points, source, t - tau_o, tau_o, scale=True)
+            out += t * row_dot(vals + bvals, wz)
+            mag += abs(t) * row_dot(size + bsize, wz)
+        return out, mag
 
     def evaluate(points, t):
         total = np.zeros(points.shape[0])
         for g in range(len(problem.data)):
-            total += terms(points, g, np.array([t]))[:, 0]
-        if problem.source is not None and t != 0.0:
-            tau_o = t * z  # outer Duhamel times
-            total += t * row_dot(terms(points, len(fields) - 1, t - tau_o, tau_o), wz)
-        return total
+            total += value_terms(points, g, np.array([t]))[:, 0]
+        if not (ruled or forced):
+            return total
+        ruled_total = np.empty_like(total)
+        pending = np.arange(len(points))
+        lo, _ = ruled_part(points, t, TIME_LADDER[0])
+        for count in TIME_LADDER[1:]:
+            hi, size = ruled_part(points[pending], t, count)
+            gap = np.abs(hi - lo)
+            done = gap <= TOLERANCE * size
+            ruled_total[pending[done]] = hi[done]
+            pending, lo = pending[~done], hi[~done]
+            if not pending.size:
+                return total + ruled_total
+        k = np.flatnonzero(~done)[0]
+        raise UnresolvedData(
+            f"time integrals at t = {t!r}, x = {points[pending[0]].tolist()}: "
+            f"the {TIME_LADDER[-2]}- and {TIME_LADDER[-1]}-node Gauss-Legendre "
+            f"time rules differ by {gap[k]:.3g}, more than {TOLERANCE:g} of "
+            f"the data's size {size[k]:.3g}"
+        )
 
     return SolutionEvaluator(problem, evaluate)

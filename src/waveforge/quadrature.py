@@ -67,6 +67,8 @@ class SphereRule:
 class QuadratureSpec:
     """Node counts for the solver pipelines.
 
+    ``n_time`` is the box solver's Duhamel rule; the whole-space time rules
+    are sized per point (:data:`~waveforge.problems.TIME_LADDER`).
     ``n_radial`` is accepted and validated but unused: the sinh kernel
     needs no radial rule.
     """
@@ -174,6 +176,10 @@ def sphere_rule(n: int, degree: int) -> SphereRule:
     return rule
 
 
+# Two neighbouring rules of a ladder agree when they differ by at most this
+# fraction of the data's size under the larger rule
+TOLERANCE = 1e-10
+
 # Most field points one reduction builds at once: chunks of whole centres
 # while one centre's rows fit, else rows of a single centre, so no array
 # outgrows BATCH_POINTS unless one row of nodes does.  Larger chunks were
@@ -181,6 +187,10 @@ def sphere_rule(n: int, degree: int) -> SphereRule:
 # threshold, so more freed memory stays resident: 1 << 20 added 25 MiB to
 # the whole-space configs' peak RSS.
 BATCH_POINTS = 1 << 16
+# A row of more nodes is summed in chunks of this many, in node order; the
+# boundaries are fixed, so a value depends neither on its batch nor on
+# BATCH_POINTS
+ROW_CHUNK = 1 << 16
 
 
 def row_dot(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -199,8 +209,9 @@ def centre_sums(g, centres: np.ndarray, steps, nodes: np.ndarray,
     ``g(points, offsets, t)`` maps points (C, J', D', n), their offsets
     s_j u_d (J', D', n) and the time arguments (J', 1) from ``t_args`` to
     values (C, J', D').  A zero step is g at the centre itself, exactly.
-    Each (centre, step) is reduced by its own dot product, so its value
-    does not depend on how the work is chunked.  With ``scale``, the
+    Each (centre, step) is reduced by its own dot product per chunk of
+    :data:`ROW_CHUNK` nodes, the chunks' sums added in node order, so its
+    value does not depend on how the work is chunked.  With ``scale``, the
     result is a pair: the sums, and sum_d weights[d] |g(...)| from the same
     values.
     """
@@ -212,24 +223,30 @@ def centre_sums(g, centres: np.ndarray, steps, nodes: np.ndarray,
     # a zero step takes one node of weight 1: the centre
     for idx, u, w in ((np.flatnonzero(zero), np.zeros_like(nodes[:1]), np.ones(1)),
                       (np.flatnonzero(~zero), nodes, weights)):
-        rows = max(1, min(idx.size, BATCH_POINTS // len(w)))
-        step = max(1, BATCH_POINTS // (rows * len(w)))
+        width = min(len(w), ROW_CHUNK)
+        rows = max(1, min(idx.size, BATCH_POINTS // width))
+        step = max(1, BATCH_POINTS // (rows * width))
         for i in range(0, len(centres), step):
             for j in range(0, idx.size, rows):
                 r = idx[j:j + rows]
-                offs = steps[r, None, None] * u
-                # the points are unnamed and the values deleted, so a
-                # chunk's arrays are freed before the next's exist
-                vals = g(centres[i:i + step, None, None] + offs, offs, t_args[r])
-                out[i:i + step, r] = row_dot(vals, w)
-                if scale:
-                    mag[i:i + step, r] = row_dot(np.abs(vals), w)
-                del vals
+                block = np.s_[i:i + step, r]
+                for k in range(0, len(w), width):
+                    offs = steps[r, None, None] * u[k:k + width]
+                    # the points are unnamed and the values deleted, so a
+                    # chunk's arrays are freed before the next's exist
+                    vals = g(centres[i:i + step, None, None] + offs, offs, t_args[r])
+                    part = row_dot(vals, w[k:k + width])
+                    out[block] = part if k == 0 else out[block] + part
+                    if scale:
+                        part = row_dot(np.abs(vals), w[k:k + width])
+                        mag[block] = part if k == 0 else mag[block] + part
+                    del vals
     return (out, mag) if scale else out
 
 
 def sphere_means(field, centres: np.ndarray, radii, rule: SphereRule,
-                 t_args=None, grad=(), lap=None, k: float = 1.0) -> np.ndarray:
+                 t_args=None, grad=(), lap=None, k: float = 1.0,
+                 scale: bool = False):
     """Means of ``field`` over the sphere of every radius (R,) around every
     centre (P, n), shape (P, R).
 
@@ -237,7 +254,8 @@ def sphere_means(field, centres: np.ndarray, radii, rule: SphereRule,
     ``t_args`` optionally gives its time argument per radius.  Given the
     compiled components of the field's gradient, ``grad``, the means are
     of f + k r w.grad(f) instead, and with its compiled Laplacian ``lap``
-    too, of f + k (r w.grad(f) + r^2 Lap f).
+    too, of f + k (r w.grad(f) + r^2 Lap f).  With ``scale``, the means of
+    the integrand's absolute value come too, as in :func:`centre_sums`.
     """
     f = compile_field(field) if isinstance(field, Expr) else field
 
@@ -252,7 +270,7 @@ def sphere_means(field, centres: np.ndarray, radii, rule: SphereRule,
         return vals
 
     return centre_sums(integrand, centres, radii, rule.directions, rule.weights,
-                       t_args)
+                       t_args, scale)
 
 
 def spherical_mean(field, center: Sequence[float], radius: float,
@@ -328,13 +346,16 @@ class SinhKernel:
         return float(self.apply_many(x, np.asarray([t]))[0])
 
     def apply_many(self, x, ts: np.ndarray, t_args=None,
-                   cosh: bool = False) -> np.ndarray:
+                   cosh: bool = False, scale: bool = False):
         """Kernel applied at each time in ``ts`` (may include 0).
 
         ``x`` is one point (n,) or many (P, n); the result has shape
         (len(ts),) or (P, len(ts)).  ``t_args``, if given, is an array
         aligned with ``ts`` holding the parameter passed to the field as
         its explicit time argument.  ``cosh`` applies C_a in place of S_a.
+        With ``scale``, the result is a pair: the values, and the same
+        kernel applied to the integrand's absolute value under the rule,
+        the data's size there.
         """
         if cosh and not self._cosh:
             raise InvalidOrder("this kernel was built without its cosh part")
@@ -343,6 +364,10 @@ class SinhKernel:
         grad = self._grad if cosh or self.n == 5 else ()
         means = sphere_means(self._f, np.atleast_2d(x), self.a * ts, self.rule,
                              t_args, grad, self._lap if cosh else None,
-                             1.0 / (self.n - 2))
+                             1.0 / (self.n - 2), scale)
+        if scale:
+            means, mag = means
+            out = (means, mag) if cosh else (ts * means, np.abs(ts) * mag)
+            return tuple(v[0] for v in out) if x.ndim == 1 else out
         out = means if cosh else ts * means
         return out[0] if x.ndim == 1 else out

@@ -139,6 +139,23 @@ def _suite_heat() -> list[CheckResult]:
     except UnresolvedData:
         missed = 0.0
     out.append(CheckResult("heat", "unresolved-raises", missed, 0.0))
+    # a fast source the time-rule ladder resolves, and one beyond it:
+    # u(1, x) = sin(x1) Re[(e^{i nu} - e^{-1/2}) / (1/2 + i nu)]
+    def forced(nu):
+        return solve_heat_product(CauchyProblem(
+            "heat-product", 1, 1, (0.5,), parse(f"cos({nu}*t)*sin(x1)", 1),
+            (None,)))
+
+    exact = math.sin(0.7) * ((complex(math.cos(120), math.sin(120))
+                              - math.exp(-0.5)) / complex(0.5, 120)).real
+    err = abs(forced(120)([0.7], 1.0) - exact)
+    out.append(CheckResult("heat", "time-rule-resolved", err, 1e-12))
+    try:
+        forced(300)([0.7], 1.0)
+        missed = 1.0
+    except UnresolvedData:
+        missed = 0.0
+    out.append(CheckResult("heat", "time-rule-unresolved-raises", missed, 0.0))
     return out
 
 

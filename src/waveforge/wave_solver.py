@@ -41,11 +41,13 @@ def solve_wave(problem: CauchyProblem,
         # one kernel serves every speed: S_a(t) = S_1(a t) / a, C_a(t) = C_1(a t)
         unit = SinhKernel(field, 1.0, spec, cosh=cosh)
 
-        def apply(points, c, taus, t_args=None, cosh=False):
+        def apply(points, c, taus, t_args=None, cosh=False, scale=False):
             a = math.sqrt(c)
-            vals = unit.apply_many(points, a * taus, t_args, cosh=cosh)
-            return vals if cosh else vals / a
+            out = unit.apply_many(points, a * taus, t_args, cosh=cosh, scale=scale)
+            if cosh:
+                return out
+            return (out[0] / a, out[1] / a) if scale else out / a
 
         return apply
 
-    return cluster_evaluator(problem, spec, kernel)
+    return cluster_evaluator(problem, kernel)

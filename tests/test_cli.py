@@ -13,9 +13,10 @@ import pytest
 import waveforge
 from waveforge import cli
 from waveforge.cli import main
-from waveforge.config import dump_config, parse_config
+from waveforge.config import dump_config, load_config, parse_config
 from waveforge.errors import ConfigError
 from waveforge.oracle import ModeProblem, mode_solve
+from test_wave_solver import _stopping_counts
 
 KIRCHHOFF = """
 [problem]
@@ -242,6 +243,34 @@ class TestSolveCommand:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_unresolved_time_rule_exit_code(self, tmp_path, capsys):
+        # cos(300 t) over (0, 1) is beyond the 64-node time rule
+        out = tmp_path / "o.csv"
+        cfgf = tmp_path / "p.ini"
+        cfgf.write_text(FORCED_HEAT.format(path=out)
+                        .replace("cos(40*x1*t)", "cos(300*t)")
+                        .replace("t = 0:0.25:2", "t = 1:1:1"))
+        assert main(["solve", str(cfgf)]) == 3
+        captured = capsys.readouterr()
+        assert "time integrals at t = 1.0" in captured.err
+        assert "Gauss-Legendre time rules" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_threads_deterministic_with_a_source(self, tmp_path, monkeypatch):
+        cfgf = tmp_path / "p.ini"
+        outputs = []
+        for threads in (1, 4):
+            out = tmp_path / f"{threads}.csv"
+            cfgf.write_text(FORCED_HEAT.format(path=out))
+            assert main(["--threads", str(threads), "solve", str(cfgf)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        # the grid's points stop on different counts of the time ladder
+        ev = cli.build_evaluator(load_config(str(cfgf)))
+        points = np.array([[x1, 0.6] for x1 in np.linspace(0.25, 3.0, 4)])
+        assert len(set(_stopping_counts(ev, points, 0.25, monkeypatch))) > 1
+
     def test_heat_window_rejected(self, tmp_path, capsys):
         # the Gauss-Hermite rules have no window; the old key is an error
         text = KIRCHHOFF.format(path=tmp_path / "o.csv") + (
@@ -343,6 +372,8 @@ class TestVerifyCommand:
         assert "PASS heat/mixed-cluster-modes:" in out
         assert "PASS heat/sharp-mode-resolved:" in out
         assert "PASS heat/unresolved-raises:" in out
+        assert "PASS heat/time-rule-resolved:" in out
+        assert "PASS heat/time-rule-unresolved-raises:" in out
 
 
 WAVE5 = """
@@ -388,6 +419,26 @@ phi2 = 0.5*sin(x1)*cos(x2)
 x1 = 0:1:2
 x2 = 0:0:1
 t = 0:0.5:2
+
+[output]
+path = {path}
+"""
+
+# the source's frequency in time grows with x1
+FORCED_HEAT = """
+[problem]
+kind = heat-product
+n = 2
+m = 1
+speeds = 0.5
+
+[data]
+f = cos(40*x1*t)*sin(x2)
+
+[domain]
+x1 = 0.25:3:4
+x2 = 0.6:0.6:1
+t = 0:0.25:2
 
 [output]
 path = {path}

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from waveforge import quadrature
+from waveforge import problems, quadrature
 from waveforge.errors import (
     InvalidOrder,
     NegativeDiffusionTime,
@@ -22,7 +22,7 @@ from waveforge.heat_solver import (
 from waveforge.ibvp import build_basis, solve_ibvp
 from waveforge.oracle import ModeProblem, heat_closed_form, mode_solve
 from waveforge.problems import CauchyProblem
-from test_wave_solver import _plane_wave_amplitude
+from test_wave_solver import _plane_wave_amplitude, _stopping_counts
 
 
 class TestPropagator:
@@ -184,6 +184,61 @@ class TestResolution:
         assert np.array_equal(prop.apply_many(points, lams, t_args), single)
         exact = np.exp(-16 * lams - t_args) * np.sin(4 * points)
         assert np.max(np.abs(batch - exact)) <= 1e-12
+
+
+def _oscillating_source(nu):
+    """u_t = 0.5 u_xx + cos(nu t) sin(x1) on R from zero data."""
+    return CauchyProblem("heat-product", 1, 1, (0.5,),
+                         parse(f"cos({nu}*t)*sin(x1)", 1), (None,))
+
+
+class TestTimeRules:
+    """The whole-space time rules climb TIME_LADDER per point until two
+    neighbouring Gauss-Legendre counts agree, or raise UnresolvedData."""
+
+    @pytest.mark.parametrize("nu", [10, 40, 80, 120])
+    def test_oscillating_source_resolved(self, nu):
+        # u(1, x) = sin(x1) Re[(e^{i nu} - e^{-1/2}) / (1/2 + i nu)]; the
+        # fixed 32 x 32 grid gave 3.62e-2 for 3.12e-3 at nu = 120
+        got = solve_heat_product(_oscillating_source(nu))([0.7], 1.0)
+        exact = math.sin(0.7) * ((complex(math.cos(nu), math.sin(nu))
+                                  - math.exp(-0.5)) / complex(0.5, nu)).real
+        assert abs(got - exact) <= 1e-12
+
+    @pytest.mark.parametrize("nu", [200, 300])
+    def test_oscillating_source_unresolved(self, nu):
+        ev = solve_heat_product(_oscillating_source(nu))
+        with pytest.raises(UnresolvedData) as info:
+            ev([0.7], 1.0)
+        msg = str(info.value)
+        assert "t = 1.0, x = [0.7]" in msg
+        assert "48- and 64-node Gauss-Legendre time rules" in msg
+        assert "data's size" in msg
+
+    def test_batch_with_different_stopping_counts(self, monkeypatch):
+        # the source's frequency in time grows with x1, so the points stop
+        # on different counts; each must match its one-point value exactly
+        p = CauchyProblem("heat-product", 2, 1, (0.5,),
+                          parse("cos(40*x1*t)*sin(x2)", 2), (None,))
+        ev = solve_heat_product(p)
+        points = np.array([[0.25, 0.6], [1.0, -0.3], [2.0, 0.6], [3.0, 1.1]])
+        counts = _stopping_counts(ev, points, 0.25, monkeypatch)
+        assert len(set(counts)) > 1 and min(counts) > problems.TIME_LADDER[1]
+        times = np.array([0.0, 0.25, 0.5])
+        single = np.array([[ev(x, t) for t in times] for x in points])
+        assert np.array_equal(ev.evaluate(points, times), single)
+        monkeypatch.setattr(quadrature, "BATCH_POINTS", 64)
+        assert np.array_equal(ev.evaluate(points, times), single)
+
+    def test_unforced_single_factor_builds_no_rule(self, monkeypatch):
+        calls, rule = [], problems._time_rule
+        monkeypatch.setattr(problems, "_time_rule",
+                            lambda c: calls.append(c) or rule(c))
+        p = CauchyProblem("heat-product", 1, 1, (0.5,), None,
+                          (parse("sin(x1)", 1),))
+        got = solve_heat_product(p).evaluate(np.array([[0.7], [1.2]]), [0.0, 1.0])
+        assert calls == []
+        assert got[0, 1] == pytest.approx(math.exp(-0.5) * math.sin(0.7), abs=1e-12)
 
 
 class TestEqualSpeeds:

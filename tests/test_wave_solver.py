@@ -2,14 +2,16 @@
 oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from waveforge import heat_solver, quadrature
+from waveforge import heat_solver, problems, quadrature
 from waveforge.errors import (
     DataCountMismatch,
     DegenerateSpeeds,
+    DomainError,
     InvalidOrder,
     NonPositiveSpeed,
     UnsupportedDimension,
@@ -215,6 +217,34 @@ class TestDistinctSpeeds:
             mode_solve(mp, t) * math.sin(X3[0]), abs=1e-9
         )
 
+    def test_oscillating_source_against_mode_oracle(self, monkeypatch):
+        # cos(80 t) at t = 1.3 takes the 64-node time rule; the fixed
+        # 32 x 32 grid gave 9.32e-5 for 5.13e-5
+        speeds = (0.8, 1.5)
+        p = CauchyProblem("wave-distinct", 3, 2, speeds,
+                          parse("sin(x1 + 0.5*x3)*cos(80*t)", 3), (None,) * 4)
+        mp = ModeProblem("wave", speeds, (1.0, 0.0, 0.5), (0.0,) * 4,
+                         source=parse("cos(80*t)", 0))
+        ev = solve_wave(p)
+        assert _stopping_counts(ev, X3[None], 1.3, monkeypatch) == [64]
+        for t in (0.6, 1.3):
+            exact = mode_solve(mp, t) * math.sin(X3[0] + 0.5 * X3[2])
+            assert abs(ev(X3, t) - exact) <= 1e-12
+
+
+def _stopping_counts(ev, points, t, monkeypatch):
+    """The last time-rule count each one-point evaluation asks for."""
+    rule = problems._time_rule
+    out = []
+    for p in points:
+        counts = []
+        monkeypatch.setattr(problems, "_time_rule",
+                            lambda c: counts.append(c) or rule(c))
+        ev.evaluate(p[None], [t])
+        out.append(max(counts))
+    monkeypatch.setattr(problems, "_time_rule", rule)
+    return out
+
 
 def _plane_wave_amplitude(speeds, kk, t, kind="wave"):
     """T(t) of prod_j (D^2 + a_j^2 kk^2) T = 0, or for the heat of
@@ -336,6 +366,19 @@ class TestEvaluatorInterface:
         with pytest.raises(DataCountMismatch, match=r"and \(\)"):
             ev.evaluate(np.zeros((2, 3)), 0.5)
 
+    @pytest.mark.parametrize("kind", ["wave-multiple", "wave-distinct"])
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, kind, t):
+        speeds = (1.0, 1.0) if kind == "wave-multiple" else (1.0, 1.6)
+        p = CauchyProblem(kind, 3, 2, speeds, parse("sin(x1)*cos(t)", 3),
+                          (parse("sin(x1)", 3), None, None, parse("x2", 3)))
+        ev = solve_wave(p)
+        # rejected before any kernel runs: no numpy warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"time must be finite, got {t}"):
+                ev.evaluate(np.zeros((1, 3)), [0.5, t])
+
     def test_evaluate_shape(self):
         p = CauchyProblem(
             "wave-multiple", 3, 1, (1.0,), None, (None, parse("1", 3))
@@ -379,12 +422,12 @@ def _evaluator(family):
         p = CauchyProblem("heat-product", 2, 2, (0.7, 0.7),
                           parse("sin(x1)*exp(-t)", 2),
                           (parse("cos(x1 - x2)", 2), parse("x1*x2", 2)))
-        return solve_heat_product(p, small, heat)
+        return solve_heat_product(p, heat)
     if family == "heat-distinct":
         p = CauchyProblem("heat-product", 2, 2, (0.6, 1.3),
                           parse("cos(x2)*t", 2),
                           (parse("sin(x1 + x2)", 2), parse("cos(x1)", 2)))
-        return solve_heat_product(p, small, heat)
+        return solve_heat_product(p, heat)
     # an odd k_max puts each mode at a different SIMD lane per point
     p = CauchyProblem("wave-multiple", 2, 1, (1.1,), parse("x1*(1-x1)*t", 2),
                       (parse("sin(pi*x1)*sin(x2)*x2*(1.5-x2)", 2), None))
@@ -416,15 +459,30 @@ class TestBatchIndependence:
         monkeypatch.setattr(quadrature, "BATCH_POINTS", 64)
         assert np.array_equal(ev.evaluate(points, times), single)
 
+    def test_batch_with_different_stopping_counts(self, monkeypatch):
+        # the source's frequency in time grows with x1, so the points stop
+        # on different counts of the time ladder
+        p = CauchyProblem("wave-distinct", 3, 2, (1.0, 1.7),
+                          parse("cos(40*x1*t)*sin(x2)", 3), (None,) * 4)
+        ev = solve_wave(p, QuadratureSpec(sphere_degree=8))
+        points = np.array([[x1, 0.6, -0.2] for x1 in (0.25, 1.0, 2.0, 3.0)])
+        counts = _stopping_counts(ev, points, 0.5, monkeypatch)
+        assert len(set(counts)) > 1 and min(counts) > problems.TIME_LADDER[1]
+        times = np.array([0.0, 0.5, -0.4])
+        single = np.array([[ev(x, t) for t in times] for x in points])
+        assert np.array_equal(ev.evaluate(points, times), single)
+        monkeypatch.setattr(quadrature, "BATCH_POINTS", 64)
+        assert np.array_equal(ev.evaluate(points, times), single)
+
 
 class TestMemoryBound:
     """No field evaluation builds more than BATCH_POINTS points, unless one
-    row of nodes is larger."""
+    row of nodes is larger; a row is never more than ROW_CHUNK nodes."""
 
     @staticmethod
-    def _record_sizes(monkeypatch) -> list:
+    def _record_sizes(monkeypatch, budget=1000) -> list:
         """Points per field call, recorded from the next evaluators built,
-        under a budget of 1000 points."""
+        under a budget of ``budget`` points (None: the default)."""
         sizes = []
 
         def recording(compile_field):
@@ -442,7 +500,8 @@ class TestMemoryBound:
         for module in (quadrature, heat_solver):
             monkeypatch.setattr(module, "compile_field",
                                 recording(module.compile_field))
-        monkeypatch.setattr(quadrature, "BATCH_POINTS", 1000)
+        if budget is not None:
+            monkeypatch.setattr(quadrature, "BATCH_POINTS", budget)
         return sizes
 
     # one row: the degree-4 sphere rule's directions, or the 24^n nodes of
@@ -466,3 +525,20 @@ class TestMemoryBound:
         top = heat_solver.LADDER[-1] ** 2
         assert max(sizes) == top  # the top rule ran, one row a call
         assert max(sizes) <= max(quadrature.BATCH_POINTS, top)
+
+    def test_long_rows_split_into_node_chunks(self, monkeypatch):
+        # at lam = 2 sin(4 x1) climbs to the 64^3-node rule, whose one row
+        # is 4 times BATCH_POINTS; it is summed in fixed node chunks
+        sizes = self._record_sizes(monkeypatch, budget=None)
+        prop = heat_solver.HeatPropagator(parse("sin(4*x1)*cos(x2)*cos(x3)", 3))
+        prop.apply_many([[0.3, 0.2, 0.1]], [2.0])
+        assert sum(sizes) >= 64**3 > quadrature.BATCH_POINTS  # that rule ran
+        assert max(sizes) <= quadrature.BATCH_POINTS
+
+    def test_node_chunks_batch_independent(self):
+        prop = heat_solver.HeatPropagator(parse("sin(4*x1)*cos(x2)*cos(x3)", 3))
+        points = np.array([[0.3, 0.2, 0.1], [-1.1, 0.4, 2.0]])
+        lams = np.array([0.5, 2.0])
+        single = np.array([[prop.apply_many(x, [lam])[0] for lam in lams]
+                           for x in points])
+        assert np.array_equal(prop.apply_many(points, lams), single)
