@@ -45,7 +45,7 @@ def build_evaluator(cfg: ProblemConfig):
         basis = build_basis(cfg.box, cfg.k_max)
         return solve_ibvp(cfg.problem, basis, cfg.quadrature)
     if cfg.problem.kind == "heat-product":
-        return solve_heat_product(cfg.problem, cfg.heat)
+        return solve_heat_product(cfg.problem)
     return solve_wave(cfg.problem, cfg.quadrature)
 
 
@@ -69,7 +69,8 @@ def _cmd_solve(args) -> int:
         times = cfg.t_axis.points()
         # a point's value does not depend on the other points in its call, so
         # the output is the same for every thread count; this thread takes the
-        # first chunk, as a pool thread's malloc arena added 50 MiB to peak RSS
+        # first chunk, so one thread starts no pool (with the bounded reductions
+        # a pool thread's own malloc arena adds no measurable peak RSS)
         chunks = np.array_split(points, min(threads, len(points)))
         with ThreadPoolExecutor(max_workers=max(1, len(chunks) - 1)) as pool:
             rest = [pool.submit(ev.evaluate, c, times) for c in chunks[1:]]

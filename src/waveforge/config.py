@@ -32,6 +32,7 @@ Unknown sections or keys are rejected so typos fail loudly.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,7 +40,6 @@ import numpy as np
 
 from .errors import ConfigError, WaveforgeError
 from .expr import parse
-from .heat_solver import HeatPropagatorSpec
 from .problems import KINDS, CauchyProblem
 from .quadrature import QuadratureSpec
 
@@ -47,7 +47,7 @@ __all__ = ["GridAxis", "ProblemConfig", "load_config", "parse_config", "dump_con
 
 _PROBLEM_KEYS = {"kind", "n", "m", "speeds"}
 _DOMAIN_FIXED = {"t", "box", "k_max"}
-_QUAD_KEYS = {"n_time", "n_radial", "sphere_degree", "heat_nodes"}
+_QUAD_KEYS = {"n_time", "n_radial", "sphere_degree"}
 _OUTPUT_KEYS = {"path", "format"}
 
 
@@ -71,7 +71,6 @@ class ProblemConfig:
     box: Optional[tuple[float, ...]]
     k_max: int
     quadrature: QuadratureSpec
-    heat: HeatPropagatorSpec
     output_path: str
     source_text: Optional[str] = None
     data_texts: tuple = ()
@@ -86,6 +85,8 @@ def _axis(raw: str, key: str) -> GridAxis:
         count = int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"bad number in domain key '{key}': {exc}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"domain key '{key}': bounds must be finite, got '{raw}'")
     if count < 1:
         raise ConfigError(f"domain key '{key}': count must be >= 1")
     if count > 1 and not lo < hi:
@@ -176,6 +177,8 @@ def parse_config(text: str) -> ProblemConfig:
             raise ConfigError(
                 f"box needs {n} side lengths, got {len(box)}"
             )
+        if not all(0 < v < math.inf for v in box):
+            raise ConfigError(f"box sides must be positive and finite: {box}")
     if "k_max" in dom:
         if box is None:
             raise ConfigError("k_max only applies to box problems")
@@ -185,18 +188,14 @@ def parse_config(text: str) -> ProblemConfig:
             raise ConfigError(f"bad k_max: {exc}") from None
 
     quad_kwargs = {}
-    heat_kwargs = {}
     if "quadrature" in cp:
         sec = cp["quadrature"]
         unknown = set(sec) - _QUAD_KEYS
         if unknown:
             raise ConfigError(f"unknown [quadrature] keys: {sorted(unknown)}")
         try:
-            for key in ("n_time", "n_radial", "sphere_degree"):
-                if key in sec:
-                    quad_kwargs[key] = int(sec[key])
-            if "heat_nodes" in sec:
-                heat_kwargs["n_nodes"] = int(sec["heat_nodes"])
+            for key in sec:
+                quad_kwargs[key] = int(sec[key])
         except ValueError as exc:
             raise ConfigError(f"bad [quadrature] value: {exc}") from None
 
@@ -214,7 +213,6 @@ def parse_config(text: str) -> ProblemConfig:
     try:
         problem = CauchyProblem(kind, n, m, speeds, source, data)
         quadrature = QuadratureSpec(**quad_kwargs)
-        heat = HeatPropagatorSpec(**heat_kwargs)
     except WaveforgeError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -225,7 +223,6 @@ def parse_config(text: str) -> ProblemConfig:
         box=box,
         k_max=k_max,
         quadrature=quadrature,
-        heat=heat,
         output_path=output_path,
         source_text=source_text,
         data_texts=tuple(data_texts),
@@ -268,7 +265,6 @@ def dump_config(cfg: ProblemConfig) -> str:
         f"n_time = {q.n_time}",
         f"n_radial = {q.n_radial}",
         f"sphere_degree = {q.sphere_degree}",
-        f"heat_nodes = {cfg.heat.n_nodes}",
         "",
         "[output]",
         f"path = {cfg.output_path}",

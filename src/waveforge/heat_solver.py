@@ -8,61 +8,28 @@ integrals of such terms, for each cluster centre c.
 
 The diffusion semigroup e^{lam Lap} is the Gaussian convolution, realized
 by tensor Gauss-Hermite rules on the whole space.  Each (point, diffusion
-time) climbs a ladder of per-axis node counts until two neighbouring rules
-agree to a tolerance relative to the data's own size there; data that no
-rule on the ladder resolves raise :class:`~waveforge.errors.UnresolvedData`.
+time) climbs a ladder of per-axis node counts by
+:func:`~waveforge.quadrature.climb`; data that no rule on the ladder
+resolves raise :class:`~waveforge.errors.UnresolvedData`.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .errors import (
-    InvalidOrder,
-    NegativeDiffusionTime,
-    UnresolvedData,
-    UnsupportedDimension,
-)
+from .errors import InvalidOrder, NegativeDiffusionTime, UnsupportedDimension
 from .expr import Expr, compile_field
 from .problems import CauchyProblem, SolutionEvaluator, cluster_evaluator
-from .quadrature import TOLERANCE, centre_sums
+from .quadrature import centre_sums, climb
 
-__all__ = [
-    "HeatPropagatorSpec",
-    "HeatPropagator",
-    "heat_propagate",
-    "solve_heat_product",
-]
+__all__ = ["HeatPropagator", "heat_propagate", "solve_heat_product"]
 
-# Per-axis Gauss-Hermite node counts a (point, diffusion time) climbs; two
-# neighbours agree within quadrature.TOLERANCE of sum w |f|, the data's size
-# under the larger rule
+# Per-axis Gauss-Hermite node counts a (point, diffusion time) climbs by
+# quadrature.climb; the data's size under a rule is sum w |f|
 LADDER = (16, 24, 32, 48, 64, 96)
-
-
-@dataclass(frozen=True)
-class HeatPropagatorSpec:
-    """Per-axis node count of the first rule; larger rules come from
-    :data:`LADDER`."""
-
-    n_nodes: int = 16
-
-    def __post_init__(self):
-        if self.n_nodes < 16:
-            raise InvalidOrder("need at least 16 nodes per axis")
-        if self.n_nodes >= LADDER[-1]:
-            raise InvalidOrder(
-                f"need fewer than {LADDER[-1]} nodes per axis, so a larger "
-                "rule can check the first"
-            )
-
-    @property
-    def rungs(self) -> tuple[int, ...]:
-        return (self.n_nodes,) + tuple(c for c in LADDER if c > self.n_nodes)
 
 
 @functools.lru_cache(maxsize=None)
@@ -90,16 +57,14 @@ class HeatPropagator:
     Substituting y = x + sqrt(lam) * zeta turns the Gaussian convolution
     into a lam-independent weight exp(-|zeta|^2/4) / (4 pi)^(n/2), so each
     tensor Gauss-Hermite rule serves every diffusion time.  Each (point,
-    diffusion time) starts on the spec's first two rules of the ladder and
-    moves up one rule while the two disagree.
+    diffusion time) climbs :data:`LADDER` by
+    :func:`~waveforge.quadrature.climb`, from its first two rules.
     """
 
-    def __init__(self, field: Expr, spec: HeatPropagatorSpec | None = None):
-        spec = spec or HeatPropagatorSpec()
+    def __init__(self, field: Expr):
         n = field.ndim
         if n > 3:
             raise UnsupportedDimension(f"diffusion semigroup needs n <= 3, got {n}")
-        self.spec = spec
         self.field = field
         f = compile_field(field)
         self._g = lambda pts, offs, t: f(pts, t)
@@ -139,45 +104,29 @@ class HeatPropagator:
         centres = np.atleast_2d(x)
         steps = np.sqrt(lams)
         t_args = np.broadcast_to(0.0 if t_args is None else t_args, steps.shape)
-        out = np.empty((len(centres), steps.size))
-        mag = np.empty_like(out)
-        pending = np.ones(out.shape, dtype=bool)
-        rungs = self.spec.rungs
-        lo, _ = self._sums(centres, steps, t_args, rungs[0], pending)
-        for count in rungs[1:]:
-            hi, size = self._sums(centres, steps, t_args, count, pending)
-            gap = np.abs(hi - lo)
-            done = pending & (gap <= TOLERANCE * size)
-            out[done], mag[done] = hi[done], size[done]
-            pending &= ~done
-            if not pending.any():
-                if x.ndim == 1:
-                    out, mag = out[0], mag[0]
-                return (out, mag) if scale else out
-            lo = hi
-        p, j = np.argwhere(pending)[0]
-        raise UnresolvedData(
-            f"e^(lam Lap) of {self.field} at diffusion time lam = "
-            f"{float(lams[j])!r}, x = {centres[p].tolist()}: the {rungs[-2]}- "
-            f"and {rungs[-1]}-node Gauss-Hermite rules per axis differ by "
-            f"{gap[p, j]:.3g}, more than {TOLERANCE:g} of the data's size "
-            f"{size[p, j]:.3g}"
-        )
+        out, mag = climb(
+            LADDER, functools.partial(self._sums, centres, steps, t_args),
+            (len(centres), steps.size),
+            lambda entry, lo, hi: (
+                f"e^(lam Lap) of {self.field} at diffusion time lam = "
+                f"{float(lams[entry[1]])!r}, x = {centres[entry[0]].tolist()}: "
+                f"the {lo}- and {hi}-node Gauss-Hermite rules per axis"))
+        if x.ndim == 1:
+            out, mag = out[0], mag[0]
+        return (out, mag) if scale else out
 
 
-def heat_propagate(field: Expr, lam: float, x,
-                   spec: HeatPropagatorSpec | None = None) -> float:
+def heat_propagate(field: Expr, lam: float, x) -> float:
     """One-shot e^{lam Lap} field at a single point."""
-    return float(HeatPropagator(field, spec).apply_many(x, [lam])[0])
+    return float(HeatPropagator(field).apply_many(x, [lam])[0])
 
 
-def solve_heat_product(problem: CauchyProblem,
-                       heat_spec: HeatPropagatorSpec | None = None
-                       ) -> SolutionEvaluator:
+def solve_heat_product(problem: CauchyProblem) -> SolutionEvaluator:
     """Solver for prod_j (d/dt - a_j Lap) u = f with m initial data, any
-    positive speeds.  It takes no :class:`~waveforge.quadrature.QuadratureSpec`:
-    its time rules are sized per point, its Gauss-Hermite rules per
-    diffusion time."""
+    positive speeds.  It takes no rule sizes: its time rules climb
+    :data:`~waveforge.problems.TIME_LADDER` per point and its Gauss-Hermite
+    rules :data:`LADDER` per diffusion time, both by
+    :func:`~waveforge.quadrature.climb`."""
     if problem.kind != "heat-product":
         raise InvalidOrder(f"expected heat-product, got {problem.kind}")
     if problem.n > 3:
@@ -187,7 +136,7 @@ def solve_heat_product(problem: CauchyProblem,
 
     def kernel(field, cosh):
         # one propagator serves every speed: the speed scales the diffusion time
-        prop = HeatPropagator(field, heat_spec)
+        prop = HeatPropagator(field)
         return lambda points, c, taus, t_args=None, cosh=False, scale=False: (
             prop.apply_many(points, c * taus, t_args, scale))
 

@@ -92,8 +92,8 @@ def build_basis(L, k_max: int = DEFAULT_K_MAX) -> EigenBasis:
     L = tuple(float(v) for v in np.atleast_1d(L))
     if len(L) not in (1, 2, 3):
         raise InvalidBox(f"box dimension must be 1..3, got {len(L)}")
-    if any(v <= 0 for v in L):
-        raise InvalidBox(f"side lengths must be positive: {L}")
+    if not all(0 < v < math.inf for v in L):
+        raise InvalidBox(f"side lengths must be positive and finite: {L}")
     if k_max < 1:
         raise InvalidBox(f"k_max must be >= 1, got {k_max}")
     axes = [np.arange(1, k_max + 1)] * len(L)

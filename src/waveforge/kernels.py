@@ -1,4 +1,4 @@
-"""Symbol functions and partial-fraction weights.
+"""Partial-fraction weights and divided differences of exp.
 
 These are the per-mode building blocks every solver shares: the
 confluent partial fractions over speed clusters that distribute a

@@ -25,12 +25,11 @@ from .errors import (
     InvalidOrder,
     NegativeDiffusionTime,
     NonPositiveSpeed,
-    UnresolvedData,
     UnsupportedDimension,
 )
 from .expr import Expr, laplacian_power
 from .kernels import cluster_fractions, require_distinct
-from .quadrature import TOLERANCE, double_factorial, gauss_legendre, row_dot
+from .quadrature import climb, double_factorial, gauss_legendre, row_dot
 
 __all__ = ["CauchyProblem", "SolutionEvaluator", "KINDS", "TIME_LADDER",
            "cluster_evaluator"]
@@ -39,9 +38,8 @@ __all__ = ["CauchyProblem", "SolutionEvaluator", "KINDS", "TIME_LADDER",
 # with distinct speeds, and product of heat factors with any speeds
 KINDS = ("wave-multiple", "wave-distinct", "heat-product")
 
-# Gauss-Legendre counts of the whole-space time rules a point climbs; two
-# neighbours agree within quadrature.TOLERANCE of the data's size under
-# the larger rule
+# Gauss-Legendre counts of the whole-space time rules a point climbs by
+# quadrature.climb
 TIME_LADDER = (8, 12, 16, 24, 32, 48, 64)
 
 
@@ -86,8 +84,10 @@ class CauchyProblem:
             raise DataCountMismatch(
                 f"need one speed per factor ({self.m}), got {len(self.speeds)}"
             )
-        if any(a <= 0 for a in self.speeds):
-            raise NonPositiveSpeed(f"speeds must be positive: {self.speeds}")
+        # NaN fails both comparisons
+        if not all(0 < a < math.inf for a in self.speeds):
+            raise NonPositiveSpeed(
+                f"speeds must be positive and finite: {self.speeds}")
         if self.kind in ("wave-distinct",) and self.m >= 2:
             require_distinct(self.speeds)
         if self.kind == "wave-multiple" and any(
@@ -241,12 +241,11 @@ def cluster_evaluator(problem: CauchyProblem, kernel: Callable) -> SolutionEvalu
 
     The data's value terms b(t) K(t) need no rule.  Their integral terms
     and the whole Duhamel term take one Gauss-Legendre count of
-    :data:`TIME_LADDER`, for the inner integrals and the outer one alike.
-    Each point starts on the first two counts and moves up one count while
-    the two differ by more than ``TOLERANCE`` of the data's size under the
-    larger: sum |time weight| times the kernel's own scale.  Past the last
-    count it raises :class:`~waveforge.errors.UnresolvedData`.  A point's
-    rule depends only on its own values, so it does not depend on its batch.
+    :data:`TIME_LADDER`, for the inner integrals and the outer one alike,
+    which each point climbs by :func:`~waveforge.quadrature.climb`; the
+    data's size under a rule is sum |time weight| times the kernel's own
+    scale.  A point's rule depends only on its own values, so it does not
+    depend on its batch.
 
     ``kernel(field, cosh)`` returns ``apply(points, c, taus, t_args=None,
     cosh=False, scale=False)``: K = L^-1[1/(s^nu - c Lap)] of the field at
@@ -344,23 +343,17 @@ def cluster_evaluator(problem: CauchyProblem, kernel: Callable) -> SolutionEvalu
             total += value_terms(points, g, np.array([t]))[:, 0]
         if not (ruled or forced):
             return total
-        ruled_total = np.empty_like(total)
-        pending = np.arange(len(points))
-        lo, _ = ruled_part(points, t, TIME_LADDER[0])
-        for count in TIME_LADDER[1:]:
-            hi, size = ruled_part(points[pending], t, count)
-            gap = np.abs(hi - lo)
-            done = gap <= TOLERANCE * size
-            ruled_total[pending[done]] = hi[done]
-            pending, lo = pending[~done], hi[~done]
-            if not pending.size:
-                return total + ruled_total
-        k = np.flatnonzero(~done)[0]
-        raise UnresolvedData(
-            f"time integrals at t = {t!r}, x = {points[pending[0]].tolist()}: "
-            f"the {TIME_LADDER[-2]}- and {TIME_LADDER[-1]}-node Gauss-Legendre "
-            f"time rules differ by {gap[k]:.3g}, more than {TOLERANCE:g} of "
-            f"the data's size {size[k]:.3g}"
-        )
+
+        def sums(count, pending):
+            vals, size = np.zeros((2, len(points)))
+            vals[pending], size[pending] = ruled_part(points[pending], t, count)
+            return vals, size
+
+        ruled_total, _ = climb(
+            TIME_LADDER, sums, total.shape,
+            lambda entry, lo, hi: (
+                f"time integrals at t = {t!r}, x = {points[entry[0]].tolist()}: "
+                f"the {lo}- and {hi}-node Gauss-Legendre time rules"))
+        return total + ruled_total
 
     return SolutionEvaluator(problem, evaluate)

@@ -4,8 +4,9 @@ The sinh kernel is the workhorse of every wave-type solver here: in
 Darboux's form it is one spherical mean of the field and its radial
 derivatives per time, over the sphere of radius a*t.  Sphere means and the
 heat propagator's Gaussian sums share one bounded reduction,
-:func:`centre_sums`.  All rules are immutable value objects and all
-operations are pure.
+:func:`centre_sums`, and every rule sized by a companion-rule estimate
+climbs one ladder, :func:`climb`.  All rules are immutable value objects
+and all operations are pure.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import InvalidInterval, InvalidOrder, UnsupportedDimension
+from .errors import InvalidInterval, InvalidOrder, UnresolvedData, UnsupportedDimension
 from .expr import Expr, compile_field, differentiate, laplacian
 
 __all__ = [
@@ -29,6 +30,7 @@ __all__ = [
     "spherical_mean",
     "iterated_time_integral",
     "SinhKernel",
+    "climb",
     "double_factorial",
 ]
 
@@ -179,6 +181,40 @@ def sphere_rule(n: int, degree: int) -> SphereRule:
 # Two neighbouring rules of a ladder agree when they differ by at most this
 # fraction of the data's size under the larger rule
 TOLERANCE = 1e-10
+
+
+def climb(rungs: Sequence[int], sums: Callable, shape: tuple,
+          unresolved: Callable[[tuple, int, int], str]):
+    """Values and sizes of every entry of an array of ``shape``, each on
+    the first rule of the ladder ``rungs`` that agrees with the one below.
+
+    ``sums(rung, pending)`` returns arrays of ``shape``: the values and the
+    data's size on rule ``rung``, read only where the boolean mask
+    ``pending`` is set.  An entry moves up one rung while the last two
+    differ by more than :data:`TOLERANCE` of its size under the larger.
+    One still pending on the top rung raises
+    :class:`~waveforge.errors.UnresolvedData`: ``unresolved(entry, lo,
+    hi)`` names the entry (an index tuple) and the top two rungs, and the
+    gap and the size follow.
+    """
+    out, mag = np.empty(shape), np.empty(shape)
+    pending = np.ones(shape, dtype=bool)
+    lo, _ = sums(rungs[0], pending)
+    for rung in rungs[1:]:
+        hi, size = sums(rung, pending)
+        gap = np.abs(hi - lo)
+        done = pending & (gap <= TOLERANCE * size)
+        out[done], mag[done] = hi[done], size[done]
+        pending &= ~done
+        if not pending.any():
+            return out, mag
+        lo = hi
+    entry = tuple(np.argwhere(pending)[0].tolist())
+    raise UnresolvedData(
+        f"{unresolved(entry, rungs[-2], rungs[-1])} differ by {gap[entry]:.3g}, "
+        f"more than {TOLERANCE:g} of the data's size {size[entry]:.3g}"
+    )
+
 
 # Most field points one reduction builds at once: chunks of whole centres
 # while one centre's rows fit, else rows of a single centre, so no array

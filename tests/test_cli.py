@@ -3,6 +3,7 @@
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -129,13 +130,41 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="side lengths"):
             parse_config(text)
 
+    @pytest.mark.parametrize("key, line", [
+        ("box", "box = nan"), ("box", "box = inf"), ("box", "box = -1.0"),
+        ("x1", "x1 = nan:nan:1"), ("x1", "x1 = -inf:0.5:3"),
+        ("t", "t = inf:inf:1"),
+    ])
+    def test_non_finite_domain_rejected(self, tmp_path, capsys, key, line):
+        out = tmp_path / "o.csv"
+        cfgf = tmp_path / "p.ini"
+        text = BOX_MODE.format(pi=math.pi, path=out)
+        old = next(ln for ln in text.splitlines() if ln.startswith(key + " ="))
+        cfgf.write_text(text.replace(old, line))
+        with pytest.raises(ConfigError, match=rf"\b{key}\b.*finite"):
+            parse_config(cfgf.read_text())
+        assert main(["solve", str(cfgf)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("speed", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("base", ["box", "whole-space"])
+    def test_non_finite_speed_exit_code(self, tmp_path, capsys, speed, base):
+        out = tmp_path / "o.csv"
+        cfgf = tmp_path / "p.ini"
+        text = (BOX_MODE.format(pi=math.pi, path=out) if base == "box"
+                else KIRCHHOFF.format(path=out))
+        cfgf.write_text(re.sub(r"speeds = .*", f"speeds = {speed}", text))
+        assert main(["solve", str(cfgf)]) == 2
+        assert "positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_quadrature_overrides(self):
         text = KIRCHHOFF.format(path="o.csv") + (
-            "\n[quadrature]\nn_time = 16\nheat_nodes = 32\n"
+            "\n[quadrature]\nn_time = 16\n"
         )
         cfg = parse_config(text)
         assert cfg.quadrature.n_time == 16
-        assert cfg.heat.n_nodes == 32
 
     def test_non_csv_format_rejected(self):
         text = KIRCHHOFF.format(path="o.csv").replace(
@@ -272,16 +301,18 @@ class TestSolveCommand:
         assert len(set(_stopping_counts(ev, points, 0.25, monkeypatch))) > 1
 
     def test_heat_window_rejected(self, tmp_path, capsys):
-        # the Gauss-Hermite rules have no window; the old key is an error
-        text = KIRCHHOFF.format(path=tmp_path / "o.csv") + (
-            "\n[quadrature]\nheat_window = 6.0\n"
-        )
-        with pytest.raises(ConfigError, match="heat_window"):
-            parse_config(text)
-        cfgf = tmp_path / "p.ini"
-        cfgf.write_text(text)
-        assert main(["solve", str(cfgf)]) == 2
-        assert "heat_window" in capsys.readouterr().err
+        # the Gauss-Hermite rules have no window and start on the ladder's
+        # first count; the old keys are errors
+        for key in ("heat_window", "heat_nodes"):
+            text = KIRCHHOFF.format(path=tmp_path / "o.csv") + (
+                f"\n[quadrature]\n{key} = 32\n"
+            )
+            with pytest.raises(ConfigError, match=key):
+                parse_config(text)
+            cfgf = tmp_path / "p.ini"
+            cfgf.write_text(text)
+            assert main(["solve", str(cfgf)]) == 2
+            assert key in capsys.readouterr().err
 
     def test_mixed_heat_cluster_solves(self, tmp_path):
         # speeds (1, 1, 2): whole-space heat takes any speed cluster
@@ -374,6 +405,16 @@ class TestVerifyCommand:
         assert "PASS heat/unresolved-raises:" in out
         assert "PASS heat/time-rule-resolved:" in out
         assert "PASS heat/time-rule-unresolved-raises:" in out
+
+    @pytest.mark.parametrize("suite", ["residual", "all"])
+    def test_residual_and_all_suites_pass(self, capsys, suite):
+        assert main(["verify", suite]) == 0
+        out = capsys.readouterr().out
+        assert "PASS residual/wave-m1-order:" in out
+        assert "FAIL" not in out
+        passed, total = re.fullmatch(
+            r"(\d+)/(\d+) checks passed", out.splitlines()[-1]).groups()
+        assert passed == total
 
 
 WAVE5 = """

@@ -15,7 +15,6 @@ from waveforge.errors import (
 from waveforge.expr import parse
 from waveforge.heat_solver import (
     HeatPropagator,
-    HeatPropagatorSpec,
     heat_propagate,
     solve_heat_product,
 )
@@ -101,18 +100,6 @@ class TestPropagator:
     def test_dimension_limit(self):
         with pytest.raises(UnsupportedDimension):
             HeatPropagator(parse("x1", 4))
-
-    def test_spec_validation(self):
-        with pytest.raises(InvalidOrder):
-            HeatPropagatorSpec(n_nodes=8)
-        # the first rule needs a larger one on the ladder to check it
-        with pytest.raises(InvalidOrder):
-            HeatPropagatorSpec(n_nodes=96)
-
-    def test_rungs_start_at_the_first_count(self):
-        assert HeatPropagatorSpec().rungs == (16, 24, 32, 48, 64, 96)
-        assert HeatPropagatorSpec(n_nodes=20).rungs == (20, 24, 32, 48, 64, 96)
-        assert HeatPropagatorSpec(n_nodes=64).rungs == (64, 96)
 
     @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("text", ["3", "sin(x1)"])

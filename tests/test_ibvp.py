@@ -46,6 +46,9 @@ class TestBasis:
             build_basis([1.0], 0)
         with pytest.raises(InvalidBox):
             build_basis([1.0, 1.0, 1.0, 1.0], 2)
+        for side in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidBox, match="positive and finite"):
+                build_basis([1.0, side], 4)
 
 
 class TestProjection:

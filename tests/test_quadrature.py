@@ -8,13 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import roots_chebyu, roots_jacobi
 
-from waveforge.errors import InvalidInterval, InvalidOrder, UnsupportedDimension
+from waveforge.errors import (
+    InvalidInterval,
+    InvalidOrder,
+    UnresolvedData,
+    UnsupportedDimension,
+)
 from waveforge.expr import parse
 from waveforge.quadrature import (
     QuadratureSpec,
     SinhKernel,
     _chebyu_rule,
     _jacobi11_rule,
+    climb,
     double_factorial,
     gauss_legendre,
     iterated_time_integral,
@@ -228,3 +234,57 @@ class TestQuadratureSpec:
     def test_gauss_weight_sum(self, count):
         rule = gauss_legendre(count, -1.0, 3.0)
         assert rule.weights.sum() == pytest.approx(4.0, rel=1e-13)
+
+
+class TestClimb:
+    RUNGS = (2, 3, 5, 8)
+
+    @staticmethod
+    def _sums(stop, calls):
+        """Synthetic rules: entry e on rung r gives 1 + r 1e-12 from the rung
+        stop[e] on, so neighbours agree there, and r below it; its size is
+        1 + e.  Entries that are not pending read NaN."""
+        stop = np.asarray(stop)
+        size = 1.0 + np.arange(stop.size).reshape(stop.shape)
+
+        def sums(rung, pending):
+            calls.append((rung, pending.copy()))
+            vals = np.where(rung >= stop, 1.0 + rung * 1e-12, float(rung))
+            return np.where(pending, vals, np.nan), np.where(pending, size, np.nan)
+        return sums
+
+    def test_entries_stop_on_different_rungs(self):
+        stop = [[2, 3, 5], [2, 5, 3]]
+        calls = []
+        out, mag = climb(self.RUNGS, self._sums(stop, calls), (2, 3),
+                         lambda entry, lo, hi: "never")
+        # accepted on the upper rule of the first agreeing pair: 3, 5 or 8
+        upper = {2: 3, 3: 5, 5: 8}
+        want = [[1.0 + upper[s] * 1e-12 for s in row] for row in stop]
+        assert out.tolist() == want
+        assert mag.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+        # each rung asked once, and only for the entries still climbing
+        assert [rung for rung, _ in calls] == [2, 3, 5, 8]
+        assert calls[0][1].all() and calls[1][1].all()
+        assert calls[2][1].tolist() == [[False, True, True], [False, True, True]]
+        assert calls[3][1].tolist() == [[False, False, True], [False, True, False]]
+
+    def test_two_rungs(self):
+        calls = []
+        out, mag = climb((4, 6), self._sums([4, 4], calls), (2,),
+                         lambda entry, lo, hi: "never")
+        assert out.tolist() == [1.0 + 6e-12] * 2
+        assert mag.tolist() == [1.0, 2.0]
+        with pytest.raises(UnresolvedData, match="the 4- and 6-node rules"):
+            climb((4, 6), self._sums([4, 6], []), (2,),
+                  lambda entry, lo, hi: f"entry {entry}: the {lo}- and {hi}-node rules")
+
+    def test_past_the_top(self):
+        stop = [[2, 3, 5], [9, 5, 9]]
+        with pytest.raises(UnresolvedData) as err:
+            climb(self.RUNGS, self._sums(stop, []), (2, 3),
+                  lambda entry, lo, hi: f"entry {entry}: rules {lo} and {hi}")
+        # the first unresolved entry; the top pair gives 8 and 5
+        assert str(err.value) == (
+            "entry (1, 0): rules 5 and 8 differ by 3, more than 1e-10 of the "
+            "data's size 4")

@@ -17,7 +17,7 @@ from waveforge.errors import (
     UnsupportedDimension,
 )
 from waveforge.expr import parse
-from waveforge.heat_solver import HeatPropagatorSpec, solve_heat_product
+from waveforge.heat_solver import solve_heat_product
 from waveforge.ibvp import build_basis, solve_ibvp
 from waveforge.kernels import exp_divided_differences
 from waveforge.oracle import ModeProblem, mode_solve
@@ -40,6 +40,15 @@ class TestValidation:
     def test_positive_speeds(self):
         with pytest.raises(NonPositiveSpeed):
             CauchyProblem("wave-multiple", 3, 1, (-1.0,), None, (None, None))
+
+    @pytest.mark.parametrize("kind", problems.KINDS)
+    @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+    def test_non_finite_speeds(self, kind, a):
+        m = 2 if kind == "wave-distinct" else 1
+        speeds = (1.0, a) if m == 2 else (a,)
+        data = (None,) * (m if kind == "heat-product" else 2 * m)
+        with pytest.raises(NonPositiveSpeed, match="positive and finite"):
+            CauchyProblem(kind, 3, m, speeds, None, data)
 
     def test_distinct_speeds_required(self):
         with pytest.raises(DegenerateSpeeds):
@@ -417,17 +426,16 @@ def _evaluator(family):
         p = CauchyProblem("wave-multiple", 5, 1, (1.0,), None,
                           (parse("sin(x1 + 0.5*x4)*cos(x5)", 5), None))
         return solve_wave(p, small)
-    heat = HeatPropagatorSpec(n_nodes=16)
     if family == "heat-equal":
         p = CauchyProblem("heat-product", 2, 2, (0.7, 0.7),
                           parse("sin(x1)*exp(-t)", 2),
                           (parse("cos(x1 - x2)", 2), parse("x1*x2", 2)))
-        return solve_heat_product(p, heat)
+        return solve_heat_product(p)
     if family == "heat-distinct":
         p = CauchyProblem("heat-product", 2, 2, (0.6, 1.3),
                           parse("cos(x2)*t", 2),
                           (parse("sin(x1 + x2)", 2), parse("cos(x1)", 2)))
-        return solve_heat_product(p, heat)
+        return solve_heat_product(p)
     # an odd k_max puts each mode at a different SIMD lane per point
     p = CauchyProblem("wave-multiple", 2, 1, (1.1,), parse("x1*(1-x1)*t", 2),
                       (parse("sin(pi*x1)*sin(x2)*x2*(1.5-x2)", 2), None))
