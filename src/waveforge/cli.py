@@ -13,6 +13,7 @@ error, 3 evaluation failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -50,6 +51,9 @@ def build_evaluator(cfg: ProblemConfig):
 
 
 def _cmd_solve(args) -> int:
+    if args.threads < 1:
+        print(f"error: --threads must be >= 1, got {args.threads}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         cfg = load_config(args.config)
     except OSError as exc:
@@ -61,7 +65,6 @@ def _cmd_solve(args) -> int:
     if args.dump_config:
         sys.stdout.write(dump_config(cfg))
         return EXIT_OK
-    threads = max(1, args.threads)
     try:
         ev = build_evaluator(cfg)
         mesh = np.meshgrid(*[ax.points() for ax in cfg.axes], indexing="ij")
@@ -69,10 +72,12 @@ def _cmd_solve(args) -> int:
         times = cfg.t_axis.points()
         # a point's value does not depend on the other points in its call, so
         # the output is the same for every thread count; this thread takes the
-        # first chunk, so one thread starts no pool (with the bounded reductions
-        # a pool thread's own malloc arena adds no measurable peak RSS)
-        chunks = np.array_split(points, min(threads, len(points)))
-        with ThreadPoolExecutor(max_workers=max(1, len(chunks) - 1)) as pool:
+        # first chunk, so one thread starts no pool, and no more pool threads
+        # start than there are CPUs (with the bounded reductions a pool
+        # thread's own malloc arena adds no measurable peak RSS)
+        chunks = np.array_split(points, min(args.threads, len(points)))
+        workers = min(len(chunks) - 1, os.cpu_count() or 1)
+        with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
             rest = [pool.submit(ev.evaluate, c, times) for c in chunks[1:]]
             parts = [ev.evaluate(chunks[0], times)] + [f.result() for f in rest]
         values = np.concatenate(parts)

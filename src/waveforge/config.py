@@ -186,6 +186,8 @@ def parse_config(text: str) -> ProblemConfig:
             k_max = int(dom["k_max"])
         except ValueError as exc:
             raise ConfigError(f"bad k_max: {exc}") from None
+        if k_max < 1:
+            raise ConfigError(f"k_max must be >= 1, got {k_max}")
 
     quad_kwargs = {}
     if "quadrature" in cp:

@@ -58,7 +58,9 @@ class HeatPropagator:
     into a lam-independent weight exp(-|zeta|^2/4) / (4 pi)^(n/2), so each
     tensor Gauss-Hermite rule serves every diffusion time.  Each (point,
     diffusion time) climbs :data:`LADDER` by
-    :func:`~waveforge.quadrature.climb`, from its first two rules.
+    :func:`~waveforge.quadrature.climb`, from its first two rules; each
+    block of pending entries it asks for is one
+    :func:`~waveforge.quadrature.centre_sums` on that rung's rule.
     """
 
     def __init__(self, field: Expr):
@@ -69,30 +71,13 @@ class HeatPropagator:
         f = compile_field(field)
         self._g = lambda pts, offs, t: f(pts, t)
 
-    def _sums(self, centres, steps, t_args, count, pending):
-        """Rule ``count``'s sums and sum w |f| at the ``pending`` (P, J)
-        entries; the others are left 0."""
-        nodes, w = hermite_rule(centres.shape[1], count)
-        vals = np.zeros(pending.shape)
-        scale = np.zeros(pending.shape)
-        # steps pending at the same centres share one reduction
-        cols, group = np.unique(pending, axis=1, return_inverse=True)
-        for k, col in enumerate(cols.T):
-            rows, js = np.flatnonzero(col), np.flatnonzero(group.reshape(-1) == k)
-            if rows.size:
-                block = np.ix_(rows, js)
-                vals[block], scale[block] = centre_sums(
-                    self._g, centres[rows], steps[js], nodes, w, t_args[js],
-                    scale=True)
-        return vals, scale
+    def apply_many(self, x, lams: np.ndarray, t_args=None):
+        """Semigroup at each diffusion time in ``lams`` (zeros allowed), and
+        sum w |f| under each entry's accepted rule, the data's size there.
 
-    def apply_many(self, x, lams: np.ndarray, t_args=None, scale: bool = False):
-        """Semigroup at each diffusion time in ``lams`` (zeros allowed).
-
-        ``x`` is one point (n,) or many (P, n); the result has shape
+        ``x`` is one point (n,) or many (P, n); each result has shape
         (len(lams),) or (P, len(lams)).  ``t_args``, aligned with ``lams``,
-        is the field's time argument.  With ``scale``, the result is a pair:
-        the values, and sum w |f| under each entry's accepted rule.
+        is the field's time argument.
         """
         x = np.asarray(x, dtype=float)
         lams = np.asarray(lams, dtype=float)
@@ -104,21 +89,21 @@ class HeatPropagator:
         centres = np.atleast_2d(x)
         steps = np.sqrt(lams)
         t_args = np.broadcast_to(0.0 if t_args is None else t_args, steps.shape)
-        out, mag = climb(
-            LADDER, functools.partial(self._sums, centres, steps, t_args),
+        out = climb(
+            LADDER, lambda count, rows, cols: centre_sums(
+                self._g, centres[rows], steps[cols],
+                *hermite_rule(centres.shape[1], count), t_args[cols]),
             (len(centres), steps.size),
             lambda entry, lo, hi: (
                 f"e^(lam Lap) of {self.field} at diffusion time lam = "
                 f"{float(lams[entry[1]])!r}, x = {centres[entry[0]].tolist()}: "
                 f"the {lo}- and {hi}-node Gauss-Hermite rules per axis"))
-        if x.ndim == 1:
-            out, mag = out[0], mag[0]
-        return (out, mag) if scale else out
+        return tuple(v[0] for v in out) if x.ndim == 1 else out
 
 
 def heat_propagate(field: Expr, lam: float, x) -> float:
     """One-shot e^{lam Lap} field at a single point."""
-    return float(HeatPropagator(field).apply_many(x, [lam])[0])
+    return float(HeatPropagator(field).apply_many(x, [lam])[0][0])
 
 
 def solve_heat_product(problem: CauchyProblem) -> SolutionEvaluator:
@@ -137,7 +122,7 @@ def solve_heat_product(problem: CauchyProblem) -> SolutionEvaluator:
     def kernel(field, cosh):
         # one propagator serves every speed: the speed scales the diffusion time
         prop = HeatPropagator(field)
-        return lambda points, c, taus, t_args=None, cosh=False, scale=False: (
-            prop.apply_many(points, c * taus, t_args, scale))
+        return lambda points, c, taus, t_args=None, cosh=False: (
+            prop.apply_many(points, c * taus, t_args))
 
     return cluster_evaluator(problem, kernel)

@@ -243,15 +243,7 @@ def solve_ibvp(problem: CauchyProblem, basis: EigenBasis,
         np.zeros(basis.count) if e is None else project(e, basis).values
         for e in problem.data
     ])
-    src = None
-    if problem.source is not None:
-        src_field = compile_field(problem.source)
-        src_cache: dict[float, np.ndarray] = {}
-
-        def src(tau: float) -> np.ndarray:
-            if tau not in src_cache:
-                src_cache[tau] = project(src_field, basis, t=tau).values
-            return src_cache[tau]
+    src = None if problem.source is None else compile_field(problem.source)
 
     unit = gauss_legendre(spec.n_time, 0.0, 1.0)
     z, wz = unit.nodes, unit.weights
@@ -288,7 +280,7 @@ def solve_ibvp(problem: CauchyProblem, basis: EigenBasis,
             # node at a time keeps the work arrays at M modes
             for zi, wi in zip(z, wz):
                 g = exp_divided_differences(roots, t - t * zi)[-1]
-                out = out + t * wi * np.real(g) * src(t * zi)
+                out = out + t * wi * np.real(g) * project(src, basis, t=t * zi).values
         return out
 
     derivative_fn = None

@@ -55,6 +55,9 @@ def _check_distinct(a):
     a = [float(v) for v in a]
     if len(a) < 2:
         raise InvalidOrder("partial-fraction weights need at least two speeds")
+    # NaN and inf pass the separation check and give NaN weights
+    if not all(math.isfinite(v) for v in a):
+        raise NonPositiveSpeed(f"speeds must be finite: {a}")
     require_distinct(a)
     return a
 

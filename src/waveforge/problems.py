@@ -242,18 +242,18 @@ def cluster_evaluator(problem: CauchyProblem, kernel: Callable) -> SolutionEvalu
     The data's value terms b(t) K(t) need no rule.  Their integral terms
     and the whole Duhamel term take one Gauss-Legendre count of
     :data:`TIME_LADDER`, for the inner integrals and the outer one alike,
-    which each point climbs by :func:`~waveforge.quadrature.climb`; the
-    data's size under a rule is sum |time weight| times the kernel's own
-    scale.  A point's rule depends only on its own values, so it does not
-    depend on its batch.
+    which each point climbs by :func:`~waveforge.quadrature.climb`, as an
+    entry of a (P, 1) array; the data's size under a rule is sum |time
+    weight| times the kernel's own size.  A point's rule depends only on
+    its own values, so it does not depend on its batch.
 
     ``kernel(field, cosh)`` returns ``apply(points, c, taus, t_args=None,
-    cosh=False, scale=False)``: K = L^-1[1/(s^nu - c Lap)] of the field at
-    each time in ``taus``, shape (P, len(taus)), or with ``cosh`` its time
-    derivative; with ``scale``, a pair of that and the kernel applied to
-    the absolute value of its integrand under its rule.  ``t_args``,
-    aligned with ``taus``, is the field's time argument.  Then K^(j) is
-    c^(j//nu) Lap^(j//nu) times K, or for odd j with nu = 2 its derivative.
+    cosh=False)``: K = L^-1[1/(s^nu - c Lap)] of the field at each time in
+    ``taus``, or with ``cosh`` its time derivative, and the kernel applied
+    to the absolute value of its integrand under its rule, the data's size
+    there; shape (P, len(taus)) each.  ``t_args``, aligned with ``taus``,
+    is the field's time argument.  Then K^(j) is c^(j//nu) Lap^(j//nu)
+    times K, or for odd j with nu = 2 its derivative.
     """
     nu = 1 if problem.kind == "heat-product" else 2
     centres, _, fractions = cluster_fractions(np.asarray(problem.speeds) ** nu)
@@ -294,66 +294,59 @@ def cluster_evaluator(problem: CauchyProblem, kernel: Callable) -> SolutionEvalu
 
     def integral_terms(points, g, T, count, t_args=None):
         """Field g's integral terms at the times T (S,) on the count-node
-        rule, and their scale, shape (P, S) each."""
+        rule, and their size, shape (P, S) each."""
         out, mag = np.zeros((2, len(points), T.size))
         if T.any():
             z, wz = _time_rule(count)
             tau = T[:, None] * z
             t_in = None if t_args is None else np.repeat(t_args, z.size)
             for (q, c), W in integrals[g].items():
-                vals, size = kernels[g, q](points, c, tau.reshape(-1), t_in,
-                                           scale=True)
+                vals, size = kernels[g, q](points, c, tau.reshape(-1), t_in)
                 w = T[:, None] * wz * _polyval2d(W, T[:, None], tau)
                 out += (w * vals.reshape(out.shape + z.shape)).sum(axis=-1)
                 mag += (np.abs(w) * size.reshape(out.shape + z.shape)).sum(axis=-1)
         return out, mag
 
-    def value_terms(points, g, T, t_args=None, scale=False):
-        """Field g's value terms at the times T (S,), shape (P, S); with
-        ``scale``, and their scale."""
+    def value_terms(points, g, T, t_args=None):
+        """Field g's value terms at the times T (S,), and their size, shape
+        (P, S) each."""
         out, mag = np.zeros((2, len(points), T.size))
         for (q, c, odd), b in values[g].items():
             bT = P.polyval(T, b)
-            res = kernels[g, q](points, c, T, t_args, cosh=odd, scale=scale)
-            out += bT * (res[0] if scale else res)
-            if scale:
-                mag += np.abs(bT) * res[1]
-        return (out, mag) if scale else out
+            vals, size = kernels[g, q](points, c, T, t_args, cosh=odd)
+            out += bT * vals
+            mag += np.abs(bT) * size
+        return out, mag
 
     def ruled_part(points, t, count):
         """The data's integral terms and the Duhamel term at time t on the
-        count-node rule, and their scale, shape (P,) each."""
-        out, mag = np.zeros((2, len(points)))
+        count-node rule, and their size, shape (P, 1) each."""
+        out, mag = np.zeros((2, len(points), 1))
         for g in ruled:
             vals, size = integral_terms(points, g, np.array([t]), count)
-            out += vals[:, 0]
-            mag += size[:, 0]
+            out += vals
+            mag += size
         if forced and t != 0.0:
             z, wz = _time_rule(count)
             tau_o = t * z  # outer Duhamel times
             vals, size = integral_terms(points, source, t - tau_o, count, tau_o)
-            bvals, bsize = value_terms(points, source, t - tau_o, tau_o, scale=True)
-            out += t * row_dot(vals + bvals, wz)
-            mag += abs(t) * row_dot(size + bsize, wz)
+            bvals, bsize = value_terms(points, source, t - tau_o, tau_o)
+            out[:, 0] += t * row_dot(vals + bvals, wz)
+            mag[:, 0] += abs(t) * row_dot(size + bsize, wz)
         return out, mag
 
     def evaluate(points, t):
         total = np.zeros(points.shape[0])
         for g in range(len(problem.data)):
-            total += value_terms(points, g, np.array([t]))[:, 0]
+            total += value_terms(points, g, np.array([t]))[0][:, 0]
         if not (ruled or forced):
             return total
-
-        def sums(count, pending):
-            vals, size = np.zeros((2, len(points)))
-            vals[pending], size[pending] = ruled_part(points[pending], t, count)
-            return vals, size
-
         ruled_total, _ = climb(
-            TIME_LADDER, sums, total.shape,
+            TIME_LADDER, lambda count, rows, _: ruled_part(points[rows], t, count),
+            (len(points), 1),
             lambda entry, lo, hi: (
                 f"time integrals at t = {t!r}, x = {points[entry[0]].tolist()}: "
                 f"the {lo}- and {hi}-node Gauss-Legendre time rules"))
-        return total + ruled_total
+        return total + ruled_total[:, 0]
 
     return SolutionEvaluator(problem, evaluate)

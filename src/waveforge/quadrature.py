@@ -4,9 +4,11 @@ The sinh kernel is the workhorse of every wave-type solver here: in
 Darboux's form it is one spherical mean of the field and its radial
 derivatives per time, over the sphere of radius a*t.  Sphere means and the
 heat propagator's Gaussian sums share one bounded reduction,
-:func:`centre_sums`, and every rule sized by a companion-rule estimate
-climbs one ladder, :func:`climb`.  All rules are immutable value objects
-and all operations are pure.
+:func:`centre_sums`, which returns the data's size with every sum, and
+every rule sized by a companion-rule estimate climbs one ladder,
+:func:`climb`, which splits the entries still pending into product
+blocks.  All rules are immutable value objects and all operations are
+pure.
 """
 
 from __future__ import annotations
@@ -185,23 +187,37 @@ TOLERANCE = 1e-10
 
 def climb(rungs: Sequence[int], sums: Callable, shape: tuple,
           unresolved: Callable[[tuple, int, int], str]):
-    """Values and sizes of every entry of an array of ``shape``, each on
-    the first rule of the ladder ``rungs`` that agrees with the one below.
+    """Values and sizes of every entry of a (P, J) array of ``shape``,
+    each on the first rule of the ladder ``rungs`` that agrees with the
+    one below.
 
-    ``sums(rung, pending)`` returns arrays of ``shape``: the values and the
-    data's size on rule ``rung``, read only where the boolean mask
-    ``pending`` is set.  An entry moves up one rung while the last two
-    differ by more than :data:`TOLERANCE` of its size under the larger.
-    One still pending on the top rung raises
+    ``sums(rung, rows, cols)`` returns the values and the data's size on
+    rule ``rung`` for one product block of entries, the index arrays
+    ``rows`` x ``cols``, shape (len(rows), len(cols)) each.  Every rung
+    asks only for pending entries: columns pending at the same rows share
+    one block.  An entry moves up one rung while the last two differ by
+    more than :data:`TOLERANCE` of its size under the larger.  One still
+    pending on the top rung raises
     :class:`~waveforge.errors.UnresolvedData`: ``unresolved(entry, lo,
-    hi)`` names the entry (an index tuple) and the top two rungs, and the
+    hi)`` names the entry (an index pair) and the top two rungs, and the
     gap and the size follow.
     """
     out, mag = np.empty(shape), np.empty(shape)
     pending = np.ones(shape, dtype=bool)
-    lo, _ = sums(rungs[0], pending)
+
+    def blocks(rung):
+        vals, size = np.zeros(shape), np.zeros(shape)
+        cols, group = np.unique(pending, axis=1, return_inverse=True)
+        for k, col in enumerate(cols.T):
+            rows, js = np.flatnonzero(col), np.flatnonzero(group.reshape(-1) == k)
+            if rows.size:
+                block = np.ix_(rows, js)
+                vals[block], size[block] = sums(rung, rows, js)
+        return vals, size
+
+    lo, _ = blocks(rungs[0])
     for rung in rungs[1:]:
-        hi, size = sums(rung, pending)
+        hi, size = blocks(rung)
         gap = np.abs(hi - lo)
         done = pending & (gap <= TOLERANCE * size)
         out[done], mag[done] = hi[done], size[done]
@@ -238,23 +254,23 @@ def row_dot(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def centre_sums(g, centres: np.ndarray, steps, nodes: np.ndarray,
-                weights: np.ndarray, t_args=None, scale: bool = False):
+                weights: np.ndarray, t_args=None):
     """sum_d weights[d] g(x + s_j u_d) for every centre x (P, n) and step
-    s_j (J,), shape (P, J), with u_d the rows of ``nodes`` (D, n).
+    s_j (J,), and the data's size sum_d weights[d] |g(x + s_j u_d)| from
+    the same values, shape (P, J) each, with u_d the rows of ``nodes``
+    (D, n).
 
     ``g(points, offsets, t)`` maps points (C, J', D', n), their offsets
     s_j u_d (J', D', n) and the time arguments (J', 1) from ``t_args`` to
     values (C, J', D').  A zero step is g at the centre itself, exactly.
     Each (centre, step) is reduced by its own dot product per chunk of
     :data:`ROW_CHUNK` nodes, the chunks' sums added in node order, so its
-    value does not depend on how the work is chunked.  With ``scale``, the
-    result is a pair: the sums, and sum_d weights[d] |g(...)| from the same
-    values.
+    value does not depend on how the work is chunked.
     """
     steps = np.asarray(steps, dtype=float)
     t_args = np.broadcast_to(0.0 if t_args is None else t_args, steps.shape)[:, None]
     out = np.empty((len(centres), steps.size))
-    mag = np.empty_like(out) if scale else None
+    mag = np.empty_like(out)
     zero = steps == 0.0
     # a zero step takes one node of weight 1: the centre
     for idx, u, w in ((np.flatnonzero(zero), np.zeros_like(nodes[:1]), np.ones(1)),
@@ -273,47 +289,20 @@ def centre_sums(g, centres: np.ndarray, steps, nodes: np.ndarray,
                     vals = g(centres[i:i + step, None, None] + offs, offs, t_args[r])
                     part = row_dot(vals, w[k:k + width])
                     out[block] = part if k == 0 else out[block] + part
-                    if scale:
-                        part = row_dot(np.abs(vals), w[k:k + width])
-                        mag[block] = part if k == 0 else mag[block] + part
+                    part = row_dot(np.abs(vals), w[k:k + width])
+                    mag[block] = part if k == 0 else mag[block] + part
                     del vals
-    return (out, mag) if scale else out
+    return out, mag
 
 
-def sphere_means(field, centres: np.ndarray, radii, rule: SphereRule,
-                 t_args=None, grad=(), lap=None, k: float = 1.0,
-                 scale: bool = False):
-    """Means of ``field`` over the sphere of every radius (R,) around every
-    centre (P, n), shape (P, R).
-
-    ``field`` may be an :class:`Expr` or a compiled field ``f(X, t)``;
-    ``t_args`` optionally gives its time argument per radius.  Given the
-    compiled components of the field's gradient, ``grad``, the means are
-    of f + k r w.grad(f) instead, and with its compiled Laplacian ``lap``
-    too, of f + k (r w.grad(f) + r^2 Lap f).  With ``scale``, the means of
-    the integrand's absolute value come too, as in :func:`centre_sums`.
-    """
-    f = compile_field(field) if isinstance(field, Expr) else field
-
-    def integrand(pts, offs, t):
-        vals = f(pts, t)
-        if grad:
-            slope = k * offs  # k r w
-            for i, g in enumerate(grad):
-                vals += slope[..., i] * g(pts, t)
-            if lap is not None:
-                vals += (slope * offs).sum(axis=-1) * lap(pts, t)
-        return vals
-
-    return centre_sums(integrand, centres, radii, rule.directions, rule.weights,
-                       t_args, scale)
-
-
-def spherical_mean(field, center: Sequence[float], radius: float,
+def spherical_mean(field: Expr, center: Sequence[float], radius: float,
                    rule: SphereRule) -> float:
     """Mean of ``field`` over the sphere of given radius around ``center``."""
+    f = compile_field(field)
     center = np.asarray(center, dtype=float)
-    return float(sphere_means(field, center[None, :], [radius], rule)[0, 0])
+    means, _ = centre_sums(lambda pts, offs, t: f(pts, t), center[None, :],
+                           [radius], rule.directions, rule.weights)
+    return float(means[0, 0])
 
 
 def iterated_time_integral(g: Callable[[np.ndarray], np.ndarray], m: int,
@@ -354,8 +343,10 @@ class SinhKernel:
       C_a = M[f + (r/3) w.grad f + (r^2/3) Lap f], by Darboux's equation
       M'' + (4/r) M' = M[Lap f].
 
-    The field and the derivatives these need are compiled once, so
-    applications at many points and times are vectorized numpy reductions.
+    The field and the derivatives these need are compiled once; each
+    application reduces the Darboux integrand over them by
+    :func:`centre_sums`, vectorized over points and times, and returns the
+    data's size with the values.
     """
 
     def __init__(self, field: Expr, a: float, spec: QuadratureSpec | None = None,
@@ -379,31 +370,38 @@ class SinhKernel:
         self._lap = compile_field(laplacian(field)) if cosh and n == 5 else None
 
     def apply(self, x: Sequence[float], t: float) -> float:
-        return float(self.apply_many(x, np.asarray([t]))[0])
+        return float(self.apply_many(x, np.asarray([t]))[0][0])
 
-    def apply_many(self, x, ts: np.ndarray, t_args=None,
-                   cosh: bool = False, scale: bool = False):
-        """Kernel applied at each time in ``ts`` (may include 0).
+    def apply_many(self, x, ts: np.ndarray, t_args=None, cosh: bool = False):
+        """Kernel applied at each time in ``ts`` (may include 0), and the
+        same kernel applied to the integrand's absolute value under the
+        rule, the data's size there.
 
-        ``x`` is one point (n,) or many (P, n); the result has shape
+        ``x`` is one point (n,) or many (P, n); each result has shape
         (len(ts),) or (P, len(ts)).  ``t_args``, if given, is an array
         aligned with ``ts`` holding the parameter passed to the field as
         its explicit time argument.  ``cosh`` applies C_a in place of S_a.
-        With ``scale``, the result is a pair: the values, and the same
-        kernel applied to the integrand's absolute value under the rule,
-        the data's size there.
         """
         if cosh and not self._cosh:
             raise InvalidOrder("this kernel was built without its cosh part")
         x = np.asarray(x, dtype=float)
         ts = np.asarray(ts, dtype=float)
+        f, k = self._f, 1.0 / (self.n - 2)
         grad = self._grad if cosh or self.n == 5 else ()
-        means = sphere_means(self._f, np.atleast_2d(x), self.a * ts, self.rule,
-                             t_args, grad, self._lap if cosh else None,
-                             1.0 / (self.n - 2), scale)
-        if scale:
-            means, mag = means
-            out = (means, mag) if cosh else (ts * means, np.abs(ts) * mag)
-            return tuple(v[0] for v in out) if x.ndim == 1 else out
-        out = means if cosh else ts * means
-        return out[0] if x.ndim == 1 else out
+        lap = self._lap if cosh else None
+
+        def integrand(pts, offs, t):
+            # f + k r w.grad(f), and with the Laplacian + k r^2 Lap f
+            vals = f(pts, t)
+            if grad:
+                slope = k * offs  # k r w
+                for i, g in enumerate(grad):
+                    vals += slope[..., i] * g(pts, t)
+                if lap is not None:
+                    vals += (slope * offs).sum(axis=-1) * lap(pts, t)
+            return vals
+
+        means, mag = centre_sums(integrand, np.atleast_2d(x), self.a * ts,
+                                 self.rule.directions, self.rule.weights, t_args)
+        out = (means, mag) if cosh else (ts * means, np.abs(ts) * mag)
+        return tuple(v[0] for v in out) if x.ndim == 1 else out

@@ -41,12 +41,10 @@ def solve_wave(problem: CauchyProblem,
         # one kernel serves every speed: S_a(t) = S_1(a t) / a, C_a(t) = C_1(a t)
         unit = SinhKernel(field, 1.0, spec, cosh=cosh)
 
-        def apply(points, c, taus, t_args=None, cosh=False, scale=False):
+        def apply(points, c, taus, t_args=None, cosh=False):
             a = math.sqrt(c)
-            out = unit.apply_many(points, a * taus, t_args, cosh=cosh, scale=scale)
-            if cosh:
-                return out
-            return (out[0] / a, out[1] / a) if scale else out / a
+            vals, size = unit.apply_many(points, a * taus, t_args, cosh=cosh)
+            return (vals, size) if cosh else (vals / a, size / a)
 
         return apply
 

@@ -1,5 +1,6 @@
 """Config parsing and the command-line front end."""
 
+import concurrent.futures
 import hashlib
 import math
 import os
@@ -122,6 +123,18 @@ class TestConfigParsing:
         )
         with pytest.raises(ConfigError, match="k_max"):
             parse_config(text)
+
+    @pytest.mark.parametrize("k_max", [0, -1])
+    def test_k_max_below_one_rejected(self, tmp_path, capsys, k_max):
+        out = tmp_path / "o.csv"
+        cfgf = tmp_path / "p.ini"
+        cfgf.write_text(BOX_MODE.format(pi=math.pi, path=out)
+                        .replace("k_max = 12", f"k_max = {k_max}"))
+        with pytest.raises(ConfigError, match=rf"k_max must be >= 1, got {k_max}"):
+            parse_config(cfgf.read_text())
+        assert main(["solve", str(cfgf)]) == 2
+        assert "k_max" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_box_length_count(self):
         text = KIRCHHOFF.format(path="o.csv").replace(
@@ -299,6 +312,53 @@ class TestSolveCommand:
         ev = cli.build_evaluator(load_config(str(cfgf)))
         points = np.array([[x1, 0.6] for x1 in np.linspace(0.25, 3.0, 4)])
         assert len(set(_stopping_counts(ev, points, 0.25, monkeypatch))) > 1
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, tmp_path, capsys, threads):
+        out = tmp_path / "o.csv"
+        cfgf = tmp_path / "p.ini"
+        cfgf.write_text(KIRCHHOFF.format(path=out))
+        assert main(["--threads", str(threads), "solve", str(cfgf)]) == 2
+        assert f"--threads must be >= 1, got {threads}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_thread_pool_bounded_by_cpus(self, tmp_path, monkeypatch):
+        pools = []
+
+        class Recorder:
+            """A pool that starts no thread: it runs each chunk on submit."""
+
+            def __init__(self, max_workers):
+                self.max_workers, self.chunks = max_workers, 0
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                self.chunks += 1
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", Recorder)
+        cfgf = tmp_path / "p.ini"
+        outputs = []
+        # 40 grid points; the third run has more CPUs than chunks
+        for threads, cpus in ((1, 2), (16, 2), (3, 8), (16, None)):
+            monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+            out = tmp_path / f"{threads}-{cpus}.csv"
+            cfgf.write_text(KIRCHHOFF.format(path=out)
+                            .replace("x1 = -0.5:0.5:3", "x1 = -0.5:0.5:40"))
+            assert main(["--threads", str(threads), "solve", str(cfgf)]) == 0
+            outputs.append(out.read_bytes())
+        # N chunks, this thread taking the first; at most one worker a CPU
+        assert [(p.max_workers, p.chunks) for p in pools] == [
+            (1, 0), (2, 15), (2, 2), (1, 15)]
+        assert all(o == outputs[0] for o in outputs)
 
     def test_heat_window_rejected(self, tmp_path, capsys):
         # the Gauss-Hermite rules have no window and start on the ladder's

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from waveforge import problems, quadrature
+from waveforge import heat_solver, problems, quadrature
 from waveforge.errors import (
     InvalidOrder,
     NegativeDiffusionTime,
@@ -122,7 +122,7 @@ class TestResolution:
     def test_sharp_modes_resolved(self, k, lam):
         # e^{lam Lap} sin(kx) = e^{-k^2 lam} sin(kx)
         x = np.array([[0.3], [-1.7], [2.9]])
-        got = HeatPropagator(parse(f"sin({k}*x1)", 1)).apply_many(x, [lam])[:, 0]
+        got = HeatPropagator(parse(f"sin({k}*x1)", 1)).apply_many(x, [lam])[0][:, 0]
         exact = math.exp(-k * k * lam) * np.sin(k * x[:, 0])
         assert np.max(np.abs(got - exact)) <= 1e-12
 
@@ -152,23 +152,24 @@ class TestResolution:
         points = np.array([[0.3], [1.1], [0.0], [-2.5]])
         lams = np.array([0.0, 0.05, 0.3, 1.0, 0.3, 1.0])
         t_args = np.array([0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
-        rungs = []
-        sums = HeatPropagator._sums
+        asked = {}  # node count: entries asked on that rule, in rung order
+        sums = heat_solver.centre_sums
 
-        def recording(self, centres, steps, t, count, pending):
-            rungs.append((count, int(pending.sum())))
-            return sums(self, centres, steps, t, count, pending)
+        def recording(g, centres, steps, nodes, w, t):
+            asked[len(w)] = asked.get(len(w), 0) + len(centres) * len(steps)
+            return sums(g, centres, steps, nodes, w, t)
 
-        monkeypatch.setattr(HeatPropagator, "_sums", recording)
-        batch = prop.apply_many(points, lams, t_args)
+        monkeypatch.setattr(heat_solver, "centre_sums", recording)
+        batch, _ = prop.apply_many(points, lams, t_args)
+        rungs = list(asked.items())
         # some entries stop at the first pair, others climb to 64 nodes
         assert rungs[0] == (16, 24) and rungs[1] == (24, 24)
         assert 0 < rungs[2][1] < 24 and rungs[-1][0] == 64
-        single = np.array([[prop.apply_many(p, [lam], [ta])[0]
+        single = np.array([[prop.apply_many(p, [lam], [ta])[0][0]
                             for lam, ta in zip(lams, t_args)] for p in points])
         assert np.array_equal(batch, single)
         monkeypatch.setattr(quadrature, "BATCH_POINTS", 64)
-        assert np.array_equal(prop.apply_many(points, lams, t_args), single)
+        assert np.array_equal(prop.apply_many(points, lams, t_args)[0], single)
         exact = np.exp(-16 * lams - t_args) * np.sin(4 * points)
         assert np.max(np.abs(batch - exact)) <= 1e-12
 

@@ -65,6 +65,14 @@ class TestSecondOrderWeights:
         with pytest.raises(NonPositiveSpeed):
             second_order_weights([1.0, -2.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("weights", [first_order_weights, second_order_weights])
+    def test_non_finite_speed_rejected(self, weights, bad):
+        # these gave NaN weights, or for inf (nan, -0.0)
+        for speeds in ([bad, 1.0], [1.0, 2.0, bad]):
+            with pytest.raises(NonPositiveSpeed, match="finite"):
+                weights(speeds)
+
     @given(_distinct_speeds)
     @settings(max_examples=80, deadline=None)
     def test_moment_identities(self, speeds):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import roots_chebyu, roots_jacobi
 
+from waveforge import quadrature
 from waveforge.errors import (
     InvalidInterval,
     InvalidOrder,
@@ -20,6 +21,7 @@ from waveforge.quadrature import (
     SinhKernel,
     _chebyu_rule,
     _jacobi11_rule,
+    centre_sums,
     climb,
     double_factorial,
     gauss_legendre,
@@ -127,6 +129,50 @@ class TestSphereRules:
         assert spherical_mean(e, [2, 0, 0], 0.0, rule) == pytest.approx(9.0)
 
 
+class TestCentreSums:
+    """The sums and the data's size sum_d w_d |g| come from the same values."""
+
+    @staticmethod
+    def _g(pts, offs, t):
+        # changes sign on every sphere of radius >= 0.4 used below
+        return np.sin(3.0 * pts[..., 0]) - 0.2
+
+    CENTRES = np.array([[0.1, 0.2, -0.3], [1.0, 0.0, 0.5]])
+    STEPS = np.array([0.0, 0.4, 1.3])
+
+    def _reduce(self):
+        rule = sphere_rule(3, 6)
+        return centre_sums(self._g, self.CENTRES, self.STEPS,
+                           rule.directions, rule.weights)
+
+    def test_sizes_are_weighted_absolute_values(self):
+        rule = sphere_rule(3, 6)
+        sums, sizes = self._reduce()
+        for p, x in enumerate(self.CENTRES):
+            for j, s in enumerate(self.STEPS[1:], 1):
+                vals = self._g(x + s * rule.directions, None, 0.0)
+                assert vals.min() < 0 < vals.max()
+                assert sums[p, j] == pytest.approx(np.dot(rule.weights, vals),
+                                                   rel=1e-13)
+                assert sizes[p, j] == pytest.approx(
+                    np.dot(rule.weights, np.abs(vals)), rel=1e-13)
+                assert sizes[p, j] > abs(sums[p, j])
+
+    def test_zero_step_size_is_the_centre_value(self):
+        sums, sizes = self._reduce()
+        at_centre = self._g(self.CENTRES, None, 0.0)
+        assert sums[:, 0].tolist() == at_centre.tolist()
+        assert sizes[:, 0].tolist() == np.abs(at_centre).tolist()
+
+    def test_long_rows_give_the_same_sizes(self, monkeypatch):
+        # 72 directions a row, summed in chunks of 7 nodes
+        sums, sizes = self._reduce()
+        monkeypatch.setattr(quadrature, "ROW_CHUNK", 7)
+        chunked_sums, chunked_sizes = self._reduce()
+        np.testing.assert_allclose(chunked_sums, sums, rtol=1e-14, atol=1e-16)
+        np.testing.assert_allclose(chunked_sizes, sizes, rtol=1e-14, atol=0)
+
+
 class TestIteratedTimeIntegral:
     def test_single_fold(self):
         got = iterated_time_integral(lambda t: np.ones_like(t), 1, 2.0)
@@ -191,7 +237,7 @@ class TestSinhKernel:
         mag = math.hypot(k1, k2)
         spec = QuadratureSpec(sphere_degree=12)
         ts = np.array([0.0, 0.5, 2.0, -1.5])
-        got = SinhKernel(e, a, spec, cosh=True).apply_many(x, ts, cosh=True)
+        got, _ = SinhKernel(e, a, spec, cosh=True).apply_many(x, ts, cosh=True)
         exact = np.cos(a * mag * ts) * math.sin(k1 * x[0] + k2 * x[1])
         assert np.allclose(got, exact, rtol=0, atol=1e-13)
         assert got[0] == math.sin(k1 * x[0] + k2 * x[1])
@@ -219,7 +265,7 @@ class TestSinhKernel:
         kern = SinhKernel(e, 1.1)
         x = np.array([0.3, 0.4, -0.2])
         ts = np.array([0.2, 0.0, 0.9])
-        batch = kern.apply_many(x, ts)
+        batch, _ = kern.apply_many(x, ts)
         for i, t in enumerate(ts):
             assert batch[i] == pytest.approx(kern.apply(x, t), abs=1e-15)
 
@@ -243,15 +289,24 @@ class TestClimb:
     def _sums(stop, calls):
         """Synthetic rules: entry e on rung r gives 1 + r 1e-12 from the rung
         stop[e] on, so neighbours agree there, and r below it; its size is
-        1 + e.  Entries that are not pending read NaN."""
+        1 + e.  Each block asked for is recorded as (rung, rows, cols)."""
         stop = np.asarray(stop)
         size = 1.0 + np.arange(stop.size).reshape(stop.shape)
 
-        def sums(rung, pending):
-            calls.append((rung, pending.copy()))
-            vals = np.where(rung >= stop, 1.0 + rung * 1e-12, float(rung))
-            return np.where(pending, vals, np.nan), np.where(pending, size, np.nan)
+        def sums(rung, rows, cols):
+            calls.append((rung, rows.copy(), cols.copy()))
+            block = np.ix_(rows, cols)
+            vals = np.where(rung >= stop[block], 1.0 + rung * 1e-12, float(rung))
+            return vals, size[block]
         return sums
+
+    @staticmethod
+    def _asked(calls, shape):
+        """Per rung, in order, how often each entry was asked for."""
+        asked = {}
+        for rung, rows, cols in calls:
+            asked.setdefault(rung, np.zeros(shape, dtype=int))[np.ix_(rows, cols)] += 1
+        return asked
 
     def test_entries_stop_on_different_rungs(self):
         stop = [[2, 3, 5], [2, 5, 3]]
@@ -263,20 +318,42 @@ class TestClimb:
         want = [[1.0 + upper[s] * 1e-12 for s in row] for row in stop]
         assert out.tolist() == want
         assert mag.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
-        # each rung asked once, and only for the entries still climbing
-        assert [rung for rung, _ in calls] == [2, 3, 5, 8]
-        assert calls[0][1].all() and calls[1][1].all()
-        assert calls[2][1].tolist() == [[False, True, True], [False, True, True]]
-        assert calls[3][1].tolist() == [[False, False, True], [False, True, False]]
+        # each rung asks once for each entry still climbing, and for no other
+        asked = self._asked(calls, (2, 3))
+        assert list(asked) == [2, 3, 5, 8]
+        assert (asked[2] == 1).all() and (asked[3] == 1).all()
+        assert asked[5].tolist() == [[0, 1, 1], [0, 1, 1]]
+        assert asked[8].tolist() == [[0, 0, 1], [0, 1, 0]]
+
+    def test_blocks_are_pending_products(self):
+        # columns 0 and 2 stay pending at the same rows; 0 and 3 differ on
+        # rung 5 and agree on rung 8
+        stop = np.array([[2, 5, 2, 3], [5, 3, 5, 5], [2, 5, 2, 2]])
+        calls = []
+        climb(self.RUNGS, self._sums(stop, calls), stop.shape,
+              lambda entry, lo, hi: "never")
+        for rung, rows, cols in calls:
+            i = self.RUNGS.index(rung)
+            # pending on rung i: no pair below it agreed
+            pending = stop > self.RUNGS[i - 2] if i >= 2 else np.ones_like(stop, bool)
+            for j in cols:
+                # every entry of the block pending, and the column's every
+                # pending row in it
+                assert np.flatnonzero(pending[:, j]).tolist() == rows.tolist()
+        blocks = [(rung, rows.tolist(), cols.tolist()) for rung, rows, cols in calls]
+        assert sorted(blocks) == [
+            (2, [0, 1, 2], [0, 1, 2, 3]), (3, [0, 1, 2], [0, 1, 2, 3]),
+            (5, [0, 1], [3]), (5, [0, 1, 2], [1]), (5, [1], [0, 2]),
+            (8, [0, 2], [1]), (8, [1], [0, 2, 3])]
 
     def test_two_rungs(self):
         calls = []
-        out, mag = climb((4, 6), self._sums([4, 4], calls), (2,),
+        out, mag = climb((4, 6), self._sums([[4], [4]], calls), (2, 1),
                          lambda entry, lo, hi: "never")
-        assert out.tolist() == [1.0 + 6e-12] * 2
-        assert mag.tolist() == [1.0, 2.0]
+        assert out.tolist() == [[1.0 + 6e-12]] * 2
+        assert mag.tolist() == [[1.0], [2.0]]
         with pytest.raises(UnresolvedData, match="the 4- and 6-node rules"):
-            climb((4, 6), self._sums([4, 6], []), (2,),
+            climb((4, 6), self._sums([[4], [6]], []), (2, 1),
                   lambda entry, lo, hi: f"entry {entry}: the {lo}- and {hi}-node rules")
 
     def test_past_the_top(self):

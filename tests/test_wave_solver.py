@@ -547,6 +547,6 @@ class TestMemoryBound:
         prop = heat_solver.HeatPropagator(parse("sin(4*x1)*cos(x2)*cos(x3)", 3))
         points = np.array([[0.3, 0.2, 0.1], [-1.1, 0.4, 2.0]])
         lams = np.array([0.5, 2.0])
-        single = np.array([[prop.apply_many(x, [lam])[0] for lam in lams]
+        single = np.array([[prop.apply_many(x, [lam])[0][0] for lam in lams]
                            for x in points])
-        assert np.array_equal(prop.apply_many(points, lams), single)
+        assert np.array_equal(prop.apply_many(points, lams)[0], single)
