@@ -85,17 +85,24 @@ def _cmd_solve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EVAL
 
-    # rows in itertools.product(x1, ..., xn, t) order: t varies fastest
-    n = cfg.problem.n
-    header = ",".join([f"x{i + 1}" for i in range(n)] + ["t", "u"])
-    rows = np.column_stack([np.repeat(points, len(times), axis=0),
-                            np.tile(times, len(points)), values.reshape(-1)])
-    # one template per row, each field as _format writes it
-    line = ",".join(["%.16e"] * (n + 2)) + "\n"
+    header = ",".join([f"x{i + 1}" for i in range(cfg.problem.n)] + ["t", "u"])
     with open(cfg.output_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        fh.writelines(line % tuple(row) for row in rows.tolist())
+        fh.writelines(_csv_rows(points, times, values))
     return EXIT_OK
+
+
+def _csv_rows(points: np.ndarray, times: np.ndarray, values: np.ndarray):
+    """CSV rows in itertools.product(x1, ..., xn, t) order, t fastest, each
+    number as _format writes it.  Each point's coordinates, each time and
+    each value are formatted once."""
+    fmt = "%.16e".__mod__
+    heads = [",".join(map(fmt, p)) + "," for p in points.tolist()]
+    tails = [fmt(t) + "," for t in times.tolist()]
+    vals = map(fmt, values.reshape(-1).tolist())
+    for head in heads:
+        for tail, v in zip(tails, vals):
+            yield head + tail + v + "\n"
 
 
 def _cmd_verify(args) -> int:
@@ -178,7 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.set_defaults(fn=_cmd_solve)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite", help="modes|residual|heat|ibvp|opcalc|all")
+    p_verify.add_argument("suite", help="modes|wave|residual|heat|ibvp|opcalc|all")
     p_verify.set_defaults(fn=_cmd_verify)
 
     p_sum = sub.add_parser("sum-series", help="Abel-Poisson Fourier summation")

@@ -40,6 +40,7 @@ import numpy as np
 
 from .errors import ConfigError, WaveforgeError
 from .expr import parse
+from .ibvp import MAX_MODES
 from .problems import KINDS, CauchyProblem
 from .quadrature import QuadratureSpec
 
@@ -188,6 +189,9 @@ def parse_config(text: str) -> ProblemConfig:
             raise ConfigError(f"bad k_max: {exc}") from None
         if k_max < 1:
             raise ConfigError(f"k_max must be >= 1, got {k_max}")
+        if k_max ** n > MAX_MODES:
+            raise ConfigError(f"k_max = {k_max} gives {k_max ** n} modes in "
+                              f"{n} dimensions, more than {MAX_MODES}")
 
     quad_kwargs = {}
     if "quadrature" in cp:

@@ -29,7 +29,7 @@ __all__ = ["HeatPropagator", "heat_propagate", "solve_heat_product"]
 
 # Per-axis Gauss-Hermite node counts a (point, diffusion time) climbs by
 # quadrature.climb; the data's size under a rule is sum w |f|
-LADDER = (16, 24, 32, 48, 64, 96)
+LADDER = (8, 12, 16, 24, 32, 48, 64, 96)
 
 
 @functools.lru_cache(maxsize=None)
@@ -58,8 +58,8 @@ class HeatPropagator:
     into a lam-independent weight exp(-|zeta|^2/4) / (4 pi)^(n/2), so each
     tensor Gauss-Hermite rule serves every diffusion time.  Each (point,
     diffusion time) climbs :data:`LADDER` by
-    :func:`~waveforge.quadrature.climb`, from its first two rules; each
-    block of pending entries it asks for is one
+    :func:`~waveforge.quadrature.climb`, from its first two rules, 8 and 12
+    nodes per axis; each block of pending entries it asks for is one
     :func:`~waveforge.quadrature.centre_sums` on that rung's rule.
     """
 

@@ -43,6 +43,9 @@ __all__ = [
 ]
 
 DEFAULT_K_MAX = 24
+# Most modes a basis holds, k_max^d: 8 MiB per mode array, and at d = 3
+# (k_max 101) about 600 MiB peak for one projection
+MAX_MODES = 1 << 20
 BOUNDARY_DATA_TOL = 1e-8
 
 
@@ -96,6 +99,9 @@ def build_basis(L, k_max: int = DEFAULT_K_MAX) -> EigenBasis:
         raise InvalidBox(f"side lengths must be positive and finite: {L}")
     if k_max < 1:
         raise InvalidBox(f"k_max must be >= 1, got {k_max}")
+    if k_max ** len(L) > MAX_MODES:
+        raise InvalidBox(f"k_max = {k_max} gives {k_max ** len(L)} modes in "
+                         f"{len(L)} dimensions, more than {MAX_MODES}")
     axes = [np.arange(1, k_max + 1)] * len(L)
     grids = np.meshgrid(*axes, indexing="ij")
     modes = np.stack([g.reshape(-1) for g in grids], axis=-1)

@@ -5,10 +5,10 @@ Darboux's form it is one spherical mean of the field and its radial
 derivatives per time, over the sphere of radius a*t.  Sphere means and the
 heat propagator's Gaussian sums share one bounded reduction,
 :func:`centre_sums`, which returns the data's size with every sum, and
-every rule sized by a companion-rule estimate climbs one ladder,
-:func:`climb`, which splits the entries still pending into product
-blocks.  All rules are immutable value objects and all operations are
-pure.
+every rule sized by a companion-rule estimate (the sphere degree, the
+Gauss-Hermite count and the time rule) climbs one ladder, :func:`climb`,
+which splits the entries still pending into product blocks.  All rules
+are immutable value objects and all operations are pure.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ __all__ = [
     "spherical_mean",
     "iterated_time_integral",
     "SinhKernel",
+    "SPHERE_LADDER",
     "climb",
     "double_factorial",
 ]
@@ -73,8 +74,10 @@ class QuadratureSpec:
 
     ``n_time`` is the box solver's Duhamel rule; the whole-space time rules
     are sized per point (:data:`~waveforge.problems.TIME_LADDER`).
-    ``n_radial`` is accepted and validated but unused: the sinh kernel
-    needs no radial rule.
+    ``sphere_degree`` is the top rung of the sinh kernel's sphere ladder
+    (:data:`SPHERE_LADDER`), which each sphere mean climbs.  ``n_radial``
+    is accepted and validated but unused: the sinh kernel needs no radial
+    rule.
     """
 
     n_time: int = 32
@@ -184,6 +187,11 @@ def sphere_rule(n: int, degree: int) -> SphereRule:
 # fraction of the data's size under the larger rule
 TOLERANCE = 1e-10
 
+# Sphere-rule degrees a sinh kernel's (point, time) climbs by climb, up to
+# its QuadratureSpec.sphere_degree, the top rung; a degree-d rule takes 2d^2
+# directions at n = 3 and 2d^4 at n = 5
+SPHERE_LADDER = (4, 6, 8, 12, 16, 24, 32)
+
 
 def climb(rungs: Sequence[int], sums: Callable, shape: tuple,
           unresolved: Callable[[tuple, int, int], str]):
@@ -195,17 +203,21 @@ def climb(rungs: Sequence[int], sums: Callable, shape: tuple,
     rule ``rung`` for one product block of entries, the index arrays
     ``rows`` x ``cols``, shape (len(rows), len(cols)) each.  Every rung
     asks only for pending entries: columns pending at the same rows share
-    one block.  An entry moves up one rung while the last two differ by
+    one block, and while every entry is pending the block is the whole
+    array.  An entry moves up one rung while the last two differ by
     more than :data:`TOLERANCE` of its size under the larger.  One still
     pending on the top rung raises
     :class:`~waveforge.errors.UnresolvedData`: ``unresolved(entry, lo,
     hi)`` names the entry (an index pair) and the top two rungs, and the
-    gap and the size follow.
+    gap and the size follow.  A one-rung ladder is that rule alone,
+    unchecked.
     """
     out, mag = np.empty(shape), np.empty(shape)
     pending = np.ones(shape, dtype=bool)
 
     def blocks(rung):
+        if pending.all():
+            return sums(rung, np.arange(shape[0]), np.arange(shape[1]))
         vals, size = np.zeros(shape), np.zeros(shape)
         cols, group = np.unique(pending, axis=1, return_inverse=True)
         for k, col in enumerate(cols.T):
@@ -215,7 +227,9 @@ def climb(rungs: Sequence[int], sums: Callable, shape: tuple,
                 vals[block], size[block] = sums(rung, rows, js)
         return vals, size
 
-    lo, _ = blocks(rungs[0])
+    lo, size = blocks(rungs[0])
+    if len(rungs) == 1:
+        return lo, size
     for rung in rungs[1:]:
         hi, size = blocks(rung)
         gap = np.abs(hi - lo)
@@ -346,7 +360,12 @@ class SinhKernel:
     The field and the derivatives these need are compiled once; each
     application reduces the Darboux integrand over them by
     :func:`centre_sums`, vectorized over points and times, and returns the
-    data's size with the values.
+    data's size with the values.  Each (point, time) climbs the sphere
+    degrees of :data:`SPHERE_LADDER` below ``spec.sphere_degree``, then
+    that degree, the top rung, by :func:`climb`; data that the top two
+    rules do not resolve raise :class:`~waveforge.errors.UnresolvedData`.
+    A top at or below the first rung is one fixed rule, unchecked.
+    ``rule`` is the top rung's rule.
     """
 
     def __init__(self, field: Expr, a: float, spec: QuadratureSpec | None = None,
@@ -360,7 +379,10 @@ class SinhKernel:
         self.n = n
         self.a = float(a)
         self.spec = spec
-        self.rule = sphere_rule(n, spec.sphere_degree)
+        self.field = field
+        top = spec.sphere_degree
+        self.rungs = tuple(d for d in SPHERE_LADDER if d < top) + (top,)
+        self.rule = sphere_rule(n, top)
         self._cosh = cosh
         self._f = compile_field(field)
         self._grad = ()
@@ -374,8 +396,8 @@ class SinhKernel:
 
     def apply_many(self, x, ts: np.ndarray, t_args=None, cosh: bool = False):
         """Kernel applied at each time in ``ts`` (may include 0), and the
-        same kernel applied to the integrand's absolute value under the
-        rule, the data's size there.
+        same kernel applied to the integrand's absolute value under each
+        entry's accepted sphere rule, the data's size there.
 
         ``x`` is one point (n,) or many (P, n); each result has shape
         (len(ts),) or (P, len(ts)).  ``t_args``, if given, is an array
@@ -401,7 +423,20 @@ class SinhKernel:
                     vals += (slope * offs).sum(axis=-1) * lap(pts, t)
             return vals
 
-        means, mag = centre_sums(integrand, np.atleast_2d(x), self.a * ts,
-                                 self.rule.directions, self.rule.weights, t_args)
+        centres = np.atleast_2d(x)
+        steps = self.a * ts
+        t_args = np.broadcast_to(0.0 if t_args is None else t_args, steps.shape)
+
+        def sums(degree, rows, cols):
+            rule = sphere_rule(self.n, degree)
+            return centre_sums(integrand, centres[rows], steps[cols],
+                               rule.directions, rule.weights, t_args[cols])
+
+        means, mag = climb(
+            self.rungs, sums, (len(centres), steps.size),
+            lambda entry, lo, hi: (
+                f"sphere means of {self.field} at t = {float(ts[entry[1]])!r}, "
+                f"x = {centres[entry[0]].tolist()}: the degree-{lo} and "
+                f"degree-{hi} sphere rules"))
         out = (means, mag) if cosh else (ts * means, np.abs(ts) * mag)
         return tuple(v[0] for v in out) if x.ndim == 1 else out

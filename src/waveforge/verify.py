@@ -25,7 +25,6 @@ from .opcalc import (
 )
 from .oracle import ModeProblem, heat_closed_form, mode_solve, residual_check
 from .problems import CauchyProblem
-from .quadrature import QuadratureSpec
 from .wave_solver import solve_wave
 
 __all__ = ["CheckResult", "run_suite", "SUITES"]
@@ -70,8 +69,7 @@ def _suite_modes() -> list[CheckResult]:
         phase = "+".join(f"{v!r}*x{i + 1}" for i, v in enumerate(k))
         data = tuple(parse(f"{v!r}*sin({phase})", n) for v in data_vals)
         p = CauchyProblem(kind, n, m, speeds, None, data)
-        # the n=5 default rule takes 131,072 directions per mean
-        ev = solve_wave(p, QuadratureSpec(sphere_degree=8) if n == 5 else None)
+        ev = solve_wave(p)
         mp = ModeProblem("wave", speeds, k, data_vals)
         worst = 0.0
         for t in (0.5, 1.2):
@@ -79,6 +77,27 @@ def _suite_modes() -> list[CheckResult]:
             ref = mode_solve(mp, t) * math.sin(kx)
             worst = max(worst, abs(got - ref) / max(1.0, abs(ref)))
         out.append(CheckResult("modes", name, worst, 1e-6))
+    return out
+
+
+def _suite_wave() -> list[CheckResult]:
+    # a sharp mode the sphere ladder resolves, and one beyond its default
+    # top rung, where the degree-16 rule alone gives -2.29 for 0.186:
+    # u = cos(k t) sin(k x1)
+    x, out = [0.3, -0.2, 0.5], []
+
+    def mode(k):
+        return solve_wave(CauchyProblem("wave-multiple", 3, 1, (1.0,), None,
+                                        (parse(f"sin({k}*x1)", 3), None)))
+
+    err = abs(mode(5)(x, 1.0) - math.cos(5.0) * math.sin(1.5))
+    out.append(CheckResult("wave", "sphere-mode-resolved", err, 1e-12))
+    try:
+        mode(20)(x, 2.0)
+        missed = 1.0
+    except UnresolvedData:
+        missed = 0.0
+    out.append(CheckResult("wave", "sphere-unresolved-raises", missed, 0.0))
     return out
 
 
@@ -219,6 +238,7 @@ def _suite_opcalc() -> list[CheckResult]:
 
 SUITES = {
     "modes": _suite_modes,
+    "wave": _suite_wave,
     "residual": _suite_residual,
     "heat": _suite_heat,
     "ibvp": _suite_ibvp,

@@ -61,6 +61,16 @@ path = {path}
 """
 
 
+def _box_config(n, k_max, path):
+    """A box wave config in n dimensions with the given mode cutoff."""
+    return "\n".join(
+        ["[problem]", "kind = wave-multiple", f"n = {n}", "m = 1", "speeds = 1.0",
+         "[data]", "phi0 = " + "*".join(f"sin(x{i + 1})" for i in range(n)),
+         "[domain]"] + [f"x{i + 1} = 0.5:0.5:1" for i in range(n)]
+        + ["t = 0:1:2", "box = " + ",".join([repr(math.pi)] * n),
+           f"k_max = {k_max}", "[output]", f"path = {path}", ""])
+
+
 def _read_csv(path):
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -134,6 +144,32 @@ class TestConfigParsing:
             parse_config(cfgf.read_text())
         assert main(["solve", str(cfgf)]) == 2
         assert "k_max" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n, k_max, ok", [
+        (3, 101, True), (3, 102, False), (3, 2000, False),
+        (2, 1024, True), (2, 1025, False), (1, 1 << 20, True)])
+    def test_k_max_mode_count_bounded(self, n, k_max, ok):
+        text = _box_config(n, k_max, "o.csv")
+        if ok:
+            assert parse_config(text).k_max == k_max
+        else:
+            with pytest.raises(ConfigError, match=rf"k_max = {k_max} gives"):
+                parse_config(text)
+
+    def test_huge_k_max_rejected_before_the_basis(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # n = 3 with k_max = 2000 would ask for a 64 GB basis
+        out = tmp_path / "o.csv"
+        cfgf = tmp_path / "p.ini"
+        cfgf.write_text(_box_config(3, 2000, out))
+
+        def never(*args):
+            raise AssertionError("build_basis reached")
+
+        monkeypatch.setattr(cli, "build_basis", never)
+        assert main(["solve", str(cfgf)]) == 2
+        assert "k_max = 2000" in capsys.readouterr().err
         assert not out.exists()
 
     def test_box_length_count(self):
@@ -220,6 +256,34 @@ class TestSolveCommand:
             assert main(argv) == 0
             digests.append(hashlib.md5(out.read_bytes()).hexdigest())
         assert len(set(digests)) == 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_csv_rows_match_the_row_template(self, n):
+        # each row as one %.16e template over (x, t, u) writes it, with
+        # signed zeros, subnormals and extreme exponents among the numbers
+        rng = np.random.default_rng(n)
+        special = np.array([-0.0, 0.0, 5e-324, -2.5e-310, 1e308, -1.0 / 3.0])
+        points = rng.standard_normal((7, n)) * 10.0 ** rng.integers(-5, 5, (7, n))
+        points.reshape(-1)[:n + 2] = special[:n + 2]
+        times = np.array([-0.0, 2.2250738585072014e-308, 0.5])
+        values = rng.standard_normal((7, 3))
+        values.reshape(-1)[:6] = special
+        rows = np.column_stack([np.repeat(points, len(times), axis=0),
+                                np.tile(times, len(points)), values.reshape(-1)])
+        line = ",".join(["%.16e"] * (n + 2)) + "\n"
+        want = "".join(line % tuple(row) for row in rows.tolist())
+        assert "".join(cli._csv_rows(points, times, values)) == want
+        assert "-0.0000000000000000e+00" in want and "4.9406564584124654e-324" in want
+
+    def test_unresolved_sphere_means_exit_code(self, tmp_path, capsys):
+        # sin(20 x1) at t = 2 is past the default top rung of the sphere ladder
+        out = tmp_path / "o.csv"
+        cfgf = tmp_path / "p.ini"
+        cfgf.write_text(KIRCHHOFF.format(path=out)
+                        .replace("phi1 = 1", "phi0 = sin(20*x1)"))
+        assert main(["solve", str(cfgf)]) == 3
+        assert "the degree-12 and degree-16 sphere rules" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_config_exit_code(self, tmp_path):
         cfgf = tmp_path / "p.ini"
@@ -456,6 +520,12 @@ class TestVerifyCommand:
         assert "PASS modes/wave-distinct-m2:" in out
         assert "PASS modes/wave-distinct-near:" in out
         assert "PASS modes/wave5-multiple-m2:" in out
+
+    def test_wave_suite_covers_the_sphere_ladder(self, capsys):
+        assert main(["verify", "wave"]) == 0
+        out = capsys.readouterr().out
+        assert "PASS wave/sphere-mode-resolved:" in out
+        assert "PASS wave/sphere-unresolved-raises:" in out
 
     def test_heat_suite_covers_mixed_cluster(self, capsys):
         assert main(["verify", "heat"]) == 0

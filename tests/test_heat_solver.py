@@ -161,10 +161,12 @@ class TestResolution:
 
         monkeypatch.setattr(heat_solver, "centre_sums", recording)
         batch, _ = prop.apply_many(points, lams, t_args)
-        rungs = list(asked.items())
-        # some entries stop at the first pair, others climb to 64 nodes
-        assert rungs[0] == (16, 24) and rungs[1] == (24, 24)
-        assert 0 < rungs[2][1] < 24 and rungs[-1][0] == 64
+        rungs, ladder = list(asked.items()), heat_solver.LADDER
+        # the ladder in order: every entry is asked on the first pair, some
+        # stop there, others climb to 64 nodes
+        assert [count for count, _ in rungs] == list(ladder[:ladder.index(64) + 1])
+        assert rungs[0] == (ladder[0], 24) and rungs[1] == (ladder[1], 24)
+        assert 0 < rungs[2][1] < 24
         single = np.array([[prop.apply_many(p, [lam], [ta])[0][0]
                             for lam, ta in zip(lams, t_args)] for p in points])
         assert np.array_equal(batch, single)

@@ -50,6 +50,13 @@ class TestBasis:
             with pytest.raises(InvalidBox, match="positive and finite"):
                 build_basis([1.0, side], 4)
 
+    def test_mode_count_bounded(self):
+        # checked before any mode array exists: 2000^3 would be 64 GB
+        assert build_basis([1.0] * 3, 101).count == 101**3
+        for L, k_max in (([1.0] * 3, 102), ([1.0] * 3, 2000), ([1.0] * 2, 1025)):
+            with pytest.raises(InvalidBox, match=f"k_max = {k_max} gives"):
+                build_basis(L, k_max)
+
 
 class TestProjection:
     def test_projects_own_mode(self):

@@ -235,7 +235,8 @@ class TestSinhKernel:
         e = parse(f"sin({k1}*x1 + {k2}*x2)", n)
         x = np.array([0.5, -0.3, 0.2, 0.1, -0.4][:n])
         mag = math.hypot(k1, k2)
-        spec = QuadratureSpec(sphere_degree=12)
+        # at n = 3, a|k|t = 3.9 leaves degrees 8 and 12 apart by 3e-9
+        spec = QuadratureSpec(sphere_degree=16 if n == 3 else 12)
         ts = np.array([0.0, 0.5, 2.0, -1.5])
         got, _ = SinhKernel(e, a, spec, cosh=True).apply_many(x, ts, cosh=True)
         exact = np.cos(a * mag * ts) * math.sin(k1 * x[0] + k2 * x[1])
@@ -259,6 +260,54 @@ class TestSinhKernel:
     def test_even_dimension_rejected(self):
         with pytest.raises(UnsupportedDimension):
             SinhKernel(parse("x1", 2), 1.0)
+
+    def test_escalation_is_per_entry(self, monkeypatch):
+        # sin(4 x1) climbs further as the radius grows, except at t = 0 and
+        # at x1 = 0, where every rule gives the exact mean
+        kern = SinhKernel(parse("sin(4*x1)", 3), 1.0)
+        assert kern.rungs == (4, 6, 8, 12, 16)
+        points = np.array([[0.3, 0.1, 0.0], [1.1, 0.2, -0.4], [0.0, 0.5, 0.2]])
+        ts = np.array([0.0, 0.2, 0.8, 1.5])
+        asked = {}  # directions: entries asked on that rule, in rung order
+        sums = quadrature.centre_sums
+
+        def recording(g, centres, steps, nodes, w, t):
+            asked[len(w)] = asked.get(len(w), 0) + len(centres) * len(steps)
+            return sums(g, centres, steps, nodes, w, t)
+
+        monkeypatch.setattr(quadrature, "centre_sums", recording)
+        batch, _ = kern.apply_many(points, ts)
+        rungs = list(asked.items())
+        # the n = 3 degree-d rule has 2 d^2 directions
+        assert [count for count, _ in rungs] == [2 * d * d for d in kern.rungs]
+        assert rungs[0][1] == rungs[1][1] == 12
+        assert 0 < rungs[2][1] < 12 and 0 < rungs[-1][1] < rungs[2][1]
+        single = np.array([[kern.apply(p, t) for t in ts] for p in points])
+        assert np.array_equal(batch, single)
+        monkeypatch.setattr(quadrature, "BATCH_POINTS", 64)
+        assert np.array_equal(kern.apply_many(points, ts)[0], single)
+        exact = np.sin(4 * ts) / 4 * np.sin(4 * points[:, :1])
+        assert np.max(np.abs(batch - exact)) <= 1e-14
+
+    def test_top_rung_is_the_sphere_degree(self):
+        e = parse("sin(x1)", 3)
+        kern = SinhKernel(e, 1.0, QuadratureSpec(sphere_degree=10))
+        assert kern.rungs == (4, 6, 8, 10)
+        assert kern.rule is sphere_rule(3, 10)
+        # a top at or below the first rung is one fixed rule, never checked
+        kern = SinhKernel(parse("sin(20*x1)", 3), 1.0, QuadratureSpec(sphere_degree=4))
+        assert kern.rungs == (4,)
+        x, t = np.array([0.3, -0.2, 0.5]), 2.0
+        rule = sphere_rule(3, 4)
+        fixed = t * spherical_mean(parse("sin(20*x1)", 3), x, t, rule)
+        assert kern.apply(x, t) == fixed
+
+    def test_past_the_top_rung(self):
+        kern = SinhKernel(parse("sin(20*x1)", 3), 1.0)
+        with pytest.raises(UnresolvedData, match=(
+                r"sphere means of sin\(20\*x1\) at t = 2.0, x = \[0.3, -0.2, 0.5\]: "
+                r"the degree-12 and degree-16 sphere rules differ by")):
+            kern.apply([0.3, -0.2, 0.5], 2.0)
 
     def test_batched_matches_single(self):
         e = parse("sin(x1)*cos(x2)", 3)
@@ -345,6 +394,29 @@ class TestClimb:
             (2, [0, 1, 2], [0, 1, 2, 3]), (3, [0, 1, 2], [0, 1, 2, 3]),
             (5, [0, 1], [3]), (5, [0, 1, 2], [1]), (5, [1], [0, 2]),
             (8, [0, 2], [1]), (8, [1], [0, 2, 3])]
+
+    def test_all_pending_is_one_block(self, monkeypatch):
+        # nothing agrees below rung 5, so rungs 2, 3 and 5 each ask for the
+        # whole array at once, without grouping columns; rung 8 asks for
+        # the two entries whose pair (3, 5) differed, in separate blocks
+        stop = [[3, 3, 5], [5, 3, 3]]
+        calls, grouped = [], []
+        unique = np.unique
+        monkeypatch.setattr(np, "unique", lambda *a, **k: grouped.append(1)
+                            or unique(*a, **k))
+        climb(self.RUNGS, self._sums(stop, calls), (2, 3),
+              lambda entry, lo, hi: "never")
+        blocks = [(rung, rows.tolist(), cols.tolist()) for rung, rows, cols in calls]
+        assert blocks[:3] == [(r, [0, 1], [0, 1, 2]) for r in (2, 3, 5)]
+        assert sorted(blocks[3:]) == [(8, [0], [2]), (8, [1], [0])]
+        assert len(grouped) == 1
+
+    def test_one_rung_is_unchecked(self):
+        calls = []
+        out, mag = climb((4,), self._sums([[6], [4]], calls), (2, 1),
+                         lambda entry, lo, hi: "never")
+        assert out.tolist() == [[4.0], [1.0 + 4e-12]]
+        assert mag.tolist() == [[1.0], [2.0]] and len(calls) == 1
 
     def test_two_rungs(self):
         calls = []

@@ -14,6 +14,7 @@ from waveforge.errors import (
     DomainError,
     InvalidOrder,
     NonPositiveSpeed,
+    UnresolvedData,
     UnsupportedDimension,
 )
 from waveforge.expr import parse
@@ -241,6 +242,20 @@ class TestDistinctSpeeds:
             assert abs(ev(X3, t) - exact) <= 1e-12
 
 
+def _stopping_degrees(ev, points, t, monkeypatch):
+    """The highest sphere degree each one-point evaluation asks for."""
+    rule = quadrature.sphere_rule
+    out = []
+    for p in points:
+        degrees = []
+        monkeypatch.setattr(quadrature, "sphere_rule",
+                            lambda n, d: degrees.append(d) or rule(n, d))
+        ev.evaluate(p[None], [t])
+        out.append(max(degrees))
+    monkeypatch.setattr(quadrature, "sphere_rule", rule)
+    return out
+
+
 def _stopping_counts(ev, points, t, monkeypatch):
     """The last time-rule count each one-point evaluation asks for."""
     rule = problems._time_rule
@@ -287,7 +302,7 @@ class TestHighOrderAccuracy:
         data = (parse("sin(0.95*x1)", n),) + (None,) * (2 * m - 1)
         p = CauchyProblem(kind, n, m, speeds, None, data)
         spec = QuadratureSpec() if n == 3 else QuadratureSpec(
-            sphere_degree=8, n_radial=16)
+            sphere_degree=12, n_radial=16)
         x = np.array([0.4, -0.2, 0.7, 0.1, 0.3][:n])
         exact = _plane_wave_amplitude(speeds, 0.95, t) * math.sin(0.95 * x[0])
         assert solve_wave(p, spec)(x, t) == pytest.approx(exact, rel=1e-12, abs=0)
@@ -446,6 +461,21 @@ FAMILIES = ["wave-m1", "wave-m3", "wave-m2-source", "wave-distinct-source",
             "wave-n5", "heat-equal", "heat-distinct", "box"]
 
 
+class TestSphereLadder:
+    """Each sphere mean climbs the sphere degrees up to the spec's
+    sphere_degree, its top rung, and past the top raises UnresolvedData
+    instead of the top rule's answer."""
+
+    def test_n5_past_a_top_of_8_raises(self):
+        # the degree-8 rule alone gives -32.1 for cos(20) sin(6) = -0.114
+        p = CauchyProblem("wave-multiple", 5, 1, (1.0,), None,
+                          (parse("sin(20*x1)", 5), None))
+        ev = solve_wave(p, QuadratureSpec(sphere_degree=8))
+        with pytest.raises(UnresolvedData,
+                           match="the degree-6 and degree-8 sphere rules"):
+            ev([0.3, -0.2, 0.5, 0.1, 0.2], 1.0)
+
+
 class TestBatchIndependence:
     """A point's value does not depend on the points evaluated with it, so
     the CLI's output is the same however its points are chunked."""
@@ -467,12 +497,27 @@ class TestBatchIndependence:
         monkeypatch.setattr(quadrature, "BATCH_POINTS", 64)
         assert np.array_equal(ev.evaluate(points, times), single)
 
+    def test_batch_with_different_sphere_degrees(self, monkeypatch):
+        # the data's frequency grows with x1, so the points stop on
+        # different degrees of the sphere ladder
+        p = CauchyProblem("wave-multiple", 3, 1, (1.0,), None,
+                          (parse("sin(x1*x1 + x2)", 3), parse("cos(x1*x1)", 3)))
+        ev = solve_wave(p)
+        points = np.array([[x1, 0.6, -0.2] for x1 in (0.0, 1.0, 3.0)])
+        degrees = _stopping_degrees(ev, points, 0.5, monkeypatch)
+        assert len(set(degrees)) > 1
+        times = np.array([0.0, 0.5, -0.3])
+        single = np.array([[ev(x, t) for t in times] for x in points])
+        assert np.array_equal(ev.evaluate(points, times), single)
+        monkeypatch.setattr(quadrature, "BATCH_POINTS", 64)
+        assert np.array_equal(ev.evaluate(points, times), single)
+
     def test_batch_with_different_stopping_counts(self, monkeypatch):
         # the source's frequency in time grows with x1, so the points stop
         # on different counts of the time ladder
         p = CauchyProblem("wave-distinct", 3, 2, (1.0, 1.7),
                           parse("cos(40*x1*t)*sin(x2)", 3), (None,) * 4)
-        ev = solve_wave(p, QuadratureSpec(sphere_degree=8))
+        ev = solve_wave(p)
         points = np.array([[x1, 0.6, -0.2] for x1 in (0.25, 1.0, 2.0, 3.0)])
         counts = _stopping_counts(ev, points, 0.5, monkeypatch)
         assert len(set(counts)) > 1 and min(counts) > problems.TIME_LADDER[1]
