@@ -7,8 +7,10 @@ simplified form are computed once and kept on it: Laplacian powers grow
 with their distinct subexpressions, not as trees.
 
 There is one evaluator: one code generator turns a DAG into a numpy
-function that computes each distinct node once.  It serves vectorized
-fields (:func:`compile_field`) and single real or complex points
+function that computes each distinct node once, reading coordinate k as
+the k-th of a sequence of arrays.  It serves vectorized fields
+(:func:`compile_field`), on stacked points or on an open mesh of
+per-axis coordinates, and single real or complex points
 (:func:`eval_real`, :func:`eval_complex`) alike, and a non-finite value,
 a domain violation among them, raises :class:`DomainError`.
 
@@ -54,6 +56,7 @@ __all__ = [
     "laplacian_power",
     "to_string",
     "compile_field",
+    "Mesh",
 ]
 
 # each function's numpy name: the generated code and constant folding both
@@ -480,7 +483,8 @@ def laplacian_power(e: Expr, p: int) -> Expr:
 
 def _source(root: Node, literal: Callable[[float], str]) -> tuple[str, bool]:
     """Source of ``f(X, t)`` computing the DAG at ``root``, and whether it
-    reads ``t``.
+    reads ``t``.  ``X`` is the sequence of coordinate arrays: x_k is
+    ``X[k - 1]``.
 
     Distinct nodes are emitted once, in post-order.  A node with several
     parents is assigned to a temporary, deleted after the last statement
@@ -510,7 +514,7 @@ def _source(root: Node, literal: Callable[[float], str]) -> tuple[str, bool]:
         if isinstance(node, Num):
             code = literal(node.value)
         elif isinstance(node, Var):
-            code = "t" if node.name == "t" else f"X[..., {int(node.name[1:]) - 1}]"
+            code = "t" if node.name == "t" else f"X[{int(node.name[1:]) - 1}]"
         elif isinstance(node, Neg):
             code = f"(-{args[0]})"
         elif isinstance(node, Call):
@@ -550,18 +554,25 @@ def _compiled(root: Node, complex_mode: bool) -> tuple[Callable, bool]:
     return namespace["f"], reads_t
 
 
-def _call(fn: Callable, X: np.ndarray, t) -> np.ndarray:
-    """``fn(X, t)`` as an array; a non-finite value raises DomainError."""
+def _call(fn: Callable, X: Sequence, t, dtype) -> np.ndarray:
+    """``fn(X, t)`` as an array, ``X`` the coordinates built with ``dtype``;
+    a non-finite value, or a complex value from real coordinates, raises
+    DomainError."""
     try:
         with np.errstate(all="ignore"):
             out = np.asarray(fn(X, t))
     except ArithmeticError as exc:  # Python arithmetic on two constants
         raise DomainError(f"evaluation failed: {exc}") from None
-    if out.dtype.kind == "c" and X.dtype.kind != "c":
+    if out.dtype.kind == "c" and np.dtype(dtype).kind != "c":
         raise DomainError("real evaluation produced a complex value")
     if not np.isfinite(out).all():
         raise DomainError("evaluation produced non-finite values")
     return out
+
+
+def _axes(X: np.ndarray) -> tuple:
+    """The coordinates of (..., n) points, as the n views ``X[..., k]``."""
+    return tuple(X[..., k] for k in range(X.shape[-1]))
 
 
 def _at_point(e: Expr, coords, t, dtype):
@@ -571,7 +582,7 @@ def _at_point(e: Expr, coords, t, dtype):
     fn, reads_t = _compiled(_simplify(e.root), dtype is complex)
     if t is None and reads_t:
         raise DomainError("unbound variable 't'")
-    return _call(fn, X, dtype(0.0 if t is None else t))[()]
+    return _call(fn, _axes(X), dtype(0.0 if t is None else t), dtype)[()]
 
 
 def eval_real(e: Expr, coords: Sequence[float], t: float | None = None) -> float:
@@ -584,23 +595,51 @@ def eval_complex(e: Expr, coords: Sequence[complex], t=None) -> complex:
     return complex(_at_point(e, coords, t, complex))
 
 
+class Mesh(tuple):
+    """An open mesh: n coordinate arrays that broadcast against each other,
+    as ``np.meshgrid(..., indexing="ij", sparse=True)`` returns.
+
+    ``shape`` is the shape of the (..., n) array of the points it spans,
+    so code that sizes a field call by ``np.shape(X)[:-1]`` counts them
+    without stacking them.
+    """
+
+    @property
+    def shape(self) -> tuple:
+        return np.broadcast_shapes(*(np.shape(x) for x in self)) + (len(self),)
+
+
 def compile_field(e: Expr) -> Callable:
     """Compile to a numpy-vectorized callable ``f(X, t=0.0)``.
 
-    ``X`` has shape ``(..., n)``; the result has shape ``(...,)``.  ``t``
-    may be a scalar or any array broadcastable against ``X[..., 0]``.
-    Non-finite results raise :class:`DomainError`.
+    ``X`` is an array of points, shape ``(..., n)``, or an open mesh: a
+    tuple of n coordinate arrays that broadcast against each other, such
+    as a :class:`Mesh`.  On a mesh a subexpression is computed on the
+    coordinates it reads, so one of x1 alone costs as many values as x1
+    has.  ``t`` may be a scalar or an array that broadcasts against the
+    points; the result has the broadcast shape of the points and ``t``.
+    Non-finite results, and complex ones, raise :class:`DomainError`.
     """
     fn, _ = _compiled(_simplify(e.root), False)
     ndim = e.ndim
 
     def field(X, t=0.0):
-        X = np.asarray(X, dtype=float)
-        if X.shape[-1] != ndim:
-            raise DimensionError(
-                f"expected trailing axis of length {ndim}, got {X.shape[-1]}"
-            )
-        return np.broadcast_to(_call(fn, X, t).astype(float, copy=False),
-                               X.shape[:-1]).copy()
+        if isinstance(X, tuple):
+            coords = tuple(np.asarray(x, dtype=float) for x in X)
+            if len(coords) != ndim:
+                raise DimensionError(
+                    f"expected {ndim} coordinate arrays, got {len(coords)}"
+                )
+            shape = np.broadcast_shapes(*(x.shape for x in coords), np.shape(t))
+        else:
+            X = np.asarray(X, dtype=float)
+            if X.shape[-1] != ndim:
+                raise DimensionError(
+                    f"expected trailing axis of length {ndim}, got {X.shape[-1]}"
+                )
+            coords = _axes(X)
+            shape = np.broadcast_shapes(X.shape[:-1], np.shape(t))
+        out = _call(fn, coords, t, float).astype(float, copy=False)
+        return np.broadcast_to(out, shape).copy()
 
     return field

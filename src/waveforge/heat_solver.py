@@ -23,7 +23,7 @@ from numpy.polynomial.hermite import hermgauss
 from .errors import InvalidOrder, NegativeDiffusionTime, UnsupportedDimension
 from .expr import Expr, compile_field
 from .problems import CauchyProblem, SolutionEvaluator, cluster_evaluator
-from .quadrature import centre_sums, climb
+from .quadrature import brief, centre_sums, climb
 
 __all__ = ["HeatPropagator", "heat_propagate", "solve_heat_product"]
 
@@ -95,7 +95,7 @@ class HeatPropagator:
                 *hermite_rule(centres.shape[1], count), t_args[cols]),
             (len(centres), steps.size),
             lambda entry, lo, hi: (
-                f"e^(lam Lap) of {self.field} at diffusion time lam = "
+                f"e^(lam Lap) of {brief(self.field)} at diffusion time lam = "
                 f"{float(lams[entry[1]])!r}, x = {centres[entry[0]].tolist()}: "
                 f"the {lo}- and {hi}-node Gauss-Hermite rules per axis"))
         return tuple(v[0] for v in out) if x.ndim == 1 else out

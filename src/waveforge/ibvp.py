@@ -3,13 +3,15 @@
 The box eigenfunctions are products of sines; every operator in the
 package acts on them by multiplying with a scalar time symbol, so the
 solution is: project the data, evolve each mode amplitude in time, and
-sum the series at the evaluation points.
+sum the series at the evaluation points.  Projection evaluates a field on
+the open mesh of per-axis Gauss nodes and contracts one axis at a time.
 
 On mode k the factored operator is a constant-coefficient ODE
 P(lam_k, D) T = g whose solutions are sums of divided differences of
 e^{zt} at the roots of P(lam_k, .).  One closed form covers every family
 and every speed cluster: the data in Newton form against those divided
-differences, plus a Duhamel integral of the last one.
+differences, plus a Duhamel integral of the last one, taken at all the
+time rule's nodes in as few calls as BATCH_POINTS allows.
 """
 
 from __future__ import annotations
@@ -28,10 +30,10 @@ from .errors import (
     InvalidOrder,
     NegativeDiffusionTime,
 )
-from .expr import Expr, compile_field
+from .expr import Expr, Mesh, compile_field
 from .kernels import exp_divided_differences
 from .problems import CauchyProblem, SolutionEvaluator
-from .quadrature import QuadratureSpec, gauss_legendre
+from .quadrature import BATCH_POINTS, QuadratureSpec, gauss_legendre
 
 __all__ = [
     "EigenBasis",
@@ -44,7 +46,7 @@ __all__ = [
 
 DEFAULT_K_MAX = 24
 # Most modes a basis holds, k_max^d: 8 MiB per mode array, and at d = 3
-# (k_max 101) about 600 MiB peak for one projection
+# (k_max 101, 210^3 Gauss nodes) about 315 MiB peak for one projection
 MAX_MODES = 1 << 20
 BOUNDARY_DATA_TOL = 1e-8
 
@@ -113,15 +115,17 @@ def build_basis(L, k_max: int = DEFAULT_K_MAX) -> EigenBasis:
 
 @functools.lru_cache(maxsize=8)
 def _projection_plan(L: tuple[float, ...], k_max: int, quad_count: int):
-    """Tensor Gauss nodes, weighted per-axis sine matrices, reorder index.
+    """Gauss nodes as an open mesh, weighted per-axis sine matrices,
+    reorder index.
 
-    Depends only on the box, the mode cutoff and the rule size, so every
-    projection onto one basis shares it.  The arrays are read-only because
-    the cache hands the same ones to every caller.
+    The mesh holds each axis's nodes along its own axis of the q^d grid,
+    shapes (q, 1, 1), (1, q, 1), (1, 1, q) at d = 3.  The plan depends only
+    on the box, the mode cutoff and the rule size, so every projection
+    onto one basis shares it.  The arrays are read-only because the cache
+    hands the same ones to every caller.
     """
     rules = [gauss_legendre(quad_count, 0.0, Li) for Li in L]
-    grids = np.meshgrid(*[r.nodes for r in rules], indexing="ij")
-    points = np.stack([g.reshape(-1) for g in grids], axis=-1)
+    mesh = Mesh(np.meshgrid(*[r.nodes for r in rules], indexing="ij", sparse=True))
     # per-axis sine matrices k x q, weights folded in
     k = np.arange(1, k_max + 1)
     mats = tuple(
@@ -132,24 +136,27 @@ def _projection_plan(L: tuple[float, ...], k_max: int, quad_count: int):
     )
     # from the k-grid layout to the basis's eigenvalue ordering
     idx = build_basis(L, k_max).grid_index
-    for arr in (points, idx, *mats):
+    for arr in (*mesh, idx, *mats):
         arr.flags.writeable = False
-    return points, mats, idx
+    return mesh, mats, idx
 
 
 def project(field, basis: EigenBasis, quad_count: int | None = None,
             t: float = 0.0) -> ModeCoefficients:
     """Coefficients c_k = integral of field * e_k over the box.
 
-    ``field`` may be an expression or a compiled callable; ``t`` is
-    passed through for fields with explicit time dependence.  The tensor
-    Gauss sum is contracted one axis at a time (sum factorisation).
+    ``field`` may be an expression or a compiled callable that takes an
+    open mesh (:func:`~waveforge.expr.compile_field`); ``t`` is passed
+    through for fields with explicit time dependence.  The field is
+    evaluated on the tensor Gauss grid as an open mesh, so a factor that
+    reads one coordinate costs q values, not q^d, and the Gauss sum is
+    contracted one axis at a time (sum factorisation).
     """
     f = compile_field(field) if isinstance(field, Expr) else field
     if quad_count is None:
         quad_count = max(2 * basis.k_max + 8, 32)
-    points, mats, idx = _projection_plan(basis.L, basis.k_max, quad_count)
-    tensor = f(points, t).reshape([quad_count] * basis.d)
+    mesh, mats, idx = _projection_plan(basis.L, basis.k_max, quad_count)
+    tensor = f(mesh, t)
     # each step contracts the leading node axis and appends a mode axis,
     # so after d steps the axes are (k_1, ..., k_d)
     for mat in mats:
@@ -278,15 +285,22 @@ def solve_ibvp(problem: CauchyProblem, basis: EigenBasis,
         if heat and t < 0:
             raise NegativeDiffusionTime(f"heat time must be >= 0, got {t}")
 
+    # Duhamel nodes per impulse-response call: nodes x modes stays within
+    # BATCH_POINTS, or one node when the modes alone exceed it
+    chunk = max(1, BATCH_POINTS // basis.count)
+
     def amplitude_fn(t):
         check_time(t)
         out = np.real((newton * exp_divided_differences(roots, t)).sum(axis=0))
         if src is not None and t != 0.0:
-            # the impulse response is the last divided difference; one
-            # node at a time keeps the work arrays at M modes
-            for zi, wi in zip(z, wz):
-                g = exp_divided_differences(roots, t - t * zi)[-1]
-                out = out + t * wi * np.real(g) * project(src, basis, t=t * zi).values
+            # the impulse response is the last divided difference, for a
+            # chunk of nodes per call; the source is projected one node at
+            # a time and the terms are added in node order
+            for i in range(0, len(z), chunk):
+                zs, ws = z[i:i + chunk], wz[i:i + chunk]
+                g = exp_divided_differences(roots[:, None], (t - t * zs)[:, None])[-1]
+                for gi, zi, wi in zip(np.real(g), zs, ws):
+                    out = out + t * wi * gi * project(src, basis, t=t * zi).values
         return out
 
     derivative_fn = None

@@ -193,6 +193,17 @@ TOLERANCE = 1e-10
 SPHERE_LADDER = (4, 6, 8, 12, 16, 24, 32)
 
 
+# characters of a field's text that an UnresolvedData message quotes: a
+# Laplacian power of n = 5 data prints to over a thousand
+FIELD_TEXT = 60
+
+
+def brief(field) -> str:
+    """``field``'s text for a message, cut to :data:`FIELD_TEXT` characters."""
+    text = str(field)
+    return text if len(text) <= FIELD_TEXT else text[:FIELD_TEXT] + "..."
+
+
 def climb(rungs: Sequence[int], sums: Callable, shape: tuple,
           unresolved: Callable[[tuple, int, int], str]):
     """Values and sizes of every entry of a (P, J) array of ``shape``,
@@ -435,7 +446,7 @@ class SinhKernel:
         means, mag = climb(
             self.rungs, sums, (len(centres), steps.size),
             lambda entry, lo, hi: (
-                f"sphere means of {self.field} at t = {float(ts[entry[1]])!r}, "
+                f"sphere means of {brief(self.field)} at t = {float(ts[entry[1]])!r}, "
                 f"x = {centres[entry[0]].tolist()}: the degree-{lo} and "
                 f"degree-{hi} sphere rules"))
         out = (means, mag) if cosh else (ts * means, np.abs(ts) * mag)

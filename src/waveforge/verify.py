@@ -206,6 +206,23 @@ def _suite_ibvp() -> list[CheckResult]:
         abs(ev([0.7], t) - mode_solve(mp, t) * math.sin(0.7)) for t in (0.9, 2.1)
     )
     out.append(CheckResult("ibvp", "wave-m2-source-modes", err, 1e-9))
+    # two distinct heat speeds forcing the (1, 2) mode of a square, whose
+    # source is projected on the open mesh at every Duhamel node
+    mode = "sin(x1)*sin(2*x2)"
+    p = CauchyProblem(
+        "heat-product", 2, 2, (0.6, 1.1), parse(f"cos(0.7*t)*{mode}", 2),
+        (parse(f"0.5*{mode}", 2), parse(f"-0.3*{mode}", 2)),
+    )
+    ev = solve_ibvp(p, build_basis([math.pi, math.pi], 4))
+    mp = ModeProblem(
+        "heat", (0.6, 1.1), (1.0, 2.0), (0.5, -0.3), source=parse("cos(0.7*t)", 0)
+    )
+    x = [0.7, 1.1]
+    err = max(
+        abs(ev(x, t) - mode_solve(mp, t) * math.sin(0.7) * math.sin(2.2))
+        for t in (0.4, 1.1)
+    )
+    out.append(CheckResult("ibvp", "heat2-m2-source-modes", err, 1e-9))
     return out
 
 

@@ -15,6 +15,7 @@ from waveforge.errors import (
     UnknownSymbol,
 )
 from waveforge.expr import (
+    Mesh,
     Num,
     compile_field,
     differentiate,
@@ -226,6 +227,58 @@ class TestCompiledField:
         f = compile_field(parse("x1", 2))
         with pytest.raises(DimensionError):
             f(np.zeros((4, 3)))
+
+
+class TestOpenMesh:
+    """On an open mesh a field equals, bit for bit, the field on the
+    stacked grid, and keeps its domain checks."""
+
+    @staticmethod
+    def _grids(d, q=5, lo=-0.9):
+        axes = [np.linspace(lo, 1.3, q) + 0.1 * i for i in range(d)]
+        mesh = Mesh(np.meshgrid(*axes, indexing="ij", sparse=True))
+        return mesh, np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+
+    @pytest.mark.parametrize("text", [
+        "sin(2*x1)", "0", "2",
+        "sin(x1)*exp(-x2^2) + x1*x3^2 - cos(x2*x3)/(2 + x1)"])
+    def test_matches_stacked_grid(self, text):
+        f = compile_field(parse(text, 3))
+        mesh, stacked = self._grids(3)
+        got = f(mesh)
+        assert got.shape == (5, 5, 5)
+        assert got.tolist() == f(stacked).tolist()
+
+    @pytest.mark.parametrize("text", ["cos(3*t) + t^2", "sin(x1 - t)*x2 + t"])
+    def test_time_axis(self, text):
+        f = compile_field(parse(text, 2))
+        mesh, stacked = self._grids(2)
+        t = np.linspace(0.0, 1.0, 4)[:, None, None]
+        got = f(mesh, t)
+        assert got.shape == (4, 5, 5)
+        assert got.tolist() == f(stacked, t).tolist()
+
+    def test_plain_tuple(self):
+        f = compile_field(parse("x1*x2", 2))
+        mesh, stacked = self._grids(2)
+        assert f(tuple(mesh)).tolist() == f(stacked).tolist()
+
+    def test_shape_is_the_stacked_shape(self):
+        mesh, stacked = self._grids(3)
+        assert np.shape(mesh) == stacked.shape == (5, 5, 5, 3)
+
+    def test_domain_checks(self):
+        mesh, _ = self._grids(2, lo=0.0)
+        assert mesh[0].min() == 0.0
+        with pytest.raises(DomainError, match="non-finite"):
+            compile_field(parse("log(x1)", 2))(mesh)
+        with pytest.raises(DomainError, match="complex"):
+            compile_field(parse("(0-8)^(1/3)*x1", 2))(mesh)
+
+    def test_coordinate_count(self):
+        mesh, _ = self._grids(2)
+        with pytest.raises(DimensionError):
+            compile_field(parse("x1", 3))(mesh)
 
 
 def _distinct_nodes(root) -> int:

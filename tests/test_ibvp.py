@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from waveforge import ibvp
 from waveforge.errors import DataCountMismatch, InvalidBox
 from waveforge.expr import compile_field, parse
 from waveforge.ibvp import build_basis, project, solve_ibvp
@@ -135,6 +136,52 @@ class TestProjection:
                     )
                 total += term
             assert got == pytest.approx(total, abs=1e-13)
+
+    def test_plan_holds_per_axis_nodes(self):
+        # the field is evaluated on an open mesh; no array of q^d points
+        q = 20
+        mesh, mats, idx = ibvp._projection_plan((1.0, 2.0, PI), 6, q)
+        assert [x.shape for x in mesh] == [(q, 1, 1), (1, q, 1), (1, 1, q)]
+        assert max(a.size for a in (*mesh, *mats, idx)) < q**3
+
+
+class TestDuhamelBatch:
+    """One divided-difference call gives the impulse responses of every
+    Duhamel node, each as its own call would."""
+
+    @staticmethod
+    def _problem():
+        return CauchyProblem(
+            "heat-product", 2, 2, (0.6, 1.1), parse("cos(0.7*t)*sin(x1)*sin(2*x2)", 2),
+            (parse("sin(x1)*sin(x2)", 2), None))
+
+    @staticmethod
+    def _record(monkeypatch):
+        calls, exp_dd = [], ibvp.exp_divided_differences
+
+        def recording(roots, t):
+            calls.append(np.shape(t))
+            return exp_dd(roots, t)
+
+        monkeypatch.setattr(ibvp, "exp_divided_differences", recording)
+        return calls
+
+    def test_one_call_per_time(self, monkeypatch):
+        calls = self._record(monkeypatch)
+        ev = solve_ibvp(self._problem(), build_basis([PI, PI], 6))
+        ev.amplitudes(0.8)
+        ev.amplitudes(1.3)
+        # each time: the data's call, then one for all 32 Duhamel nodes
+        assert calls == [(), (32, 1)] * 2
+
+    def test_chunks_match_one_call(self, monkeypatch):
+        basis = build_basis([PI, PI], 6)
+        whole = solve_ibvp(self._problem(), basis).amplitudes(0.8)
+        calls = self._record(monkeypatch)
+        monkeypatch.setattr(ibvp, "BATCH_POINTS", 5 * basis.count)
+        chunked = solve_ibvp(self._problem(), basis).amplitudes(0.8)
+        assert calls == [()] + [(5, 1)] * 6 + [(2, 1)]
+        assert chunked.tolist() == whole.tolist()
 
 
 class TestSynthesis:

@@ -220,23 +220,37 @@ class TestExpDividedDifferences:
         got = exp_divided_differences(np.array([-4.0, 3j, -3j]), 0.0)
         assert got.tolist() == [1.0, 0.0, 0.0]
 
+    @staticmethod
+    def _mode_roots(kind):
+        lam = np.array([1e-12, 0.5, 2.0, 37.0, 900.0, 1.2e4])
+        speeds = np.array([[0.7], [1.3]])
+        if kind == "heat":
+            return -speeds * lam
+        w = 1j * speeds * np.sqrt(lam)
+        return np.stack([w, -w], axis=1).reshape(4, lam.size)
+
     @pytest.mark.parametrize("kind", ["heat", "wave"])
     def test_batch_matches_single_calls(self, kind):
         # per-mode time arrays broadcast against the mode axis; each mode
         # is scaled on its own, so the large eigenvalues' many squarings
         # leave the others' values bit for bit as in single calls
-        lam = np.array([1e-12, 0.5, 2.0, 37.0, 900.0, 1.2e4])
-        speeds = np.array([[0.7], [1.3]])
-        if kind == "heat":
-            roots = -speeds * lam
-        else:
-            w = 1j * speeds * np.sqrt(lam)
-            roots = np.stack([w, -w], axis=1).reshape(4, lam.size)
-        ts = np.linspace(0.05, 1.0, lam.size)
+        roots = self._mode_roots(kind)
+        ts = np.linspace(0.05, 1.0, roots.shape[1])
         got = exp_divided_differences(roots, ts)
         assert got.shape == roots.shape
         for i, t in enumerate(ts):
             assert got[:, i].tolist() == exp_divided_differences(roots[:, i], t).tolist()
+
+    @pytest.mark.parametrize("kind", ["heat", "wave"])
+    def test_node_axis_matches_single_calls(self, kind):
+        # roots (N, 1, M) against times (Q, 1): every Duhamel node of the
+        # box solver in one call, each equal to its own call
+        roots = self._mode_roots(kind)
+        ts = 1.7 - 1.7 * np.linspace(0.02, 0.98, 7)
+        got = exp_divided_differences(roots[:, None], ts[:, None])
+        assert got.shape == (roots.shape[0], ts.size, roots.shape[1])
+        for q, t in enumerate(ts):
+            assert got[:, q].tolist() == exp_divided_differences(roots, t).tolist()
 
 
 class TestClusterFractions:

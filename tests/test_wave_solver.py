@@ -475,6 +475,28 @@ class TestSphereLadder:
                            match="the degree-6 and degree-8 sphere rules"):
             ev([0.3, -0.2, 0.5, 0.1, 0.2], 1.0)
 
+    def test_message_quotes_a_cut_field(self):
+        # verify's n=5 modes data at a top of 8: the message cuts the
+        # field's text and still names the entry and the two degrees
+        k = (0.903368797097569, 1.4245091068512243, 1.11262522856881,
+             0.8035291105000132, 0.774250348931936)
+        phase = "+".join(f"{v!r}*x{i + 1}" for i, v in enumerate(k))
+        data = tuple(parse(f"{v!r}*sin({phase})", 5) for v in
+                     (0.47989194201301966, 0.5103401203508973,
+                      -0.0646696201363639, 0.693919716079709))
+        field = str(data[0])
+        assert len(field) > 100
+        p = CauchyProblem("wave-multiple", 5, 2, (1.5980237801883719,) * 2,
+                          None, data)
+        ev = solve_wave(p, QuadratureSpec(sphere_degree=8))
+        with pytest.raises(UnresolvedData) as info:
+            ev([0.4, -0.2, 0.7, 0.1, 0.3], 1.2)
+        msg = str(info.value)
+        assert f"sphere means of {field[:60]}... at t = " in msg
+        assert "x = [0.4, -0.2, 0.7, 0.1, 0.3]" in msg
+        assert "the degree-6 and degree-8 sphere rules" in msg
+        assert len(msg) < 260
+
 
 class TestBatchIndependence:
     """A point's value does not depend on the points evaluated with it, so
