@@ -13,6 +13,7 @@ error, 3 evaluation failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -24,7 +25,6 @@ from .errors import ConfigError, WaveforgeError
 from .expr import parse
 from .heat_solver import solve_heat_product
 from .ibvp import build_basis, solve_ibvp
-from .opcalc import FourierSeriesSpec, abel_poisson_sum
 from .wave_solver import solve_wave
 
 __all__ = ["main", "build_evaluator"]
@@ -123,6 +123,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sum_series(args) -> int:
+    # like verify, sum-series needs a module that solve never uses
+    from .opcalc import FourierSeriesSpec, abel_poisson_sum
+
     if args.z >= 0:
         print("error: z must be negative", file=sys.stderr)
         return EXIT_CONFIG
@@ -165,7 +168,9 @@ def _cmd_sum_series(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="waveforge",
         description="Closed-form wave and heat equation evaluation",

@@ -619,8 +619,13 @@ def compile_field(e: Expr) -> Callable:
     has.  ``t`` may be a scalar or an array that broadcasts against the
     points; the result has the broadcast shape of the points and ``t``.
     Non-finite results, and complex ones, raise :class:`DomainError`.
+    The result never shares memory with ``X`` or ``t``.
     """
-    fn, _ = _compiled(_simplify(e.root), False)
+    root = _simplify(e.root)
+    fn, _ = _compiled(root, False)
+    # a bare x_k or t returns the caller's array itself; every other root
+    # computes a new one, copied only to broadcast it or to put it in C order
+    bare = isinstance(root, Var)
     ndim = e.ndim
 
     def field(X, t=0.0):
@@ -640,6 +645,8 @@ def compile_field(e: Expr) -> Callable:
             coords = _axes(X)
             shape = np.broadcast_shapes(X.shape[:-1], np.shape(t))
         out = _call(fn, coords, t, float).astype(float, copy=False)
+        if out.shape == shape and out.flags.c_contiguous and not bare:
+            return out
         return np.broadcast_to(out, shape).copy()
 
     return field

@@ -45,8 +45,10 @@ __all__ = [
 ]
 
 DEFAULT_K_MAX = 24
-# Most modes a basis holds, k_max^d: 8 MiB per mode array, and at d = 3
-# (k_max 101, 210^3 Gauss nodes) about 315 MiB peak for one projection
+# Most modes a basis holds, k_max^d: 8 MiB per mode array.  At d = 3,
+# k_max 101 projects on 210^3 Gauss nodes, 74 MB per field value there:
+# one projection of x1*x2*x3 peaks at about 244 MiB resident, one of a
+# field that holds two such values at once, such as exp(-x1*x2*x3), at 315
 MAX_MODES = 1 << 20
 BOUNDARY_DATA_TOL = 1e-8
 

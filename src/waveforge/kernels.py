@@ -173,6 +173,15 @@ def exp_divided_differences(roots, t):
     (McCurdy, Ng & Parlett 1984).  exp is a Taylor sum of t Z / 2^s,
     squared s times; each mode takes the least s that brings its norm to
     at most 1, since every needless squaring doubles its rounding error.
+
+    Every power of Z is lower triangular, so only the entries (i, k) with
+    k <= i are kept, one array per diagonal.  Entry (i, k) of exp(hZ) is
+    the divided difference e^{hz}[r_k..r_i], and a square follows the
+    Leibniz rule for divided differences,
+    (fg)[r_k..r_i] = sum_{m=k..i} f[r_k..r_m] g[r_m..r_i], summed in m
+    order.  The products this leaves out are exact zeros of the full
+    matrix product, so while the entries are finite each result is
+    bit-identical to squaring the full N x N matrices.
     """
     roots = np.asarray(roots)
     t = np.asarray(t, dtype=float)
@@ -180,16 +189,33 @@ def exp_divided_differences(roots, t):
     norm = np.abs(t) * (np.abs(roots).max(axis=0) + 1.0)
     s = np.ceil(np.log2(np.maximum(norm, 1.0)))
     h = t / 2.0**s
-    diag = (roots * h)[:, None]
-    eye = np.eye(n).reshape((n, n) + (1,) * (roots.ndim - 1))
-    # Horner steps X <- I + A X / j; A is bidiagonal, so A X is X with its
-    # rows scaled plus X shifted down one row
-    x = eye + np.zeros_like(diag)
+    r = roots * h
+    # x[a][k] is the entry (k + a, k) of the matrix, a = 0..N-1.  numpy's
+    # complex multiply rounds a * b differently from b * a, and in its
+    # scalar loop differently from its vector loops, so each product keeps
+    # the operand order of the matrix products A X and X X and goes into a
+    # new array of at least one axis: 0-d and in-place products of one
+    # element take the scalar loop
+    x = [np.ones_like(r)] + [np.zeros_like(r[a:]) for a in range(1, n)]
+    # Horner steps X <- I + A X / j with A = hZ: (A X)[i, k] is
+    # h r_i X[i, k] + h X[i - 1, k], and X[i - 1, k] lies on the diagonal
+    # before; the diagonals go last to first, so x[a - 1] is still the old one
     for j in range(_EXP_TAYLOR_DEGREE, 0, -1):
-        ax = diag * x
-        ax[1:] += h * x[:-1]
-        x = eye + ax / j
+        for a in range(n - 1, 0, -1):
+            x[a] = r[a:] * x[a]
+            x[a] += h * x[a - 1][:-1]
+            x[a] /= j
+        x[0] = r * x[0]
+        x[0] /= j
+        x[0] += 1.0
     for i in range(int(s.max())):
-        square = sum(x[:, k, None] * x[None, k] for k in range(n))
-        x = np.where(s > i, square, x)
-    return x[:, 0]
+        # entry (k + c, k) of the square sums X[k + c, k + a] X[k + a, k]
+        # over a = 0..c
+        square = []
+        for c in range(n):
+            acc = x[c] * x[0][:n - c]
+            for a in range(1, c + 1):
+                acc += x[c - a][a:a + n - c] * x[a][:n - c]
+            square.append(acc)
+        x = [np.where(s > i, sq, old) for sq, old in zip(square, x)]
+    return np.stack([diagonal[0] for diagonal in x])

@@ -90,13 +90,28 @@ class QuadratureSpec:
                 raise InvalidOrder(f"{name} must be at least 2")
 
 
+@functools.lru_cache(maxsize=64)
+def _unit_rule(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``leggauss(count)``, the Gauss-Legendre rule on (-1, 1), computed
+    once per count; the arrays are read-only because the cache hands the
+    same ones to every caller."""
+    nodes, weights = leggauss(count)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def gauss_legendre(count: int, a: float, b: float) -> GaussRule:
-    """Gauss-Legendre rule with ``count`` nodes mapped to (a, b)."""
+    """Gauss-Legendre rule with ``count`` nodes mapped to (a, b).
+
+    The rule on (-1, 1) is computed once per count (:func:`_unit_rule`)
+    and scaled here, so the returned arrays are new on every call.
+    """
     if count < 1:
         raise InvalidOrder("node count must be positive")
     if a >= b:
         raise InvalidInterval(f"need a < b, got ({a}, {b})")
-    nodes, weights = leggauss(count)
+    nodes, weights = _unit_rule(count)
     half = 0.5 * (b - a)
     mid = 0.5 * (b + a)
     return GaussRule(mid + half * nodes, half * weights, (a, b))
@@ -135,7 +150,7 @@ def sphere_rule(n: int, degree: int) -> SphereRule:
         raise InvalidOrder("degree must be at least 2")
 
     if n == 3:
-        u, wu = leggauss(degree)
+        u, wu = _unit_rule(degree)
         phi = np.arange(2 * degree) * (np.pi / degree)
         s = np.sqrt(1.0 - u**2)
         dirs = np.empty((degree, 2 * degree, 3))
@@ -152,7 +167,7 @@ def sphere_rule(n: int, degree: int) -> SphereRule:
         # (1-u^2), sqrt(1-u^2) and 1.
         u1, w1 = _jacobi11_rule(degree)
         u2, w2 = _chebyu_rule(degree)
-        u3, w3 = leggauss(degree)
+        u3, w3 = _unit_rule(degree)
         phi = np.arange(2 * degree) * (np.pi / degree)
         s1 = np.sqrt(np.clip(1.0 - u1**2, 0.0, None))
         s2 = np.sqrt(np.clip(1.0 - u2**2, 0.0, None))
@@ -342,7 +357,7 @@ def iterated_time_integral(g: Callable[[np.ndarray], np.ndarray], m: int,
         raise InvalidOrder(f"fold count must be >= 1, got {m}")
     if t == 0.0:
         return 0.0
-    nodes, weights = leggauss(rule_count)
+    nodes, weights = _unit_rule(rule_count)
     tau = 0.5 * t * (nodes + 1.0)
     w = 0.5 * t * weights
     values = np.asarray(g(tau), dtype=float)

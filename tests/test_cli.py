@@ -491,6 +491,20 @@ class TestSolveCommand:
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.ini")]) == 2
 
+    def test_main_called_again_in_one_process(self, tmp_path, capsys):
+        # the parser is built once; no call's options leak into the next
+        out = tmp_path / "o.csv"
+        cfgf = tmp_path / "p.ini"
+        cfgf.write_text(KIRCHHOFF.format(path=out))
+        assert main(["solve", str(cfgf), "--dump-config"]) == 0
+        assert not out.exists()
+        assert main(["sum-series", "--generator", "x1", "--z", "-0.5",
+                     "--x-range=0:0.5:2"]) == 0
+        assert main(["--threads", "2", "solve", str(cfgf)]) == 0
+        assert _read_csv(out)[1].shape == (9, 5)
+        assert main(["verify", "nope"]) == 2
+        assert "x,f_z" in capsys.readouterr().out
+
     def test_dump_config(self, tmp_path, capsys):
         cfgf = tmp_path / "p.ini"
         cfgf.write_text(KIRCHHOFF.format(path="o.csv"))
@@ -615,6 +629,12 @@ t = 0:0.25:2
 path = {path}
 """
 
+CLI_IMPORTS = """
+import sys
+import waveforge.cli
+print(" ".join(m for m in ("waveforge.opcalc", "waveforge.verify") if m in sys.modules))
+"""
+
 SOLVE_IMPORTS = """
 import sys
 from waveforge.cli import main
@@ -625,6 +645,22 @@ print(" ".join(m for m in ("scipy", "waveforge.oracle") if m in sys.modules))
 
 
 class TestSolveImports:
+    @staticmethod
+    def _run(code, *args):
+        src = str(Path(waveforge.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        return subprocess.run([sys.executable, "-c", code, *args],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+
+    def test_cli_import_leaves_out_opcalc_and_verify(self):
+        # sum-series and verify import what only they use when they run
+        proc = self._run(CLI_IMPORTS)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == ""
+
     def test_solve_loads_neither_scipy_nor_oracle(self, tmp_path):
         # solvers stay independent of the oracle, and solve runs on numpy
         # alone; a fresh interpreter shows what one solve imports
@@ -633,13 +669,7 @@ class TestSolveImports:
             ini = tmp_path / f"{name}.ini"
             ini.write_text(text.format(pi=math.pi, path=tmp_path / f"{name}.csv"))
             inis.append(str(ini))
-        src = str(Path(waveforge.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + [p for p in [env.get("PYTHONPATH")] if p])
-        proc = subprocess.run([sys.executable, "-c", SOLVE_IMPORTS, *inis],
-                              capture_output=True, text=True, env=env,
-                              timeout=120)
+        proc = self._run(SOLVE_IMPORTS, *inis)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == ""
 

@@ -228,6 +228,29 @@ class TestCompiledField:
         with pytest.raises(DimensionError):
             f(np.zeros((4, 3)))
 
+    def test_bare_variable_is_a_copy(self):
+        # x1 alone returns the caller's coordinates, so that one result is
+        # copied; changing it leaves the points as they were
+        f = compile_field(parse("x1", 2))
+        pts = np.array([[0.5, 1.0], [2.0, -1.0]])
+        axes = (np.array([[0.5], [2.0]]), np.array([[1.0, -1.0]]))
+        for X, want in ((pts, [0.5, 2.0]), (axes, [[0.5, 0.5], [2.0, 2.0]])):
+            got = f(X)
+            assert got.tolist() == want
+            assert not any(np.may_share_memory(got, x) for x in (pts, *axes))
+            got[...] = 7.0
+        assert pts.tolist() == [[0.5, 1.0], [2.0, -1.0]]
+        assert axes[0].tolist() == [[0.5], [2.0]]
+
+    def test_bare_time_is_a_copy(self):
+        f = compile_field(parse("t", 1))
+        t = np.array([0.25, 0.5, 0.75])
+        got = f(np.zeros((3, 1)), t)
+        assert got.tolist() == [0.25, 0.5, 0.75]
+        assert not np.may_share_memory(got, t)
+        got[:] = 7.0
+        assert t.tolist() == [0.25, 0.5, 0.75]
+
 
 class TestOpenMesh:
     """On an open mesh a field equals, bit for bit, the field on the

@@ -253,6 +253,100 @@ class TestExpDividedDifferences:
             assert got[:, q].tolist() == exp_divided_differences(roots, t).tolist()
 
 
+def _full_matrix_divided_differences(roots, t):
+    """The kernel's algorithm on full N x N matrices, upper triangle and
+    all: the reference that the lower-triangle kernel matches bit for bit."""
+    roots = np.asarray(roots)
+    t = np.asarray(t, dtype=float)
+    n = roots.shape[0]
+    norm = np.abs(t) * (np.abs(roots).max(axis=0) + 1.0)
+    s = np.ceil(np.log2(np.maximum(norm, 1.0)))
+    h = t / 2.0**s
+    diag = (roots * h)[:, None]
+    eye = np.eye(n).reshape((n, n) + (1,) * (roots.ndim - 1))
+    # Horner steps X <- I + A X / j; A is bidiagonal, so A X is X with its
+    # rows scaled plus X shifted down one row
+    x = eye + np.zeros_like(diag)
+    for j in range(18, 0, -1):
+        ax = diag * x
+        ax[1:] += h * x[:-1]
+        x = eye + ax / j
+    for i in range(int(s.max())):
+        square = sum(x[:, k, None] * x[None, k] for k in range(n))
+        x = np.where(s > i, square, x)
+    return x[:, 0]
+
+
+def _roots_of_kind(kind, n):
+    if kind == "real":
+        return np.linspace(-3.0, 1.5, n)
+    if kind == "imaginary":
+        w = 0.8 + 0.6 * np.arange((n + 1) // 2)
+        return np.stack([1j * w, -1j * w], axis=1).reshape(-1)[:n]
+    if kind == "equal":
+        return np.full(n, -1.3 + 0.4j)
+    return -1.3 + 1e-9 * np.arange(n)  # near-equal
+
+
+class TestLowerTriangle:
+    """The lower-triangle kernel equals the full-matrix algorithm bit for
+    bit: every product it leaves out is an exact zero of the full one."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", ["real", "imaginary", "equal", "near-equal"])
+    @pytest.mark.parametrize("t", [0.0, -0.8, np.array(1.3), np.array([0.6])],
+                             ids=["zero", "negative", "0-d", "1-element"])
+    def test_matches_full_matrices(self, n, kind, t):
+        roots = _roots_of_kind(kind, n)
+        got = exp_divided_differences(roots, t)
+        want = _full_matrix_divided_differences(roots, t)
+        assert got.shape == want.shape
+        assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", ["heat", "wave"])
+    def test_node_axis_and_many_squarings(self, n, kind):
+        # roots (N, 1, M) against times (Q, 1), as in the box Duhamel sum,
+        # with eigenvalues up to 1.2e6: the top modes square 10 or more
+        # times, the bottom ones not at all
+        lam = np.array([1e-12, 0.5, 37.0, 900.0, 1.2e4, 1.2e6])
+        if kind == "heat":
+            roots = -np.linspace(0.4, 1.3, n)[:, None] * lam
+        else:
+            w = np.sqrt(lam) * np.linspace(0.7, 1.3, (n + 1) // 2)[:, None]
+            roots = np.stack([1j * w, -1j * w], axis=1).reshape(-1, lam.size)[:n]
+        ts = 1.7 - 1.7 * np.linspace(0.02, 0.98, 5)
+        norm = ts[:, None] * (np.abs(roots).max(axis=0) + 1.0)
+        assert np.ceil(np.log2(norm)).max() >= 10
+        got = exp_divided_differences(roots[:, None], ts[:, None])
+        want = _full_matrix_divided_differences(roots[:, None], ts[:, None])
+        assert got.shape == want.shape == (n, ts.size, lam.size)
+        assert got.tolist() == want.tolist()
+
+
+    def test_random_roots(self):
+        # numpy's complex multiply rounds differently by loop (scalar or
+        # vector, a * b or b * a), which fixed values may not show: random
+        # roots over six decades, one to six per mode, several layouts
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            n = int(rng.integers(1, 7))
+            modes = [(), (int(rng.integers(1, 9)),), (1, int(rng.integers(1, 9)))][
+                int(rng.integers(0, 3))]
+            scale = 10.0 ** rng.uniform(-3.0, 3.0)
+            roots = scale * (rng.normal(size=(n,) + modes)
+                             + 1j * rng.normal(size=(n,) + modes))
+            if len(modes) == 2:
+                t = rng.uniform(-2.0, 2.0, size=(int(rng.integers(1, 5)), 1))
+            else:
+                t = [rng.uniform(-2.0, 2.0), np.array([rng.uniform(-2.0, 2.0)])][
+                    int(rng.integers(0, 2))]
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = _full_matrix_divided_differences(roots, t)
+                got = exp_divided_differences(roots, t)
+            if np.isfinite(want).all():
+                assert got.tolist() == want.tolist()
+
 class TestClusterFractions:
     """The confluent partial fractions reproduce the mode ODE in Newton form."""
 

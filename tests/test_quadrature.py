@@ -54,6 +54,32 @@ class TestGaussLegendre:
         with pytest.raises(InvalidOrder):
             gauss_legendre(0, 0.0, 1.0)
 
+    def test_unit_rule_once_per_count(self, monkeypatch):
+        # every rule of one count scales one cached, read-only unit rule
+        calls = []
+
+        def counting(count):
+            calls.append(count)
+            return np.polynomial.legendre.leggauss(count)
+
+        monkeypatch.setattr(quadrature, "leggauss", counting)
+        quadrature._unit_rule.cache_clear()
+        rules = [gauss_legendre(13, a, b) for a, b in ((0.0, 1.0), (-1.0, 1.0), (0.0, 2.5))]
+        iterated_time_integral(np.cos, 2, 0.7, rule_count=13)
+        assert calls == [13]
+        nodes, weights = quadrature._unit_rule(13)
+        assert quadrature._unit_rule(13)[0] is nodes
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        # the returned rules are scaled copies: changing one reaches no cache
+        unit = np.polynomial.legendre.leggauss(13)
+        assert rules[1].nodes.tolist() == unit[0].tolist()
+        rules[1].nodes[:] = 0.0
+        rules[1].weights[:] = 0.0
+        again = gauss_legendre(13, -1.0, 1.0)
+        assert again.nodes.tolist() == unit[0].tolist()
+        assert again.weights.tolist() == unit[1].tolist()
+        assert calls == [13]
+
 
 class TestSphereRules:
     @pytest.mark.parametrize("n", [3, 5])
