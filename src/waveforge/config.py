@@ -40,9 +40,9 @@ import numpy as np
 
 from .errors import ConfigError, WaveforgeError
 from .expr import parse
-from .ibvp import MAX_MODES
+from .ibvp import DEFAULT_K_MAX, check_box
 from .problems import KINDS, CauchyProblem
-from .quadrature import QuadratureSpec
+from .quadrature import QuadratureSpec, check_sphere
 
 __all__ = ["GridAxis", "ProblemConfig", "load_config", "parse_config", "dump_config"]
 
@@ -168,7 +168,7 @@ def parse_config(text: str) -> ProblemConfig:
         raise ConfigError("missing [domain] key 't'")
     t_axis = _axis(dom["t"], "t")
     box = None
-    k_max = 24
+    k_max = DEFAULT_K_MAX
     if "box" in dom:
         try:
             box = tuple(float(v) for v in dom["box"].split(","))
@@ -178,8 +178,6 @@ def parse_config(text: str) -> ProblemConfig:
             raise ConfigError(
                 f"box needs {n} side lengths, got {len(box)}"
             )
-        if not all(0 < v < math.inf for v in box):
-            raise ConfigError(f"box sides must be positive and finite: {box}")
     if "k_max" in dom:
         if box is None:
             raise ConfigError("k_max only applies to box problems")
@@ -187,11 +185,6 @@ def parse_config(text: str) -> ProblemConfig:
             k_max = int(dom["k_max"])
         except ValueError as exc:
             raise ConfigError(f"bad k_max: {exc}") from None
-        if k_max < 1:
-            raise ConfigError(f"k_max must be >= 1, got {k_max}")
-        if k_max ** n > MAX_MODES:
-            raise ConfigError(f"k_max = {k_max} gives {k_max ** n} modes in "
-                              f"{n} dimensions, more than {MAX_MODES}")
 
     quad_kwargs = {}
     if "quadrature" in cp:
@@ -218,7 +211,11 @@ def parse_config(text: str) -> ProblemConfig:
 
     try:
         problem = CauchyProblem(kind, n, m, speeds, source, data)
+        if box is not None:
+            check_box(box, k_max)
         quadrature = QuadratureSpec(**quad_kwargs)
+        # the spec checks the n = 3 sphere rule; n = 5 takes more directions
+        check_sphere(max(n, 3), quadrature.sphere_degree)
     except WaveforgeError as exc:
         raise ConfigError(str(exc)) from None
 

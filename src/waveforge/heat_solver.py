@@ -119,7 +119,7 @@ def solve_heat_product(problem: CauchyProblem) -> SolutionEvaluator:
             f"diffusion solver needs n <= 3, got {problem.n}"
         )
 
-    def kernel(field, cosh):
+    def kernel(field):
         # one propagator serves every speed: the speed scales the diffusion time
         prop = HeatPropagator(field)
         return lambda points, c, taus, t_args=None, cosh=False: (

@@ -39,6 +39,7 @@ __all__ = [
     "EigenBasis",
     "ModeCoefficients",
     "build_basis",
+    "check_box",
     "project",
     "solve_ibvp",
     "IbvpEvaluator",
@@ -94,18 +95,28 @@ class ModeCoefficients:
         return float(self.values[hit[0]])
 
 
-def build_basis(L, k_max: int = DEFAULT_K_MAX) -> EigenBasis:
-    """All sine modes up to ``k_max`` per axis on the box prod [0, L_i]."""
+def check_box(L, k_max: int) -> tuple[float, ...]:
+    """The side lengths of the box prod [0, L_i] as floats, once they and
+    the mode cutoff ``k_max`` are valid: 1 to 3 sides, each positive and
+    finite, and 1 <= k_max with k_max^d <= :data:`MAX_MODES`.  Raises
+    :class:`~waveforge.errors.InvalidBox` otherwise."""
     L = tuple(float(v) for v in np.atleast_1d(L))
     if len(L) not in (1, 2, 3):
         raise InvalidBox(f"box dimension must be 1..3, got {len(L)}")
     if not all(0 < v < math.inf for v in L):
-        raise InvalidBox(f"side lengths must be positive and finite: {L}")
+        raise InvalidBox(f"box side lengths must be positive and finite: {L}")
     if k_max < 1:
         raise InvalidBox(f"k_max must be >= 1, got {k_max}")
     if k_max ** len(L) > MAX_MODES:
         raise InvalidBox(f"k_max = {k_max} gives {k_max ** len(L)} modes in "
                          f"{len(L)} dimensions, more than {MAX_MODES}")
+    return L
+
+
+def build_basis(L, k_max: int = DEFAULT_K_MAX) -> EigenBasis:
+    """All sine modes up to ``k_max`` per axis on the box prod [0, L_i],
+    checked by :func:`check_box`."""
+    L = check_box(L, k_max)
     axes = [np.arange(1, k_max + 1)] * len(L)
     grids = np.meshgrid(*axes, indexing="ij")
     modes = np.stack([g.reshape(-1) for g in grids], axis=-1)

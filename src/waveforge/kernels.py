@@ -163,9 +163,10 @@ def exp_divided_differences(roots, t):
 
     ``roots`` has shape (N, ...) with the N roots of each mode along the
     first axis; ``t`` is a scalar or broadcasts against the mode axes.
-    The result has the shape of ``roots``.  phi_0 = e^{r_0 t} and
-    phi_k' = r_k phi_k + phi_{k-1}, so phi_{N-1} is the impulse response
-    of prod_k (D - r_k).
+    The result has shape (N,) + broadcast(roots.shape[1:], t.shape):
+    roots (2, 1, 512) at t of shape (16, 1) give (2, 16, 512).
+    phi_0 = e^{r_0 t} and phi_k' = r_k phi_k + phi_{k-1}, so phi_{N-1} is
+    the impulse response of prod_k (D - r_k).
 
     The divided differences are the first column of exp(t Z), with Z lower
     bidiagonal: the roots on the diagonal, ones below it (Opitz), so equal

@@ -247,13 +247,14 @@ def cluster_evaluator(problem: CauchyProblem, kernel: Callable) -> SolutionEvalu
     weight| times the kernel's own size.  A point's rule depends only on
     its own values, so it does not depend on its batch.
 
-    ``kernel(field, cosh)`` returns ``apply(points, c, taus, t_args=None,
+    ``kernel(field)`` returns ``apply(points, c, taus, t_args=None,
     cosh=False)``: K = L^-1[1/(s^nu - c Lap)] of the field at each time in
     ``taus``, or with ``cosh`` its time derivative, and the kernel applied
     to the absolute value of its integrand under its rule, the data's size
     there; shape (P, len(taus)) each.  ``t_args``, aligned with ``taus``,
     is the field's time argument.  Then K^(j) is c^(j//nu) Lap^(j//nu)
-    times K, or for odd j with nu = 2 its derivative.
+    times K, or for odd j with nu = 2 its derivative.  One kernel serves
+    each field and Laplacian power, K and K' alike.
     """
     nu = 1 if problem.kind == "heat-product" else 2
     centres, _, fractions = cluster_fractions(np.asarray(problem.speeds) ** nu)
@@ -283,11 +284,10 @@ def cluster_evaluator(problem: CauchyProblem, kernel: Callable) -> SolutionEvalu
                 values[g][key] = P.polyadd(values[g][key], coeff * c ** (j // nu) * bj)
         integrals[g] = {key: W for key, W in integrals[g].items() if W.any()}
         values[g] = {key: b for key, b in values[g].items() if b.any()}
-        # one kernel per Laplacian power, with a cosh part only where one is used
-        cosh = {q for q, _, odd in values[g] if odd}
+        # one kernel per Laplacian power
         powers = [key[0] for key in list(integrals[g]) + list(values[g])]
         for q in dict.fromkeys(powers):
-            kernels[g, q] = kernel(laplacian_power(field, q), q in cosh)
+            kernels[g, q] = kernel(laplacian_power(field, q))
     source = len(fields) - 1
     ruled = [g for g in range(len(problem.data)) if integrals[g]]
     forced = problem.source is not None

@@ -33,6 +33,7 @@ __all__ = [
     "iterated_time_integral",
     "SinhKernel",
     "SPHERE_LADDER",
+    "check_sphere",
     "climb",
     "double_factorial",
 ]
@@ -68,6 +69,14 @@ class SphereRule:
     weights: np.ndarray  # shape (count,), sums to 1
 
 
+# Most directions a sphere rule takes, 2 d^(n-1) at degree d, so d <= 1448
+# at n = 3 and d <= 38 at n = 5: on one x86-64 core these top rules build
+# in 0.39 s and 0.13 s, peaking 160 and 290 MiB above the import
+MAX_SPHERE_DIRECTIONS = 1 << 22
+# Most Duhamel-rule nodes: leggauss(1024) takes 0.12 s there, 2048 0.59 s
+MAX_TIME_NODES = 1024
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Node counts for the solver pipelines.
@@ -77,7 +86,9 @@ class QuadratureSpec:
     ``sphere_degree`` is the top rung of the sinh kernel's sphere ladder
     (:data:`SPHERE_LADDER`), which each sphere mean climbs.  ``n_radial``
     is accepted and validated but unused: the sinh kernel needs no radial
-    rule.
+    rule.  Every count is at least 2, ``n_time`` at most
+    :data:`MAX_TIME_NODES` and ``sphere_degree`` at most 1448, the n = 3
+    bound of :func:`check_sphere`.
     """
 
     n_time: int = 32
@@ -88,6 +99,24 @@ class QuadratureSpec:
         for name in ("n_time", "n_radial", "sphere_degree"):
             if getattr(self, name) < 2:
                 raise InvalidOrder(f"{name} must be at least 2")
+        if self.n_time > MAX_TIME_NODES:
+            raise InvalidOrder(f"n_time = {self.n_time} is more than "
+                               f"{MAX_TIME_NODES} nodes")
+        check_sphere(3, self.sphere_degree)
+
+
+def check_sphere(n: int, degree: int) -> None:
+    """Raise unless the degree-``degree`` rule on S^(n-1) exists: n is 3 or
+    5, the degree at least 2, and its 2 degree^(n-1) directions at most
+    :data:`MAX_SPHERE_DIRECTIONS`."""
+    if n not in (3, 5):
+        raise UnsupportedDimension(f"sphere rules exist for n in {{3, 5}}, not {n}")
+    if degree < 2:
+        raise InvalidOrder("degree must be at least 2")
+    count = 2 * degree ** (n - 1)
+    if count > MAX_SPHERE_DIRECTIONS:
+        raise InvalidOrder(f"sphere_degree = {degree} gives {count} directions "
+                           f"at n = {n}, more than {MAX_SPHERE_DIRECTIONS}")
 
 
 @functools.lru_cache(maxsize=64)
@@ -117,82 +146,42 @@ def gauss_legendre(count: int, a: float, b: float) -> GaussRule:
     return GaussRule(mid + half * nodes, half * weights, (a, b))
 
 
-def _jacobi11_rule(count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Jacobi(1, 1) nodes and unnormalized weights, weight (1-u^2).
-
-    Golub-Welsch: the nodes are the eigenvalues of the symmetric Jacobi
-    matrix of the monic recurrence, the weights the squared first
-    components of its eigenvectors.
-    """
+def _polar_rule(count: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss nodes and unnormalized weights for (1-u^2)^alpha on (-1, 1):
+    :func:`_unit_rule` at alpha = 0, else Golub-Welsch on the Gegenbauer
+    Jacobi matrix (its eigenvalues and squared first eigenvector entries)."""
+    if alpha == 0:
+        return _unit_rule(count)
     k = np.arange(1, count, dtype=float)
-    off = np.sqrt(k * (k + 2.0) / ((2.0 * k + 1.0) * (2.0 * k + 3.0)))
+    off = np.sqrt(k * (k + 2 * alpha)
+                  / ((2 * k + 2 * alpha - 1) * (2 * k + 2 * alpha + 1)))
     nodes, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
     return nodes, vecs[0] ** 2
-
-
-def _chebyu_rule(count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Chebyshev-U nodes (ascending) and unnormalized weights,
-    weight sqrt(1-u^2), in closed form."""
-    theta = np.arange(count, 0, -1) * (np.pi / (count + 1))
-    return np.cos(theta), np.sin(theta) ** 2
 
 
 @functools.lru_cache(maxsize=None)
 def sphere_rule(n: int, degree: int) -> SphereRule:
     """Product quadrature for surface means over the unit sphere in R^n.
 
-    n=3 uses Gauss-Legendre in cos(theta) times a uniform azimuth grid;
-    n=5 uses Gauss rules matched to the sin^k surface weights of the
-    (theta1, theta2, theta3, phi) parametrization.  Rules are cached and
-    their arrays are read-only.
+    One recursion: S^1 is the uniform circle of 2 degree angles, and a
+    point of S^(k-1) is (u, sqrt(1-u^2) w) with w on S^(k-2) and u on the
+    degree-node Gauss rule for (1-u^2)^((k-3)/2).  The 2 degree^(n-1)
+    directions integrate every polynomial of degree below 2 degree exactly.
+    Rules are cached and their arrays are read-only.
     """
-    if degree < 2:
-        raise InvalidOrder("degree must be at least 2")
-
-    if n == 3:
-        u, wu = _unit_rule(degree)
-        phi = np.arange(2 * degree) * (np.pi / degree)
-        s = np.sqrt(1.0 - u**2)
-        dirs = np.empty((degree, 2 * degree, 3))
-        dirs[:, :, 0] = u[:, None]
-        dirs[:, :, 1] = s[:, None] * np.cos(phi)[None, :]
-        dirs[:, :, 2] = s[:, None] * np.sin(phi)[None, :]
-        w = np.broadcast_to(
-            wu[:, None] / (wu.sum() * 2 * degree), (degree, 2 * degree)
-        )
-        rule = SphereRule(3, dirs.reshape(-1, 3), w.reshape(-1).copy())
-    elif n == 5:
-        # surface element sin^3(t1) sin^2(t2) sin(t3) dt1 dt2 dt3 dphi;
-        # substituting u = cos(t) turns the three polar weights into
-        # (1-u^2), sqrt(1-u^2) and 1.
-        u1, w1 = _jacobi11_rule(degree)
-        u2, w2 = _chebyu_rule(degree)
-        u3, w3 = _unit_rule(degree)
-        phi = np.arange(2 * degree) * (np.pi / degree)
-        s1 = np.sqrt(np.clip(1.0 - u1**2, 0.0, None))
-        s2 = np.sqrt(np.clip(1.0 - u2**2, 0.0, None))
-        s3 = np.sqrt(np.clip(1.0 - u3**2, 0.0, None))
-        shape = (degree, degree, degree, 2 * degree)
-        dirs = np.empty(shape + (5,))
-        dirs[..., 0] = u1[:, None, None, None]
-        dirs[..., 1] = (s1[:, None] * u2[None, :])[:, :, None, None]
-        dirs[..., 2] = (s1[:, None, None] * s2[None, :, None] * u3[None, None, :])[
-            :, :, :, None
-        ]
-        tail = s1[:, None, None] * s2[None, :, None] * s3[None, None, :]
-        dirs[..., 3] = tail[:, :, :, None] * np.cos(phi)
-        dirs[..., 4] = tail[:, :, :, None] * np.sin(phi)
-        w = (
-            w1[:, None, None, None]
-            * w2[None, :, None, None]
-            * w3[None, None, :, None]
-            * np.ones(2 * degree)
-        )
-        w /= w.sum()
-        rule = SphereRule(5, dirs.reshape(-1, 5), w.reshape(-1))
-    else:
-        raise UnsupportedDimension(f"sphere rules exist for n in {{3, 5}}, not {n}")
-
+    check_sphere(n, degree)
+    phi = np.arange(2 * degree) * (np.pi / degree)
+    dirs = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+    weights, total = np.ones(2 * degree), 2 * degree
+    for k in range(3, n + 1):
+        u, wu = _polar_rule(degree, (k - 3) / 2)
+        out = np.empty((degree, len(dirs), k))
+        out[..., 0] = u[:, None]
+        out[..., 1:] = np.sqrt(1.0 - u**2)[:, None, None] * dirs
+        dirs = out.reshape(-1, k)
+        weights = np.multiply.outer(wu, weights).reshape(-1)
+        total *= wu.sum()
+    rule = SphereRule(n, dirs, weights / total)
     rule.directions.flags.writeable = False
     rule.weights.flags.writeable = False
     return rule
@@ -371,8 +360,7 @@ def iterated_time_integral(g: Callable[[np.ndarray], np.ndarray], m: int,
 
 class SinhKernel:
     """Evaluator of S_a(t) = sinh(a t Lap^(1/2)) / (a Lap^(1/2)) applied to a
-    field, and, when built with ``cosh``, of its time derivative
-    C_a(t) = cosh(a t Lap^(1/2)).
+    field, and of its time derivative C_a(t) = cosh(a t Lap^(1/2)).
 
     Both take Darboux's form (Evans, *Partial Differential Equations*,
     2.4.1), S_a(t) = (t^-1 d/dt)^((n-3)/2) (t^(n-2) M(t)) / (n-2)!! in the
@@ -383,39 +371,42 @@ class SinhKernel:
       C_a = M[f + (r/3) w.grad f + (r^2/3) Lap f], by Darboux's equation
       M'' + (4/r) M' = M[Lap f].
 
-    The field and the derivatives these need are compiled once; each
-    application reduces the Darboux integrand over them by
-    :func:`centre_sums`, vectorized over points and times, and returns the
-    data's size with the values.  Each (point, time) climbs the sphere
-    degrees of :data:`SPHERE_LADDER` below ``spec.sphere_degree``, then
-    that degree, the top rung, by :func:`climb`; data that the top two
-    rules do not resolve raise :class:`~waveforge.errors.UnresolvedData`.
-    A top at or below the first rung is one fixed rule, unchecked.
-    ``rule`` is the top rung's rule.
+    The field is compiled once, its gradient and Laplacian and each rule
+    by the first mean that uses them.  Each application reduces the
+    Darboux integrand by :func:`centre_sums`, vectorized over points and
+    times, and returns the data's size with the values.  Each (point,
+    time) climbs the sphere degrees of :data:`SPHERE_LADDER` below
+    ``spec.sphere_degree``, then that degree, the top rung, by
+    :func:`climb`; data that the top two rules do not resolve raise
+    :class:`~waveforge.errors.UnresolvedData`.  A top at or below the
+    first rung is one fixed rule, unchecked.  ``rule`` is the top rung's
+    rule.
     """
 
-    def __init__(self, field: Expr, a: float, spec: QuadratureSpec | None = None,
-                 cosh: bool = False):
+    def __init__(self, field: Expr, a: float, spec: QuadratureSpec | None = None):
         spec = spec or QuadratureSpec()
         n = field.ndim
-        if n not in (3, 5):
-            raise UnsupportedDimension(
-                f"sinh kernel implemented for n in {{3, 5}}, not {n}"
-            )
+        check_sphere(n, spec.sphere_degree)
         self.n = n
         self.a = float(a)
         self.spec = spec
         self.field = field
         top = spec.sphere_degree
         self.rungs = tuple(d for d in SPHERE_LADDER if d < top) + (top,)
-        self.rule = sphere_rule(n, top)
-        self._cosh = cosh
         self._f = compile_field(field)
-        self._grad = ()
-        if cosh or n == 5:
-            self._grad = tuple(compile_field(differentiate(field, f"x{i + 1}"))
-                               for i in range(n))
-        self._lap = compile_field(laplacian(field)) if cosh and n == 5 else None
+
+    @property
+    def rule(self) -> SphereRule:
+        return sphere_rule(self.n, self.rungs[-1])
+
+    @functools.cached_property
+    def _grad(self) -> tuple:
+        return tuple(compile_field(differentiate(self.field, f"x{i + 1}"))
+                     for i in range(self.n))
+
+    @functools.cached_property
+    def _lap(self):
+        return compile_field(laplacian(self.field))
 
     def apply(self, x: Sequence[float], t: float) -> float:
         return float(self.apply_many(x, np.asarray([t]))[0][0])
@@ -430,13 +421,11 @@ class SinhKernel:
         aligned with ``ts`` holding the parameter passed to the field as
         its explicit time argument.  ``cosh`` applies C_a in place of S_a.
         """
-        if cosh and not self._cosh:
-            raise InvalidOrder("this kernel was built without its cosh part")
         x = np.asarray(x, dtype=float)
         ts = np.asarray(ts, dtype=float)
         f, k = self._f, 1.0 / (self.n - 2)
         grad = self._grad if cosh or self.n == 5 else ()
-        lap = self._lap if cosh else None
+        lap = self._lap if cosh and self.n == 5 else None
 
         def integrand(pts, offs, t):
             # f + k r w.grad(f), and with the Laplacian + k r^2 Lap f

@@ -37,9 +37,9 @@ def solve_wave(problem: CauchyProblem,
         )
     spec = spec or QuadratureSpec()
 
-    def kernel(field, cosh):
+    def kernel(field):
         # one kernel serves every speed: S_a(t) = S_1(a t) / a, C_a(t) = C_1(a t)
-        unit = SinhKernel(field, 1.0, spec, cosh=cosh)
+        unit = SinhKernel(field, 1.0, spec)
 
         def apply(points, c, taus, t_args=None, cosh=False):
             a = math.sqrt(c)

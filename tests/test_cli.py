@@ -16,7 +16,8 @@ import waveforge
 from waveforge import cli
 from waveforge.cli import main
 from waveforge.config import dump_config, load_config, parse_config
-from waveforge.errors import ConfigError
+from waveforge.errors import ConfigError, InvalidBox
+from waveforge.ibvp import build_basis
 from waveforge.oracle import ModeProblem, mode_solve
 from test_wave_solver import _stopping_counts
 
@@ -172,6 +173,19 @@ class TestConfigParsing:
         assert "k_max = 2000" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("box, k_max", [
+        ("nan", 4), ("1.0,-2.0", 4), ("1.0", 0), ("1.0,1.0,1.0", 102)])
+    def test_box_checks_are_build_basis_checks(self, box, k_max):
+        # the config rejects a box with the message build_basis gives it
+        sides = [float(v) for v in box.split(",")]
+        with pytest.raises(InvalidBox) as basis:
+            build_basis(sides, k_max)
+        text = re.sub(r"box = .*", f"box = {box}",
+                      _box_config(len(sides), k_max, "o.csv"))
+        with pytest.raises(ConfigError) as config:
+            parse_config(text)
+        assert str(config.value) == str(basis.value)
+
     def test_box_length_count(self):
         text = KIRCHHOFF.format(path="o.csv").replace(
             "t = 0:1:3", "t = 0:1:3\nbox = 1.0"
@@ -214,6 +228,34 @@ class TestConfigParsing:
         )
         cfg = parse_config(text)
         assert cfg.quadrature.n_time == 16
+
+    # a sphere rule takes 2 d^(n-1) directions, at most 2^22; the box
+    # solver's Duhamel rule at most 1024 nodes
+    @pytest.mark.parametrize("base, key, value, ok", [
+        ("wave3", "sphere_degree", 1448, True), ("wave3", "sphere_degree", 1449, False),
+        ("wave3", "sphere_degree", 30000, False),
+        ("wave5", "sphere_degree", 38, True), ("wave5", "sphere_degree", 39, False),
+        ("box", "n_time", 1024, True), ("box", "n_time", 1025, False),
+        ("box", "n_time", 30000, False)])
+    def test_quadrature_sizes_bounded(self, tmp_path, capsys, base, key, value, ok):
+        out = tmp_path / "o.csv"
+        cfgf = tmp_path / "p.ini"
+        if base == "wave5":
+            text = WAVE5.format(path=out).replace("sphere_degree = 4",
+                                                  f"sphere_degree = {value}")
+        else:
+            text = (KIRCHHOFF.format(path=out) if base == "wave3"
+                    else BOX_MODE.format(pi=math.pi, path=out))
+            text += f"\n[quadrature]\n{key} = {value}\n"
+        if ok:
+            assert getattr(parse_config(text).quadrature, key) == value
+            return
+        with pytest.raises(ConfigError, match=rf"^{key} = {value} "):
+            parse_config(text)
+        cfgf.write_text(text)
+        assert main(["solve", str(cfgf)]) == 2
+        assert f"{key} = {value}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_csv_format_rejected(self):
         text = KIRCHHOFF.format(path="o.csv").replace(

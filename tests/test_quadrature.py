@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import roots_chebyu, roots_jacobi
+from scipy.special import gammaln, roots_jacobi
 
 from waveforge import quadrature
 from waveforge.errors import (
@@ -18,9 +18,9 @@ from waveforge.errors import (
 from waveforge.expr import parse
 from waveforge.quadrature import (
     QuadratureSpec,
+    SPHERE_LADDER,
     SinhKernel,
-    _chebyu_rule,
-    _jacobi11_rule,
+    _polar_rule,
     centre_sums,
     climb,
     double_factorial,
@@ -81,6 +81,18 @@ class TestGaussLegendre:
         assert calls == [13]
 
 
+def _monomials(x, top):
+    """Exponents alpha (M, k) of every monomial of degree at most ``top`` in
+    k variables, and its values x^alpha (D, M) at the rows of x (D, k)."""
+    k = x.shape[1]
+    alphas = np.indices((top + 1,) * k).reshape(k, -1).T
+    alphas = alphas[alphas.sum(axis=1) <= top]
+    vals = np.ones((len(x), len(alphas)))
+    for i in range(k):
+        vals *= x[:, i:i + 1] ** alphas[:, i]
+    return alphas, vals
+
+
 class TestSphereRules:
     @pytest.mark.parametrize("n", [3, 5])
     def test_weights_normalized(self, n):
@@ -106,18 +118,47 @@ class TestSphereRules:
                 assert m22 == pytest.approx(1.0 / (n * (n + 2)), abs=1e-15)
 
     @pytest.mark.parametrize("degree", range(2, 25))
-    @pytest.mark.parametrize("ours, reference", [
-        (_jacobi11_rule, lambda d: roots_jacobi(d, 1.0, 1.0)),
-        (_chebyu_rule, roots_chebyu),
-    ], ids=["jacobi11", "chebyu"])
-    def test_polar_rules_match_scipy(self, ours, reference, degree):
-        # the n=5 polar factors; scipy serves only as the reference here
-        nodes, weights = ours(degree)
-        ref_nodes, ref_weights = reference(degree)
+    @pytest.mark.parametrize("alpha", [1.0, 0.5], ids=["jacobi11", "chebyu"])
+    def test_polar_rules_match_scipy(self, alpha, degree):
+        # the n=5 polar factors, weight (1-u^2)^alpha; scipy serves only as
+        # the reference here
+        nodes, weights = _polar_rule(degree, alpha)
+        ref_nodes, ref_weights = roots_jacobi(degree, alpha, alpha)
         np.testing.assert_allclose(nodes, ref_nodes, rtol=0, atol=1e-14)
         np.testing.assert_allclose(weights / weights.sum(),
                                    ref_weights / ref_weights.sum(),
                                    rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n, degree", [(3, d) for d in SPHERE_LADDER]
+                             + [(5, 4), (5, 6), (5, 8)])
+    def test_monomial_means_exact(self, n, degree):
+        # every monomial x^alpha of degree below 2 degree has its closed-form
+        # mean (Folland, Amer. Math. Monthly 108, 2001): 0 if any alpha_i is
+        # odd, else Gamma(n/2) prod Gamma(b_i) / (pi^(n/2) Gamma(sum b_i))
+        # with b_i = (alpha_i + 1) / 2
+        rule = sphere_rule(n, degree)
+        top = 2 * degree - 1
+        # the monomials in the first h coordinates times those in the rest
+        h = n // 2
+        left, lvals = _monomials(rule.directions[:, :h], top)
+        right, rvals = _monomials(rule.directions[:, h:], top)
+        means = (rule.weights[:, None] * lvals).T @ rvals
+        keep = left.sum(axis=1)[:, None] + right.sum(axis=1) <= top
+        li, ri = np.nonzero(keep)
+        alphas = np.concatenate([left[li], right[ri]], axis=1)
+        b = (alphas + 1) / 2
+        exact = np.exp(gammaln(n / 2) + gammaln(b).sum(axis=1)
+                       - n / 2 * math.log(math.pi) - gammaln(b.sum(axis=1)))
+        exact[(alphas % 2).any(axis=1)] = 0.0
+        np.testing.assert_allclose(means[keep], exact, rtol=0, atol=1e-14)
+
+    def test_too_many_directions_rejected(self):
+        # 2 d^(n-1) directions, at most 2^22: d <= 1448 at n = 3, 38 at n = 5
+        quadrature.check_sphere(3, 1448)
+        quadrature.check_sphere(5, 38)
+        for n, degree in ((3, 1449), (5, 39), (3, 30000)):
+            with pytest.raises(InvalidOrder, match=rf"sphere_degree = {degree} gives"):
+                sphere_rule(n, degree)
 
     def test_rule_cached_and_read_only(self):
         rule = sphere_rule(5, 6)
@@ -264,7 +305,7 @@ class TestSinhKernel:
         # at n = 3, a|k|t = 3.9 leaves degrees 8 and 12 apart by 3e-9
         spec = QuadratureSpec(sphere_degree=16 if n == 3 else 12)
         ts = np.array([0.0, 0.5, 2.0, -1.5])
-        got, _ = SinhKernel(e, a, spec, cosh=True).apply_many(x, ts, cosh=True)
+        got, _ = SinhKernel(e, a, spec).apply_many(x, ts, cosh=True)
         exact = np.cos(a * mag * ts) * math.sin(k1 * x[0] + k2 * x[1])
         assert np.allclose(got, exact, rtol=0, atol=1e-13)
         assert got[0] == math.sin(k1 * x[0] + k2 * x[1])
@@ -335,6 +376,39 @@ class TestSinhKernel:
                 r"the degree-12 and degree-16 sphere rules differ by")):
             kern.apply([0.3, -0.2, 0.5], 2.0)
 
+    @pytest.mark.parametrize("n, sinh, cosh", [(3, 1, 4), (5, 6, 7)])
+    def test_fields_compiled_by_their_first_use(self, n, sinh, cosh, monkeypatch):
+        # the field at once; its gradient (n = 5, or a cosh mean) and its
+        # Laplacian (an n = 5 cosh mean) when a mean first uses them
+        compiled = []
+        compile_field = quadrature.compile_field
+        monkeypatch.setattr(quadrature, "compile_field",
+                            lambda e: compiled.append(e) or compile_field(e))
+        kern = SinhKernel(parse("sin(x1)*cos(x2)", n), 1.0)
+        assert len(compiled) == 1
+        x = np.full(n, 0.2)
+        for _ in range(2):
+            kern.apply_many(x, np.array([0.3, 0.7]))
+            assert len(compiled) == sinh
+        for _ in range(2):
+            kern.apply_many(x, np.array([0.3, 0.7]), cosh=True)
+            assert len(compiled) == cosh
+
+    def test_rules_built_by_their_first_use(self, monkeypatch):
+        # a quadratic's means agree on the first two rungs, so the top rule
+        # is never built
+        built = []
+        rule = quadrature.sphere_rule
+        monkeypatch.setattr(quadrature, "sphere_rule",
+                            lambda n, d: built.append(d) or rule(n, d))
+        kern = SinhKernel(parse("x1*x2 + x3^2", 3), 1.0,
+                          QuadratureSpec(sphere_degree=32))
+        assert built == []
+        points = np.array([[0.3, 0.1, 0.2], [1.0, -0.5, 0.4]])
+        kern.apply_many(points, np.array([0.5, 1.2]))
+        assert built == [4, 6]
+        assert kern.rule is rule(3, 32)
+
     def test_batched_matches_single(self):
         e = parse("sin(x1)*cos(x2)", 3)
         kern = SinhKernel(e, 1.1)
@@ -349,6 +423,16 @@ class TestQuadratureSpec:
     def test_validation(self):
         with pytest.raises(InvalidOrder):
             QuadratureSpec(n_time=1)
+
+    def test_sizes_bounded(self):
+        assert QuadratureSpec(n_time=1024, sphere_degree=1448).n_time == 1024
+        with pytest.raises(InvalidOrder, match="n_time = 1025 is more than 1024"):
+            QuadratureSpec(n_time=1025)
+        with pytest.raises(InvalidOrder, match="sphere_degree = 1449 gives"):
+            QuadratureSpec(sphere_degree=1449)
+        # the spec allows the n = 3 top; an n = 5 kernel checks its own
+        with pytest.raises(InvalidOrder, match="sphere_degree = 39 gives .* at n = 5"):
+            SinhKernel(parse("x1", 5), 1.0, QuadratureSpec(sphere_degree=39))
 
     @given(st.integers(2, 40))
     @settings(max_examples=20, deadline=None)
