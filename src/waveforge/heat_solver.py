@@ -71,13 +71,17 @@ class HeatPropagator:
         f = compile_field(field)
         self._g = lambda pts, offs, t: f(pts, t)
 
-    def apply_many(self, x, lams: np.ndarray, t_args=None):
+    def apply_many(self, x, lams: np.ndarray, t_args=None, t_weights=None):
         """Semigroup at each diffusion time in ``lams`` (zeros allowed), and
         sum w |f| under each entry's accepted rule, the data's size there.
 
         ``x`` is one point (n,) or many (P, n); each result has shape
         (len(lams),) or (P, len(lams)).  ``t_args``, aligned with ``lams``,
-        is the field's time argument.
+        is the field's time argument.  With ``t_weights`` both are
+        (len(lams), S), and the semigroup at lams[j] is applied to the
+        time-weighted field sum_k t_weights[j, k] f(., t_args[j, k]), its
+        size to sum_k |t_weights[j, k]| |f(., t_args[j, k])|, both passed
+        through every rung by :func:`~waveforge.quadrature.centre_sums`.
         """
         x = np.asarray(x, dtype=float)
         lams = np.asarray(lams, dtype=float)
@@ -88,11 +92,13 @@ class HeatPropagator:
             )
         centres = np.atleast_2d(x)
         steps = np.sqrt(lams)
-        t_args = np.broadcast_to(0.0 if t_args is None else t_args, steps.shape)
+        t_args = np.broadcast_to(0.0 if t_args is None else t_args,
+                                 steps.shape if t_weights is None else np.shape(t_weights))
         out = climb(
             LADDER, lambda count, rows, cols: centre_sums(
                 self._g, centres[rows], steps[cols],
-                *hermite_rule(centres.shape[1], count), t_args[cols]),
+                *hermite_rule(centres.shape[1], count), t_args[cols],
+                None if t_weights is None else t_weights[cols]),
             (len(centres), steps.size),
             lambda entry, lo, hi: (
                 f"e^(lam Lap) of {brief(self.field)} at diffusion time lam = "
@@ -122,7 +128,7 @@ def solve_heat_product(problem: CauchyProblem) -> SolutionEvaluator:
     def kernel(field):
         # one propagator serves every speed: the speed scales the diffusion time
         prop = HeatPropagator(field)
-        return lambda points, c, taus, t_args=None, cosh=False: (
-            prop.apply_many(points, c * taus, t_args))
+        return lambda points, c, taus, t_args=None, cosh=False, t_weights=None: (
+            prop.apply_many(points, c * taus, t_args, t_weights))
 
     return cluster_evaluator(problem, kernel)

@@ -247,14 +247,26 @@ def cluster_evaluator(problem: CauchyProblem, kernel: Callable) -> SolutionEvalu
     weight| times the kernel's own size.  A point's rule depends only on
     its own values, so it does not depend on its batch.
 
+    The Duhamel term int_0^t G(t - sigma) f(., sigma) dsigma takes the
+    source's value terms b(t - sigma) K(t - sigma) on the source times
+    sigma = t z_k of the rule.  Its integral terms are double integrals
+    over the triangle sigma + tau <= t, taken with the kernel time outside,
+    tau_k = t z_k, and the source time inside, sigma_kj = (t - tau_k) z_j
+    with weight (t - tau_k) wz_j W(t - sigma_kj, tau_k): each kernel is
+    applied once per tau_k, to the time-weighted source, so a count-node
+    rule asks it for count entries per point, not count^2.
+
     ``kernel(field)`` returns ``apply(points, c, taus, t_args=None,
-    cosh=False)``: K = L^-1[1/(s^nu - c Lap)] of the field at each time in
-    ``taus``, or with ``cosh`` its time derivative, and the kernel applied
-    to the absolute value of its integrand under its rule, the data's size
-    there; shape (P, len(taus)) each.  ``t_args``, aligned with ``taus``,
-    is the field's time argument.  Then K^(j) is c^(j//nu) Lap^(j//nu)
-    times K, or for odd j with nu = 2 its derivative.  One kernel serves
-    each field and Laplacian power, K and K' alike.
+    cosh=False, t_weights=None)``: K = L^-1[1/(s^nu - c Lap)] of the field
+    at each time in ``taus``, or with ``cosh`` its time derivative, and the
+    kernel applied to the absolute value of its integrand under its rule,
+    the data's size there; shape (P, len(taus)) each.  ``t_args``, aligned
+    with ``taus``, is the field's time argument.  With ``t_weights`` both
+    have shape (len(taus), S), and the kernel at taus[k] is applied to
+    sum_j t_weights[k, j] field(., t_args[k, j]), its size to the same sum
+    of absolute values.  Then K^(j) is c^(j//nu) Lap^(j//nu) times K, or
+    for odd j with nu = 2 its derivative.  One kernel serves each field and
+    Laplacian power, K and K' alike.
     """
     nu = 1 if problem.kind == "heat-product" else 2
     centres, _, fractions = cluster_fractions(np.asarray(problem.speeds) ** nu)
@@ -292,19 +304,37 @@ def cluster_evaluator(problem: CauchyProblem, kernel: Callable) -> SolutionEvalu
     ruled = [g for g in range(len(problem.data)) if integrals[g]]
     forced = problem.source is not None
 
-    def integral_terms(points, g, T, count, t_args=None):
-        """Field g's integral terms at the times T (S,) on the count-node
-        rule, and their size, shape (P, S) each."""
-        out, mag = np.zeros((2, len(points), T.size))
-        if T.any():
+    def integral_terms(points, g, t, count):
+        """Datum g's integral terms at time t on the count-node rule, and
+        their size, shape (P, 1) each."""
+        out, mag = np.zeros((2, len(points), 1))
+        if t != 0.0:
             z, wz = _time_rule(count)
-            tau = T[:, None] * z
-            t_in = None if t_args is None else np.repeat(t_args, z.size)
+            T = np.array([[t]])
+            tau = T * z
             for (q, c), W in integrals[g].items():
-                vals, size = kernels[g, q](points, c, tau.reshape(-1), t_in)
-                w = T[:, None] * wz * _polyval2d(W, T[:, None], tau)
-                out += (w * vals.reshape(out.shape + z.shape)).sum(axis=-1)
-                mag += (np.abs(w) * size.reshape(out.shape + z.shape)).sum(axis=-1)
+                vals, size = kernels[g, q](points, c, tau.reshape(-1))
+                w = T * wz * _polyval2d(W, T, tau)
+                out += (w * vals[:, None]).sum(axis=-1)
+                mag += (np.abs(w) * size[:, None]).sum(axis=-1)
+        return out, mag
+
+    def duhamel_integrals(points, t, count):
+        """The source's integral terms in the Duhamel term at time t, at
+        the kernel times tau_k = t z_k of the count-node rule, and their
+        size, shape (P, count) each: each kernel is applied once per tau_k,
+        to the source at its times sigma_kj = (t - tau_k) z_j weighted by
+        (t - tau_k) wz_j W(t - sigma_kj, tau_k)."""
+        out, mag = np.zeros((2, len(points), count))
+        z, wz = _time_rule(count)
+        tau = t * z
+        rest = (t - tau)[:, None]
+        sigma = rest * z
+        for (q, c), W in integrals[source].items():
+            omega = rest * wz * _polyval2d(W, t - sigma, tau[:, None])
+            vals, size = kernels[source, q](points, c, tau, sigma, t_weights=omega)
+            out += vals
+            mag += size
         return out, mag
 
     def value_terms(points, g, T, t_args=None):
@@ -323,14 +353,17 @@ def cluster_evaluator(problem: CauchyProblem, kernel: Callable) -> SolutionEvalu
         count-node rule, and their size, shape (P, 1) each."""
         out, mag = np.zeros((2, len(points), 1))
         for g in ruled:
-            vals, size = integral_terms(points, g, np.array([t]), count)
+            vals, size = integral_terms(points, g, t, count)
             out += vals
             mag += size
         if forced and t != 0.0:
+            # int_0^t [sum_tau W K(tau) + b K(t - sigma)][f(., sigma)]: the
+            # integral terms take the kernel time tau outside and the source
+            # time inside, the value terms the source time sigma outside,
+            # both on the nodes t z
             z, wz = _time_rule(count)
-            tau_o = t * z  # outer Duhamel times
-            vals, size = integral_terms(points, source, t - tau_o, count, tau_o)
-            bvals, bsize = value_terms(points, source, t - tau_o, tau_o)
+            vals, size = duhamel_integrals(points, t, count)
+            bvals, bsize = value_terms(points, source, t - t * z, t * z)
             out[:, 0] += t * row_dot(vals + bvals, wz)
             mag[:, 0] += abs(t) * row_dot(size + bsize, wz)
         return out, mag

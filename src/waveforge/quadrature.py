@@ -21,7 +21,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import InvalidInterval, InvalidOrder, UnresolvedData, UnsupportedDimension
-from .expr import Expr, compile_field, differentiate, laplacian
+from .expr import Expr, Mesh, compile_field, differentiate, laplacian
 
 __all__ = [
     "GaussRule",
@@ -208,6 +208,18 @@ def brief(field) -> str:
     return text if len(text) <= FIELD_TEXT else text[:FIELD_TEXT] + "..."
 
 
+def _pending_blocks(pending: np.ndarray) -> list:
+    """The product blocks (rows, cols) of a (P, J) boolean array's true
+    entries: the columns true at the same rows, in order of their first
+    column, each with those rows.  Columns with no true entry are left out."""
+    groups = {}
+    for j, col in enumerate(pending.T):
+        if col.any():
+            groups.setdefault(col.tobytes(), []).append(j)
+    return [(np.flatnonzero(pending[:, cols[0]]), np.array(cols))
+            for cols in groups.values()]
+
+
 def climb(rungs: Sequence[int], sums: Callable, shape: tuple,
           unresolved: Callable[[tuple, int, int], str]):
     """Values and sizes of every entry of a (P, J) array of ``shape``,
@@ -234,12 +246,9 @@ def climb(rungs: Sequence[int], sums: Callable, shape: tuple,
         if pending.all():
             return sums(rung, np.arange(shape[0]), np.arange(shape[1]))
         vals, size = np.zeros(shape), np.zeros(shape)
-        cols, group = np.unique(pending, axis=1, return_inverse=True)
-        for k, col in enumerate(cols.T):
-            rows, js = np.flatnonzero(col), np.flatnonzero(group.reshape(-1) == k)
-            if rows.size:
-                block = np.ix_(rows, js)
-                vals[block], size[block] = sums(rung, rows, js)
+        for rows, cols in _pending_blocks(pending):
+            block = np.ix_(rows, cols)
+            vals[block], size[block] = sums(rung, rows, cols)
         return vals, size
 
     lo, size = blocks(rungs[0])
@@ -261,12 +270,14 @@ def climb(rungs: Sequence[int], sums: Callable, shape: tuple,
     )
 
 
-# Most field points one reduction builds at once: chunks of whole centres
-# while one centre's rows fit, else rows of a single centre, so no array
-# outgrows BATCH_POINTS unless one row of nodes does.  Larger chunks were
-# no faster, and freeing their larger arrays raises malloc's mmap
-# threshold, so more freed memory stays resident: 1 << 20 added 25 MiB to
-# the whole-space configs' peak RSS.
+# Most field values one reduction builds at once, a value being a point at
+# one source time: chunks of whole centres while one centre's rows fit,
+# else rows of a single centre, else runs of one row's nodes, so no field
+# call outgrows BATCH_POINTS unless one row of nodes does, and then none
+# builds more values than that row has nodes.  Larger chunks were no
+# faster, and freeing their larger arrays raises malloc's mmap threshold,
+# so more freed memory stays resident: 1 << 20 added 25 MiB to the
+# whole-space configs' peak RSS.
 BATCH_POINTS = 1 << 16
 # A row of more nodes is summed in chunks of this many, in node order; the
 # boundaries are fixed, so a value depends neither on its batch nor on
@@ -276,51 +287,79 @@ ROW_CHUNK = 1 << 16
 
 def row_dot(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """weights . values[..., :] for every row of a (..., S) array, shape
-    (...), by the dot product a lone row gets: a (P, S) @ (S,) product
-    switches BLAS routine with P, which would make a row's rounding depend
-    on the batch."""
-    return (values[..., None, :] @ weights[:, None])[..., 0, 0]
+    (...), ``weights`` (S,) or (..., S) broadcasting against the rows, by
+    the dot product a lone row gets: a (P, S) @ (S,) product switches BLAS
+    routine with P, which would make a row's rounding depend on the batch."""
+    return (values[..., None, :] @ weights[..., :, None])[..., 0, 0]
 
 
 def centre_sums(g, centres: np.ndarray, steps, nodes: np.ndarray,
-                weights: np.ndarray, t_args=None):
+                weights: np.ndarray, t_args=None, t_weights=None):
     """sum_d weights[d] g(x + s_j u_d) for every centre x (P, n) and step
     s_j (J,), and the data's size sum_d weights[d] |g(x + s_j u_d)| from
     the same values, shape (P, J) each, with u_d the rows of ``nodes``
     (D, n).
 
-    ``g(points, offsets, t)`` maps points (C, J', D', n), their offsets
-    s_j u_d (J', D', n) and the time arguments (J', 1) from ``t_args`` to
-    values (C, J', D').  A zero step is g at the centre itself, exactly.
-    Each (centre, step) is reduced by its own dot product per chunk of
-    :data:`ROW_CHUNK` nodes, the chunks' sums added in node order, so its
-    value does not depend on how the work is chunked.
+    ``g(points, offsets, t)`` takes per-axis arrays: ``points`` is a
+    :class:`~waveforge.expr.Mesh` of the n coordinates x_a + s_j u_da,
+    (C, J', D', 1) each, ``offsets`` one of the offsets s_j u_da, (J', D',
+    1) each, and ``t`` the time arguments (J', 1, S); it returns values
+    (C, J', D', S).  ``t_args`` is each step's time argument, (J,), zero if
+    None.  With ``t_weights`` both are (J, S), S source times per step: g
+    is then sum_k t_weights[j, k] g(., t_args[j, k]), of size sum_k
+    |t_weights[j, k]| |g(., t_args[j, k])|.  The field is evaluated once on
+    that trailing source-time axis, so a subexpression that does not read
+    t is computed once per point, and the axis is contracted per point by
+    :func:`row_dot`, before the node sum.
+
+    A zero step is g at the centre itself, exactly.  Each (centre, step)
+    is reduced by its own dot product per chunk of :data:`ROW_CHUNK`
+    nodes, the chunks' sums added in node order, so its value does not
+    depend on how the work is chunked.
     """
     steps = np.asarray(steps, dtype=float)
-    t_args = np.broadcast_to(0.0 if t_args is None else t_args, steps.shape)[:, None]
+    if t_weights is None:
+        t_args = np.broadcast_to(0.0 if t_args is None else t_args, steps.shape)[:, None]
+    sources = t_args.shape[1]
+    axes = range(centres.shape[1])
     out = np.empty((len(centres), steps.size))
     mag = np.empty_like(out)
     zero = steps == 0.0
     # a zero step takes one node of weight 1: the centre
     for idx, u, w in ((np.flatnonzero(zero), np.zeros_like(nodes[:1]), np.ones(1)),
                       (np.flatnonzero(~zero), nodes, weights)):
-        width = min(len(w), ROW_CHUNK)
-        rows = max(1, min(idx.size, BATCH_POINTS // width))
-        step = max(1, BATCH_POINTS // (rows * width))
+        width = min(len(w), ROW_CHUNK)  # nodes a row sums at once
+        budget = max(BATCH_POINTS, width)  # most values a field call builds
+        span = max(1, min(width, budget // sources))  # nodes a field call takes
+        rows = max(1, min(idx.size, budget // (span * sources)))
+        step = max(1, budget // (rows * span * sources))
         for i in range(0, len(centres), step):
+            x = centres[i:i + step]
             for j in range(0, idx.size, rows):
                 r = idx[j:j + rows]
+                t = t_args[r, None]
+                tw = None if t_weights is None else t_weights[r, None]
+
+                def reduced(a, b):
+                    """Nodes a:b's values and sizes, (C, R, b - a) each; the
+                    field's values are freed on return."""
+                    offs = Mesh(steps[r, None, None] * u[a:b, k, None] for k in axes)
+                    vals = g(Mesh(x[:, k, None, None, None] + offs[k] for k in axes),
+                             offs, t)
+                    if tw is None:
+                        return vals[..., 0], np.abs(vals[..., 0])
+                    return row_dot(vals, tw), row_dot(np.abs(vals), np.abs(tw))
+
                 block = np.s_[i:i + step, r]
                 for k in range(0, len(w), width):
-                    offs = steps[r, None, None] * u[k:k + width]
-                    # the points are unnamed and the values deleted, so a
-                    # chunk's arrays are freed before the next's exist
-                    vals = g(centres[i:i + step, None, None] + offs, offs, t_args[r])
-                    part = row_dot(vals, w[k:k + width])
+                    end = min(k + width, len(w))
+                    parts = [reduced(a, min(a + span, end)) for a in range(k, end, span)]
+                    vals, sizes = parts[0] if len(parts) == 1 else (
+                        np.concatenate(p, axis=-1) for p in zip(*parts))
+                    part = row_dot(vals, w[k:end])
                     out[block] = part if k == 0 else out[block] + part
-                    part = row_dot(np.abs(vals), w[k:k + width])
+                    part = row_dot(sizes, w[k:end])
                     mag[block] = part if k == 0 else mag[block] + part
-                    del vals
     return out, mag
 
 
@@ -411,7 +450,8 @@ class SinhKernel:
     def apply(self, x: Sequence[float], t: float) -> float:
         return float(self.apply_many(x, np.asarray([t]))[0][0])
 
-    def apply_many(self, x, ts: np.ndarray, t_args=None, cosh: bool = False):
+    def apply_many(self, x, ts: np.ndarray, t_args=None, cosh: bool = False,
+                   t_weights=None):
         """Kernel applied at each time in ``ts`` (may include 0), and the
         same kernel applied to the integrand's absolute value under each
         entry's accepted sphere rule, the data's size there.
@@ -419,7 +459,12 @@ class SinhKernel:
         ``x`` is one point (n,) or many (P, n); each result has shape
         (len(ts),) or (P, len(ts)).  ``t_args``, if given, is an array
         aligned with ``ts`` holding the parameter passed to the field as
-        its explicit time argument.  ``cosh`` applies C_a in place of S_a.
+        its explicit time argument.  With ``t_weights`` both are
+        (len(ts), S), and the kernel at ts[j] is applied to the time-weighted
+        field sum_k t_weights[j, k] f(., t_args[j, k]), its size to
+        sum_k |t_weights[j, k]| |f(., t_args[j, k])|, both passed through
+        every rung by :func:`centre_sums`.  ``cosh`` applies C_a in place
+        of S_a.
         """
         x = np.asarray(x, dtype=float)
         ts = np.asarray(ts, dtype=float)
@@ -431,21 +476,24 @@ class SinhKernel:
             # f + k r w.grad(f), and with the Laplacian + k r^2 Lap f
             vals = f(pts, t)
             if grad:
-                slope = k * offs  # k r w
-                for i, g in enumerate(grad):
-                    vals += slope[..., i] * g(pts, t)
+                slope = [k * o for o in offs]  # k r w
+                for s, g in zip(slope, grad):
+                    vals += s * g(pts, t)
                 if lap is not None:
-                    vals += (slope * offs).sum(axis=-1) * lap(pts, t)
+                    r2 = np.stack([s * o for s, o in zip(slope, offs)], axis=-1)
+                    vals += r2.sum(axis=-1) * lap(pts, t)
             return vals
 
         centres = np.atleast_2d(x)
         steps = self.a * ts
-        t_args = np.broadcast_to(0.0 if t_args is None else t_args, steps.shape)
+        t_args = np.broadcast_to(0.0 if t_args is None else t_args,
+                                 steps.shape if t_weights is None else np.shape(t_weights))
 
         def sums(degree, rows, cols):
             rule = sphere_rule(self.n, degree)
             return centre_sums(integrand, centres[rows], steps[cols],
-                               rule.directions, rule.weights, t_args[cols])
+                               rule.directions, rule.weights, t_args[cols],
+                               None if t_weights is None else t_weights[cols])
 
         means, mag = climb(
             self.rungs, sums, (len(centres), steps.size),

@@ -41,9 +41,9 @@ def solve_wave(problem: CauchyProblem,
         # one kernel serves every speed: S_a(t) = S_1(a t) / a, C_a(t) = C_1(a t)
         unit = SinhKernel(field, 1.0, spec)
 
-        def apply(points, c, taus, t_args=None, cosh=False):
+        def apply(points, c, taus, t_args=None, cosh=False, t_weights=None):
             a = math.sqrt(c)
-            vals, size = unit.apply_many(points, a * taus, t_args, cosh=cosh)
+            vals, size = unit.apply_many(points, a * taus, t_args, cosh, t_weights)
             return (vals, size) if cosh else (vals / a, size / a)
 
         return apply

@@ -62,6 +62,48 @@ path = {path}
 """
 
 
+FORCED_HEAT = """
+[problem]
+kind = heat-product
+n = 2
+m = 1
+speeds = 0.5
+
+[data]
+f = cos(40*x1*t)*sin(x2)
+
+[domain]
+x1 = 0.25:3:4
+x2 = 0.6:0.6:1
+t = 0:0.25:2
+
+[output]
+path = {path}
+"""
+
+# the source's integral terms take the kernel time outside, the source
+# time inside
+FORCED_WAVE = """
+[problem]
+kind = wave-multiple
+n = 3
+m = 2
+speeds = 0.8, 0.8
+
+[data]
+f = cos(20*x1*t)*sin(x2)
+
+[domain]
+x1 = 0.25:3:4
+x2 = 0.6:0.6:1
+x3 = -0.2:-0.2:1
+t = 0:0.25:1
+
+[output]
+path = {path}
+"""
+
+
 def _box_config(n, k_max, path):
     """A box wave config in n dimensions with the given mode cutoff."""
     return "\n".join(
@@ -405,19 +447,22 @@ class TestSolveCommand:
         assert captured.out == ""
         assert not out.exists()
 
-    def test_threads_deterministic_with_a_source(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("text, t", [(FORCED_HEAT, 0.25), (FORCED_WAVE, 1.0)],
+                             ids=["heat", "wave-multiple"])
+    def test_threads_deterministic_with_a_source(self, text, t, tmp_path, monkeypatch):
         cfgf = tmp_path / "p.ini"
         outputs = []
         for threads in (1, 4):
             out = tmp_path / f"{threads}.csv"
-            cfgf.write_text(FORCED_HEAT.format(path=out))
+            cfgf.write_text(text.format(path=out))
             assert main(["--threads", str(threads), "solve", str(cfgf)]) == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
         # the grid's points stop on different counts of the time ladder
         ev = cli.build_evaluator(load_config(str(cfgf)))
-        points = np.array([[x1, 0.6] for x1 in np.linspace(0.25, 3.0, 4)])
-        assert len(set(_stopping_counts(ev, points, 0.25, monkeypatch))) > 1
+        points = np.array([[x1, 0.6, -0.2][:ev.problem.n]
+                           for x1 in np.linspace(0.25, 3.0, 4)])
+        assert len(set(_stopping_counts(ev, points, t, monkeypatch))) > 1
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_threads_below_one_rejected(self, tmp_path, capsys, threads):
@@ -652,25 +697,6 @@ path = {path}
 """
 
 # the source's frequency in time grows with x1
-FORCED_HEAT = """
-[problem]
-kind = heat-product
-n = 2
-m = 1
-speeds = 0.5
-
-[data]
-f = cos(40*x1*t)*sin(x2)
-
-[domain]
-x1 = 0.25:3:4
-x2 = 0.6:0.6:1
-t = 0:0.25:2
-
-[output]
-path = {path}
-"""
-
 CLI_IMPORTS = """
 import sys
 import waveforge.cli

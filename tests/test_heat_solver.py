@@ -155,9 +155,9 @@ class TestResolution:
         asked = {}  # node count: entries asked on that rule, in rung order
         sums = heat_solver.centre_sums
 
-        def recording(g, centres, steps, nodes, w, t):
+        def recording(g, centres, steps, nodes, w, *times):
             asked[len(w)] = asked.get(len(w), 0) + len(centres) * len(steps)
-            return sums(g, centres, steps, nodes, w, t)
+            return sums(g, centres, steps, nodes, w, *times)
 
         monkeypatch.setattr(heat_solver, "centre_sums", recording)
         batch, _ = prop.apply_many(points, lams, t_args)
@@ -174,6 +174,23 @@ class TestResolution:
         assert np.array_equal(prop.apply_many(points, lams, t_args)[0], single)
         exact = np.exp(-16 * lams - t_args) * np.sin(4 * points)
         assert np.max(np.abs(batch - exact)) <= 1e-12
+
+
+    def test_time_weighted_field(self):
+        # e^(lam Lap) of sum_k w_k f(., s_k) is sum_k w_k e^(lam Lap) f(., s_k)
+        prop = HeatPropagator(parse("sin(x1 - t)*exp(-0.1*x2^2) + x2*t", 2))
+        points = np.array([[0.3, -0.4], [1.2, 0.8]])
+        lams = np.array([0.0, 0.2, 0.7])
+        sigmas = np.array([[0.1, 0.4, 0.7], [0.2, 0.5, 0.9], [0.3, 0.6, 0.8]])
+        omegas = np.array([[0.5, -0.3, 0.2], [0.1, 0.6, -0.4], [0.2, 0.2, 0.2]])
+        vals, size = prop.apply_many(points, lams, sigmas, omegas)
+        each = [prop.apply_many(points, lams, sigmas[:, k]) for k in range(3)]
+        want = sum(omegas[:, k] * each[k][0] for k in range(3))
+        np.testing.assert_allclose(vals, want, rtol=0, atol=1e-13 * size.max())
+        assert (size >= np.abs(vals)).all()
+        single = np.array([[prop.apply_many(x, [lam], sigmas[j:j + 1], omegas[j:j + 1])[0][0]
+                            for j, lam in enumerate(lams)] for x in points])
+        assert np.array_equal(vals, single)
 
 
 def _oscillating_source(nu):

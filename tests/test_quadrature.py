@@ -10,6 +10,7 @@ from scipy.special import gammaln, roots_jacobi
 
 from waveforge import quadrature
 from waveforge.errors import (
+    DomainError,
     InvalidInterval,
     InvalidOrder,
     UnresolvedData,
@@ -201,8 +202,9 @@ class TestCentreSums:
 
     @staticmethod
     def _g(pts, offs, t):
-        # changes sign on every sphere of radius >= 0.4 used below
-        return np.sin(3.0 * pts[..., 0]) - 0.2
+        # changes sign on every sphere of radius >= 0.4 used below; the
+        # points come as per-axis coordinate arrays
+        return np.sin(3.0 * pts[0]) - 0.2
 
     CENTRES = np.array([[0.1, 0.2, -0.3], [1.0, 0.0, 0.5]])
     STEPS = np.array([0.0, 0.4, 1.3])
@@ -217,7 +219,7 @@ class TestCentreSums:
         sums, sizes = self._reduce()
         for p, x in enumerate(self.CENTRES):
             for j, s in enumerate(self.STEPS[1:], 1):
-                vals = self._g(x + s * rule.directions, None, 0.0)
+                vals = self._g(tuple((x + s * rule.directions).T), None, 0.0)
                 assert vals.min() < 0 < vals.max()
                 assert sums[p, j] == pytest.approx(np.dot(rule.weights, vals),
                                                    rel=1e-13)
@@ -227,7 +229,7 @@ class TestCentreSums:
 
     def test_zero_step_size_is_the_centre_value(self):
         sums, sizes = self._reduce()
-        at_centre = self._g(self.CENTRES, None, 0.0)
+        at_centre = self._g(tuple(self.CENTRES.T), None, 0.0)
         assert sums[:, 0].tolist() == at_centre.tolist()
         assert sizes[:, 0].tolist() == np.abs(at_centre).tolist()
 
@@ -238,6 +240,91 @@ class TestCentreSums:
         chunked_sums, chunked_sizes = self._reduce()
         np.testing.assert_allclose(chunked_sums, sums, rtol=1e-14, atol=1e-16)
         np.testing.assert_allclose(chunked_sizes, sizes, rtol=1e-14, atol=0)
+
+    # per step: three source times and their weights, some negative
+    SIGMAS = np.array([[0.1, 0.5, 0.9], [0.2, 0.4, 0.7], [0.3, 0.6, 0.8]])
+    OMEGAS = np.array([[0.3, -0.2, 0.5], [0.1, 0.4, -0.6], [0.2, 0.2, 0.2]])
+
+    @staticmethod
+    def _gt(pts, offs, t):
+        return np.sin(3.0 * pts[0]) * np.cos(2.0 * t) - 0.2 * t
+
+    def _weighted(self, g=None, centres=None):
+        rule = sphere_rule(3, 6)
+        return centre_sums(g or self._gt, self.CENTRES if centres is None else centres,
+                           self.STEPS, rule.directions, rule.weights,
+                           self.SIGMAS, self.OMEGAS)
+
+    def test_source_times_weighted_before_the_node_sum(self):
+        rule = sphere_rule(3, 6)
+        sums, sizes = self._weighted()
+        for p, x in enumerate(self.CENTRES):
+            for j, s in enumerate(self.STEPS):
+                nodes, w = ((x[None], np.ones(1)) if s == 0.0
+                            else (x + s * rule.directions, rule.weights))
+                vals = np.array([self._gt(tuple(nodes.T), None, sigma)
+                                 for sigma in self.SIGMAS[j]])  # (S, D)
+                assert sums[p, j] == pytest.approx(
+                    w @ (self.OMEGAS[j] @ vals), rel=1e-13, abs=1e-15)
+                # sizes are weighted absolute values, in time and on the sphere
+                assert sizes[p, j] == pytest.approx(
+                    w @ (np.abs(self.OMEGAS[j]) @ np.abs(vals)), rel=1e-13)
+                assert sizes[p, j] > abs(sums[p, j])
+
+    def test_one_call_per_chunk_on_a_source_time_axis(self):
+        # coordinates carry a length-1 time axis, so what reads no t is
+        # computed once per point; the times carry all S source times
+        shapes = []
+
+        def g(pts, offs, t):
+            shapes.append((tuple(x.shape for x in pts), np.shape(t)))
+            return self._gt(pts, offs, t)
+
+        self._weighted(g)
+        # the zero step's centres, then the two other steps' 72 directions
+        assert shapes == [(((2, 1, 1, 1),) * 3, (1, 1, 3)),
+                          (((2, 2, 72, 1),) * 3, (2, 1, 3))]
+
+    def test_weighted_values_independent_of_the_batch(self, monkeypatch):
+        sums, sizes = self._weighted()
+        for p in range(len(self.CENTRES)):
+            alone = self._weighted(centres=self.CENTRES[p:p + 1])
+            assert np.array_equal(alone[0][0], sums[p])
+            assert np.array_equal(alone[1][0], sizes[p])
+        # 72 directions at 3 source times: a field call takes 24 nodes of
+        # one centre and step, the most one 72-node row allows
+        values = []
+
+        def g(pts, offs, t):
+            values.append(int(np.prod(np.broadcast_shapes(*(x.shape for x in pts),
+                                                          np.shape(t)))))
+            return self._gt(pts, offs, t)
+
+        monkeypatch.setattr(quadrature, "BATCH_POINTS", 40)
+        small = self._weighted(g)
+        assert max(values) == 72 and values.count(72) == 12
+        assert np.array_equal(small[0], sums) and np.array_equal(small[1], sizes)
+        # rows of 16 nodes: calls of 13 nodes, within the budget; values
+        # differ from one 72-node sum by rounding only, and not with the
+        # budget
+        monkeypatch.setattr(quadrature, "ROW_CHUNK", 16)
+        values.clear()
+        chunked = self._weighted(g)
+        assert max(values) <= 40
+        np.testing.assert_allclose(chunked[0], sums, rtol=1e-14, atol=1e-16)
+        np.testing.assert_allclose(chunked[1], sizes, rtol=1e-14, atol=0)
+        monkeypatch.setattr(quadrature, "BATCH_POINTS", 1 << 16)
+        wide = self._weighted()
+        assert np.array_equal(wide[0], chunked[0])
+        assert np.array_equal(wide[1], chunked[1])
+
+    @pytest.mark.parametrize("text", ["1/(t - 0.5)", "(t - 0.45)^0.5"])
+    def test_every_source_time_checked(self, text):
+        # a pole at the second source time of the first step, a complex
+        # value at its first
+        f = quadrature.compile_field(parse(text, 3))
+        with pytest.raises(DomainError):
+            self._weighted(lambda pts, offs, t: f(pts, t))
 
 
 class TestIteratedTimeIntegral:
@@ -338,9 +425,9 @@ class TestSinhKernel:
         asked = {}  # directions: entries asked on that rule, in rung order
         sums = quadrature.centre_sums
 
-        def recording(g, centres, steps, nodes, w, t):
+        def recording(g, centres, steps, nodes, w, *times):
             asked[len(w)] = asked.get(len(w), 0) + len(centres) * len(steps)
-            return sums(g, centres, steps, nodes, w, t)
+            return sums(g, centres, steps, nodes, w, *times)
 
         monkeypatch.setattr(quadrature, "centre_sums", recording)
         batch, _ = kern.apply_many(points, ts)
@@ -408,6 +495,30 @@ class TestSinhKernel:
         kern.apply_many(points, np.array([0.5, 1.2]))
         assert built == [4, 6]
         assert kern.rule is rule(3, 32)
+
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("cosh", [False, True])
+    def test_time_weighted_field(self, n, cosh):
+        # the kernel of sum_k w_k f(., s_k) is sum_k w_k times the kernel of
+        # f(., s_k), and its size sum_k |w_k| times theirs on one rule
+        e = parse("sin(x1 - t)*cos(0.5*x2) + x2*t^2", n)
+        points = np.random.default_rng(3).uniform(-1.0, 1.0, size=(2, n))
+        ts = np.array([0.3, 0.8])
+        sigmas = np.array([[0.1, 0.4, 0.7], [0.2, 0.5, 0.9]])
+        omegas = np.array([[0.5, -0.3, 0.2], [0.1, 0.6, -0.4]])
+        for spec, tol in ((QuadratureSpec(sphere_degree=4), 1e-14), (None, 1e-13)):
+            kern = SinhKernel(e, 1.3, spec)
+            vals, size = kern.apply_many(points, ts, sigmas, cosh, omegas)
+            each = [kern.apply_many(points, ts, sigmas[:, k], cosh) for k in range(3)]
+            want = sum(omegas[:, k] * each[k][0] for k in range(3))
+            np.testing.assert_allclose(vals, want, rtol=0, atol=tol * size.max())
+            assert (size >= np.abs(vals)).all()
+        # on one fixed rule the sizes add up too
+        fixed = SinhKernel(e, 1.3, QuadratureSpec(sphere_degree=4))
+        _, size = fixed.apply_many(points, ts, sigmas, cosh, omegas)
+        each = [fixed.apply_many(points, ts, sigmas[:, k], cosh) for k in range(3)]
+        np.testing.assert_allclose(
+            size, sum(np.abs(omegas[:, k]) * each[k][1] for k in range(3)), rtol=1e-14)
 
     def test_batched_matches_single(self):
         e = parse("sin(x1)*cos(x2)", 3)
@@ -511,9 +622,9 @@ class TestClimb:
         # the two entries whose pair (3, 5) differed, in separate blocks
         stop = [[3, 3, 5], [5, 3, 3]]
         calls, grouped = [], []
-        unique = np.unique
-        monkeypatch.setattr(np, "unique", lambda *a, **k: grouped.append(1)
-                            or unique(*a, **k))
+        pending_blocks = quadrature._pending_blocks
+        monkeypatch.setattr(quadrature, "_pending_blocks",
+                            lambda pending: grouped.append(1) or pending_blocks(pending))
         climb(self.RUNGS, self._sums(stop, calls), (2, 3),
               lambda entry, lo, hi: "never")
         blocks = [(rung, rows.tolist(), cols.tolist()) for rung, rows, cols in calls]

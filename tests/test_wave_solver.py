@@ -551,13 +551,15 @@ class TestBatchIndependence:
 
 
 class TestMemoryBound:
-    """No field evaluation builds more than BATCH_POINTS points, unless one
-    row of nodes is larger; a row is never more than ROW_CHUNK nodes."""
+    """No field evaluation builds more than BATCH_POINTS values, a value
+    being a point at one source time, unless one row of nodes is larger; a
+    row is never more than ROW_CHUNK nodes."""
 
     @staticmethod
     def _record_sizes(monkeypatch, budget=1000) -> list:
-        """Points per field call, recorded from the next evaluators built,
-        under a budget of ``budget`` points (None: the default)."""
+        """Values per field call, points times source times, recorded from
+        the next evaluators built, under a budget of ``budget`` values
+        (None: the default)."""
         sizes = []
 
         def recording(compile_field):
@@ -565,7 +567,8 @@ class TestMemoryBound:
                 field = compile_field(e)
 
                 def recorded(X, t=0.0):
-                    sizes.append(int(np.prod(np.shape(X)[:-1])))
+                    sizes.append(int(np.prod(np.broadcast_shapes(np.shape(X)[:-1],
+                                                                 np.shape(t)))))
                     return field(X, t)
 
                 return recorded
@@ -609,6 +612,25 @@ class TestMemoryBound:
         prop.apply_many([[0.3, 0.2, 0.1]], [2.0])
         assert sum(sizes) >= 64**3 > quadrature.BATCH_POINTS  # that rule ran
         assert max(sizes) <= quadrature.BATCH_POINTS
+
+    def test_source_times_split_long_rows(self, monkeypatch):
+        # this field climbs to the 32^3-node rule, 393,216 values a row at
+        # 12 source times: each field call takes a run of the row's nodes,
+        # and the values do not depend on the runs
+        sizes = self._record_sizes(monkeypatch, budget=None)
+        prop = heat_solver.HeatPropagator(parse("sin(3*x1 - t)*cos(x2)*x3", 3))
+        points = np.array([[0.3, 0.2, 0.1], [-1.1, 0.4, 2.0]])
+        lams = np.array([0.5, 0.9])
+        z = problems._time_rule(12)[0]
+        sigmas, omegas = np.outer(lams, z), np.outer(lams, np.cos(z))
+        split = prop.apply_many(points, lams, sigmas, omegas)
+        assert max(sizes) <= quadrature.BATCH_POINTS < 32**3 * 12
+        assert sum(sizes) > 32**3 * 12  # the 32-node rule ran
+        monkeypatch.setattr(quadrature, "BATCH_POINTS", 1 << 20)
+        sizes.clear()
+        whole = prop.apply_many(points, lams, sigmas, omegas)
+        assert max(sizes) > 1 << 16
+        assert np.array_equal(split[0], whole[0]) and np.array_equal(split[1], whole[1])
 
     def test_node_chunks_batch_independent(self):
         prop = heat_solver.HeatPropagator(parse("sin(4*x1)*cos(x2)*cos(x3)", 3))
