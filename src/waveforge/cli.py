@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -86,9 +87,19 @@ def _cmd_solve(args) -> int:
         return EXIT_EVAL
 
     header = ",".join([f"x{i + 1}" for i in range(cfg.problem.n)] + ["t", "u"])
-    with open(cfg.output_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        fh.writelines(_csv_rows(points, times, values))
+    return _write(cfg.output_path,
+                  itertools.chain([header + "\n"], _csv_rows(points, times, values)))
+
+
+def _write(path: str, lines) -> int:
+    """Write ``lines`` to the file ``path``: EXIT_OK, or EXIT_CONFIG with a
+    message when the path cannot be written."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(lines)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK
 
 
@@ -153,18 +164,11 @@ def _cmd_sum_series(args) -> int:
     except WaveforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EVAL
-    out = sys.stdout
-    close = False
+    lines = ["x,f_z\n"] + [f"{_format(float(x))},{_format(v)}\n"
+                           for x, v in zip(xs, values)]
     if args.output:
-        out = open(args.output, "w", encoding="utf-8", newline="\n")
-        close = True
-    try:
-        out.write("x,f_z\n")
-        for x, v in zip(xs, values):
-            out.write(f"{_format(float(x))},{_format(v)}\n")
-    finally:
-        if close:
-            out.close()
+        return _write(args.output, lines)
+    sys.stdout.writelines(lines)
     return EXIT_OK
 
 

@@ -25,7 +25,7 @@ from .expr import Expr, compile_field
 from .problems import CauchyProblem, SolutionEvaluator, cluster_evaluator
 from .quadrature import brief, centre_sums, climb
 
-__all__ = ["HeatPropagator", "heat_propagate", "solve_heat_product"]
+__all__ = ["HeatPropagator", "check_heat", "heat_propagate", "solve_heat_product"]
 
 # Per-axis Gauss-Hermite node counts a (point, diffusion time) climbs by
 # quadrature.climb; the data's size under a rule is sum w |f|
@@ -103,13 +103,20 @@ class HeatPropagator:
             lambda entry, lo, hi: (
                 f"e^(lam Lap) of {brief(self.field)} at diffusion time lam = "
                 f"{float(lams[entry[1]])!r}, x = {centres[entry[0]].tolist()}: "
-                f"the {lo}- and {hi}-node Gauss-Hermite rules per axis"))
+                f"the {lo}- and {hi}-node Gauss-Hermite rules per axis"),
+            f"no setting raises the top of {LADDER[-1]} nodes per axis")
         return tuple(v[0] for v in out) if x.ndim == 1 else out
 
 
 def heat_propagate(field: Expr, lam: float, x) -> float:
     """One-shot e^{lam Lap} field at a single point."""
     return float(HeatPropagator(field).apply_many(x, [lam])[0][0])
+
+
+def check_heat(n: int) -> None:
+    """Raise unless the whole-space diffusion solver takes dimension n."""
+    if n > 3:
+        raise UnsupportedDimension(f"diffusion solver needs n <= 3, got {n}")
 
 
 def solve_heat_product(problem: CauchyProblem) -> SolutionEvaluator:
@@ -120,10 +127,7 @@ def solve_heat_product(problem: CauchyProblem) -> SolutionEvaluator:
     :func:`~waveforge.quadrature.climb`."""
     if problem.kind != "heat-product":
         raise InvalidOrder(f"expected heat-product, got {problem.kind}")
-    if problem.n > 3:
-        raise UnsupportedDimension(
-            f"diffusion solver needs n <= 3, got {problem.n}"
-        )
+    check_heat(problem.n)
 
     def kernel(field):
         # one propagator serves every speed: the speed scales the diffusion time

@@ -10,7 +10,6 @@ and wave solvers supply only their kernel.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -218,16 +217,6 @@ def _derivative(W, b, order: int):
     return W, b
 
 
-@functools.lru_cache(maxsize=None)
-def _time_rule(count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the count-node Gauss-Legendre rule on (0, 1),
-    built on first use; the arrays are read-only."""
-    rule = gauss_legendre(count, 0.0, 1.0)
-    rule.nodes.flags.writeable = False
-    rule.weights.flags.writeable = False
-    return rule.nodes, rule.weights
-
-
 def cluster_evaluator(problem: CauchyProblem, kernel: Callable) -> SolutionEvaluator:
     """Evaluator of prod_j (d^nu/dt^nu - c_j Lap) u = f on the whole space.
 
@@ -239,22 +228,24 @@ def cluster_evaluator(problem: CauchyProblem, kernel: Callable) -> SolutionEvalu
     wave, s^(2q+1) in a numerator adds one time derivative.  The source
     takes the last datum's term, integrated against it by Duhamel.
 
-    The data's value terms b(t) K(t) need no rule.  Their integral terms
-    and the whole Duhamel term take one Gauss-Legendre count of
-    :data:`TIME_LADDER`, for the inner integrals and the outer one alike,
-    which each point climbs by :func:`~waveforge.quadrature.climb`, as an
-    entry of a (P, 1) array; the data's size under a rule is sum |time
-    weight| times the kernel's own size.  A point's rule depends only on
-    its own values, so it does not depend on its batch.
+    The data's value terms b(t) K(t) need no rule.  Every other term is a
+    row of one table, taken on the nodes z and weights wz of one
+    Gauss-Legendre count of :data:`TIME_LADDER` as t sum_k wz_k beta_k
+    K(tau_k), the kernel at tau_k of the field at its time arguments:
 
-    The Duhamel term int_0^t G(t - sigma) f(., sigma) dsigma takes the
-    source's value terms b(t - sigma) K(t - sigma) on the source times
-    sigma = t z_k of the rule.  Its integral terms are double integrals
-    over the triangle sigma + tau <= t, taken with the kernel time outside,
-    tau_k = t z_k, and the source time inside, sigma_kj = (t - tau_k) z_j
-    with weight (t - tau_k) wz_j W(t - sigma_kj, tau_k): each kernel is
-    applied once per tau_k, to the time-weighted source, so a count-node
-    rule asks it for count entries per point, not count^2.
+    * a datum's integral term: tau = t z, beta = W(t, tau);
+    * the source's integral term, a double integral over the triangle
+      sigma + tau <= t: tau = t z, beta = 1, and the source taken inside
+      at sigma_kj = (t - tau_k) z_j with weight (t - tau_k) wz_j
+      W(t - sigma_kj, tau_k), so a count-node rule asks each kernel for
+      count entries per point, not count^2;
+    * the source's value term: tau = t - t z at the source time t z,
+      beta = b(t - t z).
+
+    The size is the same sum with |t|, |beta| and the kernel's own size.
+    Each point climbs the counts by :func:`~waveforge.quadrature.climb`,
+    as an entry of a (P, 1) array, so its rule does not depend on its
+    batch; at t = 0 every ruled term vanishes and none is taken.
 
     ``kernel(field)`` returns ``apply(points, c, taus, t_args=None,
     cosh=False, t_weights=None)``: K = L^-1[1/(s^nu - c Lap)] of the field
@@ -271,11 +262,11 @@ def cluster_evaluator(problem: CauchyProblem, kernel: Callable) -> SolutionEvalu
     nu = 1 if problem.kind == "heat-product" else 2
     centres, _, fractions = cluster_fractions(np.asarray(problem.speeds) ** nu)
     fields = problem.data + (problem.source,)
-    # per field, Laplacian power q and centre c: the weight of the integral
-    # term, and the polynomial b(t) of the value term, K(t) or K'(t)
-    integrals = [defaultdict(lambda: np.zeros((1, 1))) for _ in fields]
-    values = [defaultdict(lambda: np.zeros(1)) for _ in fields]
-    kernels = {}
+    source = len(fields) - 1
+    # per field g, Laplacian power q and centre c: the weight of the
+    # integral term, and the polynomial b(t) of the value term, K(t) or K'(t)
+    integrals = defaultdict(lambda: np.zeros((1, 1)))
+    values = defaultdict(lambda: np.zeros(1))
     for g, field in enumerate(fields):
         if field is None:
             continue
@@ -290,96 +281,60 @@ def cluster_evaluator(problem: CauchyProblem, kernel: Callable) -> SolutionEvalu
             W, b = _derivative(W, b, nu - 1 - r % nu)
             q, c = i - r // nu + p, centres[l]
             if W is not None:
-                integrals[g][q, c] = _add2(integrals[g][q, c], coeff * W)
+                integrals[g, q, c] = _add2(integrals[g, q, c], coeff * W)
             for j, bj in enumerate(b):
-                key = (q + j // nu, c, j % nu == 1)
-                values[g][key] = P.polyadd(values[g][key], coeff * c ** (j // nu) * bj)
-        integrals[g] = {key: W for key, W in integrals[g].items() if W.any()}
-        values[g] = {key: b for key, b in values[g].items() if b.any()}
-        # one kernel per Laplacian power
-        powers = [key[0] for key in list(integrals[g]) + list(values[g])]
-        for q in dict.fromkeys(powers):
-            kernels[g, q] = kernel(laplacian_power(field, q))
-    source = len(fields) - 1
-    ruled = [g for g in range(len(problem.data)) if integrals[g]]
-    forced = problem.source is not None
-
-    def integral_terms(points, g, t, count):
-        """Datum g's integral terms at time t on the count-node rule, and
-        their size, shape (P, 1) each."""
-        out, mag = np.zeros((2, len(points), 1))
-        if t != 0.0:
-            z, wz = _time_rule(count)
-            T = np.array([[t]])
-            tau = T * z
-            for (q, c), W in integrals[g].items():
-                vals, size = kernels[g, q](points, c, tau.reshape(-1))
-                w = T * wz * _polyval2d(W, T, tau)
-                out += (w * vals[:, None]).sum(axis=-1)
-                mag += (np.abs(w) * size[:, None]).sum(axis=-1)
-        return out, mag
-
-    def duhamel_integrals(points, t, count):
-        """The source's integral terms in the Duhamel term at time t, at
-        the kernel times tau_k = t z_k of the count-node rule, and their
-        size, shape (P, count) each: each kernel is applied once per tau_k,
-        to the source at its times sigma_kj = (t - tau_k) z_j weighted by
-        (t - tau_k) wz_j W(t - sigma_kj, tau_k)."""
-        out, mag = np.zeros((2, len(points), count))
-        z, wz = _time_rule(count)
-        tau = t * z
-        rest = (t - tau)[:, None]
-        sigma = rest * z
-        for (q, c), W in integrals[source].items():
-            omega = rest * wz * _polyval2d(W, t - sigma, tau[:, None])
-            vals, size = kernels[source, q](points, c, tau, sigma, t_weights=omega)
-            out += vals
-            mag += size
-        return out, mag
-
-    def value_terms(points, g, T, t_args=None):
-        """Field g's value terms at the times T (S,), and their size, shape
-        (P, S) each."""
-        out, mag = np.zeros((2, len(points), T.size))
-        for (q, c, odd), b in values[g].items():
-            bT = P.polyval(T, b)
-            vals, size = kernels[g, q](points, c, T, t_args, cosh=odd)
-            out += bT * vals
-            mag += np.abs(bT) * size
-        return out, mag
+                key = (g, q + j // nu, c, j % nu == 1)
+                values[key] = P.polyadd(values[key], coeff * c ** (j // nu) * bj)
+    integrals = {key: W for key, W in integrals.items() if W.any()}
+    values = {key: b for key, b in values.items() if b.any()}
+    # one kernel per field and Laplacian power
+    kernels = {}
+    for g, q, *_ in list(integrals) + list(values):
+        if (g, q) not in kernels:
+            kernels[g, q] = kernel(laplacian_power(fields[g], q))
+    # the ruled terms (kernel, c, cosh, row, coefficients): the integral
+    # terms with their weight W, then the source's value terms with b
+    terms = [(kernels[g, q], c, False, "source" if g == source else "datum", W)
+             for (g, q, c), W in integrals.items()]
+    terms += [(kernels[g, q], c, odd, "value", b)
+              for (g, q, c, odd), b in values.items() if g == source]
+    data_values = [(kernels[g, q], c, odd, b)
+                   for (g, q, c, odd), b in values.items() if g != source]
 
     def ruled_part(points, t, count):
-        """The data's integral terms and the Duhamel term at time t on the
-        count-node rule, and their size, shape (P, 1) each."""
-        out, mag = np.zeros((2, len(points), 1))
-        for g in ruled:
-            vals, size = integral_terms(points, g, t, count)
-            out += vals
-            mag += size
-        if forced and t != 0.0:
-            # int_0^t [sum_tau W K(tau) + b K(t - sigma)][f(., sigma)]: the
-            # integral terms take the kernel time tau outside and the source
-            # time inside, the value terms the source time sigma outside,
-            # both on the nodes t z
-            z, wz = _time_rule(count)
-            vals, size = duhamel_integrals(points, t, count)
-            bvals, bsize = value_terms(points, source, t - t * z, t * z)
-            out[:, 0] += t * row_dot(vals + bvals, wz)
-            mag[:, 0] += abs(t) * row_dot(size + bsize, wz)
-        return out, mag
+        """The ruled terms at time t on the count-node rule, and their
+        size, shape (P, 1) each."""
+        rule = gauss_legendre(count, 0.0, 1.0)
+        z, wz = rule.nodes, rule.weights
+        tau, rest = t * z, t - t * z
+        sigma = rest[:, None] * z
+        out, mag = np.zeros((2, len(points), count))
+        for apply, c, cosh, row, coeffs in terms:
+            if row == "datum":
+                beta, args = _polyval2d(coeffs, t, tau), (tau,)
+            elif row == "source":
+                omega = rest[:, None] * wz * _polyval2d(coeffs, t - sigma, tau[:, None])
+                beta, args = 1.0, (tau, sigma, False, omega)
+            else:
+                beta, args = P.polyval(rest, coeffs), (rest, tau, cosh)
+            vals, size = apply(points, c, *args)
+            out += beta * vals
+            mag += np.abs(beta) * size
+        return (t * row_dot(out, wz))[:, None], (abs(t) * row_dot(mag, wz))[:, None]
 
     def evaluate(points, t):
         total = np.zeros(points.shape[0])
-        for g in range(len(problem.data)):
-            total += value_terms(points, g, np.array([t]))[0][:, 0]
-        if not (ruled or forced):
+        for apply, c, cosh, b in data_values:
+            total += P.polyval(t, b) * apply(points, c, np.array([t]), None, cosh)[0][:, 0]
+        if t == 0.0 or not terms:
             return total
         ruled_total, _ = climb(
             TIME_LADDER, lambda count, rows, _: ruled_part(points[rows], t, count),
             (len(points), 1),
             lambda entry, lo, hi: (
                 f"time integrals at t = {t!r}, x = {points[entry[0]].tolist()}: "
-                f"the {lo}- and {hi}-node Gauss-Legendre time rules"))
+                f"the {lo}- and {hi}-node Gauss-Legendre time rules"),
+            f"no setting raises the top of {TIME_LADDER[-1]} nodes")
         return total + ruled_total[:, 0]
 
     return SolutionEvaluator(problem, evaluate)

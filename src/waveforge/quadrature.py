@@ -221,7 +221,7 @@ def _pending_blocks(pending: np.ndarray) -> list:
 
 
 def climb(rungs: Sequence[int], sums: Callable, shape: tuple,
-          unresolved: Callable[[tuple, int, int], str]):
+          unresolved: Callable[[tuple, int, int], str], remedy: str = ""):
     """Values and sizes of every entry of a (P, J) array of ``shape``,
     each on the first rule of the ladder ``rungs`` that agrees with the
     one below.
@@ -235,9 +235,10 @@ def climb(rungs: Sequence[int], sums: Callable, shape: tuple,
     more than :data:`TOLERANCE` of its size under the larger.  One still
     pending on the top rung raises
     :class:`~waveforge.errors.UnresolvedData`: ``unresolved(entry, lo,
-    hi)`` names the entry (an index pair) and the top two rungs, and the
-    gap and the size follow.  A one-rung ladder is that rule alone,
-    unchecked.
+    hi)`` names the entry (an index pair) and the top two rungs, the gap
+    and the size follow, and ``remedy``, if given, ends the message: what
+    raises the top, or that nothing does.  A one-rung ladder is that rule
+    alone, unchecked.
     """
     out, mag = np.empty(shape), np.empty(shape)
     pending = np.ones(shape, dtype=bool)
@@ -264,10 +265,9 @@ def climb(rungs: Sequence[int], sums: Callable, shape: tuple,
             return out, mag
         lo = hi
     entry = tuple(np.argwhere(pending)[0].tolist())
-    raise UnresolvedData(
-        f"{unresolved(entry, rungs[-2], rungs[-1])} differ by {gap[entry]:.3g}, "
-        f"more than {TOLERANCE:g} of the data's size {size[entry]:.3g}"
-    )
+    message = (f"{unresolved(entry, rungs[-2], rungs[-1])} differ by {gap[entry]:.3g}, "
+               f"more than {TOLERANCE:g} of the data's size {size[entry]:.3g}")
+    raise UnresolvedData(f"{message}; {remedy}" if remedy else message)
 
 
 # Most field values one reduction builds at once, a value being a point at
@@ -500,6 +500,7 @@ class SinhKernel:
             lambda entry, lo, hi: (
                 f"sphere means of {brief(self.field)} at t = {float(ts[entry[1]])!r}, "
                 f"x = {centres[entry[0]].tolist()}: the degree-{lo} and "
-                f"degree-{hi} sphere rules"))
+                f"degree-{hi} sphere rules"),
+            f"raise [quadrature] sphere_degree above {self.rungs[-1]}")
         out = (means, mag) if cosh else (ts * means, np.abs(ts) * mag)
         return tuple(v[0] for v in out) if x.ndim == 1 else out

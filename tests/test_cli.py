@@ -15,7 +15,7 @@ import pytest
 import waveforge
 from waveforge import cli
 from waveforge.cli import main
-from waveforge.config import dump_config, load_config, parse_config
+from waveforge.config import MAX_ROWS, dump_config, load_config, parse_config
 from waveforge.errors import ConfigError, InvalidBox
 from waveforge.ibvp import build_basis
 from waveforge.oracle import ModeProblem, mode_solve
@@ -112,6 +112,17 @@ def _box_config(n, k_max, path):
          "[domain]"] + [f"x{i + 1} = 0.5:0.5:1" for i in range(n)]
         + ["t = 0:1:2", "box = " + ",".join([repr(math.pi)] * n),
            f"k_max = {k_max}", "[output]", f"path = {path}", ""])
+
+
+def _whole_space_config(kind, n, path, axes=None, t="0.5:0.5:1"):
+    """A whole-space m = 1 config in n dimensions with the datum sin(x1),
+    on the per-axis grid ``axes`` (one point by default)."""
+    axes = axes or ["0.5:0.5:1"] * n
+    return "\n".join(
+        ["[problem]", f"kind = {kind}", f"n = {n}", "m = 1", "speeds = 1.0",
+         "[data]", "phi0 = sin(x1)", "[domain]"]
+        + [f"x{i + 1} = {a}" for i, a in enumerate(axes)]
+        + [f"t = {t}", "[output]", f"path = {path}", ""])
 
 
 def _read_csv(path):
@@ -299,6 +310,62 @@ class TestConfigParsing:
         assert f"{key} = {value}" in capsys.readouterr().err
         assert not out.exists()
 
+    # each whole-space family's own dimension check runs on the config,
+    # before any solver is built; heat uses no sphere rule
+    @pytest.mark.parametrize("kind, n, message", [
+        ("heat-product", 4, "diffusion solver needs n <= 3, got 4"),
+        ("heat-product", 5, "diffusion solver needs n <= 3, got 5"),
+        ("wave-multiple", 1, "sphere rules exist for n in {3, 5}, not 1"),
+        ("wave-multiple", 2, "sphere rules exist for n in {3, 5}, not 2"),
+        ("wave-distinct", 4, "sphere rules exist for n in {3, 5}, not 4"),
+        ("heat-product", 1, None), ("heat-product", 3, None),
+        ("wave-multiple", 3, None), ("wave-distinct", 5, None)])
+    def test_dimension_checked_by_the_family(self, tmp_path, capsys, monkeypatch,
+                                             kind, n, message):
+        out = tmp_path / "o.csv"
+        cfgf = tmp_path / "p.ini"
+        cfgf.write_text(_whole_space_config(kind, n, out))
+        if message is None:
+            assert parse_config(cfgf.read_text()).problem.n == n
+            return
+        with pytest.raises(ConfigError) as info:
+            parse_config(cfgf.read_text())
+        assert str(info.value) == message
+
+        def never(*args):
+            raise AssertionError("build_evaluator reached")
+
+        monkeypatch.setattr(cli, "build_evaluator", never)
+        assert main(["solve", str(cfgf)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    # x1 = x2 = 0:1:100000 would ask for 74.5 GiB
+    @pytest.mark.parametrize("axes, t, ok", [
+        (["0:1:1024", "0:1:1024"], "0:0:1", True),
+        (["0:1:1024", "0:1:256"], "0:1:4", True),
+        (["0:1:1024", "0:1:1024"], "0:1:2", False),
+        (["0:1:100000", "0:1:100000"], "0:0:1", False)])
+    def test_row_count_bounded(self, tmp_path, capsys, monkeypatch, axes, t, ok):
+        out = tmp_path / "o.csv"
+        cfgf = tmp_path / "p.ini"
+        cfgf.write_text(_whole_space_config("heat-product", 2, out, axes, t))
+        rows = math.prod(int(a.split(":")[2]) for a in axes + [t])
+        if ok:
+            assert rows <= MAX_ROWS
+            assert parse_config(cfgf.read_text()).t_axis.points().size == int(t[-1])
+            return
+
+        def never(*args):
+            raise AssertionError("build_evaluator reached")
+
+        monkeypatch.setattr(cli, "build_evaluator", never)
+        assert main(["solve", str(cfgf)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: the grid has {rows} rows (points times times), "
+            f"more than {MAX_ROWS}\n")
+        assert not out.exists()
+
     def test_non_csv_format_rejected(self):
         text = KIRCHHOFF.format(path="o.csv").replace(
             "path = o.csv", "path = o.csv\nformat = json"
@@ -366,7 +433,20 @@ class TestSolveCommand:
         cfgf.write_text(KIRCHHOFF.format(path=out)
                         .replace("phi1 = 1", "phi0 = sin(20*x1)"))
         assert main(["solve", str(cfgf)]) == 3
-        assert "the degree-12 and degree-16 sphere rules" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "the degree-12 and degree-16 sphere rules" in err
+        assert "; raise [quadrature] sphere_degree above 16" in err
+        assert not out.exists()
+
+    def test_unwritable_output_exit_code(self, tmp_path, capsys):
+        # a path that cannot be written is a configuration error
+        out = tmp_path / "missing" / "o.csv"
+        cfgf = tmp_path / "p.ini"
+        cfgf.write_text(KIRCHHOFF.format(path=out))
+        assert main(["solve", str(cfgf)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output: ")
+        assert str(out) in err and "Traceback" not in err
         assert not out.exists()
 
     def test_bad_config_exit_code(self, tmp_path):
@@ -430,6 +510,7 @@ class TestSolveCommand:
         assert main(["solve", str(cfgf)]) == 3
         captured = capsys.readouterr()
         assert "diffusion time lam = 1.0" in captured.err
+        assert "; no setting raises the top of 96 nodes per axis" in captured.err
         assert captured.out == ""
         assert not out.exists()
 
@@ -444,6 +525,7 @@ class TestSolveCommand:
         captured = capsys.readouterr()
         assert "time integrals at t = 1.0" in captured.err
         assert "Gauss-Legendre time rules" in captured.err
+        assert "; no setting raises the top of 64 nodes" in captured.err
         assert captured.out == ""
         assert not out.exists()
 
@@ -758,6 +840,16 @@ class TestSumSeriesCommand:
         _, rows = _read_csv(out)
         interior = rows[~np.isclose(rows[:, 0], 0.0)]
         assert np.allclose(interior[:, 1], np.sign(interior[:, 0]), atol=0.01)
+
+    def test_unwritable_output_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "sq.csv"
+        rc = main(["sum-series", "--sine-generator", "(2/pi)*log((1 + x1)/(1 - x1))",
+                   "--x-range=-0.5:0.5:3", "--z=-0.1", "--output", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write output: ")
+        assert str(out) in captured.err and captured.out == ""
+        assert not out.exists()
 
     def test_nonnegative_z_rejected(self):
         rc = main([

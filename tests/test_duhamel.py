@@ -80,9 +80,9 @@ def test_count_entries_per_point_and_rung(case, monkeypatch):
     # has nodes, count and not count^2; the integral terms' calls carry the
     # count source times of each kernel time
     events = []
-    rule = problems._time_rule
-    monkeypatch.setattr(problems, "_time_rule",
-                        lambda count: events.append(("rung", count)) or rule(count))
+    rule = problems.gauss_legendre
+    monkeypatch.setattr(problems, "gauss_legendre",
+                        lambda count, a, b: events.append(("rung", count)) or rule(count, a, b))
 
     def recorded(cluster_evaluator):
         def build(problem, kernel):

@@ -134,6 +134,7 @@ class TestResolution:
         assert f"sin({k:g}*x1)" in msg
         assert "diffusion time lam = 1.0" in msg
         assert "Gauss-Hermite" in msg
+        assert msg.endswith("; no setting raises the top of 96 nodes per axis")
 
     def test_unresolved_through_the_solver(self):
         p = CauchyProblem("heat-product", 1, 1, (1.0,), None,
@@ -221,6 +222,7 @@ class TestTimeRules:
         assert "t = 1.0, x = [0.7]" in msg
         assert "48- and 64-node Gauss-Legendre time rules" in msg
         assert "data's size" in msg
+        assert msg.endswith("; no setting raises the top of 64 nodes")
 
     def test_batch_with_different_stopping_counts(self, monkeypatch):
         # the source's frequency in time grows with x1, so the points stop
@@ -238,9 +240,9 @@ class TestTimeRules:
         assert np.array_equal(ev.evaluate(points, times), single)
 
     def test_unforced_single_factor_builds_no_rule(self, monkeypatch):
-        calls, rule = [], problems._time_rule
-        monkeypatch.setattr(problems, "_time_rule",
-                            lambda c: calls.append(c) or rule(c))
+        calls, rule = [], problems.gauss_legendre
+        monkeypatch.setattr(problems, "gauss_legendre",
+                            lambda c, a, b: calls.append(c) or rule(c, a, b))
         p = CauchyProblem("heat-product", 1, 1, (0.5,), None,
                           (parse("sin(x1)", 1),))
         got = solve_heat_product(p).evaluate(np.array([[0.7], [1.2]]), [0.0, 1.0])

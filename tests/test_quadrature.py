@@ -460,8 +460,9 @@ class TestSinhKernel:
         kern = SinhKernel(parse("sin(20*x1)", 3), 1.0)
         with pytest.raises(UnresolvedData, match=(
                 r"sphere means of sin\(20\*x1\) at t = 2.0, x = \[0.3, -0.2, 0.5\]: "
-                r"the degree-12 and degree-16 sphere rules differ by")):
+                r"the degree-12 and degree-16 sphere rules differ by")) as info:
             kern.apply([0.3, -0.2, 0.5], 2.0)
+        assert str(info.value).endswith("; raise [quadrature] sphere_degree above 16")
 
     @pytest.mark.parametrize("n, sinh, cosh", [(3, 1, 4), (5, 6, 7)])
     def test_fields_compiled_by_their_first_use(self, n, sinh, cosh, monkeypatch):
@@ -658,3 +659,13 @@ class TestClimb:
         assert str(err.value) == (
             "entry (1, 0): rules 5 and 8 differ by 3, more than 1e-10 of the "
             "data's size 4")
+
+    def test_remedy_ends_the_message(self):
+        stop = [[2, 3, 5], [9, 5, 9]]
+        with pytest.raises(UnresolvedData) as err:
+            climb(self.RUNGS, self._sums(stop, []), (2, 3),
+                  lambda entry, lo, hi: f"entry {entry}: rules {lo} and {hi}",
+                  "raise the top")
+        assert str(err.value) == (
+            "entry (1, 0): rules 5 and 8 differ by 3, more than 1e-10 of the "
+            "data's size 4; raise the top")

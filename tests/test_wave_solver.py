@@ -258,15 +258,15 @@ def _stopping_degrees(ev, points, t, monkeypatch):
 
 def _stopping_counts(ev, points, t, monkeypatch):
     """The last time-rule count each one-point evaluation asks for."""
-    rule = problems._time_rule
+    rule = problems.gauss_legendre
     out = []
     for p in points:
         counts = []
-        monkeypatch.setattr(problems, "_time_rule",
-                            lambda c: counts.append(c) or rule(c))
+        monkeypatch.setattr(problems, "gauss_legendre",
+                            lambda c, a, b: counts.append(c) or rule(c, a, b))
         ev.evaluate(p[None], [t])
         out.append(max(counts))
-    monkeypatch.setattr(problems, "_time_rule", rule)
+    monkeypatch.setattr(problems, "gauss_legendre", rule)
     return out
 
 
@@ -472,8 +472,9 @@ class TestSphereLadder:
                           (parse("sin(20*x1)", 5), None))
         ev = solve_wave(p, QuadratureSpec(sphere_degree=8))
         with pytest.raises(UnresolvedData,
-                           match="the degree-6 and degree-8 sphere rules"):
+                           match="the degree-6 and degree-8 sphere rules") as info:
             ev([0.3, -0.2, 0.5, 0.1, 0.2], 1.0)
+        assert str(info.value).endswith("; raise [quadrature] sphere_degree above 8")
 
     def test_message_quotes_a_cut_field(self):
         # verify's n=5 modes data at a top of 8: the message cuts the
@@ -495,7 +496,10 @@ class TestSphereLadder:
         assert f"sphere means of {field[:60]}... at t = " in msg
         assert "x = [0.4, -0.2, 0.7, 0.1, 0.3]" in msg
         assert "the degree-6 and degree-8 sphere rules" in msg
-        assert len(msg) < 260
+        # the cut field keeps the message short; the remedy follows it
+        head, _, remedy = msg.rpartition("; ")
+        assert len(head) < 260
+        assert remedy == "raise [quadrature] sphere_degree above 8"
 
 
 class TestBatchIndependence:
@@ -621,7 +625,7 @@ class TestMemoryBound:
         prop = heat_solver.HeatPropagator(parse("sin(3*x1 - t)*cos(x2)*x3", 3))
         points = np.array([[0.3, 0.2, 0.1], [-1.1, 0.4, 2.0]])
         lams = np.array([0.5, 0.9])
-        z = problems._time_rule(12)[0]
+        z = quadrature.gauss_legendre(12, 0.0, 1.0).nodes
         sigmas, omegas = np.outer(lams, z), np.outer(lams, np.cos(z))
         split = prop.apply_many(points, lams, sigmas, omegas)
         assert max(sizes) <= quadrature.BATCH_POINTS < 32**3 * 12
