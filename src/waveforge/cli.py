@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import ProblemConfig, dump_config, load_config
 from .errors import ConfigError, WaveforgeError
-from .expr import parse
+from .expr import Mesh, parse
 from .heat_solver import solve_heat_product
 from .ibvp import build_basis, solve_ibvp
 from .wave_solver import solve_wave
@@ -36,9 +36,8 @@ EXIT_CONFIG = 2
 EXIT_EVAL = 3
 
 
-def _format(v: float) -> str:
-    """Scientific notation with 17 significant digits."""
-    return f"{v:.16e}"
+# a float in scientific notation with 17 significant digits
+_format = "%.16e".__mod__
 
 
 def build_evaluator(cfg: ProblemConfig):
@@ -68,27 +67,29 @@ def _cmd_solve(args) -> int:
         return EXIT_OK
     try:
         ev = build_evaluator(cfg)
-        mesh = np.meshgrid(*[ax.points() for ax in cfg.axes], indexing="ij")
-        points = np.stack([g.reshape(-1) for g in mesh], axis=-1)
+        axes = [ax.points() for ax in cfg.axes]
+        mesh = Mesh(np.meshgrid(*axes, indexing="ij", sparse=True))
         times = cfg.t_axis.points()
         # a point's value does not depend on the other points in its call, so
-        # the output is the same for every thread count; this thread takes the
-        # first chunk, so one thread starts no pool, and no more pool threads
-        # start than there are CPUs (with the bounded reductions a pool
-        # thread's own malloc arena adds no measurable peak RSS)
-        chunks = np.array_split(points, min(args.threads, len(points)))
-        workers = min(len(chunks) - 1, os.cpu_count() or 1)
+        # every thread count gives the same output; this thread takes the first
+        # slab of the longest axis, so one thread starts no pool, and no more
+        # pool threads start than there are CPUs (with the bounded reductions
+        # a pool thread's own malloc arena adds no measurable peak RSS)
+        a = max(range(len(axes)), key=lambda i: len(axes[i]))
+        slabs = [Mesh(s if i == a else x for i, x in enumerate(mesh))
+                 for s in np.array_split(mesh[a], min(args.threads, len(axes[a])), axis=a)]
+        workers = min(len(slabs) - 1, os.cpu_count() or 1)
         with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-            rest = [pool.submit(ev.evaluate, c, times) for c in chunks[1:]]
-            parts = [ev.evaluate(chunks[0], times)] + [f.result() for f in rest]
-        values = np.concatenate(parts)
+            rest = [pool.submit(ev.evaluate, s, times) for s in slabs[1:]]
+            parts = [ev.evaluate(slabs[0], times)] + [f.result() for f in rest]
+        values = np.concatenate(parts, axis=a)
     except WaveforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EVAL
 
     header = ",".join([f"x{i + 1}" for i in range(cfg.problem.n)] + ["t", "u"])
     return _write(cfg.output_path,
-                  itertools.chain([header + "\n"], _csv_rows(points, times, values)))
+                  itertools.chain([header + "\n"], _csv_rows(axes, times, values)))
 
 
 def _write(path: str, lines) -> int:
@@ -103,15 +104,14 @@ def _write(path: str, lines) -> int:
     return EXIT_OK
 
 
-def _csv_rows(points: np.ndarray, times: np.ndarray, values: np.ndarray):
+def _csv_rows(axes, times: np.ndarray, values: np.ndarray):
     """CSV rows in itertools.product(x1, ..., xn, t) order, t fastest, each
-    number as _format writes it.  Each point's coordinates, each time and
-    each value are formatted once."""
-    fmt = "%.16e".__mod__
-    heads = [",".join(map(fmt, p)) + "," for p in points.tolist()]
-    tails = [fmt(t) + "," for t in times.tolist()]
-    vals = map(fmt, values.reshape(-1).tolist())
-    for head in heads:
+    number as _format writes it; ``values`` has shape (g1, ..., gn, T).
+    Each axis coordinate, each time and each value are formatted once."""
+    cells = [[_format(x) + "," for x in ax.tolist()] for ax in axes]
+    tails = [_format(t) + "," for t in times.tolist()]
+    vals = map(_format, values.reshape(-1).tolist())
+    for head in map("".join, itertools.product(*cells)):
         for tail, v in zip(tails, vals):
             yield head + tail + v + "\n"
 

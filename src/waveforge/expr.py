@@ -375,8 +375,12 @@ def _d(node: Node, var: str) -> Node:
     if op == "*":
         return Bin("+", Bin("*", _d(a, var), b), Bin("*", a, _d(b, var)))
     if op == "/":
-        num = Bin("-", Bin("*", _d(a, var), b), Bin("*", a, _d(b, var)))
-        return Bin("/", num, Bin("^", b, Num(2.0)))
+        # d(a/c^k) = a'/c^k - k a c'/c^(k+1), so exponents add, where
+        # (a'b - ab')/b^2 would square the denominator on every derivative
+        c, k = (b.left, b.right.value) if (
+            isinstance(b, Bin) and b.op == "^" and isinstance(b.right, Num)) else (b, 1.0)
+        rest = Bin("*", Bin("*", Num(k), a), _d(c, var))
+        return Bin("-", Bin("/", _d(a, var), b), Bin("/", rest, Bin("^", c, Num(k + 1.0))))
     # power: constant exponent gets the monomial rule, the general case
     # goes through exp/log
     if isinstance(b, Num):

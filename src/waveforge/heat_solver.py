@@ -64,9 +64,7 @@ class HeatPropagator:
     """
 
     def __init__(self, field: Expr):
-        n = field.ndim
-        if n > 3:
-            raise UnsupportedDimension(f"diffusion semigroup needs n <= 3, got {n}")
+        check_heat(field.ndim)
         self.field = field
         f = compile_field(field)
         self._g = lambda pts, offs, t: f(pts, t)

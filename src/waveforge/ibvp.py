@@ -211,25 +211,26 @@ class IbvpEvaluator(SolutionEvaluator):
         a = self.problem.speeds[0]
         return float(np.sum(ders**2 + a * a * self.basis.eigenvalues * amps**2))
 
-    def _synthesize(self, points, t):
-        """The series at (P, d) points by sum factorisation (Orszag 1980):
-        the amplitudes, scattered into the (k_max,)^d mode tensor, are
-        contracted one axis at a time with that axis's (P, k_max) sine
-        table.  Elementwise multiply-adds in a fixed order, unlike a BLAS
-        product, keep a point's value independent of the batch.
+    def _synthesize(self, X, t):
+        """The series on the mesh X by sum factorisation (Orszag 1980): the
+        amplitudes, scattered into the (k_max,)^d mode tensor, are
+        contracted one axis at a time with the sine table of that axis's
+        own coordinates, so a grid's intermediates hold g_1..g_i k_max^(d-i)
+        values.  Elementwise multiply-adds in a fixed order, unlike a BLAS
+        product, keep a point's value independent of its batch and mesh.
         """
         b = self.basis
         k = np.arange(1, b.k_max + 1)
-        acc = np.zeros((1, b.k_max**b.d))
-        acc[0, b.grid_index] = self.amplitudes(t)
-        for i, Li in enumerate(b.L):
-            table = np.sin(np.multiply.outer(points[:, i], k * (np.pi / Li)))
-            acc = acc.reshape(acc.shape[0], b.k_max, -1)
-            out = table[:, 0, None] * acc[:, 0]
+        acc = np.zeros(b.k_max**b.d)
+        acc[b.grid_index] = self.amplitudes(t)
+        for x, Li in zip(X, b.L):
+            table = np.sin(np.multiply.outer(x, k * (np.pi / Li)))
+            acc = acc.reshape(acc.shape[:-1] + (b.k_max, -1))
+            out = table[..., 0, None] * acc[..., 0, :]
             for j in range(1, b.k_max):
-                out += table[:, j, None] * acc[:, j]
+                out += table[..., j, None] * acc[..., j, :]
             acc = out
-        return b.norm * acc[:, 0]
+        return b.norm * acc[..., 0]
 
 
 def _check_boundary_data(problem: CauchyProblem, basis: EigenBasis):

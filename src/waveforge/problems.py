@@ -26,7 +26,7 @@ from .errors import (
     NonPositiveSpeed,
     UnsupportedDimension,
 )
-from .expr import Expr, laplacian_power
+from .expr import Expr, Mesh, laplacian_power
 from .kernels import cluster_fractions, require_distinct
 from .quadrature import climb, double_factorial, gauss_legendre, row_dot
 
@@ -108,24 +108,31 @@ class CauchyProblem:
 class SolutionEvaluator:
     """The one evaluation entry point of every solver.
 
-    ``evaluate(points (P, n), times (T,))`` returns the solution on their
-    product, shape (P, T).  The solver supplies ``fn(points, t)``, its
-    values at every point at one time; a point's value must not depend on
-    the other points in the call.  ``__call__`` wraps it.
+    ``evaluate(X, times (T,))`` returns the solution on the product of X
+    and the times, shape (P, T) for (P, n) points X and (g1, ..., gn, T)
+    for an open mesh (:class:`~waveforge.expr.Mesh`).  The solver supplies
+    ``fn(X, t)``, its values on the mesh X at one time, a point array being
+    the mesh of its columns; a point's value must not depend on the other
+    points in the call.  ``__call__`` wraps it.
     """
 
     def __init__(self, problem: CauchyProblem, fn: Callable):
         self.problem = problem
         self._fn = fn
 
-    def evaluate(self, points, times) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
+    def evaluate(self, X, times) -> np.ndarray:
         times = np.asarray(times, dtype=float)
         n = self.problem.n
-        if points.ndim != 2 or points.shape[1] != n or times.ndim != 1:
+        if isinstance(X, Mesh):
+            X, got = Mesh(np.asarray(x, dtype=float) for x in X), f"{len(X)} axes"
+        else:
+            # the columns of (P, n) points, as views; no other shape has axes
+            X = np.asarray(X, dtype=float)
+            X, got = Mesh(X.T if X.ndim == 2 else ()), X.shape
+        if len(X) != n or times.ndim != 1:
             raise DataCountMismatch(
-                f"need points of shape (P, {n}) and times of shape (T,), "
-                f"got {points.shape} and {times.shape}"
+                f"need points of shape (P, {n}) or a mesh of {n} axes, and "
+                f"times of shape (T,), got {got} and {times.shape}"
             )
         # diffusion runs forward only; backwards its modes blow up
         if self.problem.kind == "heat-product":
@@ -136,9 +143,9 @@ class SolutionEvaluator:
         elif not np.isfinite(times).all():
             raise DomainError(
                 f"time must be finite, got {times[~np.isfinite(times)][0]}")
-        out = np.empty((points.shape[0], times.size))
+        out = np.empty(X.shape[:-1] + (times.size,))
         for j, t in enumerate(times):
-            out[:, j] = self._fn(points, float(t))
+            out[..., j] = self._fn(X, float(t))
         return out
 
     def __call__(self, x: Sequence[float], t: float) -> float:
@@ -322,12 +329,14 @@ def cluster_evaluator(problem: CauchyProblem, kernel: Callable) -> SolutionEvalu
             mag += np.abs(beta) * size
         return (t * row_dot(out, wz))[:, None], (abs(t) * row_dot(mag, wz))[:, None]
 
-    def evaluate(points, t):
+    def evaluate(X, t):
+        # climb's entries are points: the mesh's points as rows
+        points = np.stack(np.broadcast_arrays(*X), axis=-1).reshape(-1, len(X))
         total = np.zeros(points.shape[0])
         for apply, c, cosh, b in data_values:
             total += P.polyval(t, b) * apply(points, c, np.array([t]), None, cosh)[0][:, 0]
         if t == 0.0 or not terms:
-            return total
+            return total.reshape(X.shape[:-1])
         ruled_total, _ = climb(
             TIME_LADDER, lambda count, rows, _: ruled_part(points[rows], t, count),
             (len(points), 1),
@@ -335,6 +344,6 @@ def cluster_evaluator(problem: CauchyProblem, kernel: Callable) -> SolutionEvalu
                 f"time integrals at t = {t!r}, x = {points[entry[0]].tolist()}: "
                 f"the {lo}- and {hi}-node Gauss-Legendre time rules"),
             f"no setting raises the top of {TIME_LADDER[-1]} nodes")
-        return total + ruled_total[:, 0]
+        return (total + ruled_total[:, 0]).reshape(X.shape[:-1])
 
     return SolutionEvaluator(problem, evaluate)

@@ -56,9 +56,6 @@ class GaussRule:
     weights: np.ndarray
     interval: tuple[float, float]
 
-    def integrate(self, values: np.ndarray) -> float:
-        return float(np.dot(self.weights, values))
-
 
 @dataclass(frozen=True)
 class SphereRule:

@@ -2,11 +2,13 @@
 
 import concurrent.futures
 import hashlib
+import itertools
 import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ from waveforge import cli
 from waveforge.cli import main
 from waveforge.config import MAX_ROWS, dump_config, load_config, parse_config
 from waveforge.errors import ConfigError, InvalidBox
+from waveforge.expr import Mesh
 from waveforge.ibvp import build_basis
 from waveforge.oracle import ModeProblem, mode_solve
 from test_wave_solver import _stopping_counts
@@ -414,16 +417,19 @@ class TestSolveCommand:
         # signed zeros, subnormals and extreme exponents among the numbers
         rng = np.random.default_rng(n)
         special = np.array([-0.0, 0.0, 5e-324, -2.5e-310, 1e308, -1.0 / 3.0])
-        points = rng.standard_normal((7, n)) * 10.0 ** rng.integers(-5, 5, (7, n))
-        points.reshape(-1)[:n + 2] = special[:n + 2]
+        sizes = (4, 3, 2)[:n]
+        axes = [rng.standard_normal(g) * 10.0 ** rng.integers(-5, 5, g) for g in sizes]
+        for i, ax in enumerate(axes):
+            ax[:2] = special[2 * i:2 * i + 2]
         times = np.array([-0.0, 2.2250738585072014e-308, 0.5])
-        values = rng.standard_normal((7, 3))
+        values = rng.standard_normal(sizes + (3,))
         values.reshape(-1)[:6] = special
+        points = np.array(list(itertools.product(*axes)))
         rows = np.column_stack([np.repeat(points, len(times), axis=0),
                                 np.tile(times, len(points)), values.reshape(-1)])
         line = ",".join(["%.16e"] * (n + 2)) + "\n"
         want = "".join(line % tuple(row) for row in rows.tolist())
-        assert "".join(cli._csv_rows(points, times, values)) == want
+        assert "".join(cli._csv_rows(axes, times, values)) == want
         assert "-0.0000000000000000e+00" in want and "4.9406564584124654e-324" in want
 
     def test_unresolved_sphere_means_exit_code(self, tmp_path, capsys):
@@ -593,6 +599,65 @@ class TestSolveCommand:
             (1, 0), (2, 15), (2, 2), (1, 15)]
         assert all(o == outputs[0] for o in outputs)
 
+    def test_threads_split_the_longest_axis(self, tmp_path, monkeypatch):
+        # x2 is the longest axis: --threads 4 evaluates four slabs of it, each
+        # with all of x1, and writes the bytes one thread writes
+        shapes = []
+        build = cli.build_evaluator
+
+        def recording_build(cfg):
+            ev = build(cfg)
+            evaluate = ev.evaluate
+
+            def recorded(X, times):
+                shapes.append(X.shape)
+                return evaluate(X, times)
+
+            ev.evaluate = recorded
+            return ev
+
+        monkeypatch.setattr(cli, "build_evaluator", recording_build)
+        cfgf = tmp_path / "p.ini"
+        outputs = []
+        for threads in (1, 4):
+            out = tmp_path / f"{threads}.csv"
+            cfgf.write_text(KIRCHHOFF.format(path=out)
+                            .replace("phi1 = 1", "phi1 = x1 + 2*x2")
+                            .replace("x2 = 0:0:1", "x2 = -0.4:0.4:7"))
+            assert main(["--threads", str(threads), "solve", str(cfgf)]) == 0
+            outputs.append(out.read_bytes())
+        assert sorted(shapes) == [(3, 1, 1, 3)] + [(3, 2, 1, 3)] * 3 + [(3, 7, 1, 3)]
+        assert outputs[0] == outputs[1]
+        # a harmonic phi1 gives u = t phi1, in itertools.product order
+        _, rows = _read_csv(tmp_path / "4.csv")
+        assert np.allclose(rows[:, 4], rows[:, 3] * (rows[:, 0] + 2 * rows[:, 1]),
+                           rtol=0, atol=1e-12)
+        assert np.array_equal(rows[:7 * 3:3, 1], np.linspace(-0.4, 0.4, 7))
+
+    def test_box_grid_memory_bounded(self, tmp_path):
+        # the box synthesizes on per-axis sine tables, so a 64 x 64 x 16 grid
+        # at k_max 24 holds no array of points times modes: the traced peak
+        # was 593 MiB when the grid was synthesized as 65,536 stacked points
+        out = tmp_path / "o.csv"
+        cfgf = tmp_path / "p.ini"
+        cfgf.write_text(_box_config(3, 24, out)
+                        .replace("kind = wave-multiple", "kind = heat-product")
+                        .replace("x1 = 0.5:0.5:1", "x1 = 0.1:3:64")
+                        .replace("x2 = 0.5:0.5:1", "x2 = 0.1:3:64")
+                        .replace("x3 = 0.5:0.5:1", "x3 = 0.1:3:16")
+                        .replace("t = 0:1:2", "t = 0.1:0.1:1"))
+        tracemalloc.start()
+        try:
+            assert main(["solve", str(cfgf)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        _, rows = _read_csv(out)
+        assert rows.shape == (64 * 64 * 16, 5)
+        exact = np.exp(-0.3) * np.prod(np.sin(rows[:, :3]), axis=1)
+        assert np.allclose(rows[:, 4], exact, rtol=0, atol=1e-12)
+
     def test_heat_window_rejected(self, tmp_path, capsys):
         # the Gauss-Hermite rules have no window and start on the ladder's
         # first count; the old keys are errors
@@ -628,9 +693,9 @@ class TestSolveCommand:
             ev = build(cfg)
             evaluate = ev.evaluate
 
-            def counted(points, times):
-                calls.append((points.shape, times.shape))
-                return evaluate(points, times)
+            def counted(X, times):
+                calls.append((type(X), X.shape, times.shape))
+                return evaluate(X, times)
 
             ev.evaluate = counted
             return ev
@@ -642,7 +707,9 @@ class TestSolveCommand:
             cfgf = tmp_path / "p.ini"
             cfgf.write_text(text.format(pi=math.pi, path=out))
             assert main(["solve", str(cfgf)]) == 0
-            assert calls == [((3, 3 if text is KIRCHHOFF else 1), (3,))]
+            # the grid as an open mesh: x1 has 3 points, x2 and x3 one each
+            shape = (3, 1, 1, 3) if text is KIRCHHOFF else (3, 1)
+            assert calls == [(Mesh, shape, (3,))]
             assert len(_read_csv(out)[1]) == 9
 
     def test_negative_box_wave_time_accepted(self, tmp_path):

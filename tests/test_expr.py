@@ -332,6 +332,29 @@ class TestDag:
         want = 24 * np.mean(g / s**4, axis=1).real
         assert np.max(np.abs(got - want)) < 1e-11 * np.max(np.abs(want))
 
+    def test_rational_laplacian_powers(self):
+        # for radial f(s), s = |x|^2 in three dimensions, Lap f = 4 s f'' +
+        # 6 f', which takes (1+s)^-j to (4j^2 - 2j)(1+s)^-(j+1) -
+        # 4j(j+1)(1+s)^-(j+2): exact integer coefficients per power
+        e = parse("1/(1 + x1^2 + x2^2 + x3^2)", 3)
+        X = np.array([[0.0, 3.9, 0.0], [0.3, -1.2, 2.5], [7.0, 0.0, -0.5],
+                      [-6.0, 5.0, 5.0], [0.0, 0.0, 0.0]])
+        s = np.sum(X**2, axis=1)
+        coeffs = {1: 1}
+        for q in range(1, 5):
+            nxt = dict.fromkeys(range(1, 2 * q + 2), 0)
+            for j, c in coeffs.items():
+                nxt[j + 1] += c * (4 * j * j - 2 * j)
+                nxt[j + 2] -= c * 4 * j * (j + 1)
+            coeffs = nxt
+            want = sum(c * (1 + s) ** -j for j, c in coeffs.items())
+            # Lap^4 at (0, 3.9, 0) overflowed while every derivative squared
+            # its denominator
+            got = compile_field(laplacian_power(e, q))(X)
+            assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
+        # exponents add: Lap^3 had 2,551 nodes when denominators squared
+        assert _distinct_nodes(laplacian_power(e, 3).root) < 1000
+
     def test_equal_subexpressions_are_one_node(self):
         e = parse("sin(x1)*x2 + sin(x1)", 2).root
         assert e.left.left is e.right

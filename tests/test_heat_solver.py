@@ -98,7 +98,8 @@ class TestPropagator:
         )
 
     def test_dimension_limit(self):
-        with pytest.raises(UnsupportedDimension):
+        # the propagator and the solver share one check and its message
+        with pytest.raises(UnsupportedDimension, match="diffusion solver needs n <= 3, got 4"):
             HeatPropagator(parse("x1", 4))
 
     @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])

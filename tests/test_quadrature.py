@@ -45,7 +45,7 @@ class TestGaussLegendre:
         rule = gauss_legendre(8, 0.0, 2.0)
         # degree 15 polynomial integrated exactly
         vals = rule.nodes**15
-        assert rule.integrate(vals) == pytest.approx(2.0**16 / 16, rel=1e-14)
+        assert np.dot(rule.weights, vals) == pytest.approx(2.0**16 / 16, rel=1e-14)
 
     def test_interval_validation(self):
         with pytest.raises(InvalidInterval):

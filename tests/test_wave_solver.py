@@ -1,6 +1,7 @@
 """Whole-space wave solvers against manufactured solutions and the mode
 oracle."""
 
+import itertools
 import math
 import warnings
 
@@ -17,7 +18,7 @@ from waveforge.errors import (
     UnresolvedData,
     UnsupportedDimension,
 )
-from waveforge.expr import parse
+from waveforge.expr import Mesh, parse
 from waveforge.heat_solver import solve_heat_product
 from waveforge.ibvp import build_basis, solve_ibvp
 from waveforge.kernels import exp_divided_differences
@@ -389,6 +390,21 @@ class TestEvaluatorInterface:
             ev.evaluate(np.zeros((2, 3)), [[0.5, 1.0]])
         with pytest.raises(DataCountMismatch, match=r"and \(\)"):
             ev.evaluate(np.zeros((2, 3)), 0.5)
+        with pytest.raises(DataCountMismatch, match=r"got 2 axes and \(1,\)"):
+            ev.evaluate(Mesh(np.meshgrid([0.1], [0.2], sparse=True)), [0.5])
+
+    @pytest.mark.parametrize("family", ["wave-m2-source", "heat-equal", "box"])
+    def test_mesh_matches_its_points(self, family):
+        # on an open mesh the result has the grid's shape + (T,), each value
+        # bit for bit the one its point gives in the stacked grid
+        ev = _evaluator(family)
+        axes = [np.linspace(0.1, 0.9, 4 - i) for i in range(ev.problem.n)]
+        mesh = Mesh(np.meshgrid(*axes, indexing="ij", sparse=True))
+        points = np.array(list(itertools.product(*axes)))
+        times = [0.0, 0.4]
+        got = ev.evaluate(mesh, times)
+        assert got.shape == tuple(len(a) for a in axes) + (2,)
+        assert np.array_equal(got.reshape(-1, 2), ev.evaluate(points, times))
 
     @pytest.mark.parametrize("kind", ["wave-multiple", "wave-distinct"])
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
