@@ -9,7 +9,7 @@ integrals of such terms, for each cluster centre c.
 The diffusion semigroup e^{lam Lap} is the Gaussian convolution, realized
 by tensor Gauss-Hermite rules on the whole space.  Each (point, diffusion
 time) climbs a ladder of per-axis node counts by
-:func:`~waveforge.quadrature.climb`; data that no rule on the ladder
+:func:`~waveforge.quadrature.ladder_sums`; data that no rule on the ladder
 resolves raise :class:`~waveforge.errors.UnresolvedData`.
 """
 
@@ -23,7 +23,7 @@ from numpy.polynomial.hermite import hermgauss
 from .errors import InvalidOrder, NegativeDiffusionTime, UnsupportedDimension
 from .expr import Expr, compile_field
 from .problems import CauchyProblem, SolutionEvaluator, cluster_evaluator
-from .quadrature import brief, centre_sums, climb
+from .quadrature import brief, ladder_sums
 
 __all__ = ["HeatPropagator", "check_heat", "heat_propagate", "solve_heat_product"]
 
@@ -56,18 +56,18 @@ class HeatPropagator:
 
     Substituting y = x + sqrt(lam) * zeta turns the Gaussian convolution
     into a lam-independent weight exp(-|zeta|^2/4) / (4 pi)^(n/2), so each
-    tensor Gauss-Hermite rule serves every diffusion time.  Each (point,
-    diffusion time) climbs :data:`LADDER` by
-    :func:`~waveforge.quadrature.climb`, from its first two rules, 8 and 12
-    nodes per axis; each block of pending entries it asks for is one
-    :func:`~waveforge.quadrature.centre_sums` on that rung's rule.
+    tensor Gauss-Hermite rule serves every diffusion time.  Each
+    application is one :func:`~waveforge.quadrature.ladder_sums`: each
+    (point, diffusion time) entry climbs :data:`LADDER` from its first two
+    rules, 8 and 12 nodes per axis, and each rung sums the pending entries
+    by one :func:`~waveforge.quadrature.centre_sums` on its rule.
     """
 
     def __init__(self, field: Expr):
         check_heat(field.ndim)
         self.field = field
         f = compile_field(field)
-        self._g = lambda pts, offs, t: f(pts, t)
+        self._g = lambda pts, s, u, t: f(pts, t)
 
     def apply_many(self, x, lams: np.ndarray, t_args=None, t_weights=None):
         """Semigroup at each diffusion time in ``lams`` (zeros allowed), and
@@ -81,29 +81,20 @@ class HeatPropagator:
         size to sum_k |t_weights[j, k]| |f(., t_args[j, k])|, both passed
         through every rung by :func:`~waveforge.quadrature.centre_sums`.
         """
-        x = np.asarray(x, dtype=float)
         lams = np.asarray(lams, dtype=float)
         bad = ~(np.isfinite(lams) & (lams >= 0))
         if bad.any():
             raise NegativeDiffusionTime(
                 f"diffusion times must be finite and >= 0, got {lams[bad][0]}"
             )
-        centres = np.atleast_2d(x)
-        steps = np.sqrt(lams)
-        t_args = np.broadcast_to(0.0 if t_args is None else t_args,
-                                 steps.shape if t_weights is None else np.shape(t_weights))
-        out = climb(
-            LADDER, lambda count, rows, cols: centre_sums(
-                self._g, centres[rows], steps[cols],
-                *hermite_rule(centres.shape[1], count), t_args[cols],
-                None if t_weights is None else t_weights[cols]),
-            (len(centres), steps.size),
-            lambda entry, lo, hi: (
+        return ladder_sums(
+            self._g, LADDER, functools.partial(hermite_rule, np.shape(x)[-1]), x,
+            np.sqrt(lams), t_args, t_weights,
+            lambda x, j, lo, hi: (
                 f"e^(lam Lap) of {brief(self.field)} at diffusion time lam = "
-                f"{float(lams[entry[1]])!r}, x = {centres[entry[0]].tolist()}: "
+                f"{float(lams[j])!r}, x = {x}: "
                 f"the {lo}- and {hi}-node Gauss-Hermite rules per axis"),
             f"no setting raises the top of {LADDER[-1]} nodes per axis")
-        return tuple(v[0] for v in out) if x.ndim == 1 else out
 
 
 def heat_propagate(field: Expr, lam: float, x) -> float:

@@ -224,7 +224,8 @@ class IbvpEvaluator(SolutionEvaluator):
         acc = np.zeros(b.k_max**b.d)
         acc[b.grid_index] = self.amplitudes(t)
         for x, Li in zip(X, b.L):
-            table = np.sin(np.multiply.outer(x, k * (np.pi / Li)))
+            table = np.multiply.outer(x, k * (np.pi / Li))
+            np.sin(table, out=table)
             acc = acc.reshape(acc.shape[:-1] + (b.k_max, -1))
             out = table[..., 0, None] * acc[..., 0, :]
             for j in range(1, b.k_max):

@@ -62,34 +62,26 @@ def _check_distinct(a):
     return a
 
 
+def _fraction_weights(a, power: int) -> PartialFractionWeights:
+    """Weights a_j^(power (m-1)) / prod_{i != j} (a_j^power - a_i^power)."""
+    m = len(a)
+    v = [x ** power for x in a]
+    return PartialFractionWeights(tuple(a), tuple(
+        a[j] ** (power * (m - 1)) / math.prod(v[j] - v[i] for i in range(m) if i != j)
+        for j in range(m)))
+
+
 def first_order_weights(a) -> PartialFractionWeights:
     """Weights a_j^(m-1) / prod_{i != j} (a_j - a_i); they sum to 1."""
-    a = _check_distinct(a)
-    m = len(a)
-    weights = []
-    for j in range(m):
-        denom = 1.0
-        for i in range(m):
-            if i != j:
-                denom *= a[j] - a[i]
-        weights.append(a[j] ** (m - 1) / denom)
-    return PartialFractionWeights(tuple(a), tuple(weights))
+    return _fraction_weights(_check_distinct(a), 1)
 
 
 def second_order_weights(a) -> PartialFractionWeights:
     """Weights a_j^(2m-2) / prod_{i != j} (a_j^2 - a_i^2) for positive speeds."""
     a = _check_distinct(a)
-    m = len(a)
     if any(v <= 0 for v in a):
         raise NonPositiveSpeed(f"second-order weights need positive speeds: {a}")
-    weights = []
-    for j in range(m):
-        denom = 1.0
-        for i in range(m):
-            if i != j:
-                denom *= a[j] ** 2 - a[i] ** 2
-        weights.append(a[j] ** (2 * m - 2) / denom)
-    return PartialFractionWeights(tuple(a), tuple(weights))
+    return _fraction_weights(a, 2)
 
 
 def speed_clusters(values):

@@ -134,6 +134,11 @@ class SolutionEvaluator:
                 f"need points of shape (P, {n}) or a mesh of {n} axes, and "
                 f"times of shape (T,), got {got} and {times.shape}"
             )
+        try:
+            shape = X.shape[:-1]
+        except ValueError:
+            raise DataCountMismatch(f"mesh axes of shapes {[x.shape for x in X]} "
+                                    f"do not broadcast") from None
         # diffusion runs forward only; backwards its modes blow up
         if self.problem.kind == "heat-product":
             bad = ~(np.isfinite(times) & (times >= 0))
@@ -143,7 +148,7 @@ class SolutionEvaluator:
         elif not np.isfinite(times).all():
             raise DomainError(
                 f"time must be finite, got {times[~np.isfinite(times)][0]}")
-        out = np.empty(X.shape[:-1] + (times.size,))
+        out = np.empty(shape + (times.size,))
         for j, t in enumerate(times):
             out[..., j] = self._fn(X, float(t))
         return out
@@ -250,9 +255,9 @@ def cluster_evaluator(problem: CauchyProblem, kernel: Callable) -> SolutionEvalu
       beta = b(t - t z).
 
     The size is the same sum with |t|, |beta| and the kernel's own size.
-    Each point climbs the counts by :func:`~waveforge.quadrature.climb`,
-    as an entry of a (P, 1) array, so its rule does not depend on its
-    batch; at t = 0 every ruled term vanishes and none is taken.
+    Each point is one entry of :func:`~waveforge.quadrature.climb` over
+    the counts, so its rule does not depend on its batch; at t = 0 every
+    ruled term vanishes and none is taken.
 
     ``kernel(field)`` returns ``apply(points, c, taus, t_args=None,
     cosh=False, t_weights=None)``: K = L^-1[1/(s^nu - c Lap)] of the field
@@ -310,7 +315,7 @@ def cluster_evaluator(problem: CauchyProblem, kernel: Callable) -> SolutionEvalu
 
     def ruled_part(points, t, count):
         """The ruled terms at time t on the count-node rule, and their
-        size, shape (P, 1) each."""
+        size, shape (P,) each."""
         rule = gauss_legendre(count, 0.0, 1.0)
         z, wz = rule.nodes, rule.weights
         tau, rest = t * z, t - t * z
@@ -327,7 +332,7 @@ def cluster_evaluator(problem: CauchyProblem, kernel: Callable) -> SolutionEvalu
             vals, size = apply(points, c, *args)
             out += beta * vals
             mag += np.abs(beta) * size
-        return (t * row_dot(out, wz))[:, None], (abs(t) * row_dot(mag, wz))[:, None]
+        return t * row_dot(out, wz), abs(t) * row_dot(mag, wz)
 
     def evaluate(X, t):
         # climb's entries are points: the mesh's points as rows
@@ -338,12 +343,12 @@ def cluster_evaluator(problem: CauchyProblem, kernel: Callable) -> SolutionEvalu
         if t == 0.0 or not terms:
             return total.reshape(X.shape[:-1])
         ruled_total, _ = climb(
-            TIME_LADDER, lambda count, rows, _: ruled_part(points[rows], t, count),
-            (len(points), 1),
-            lambda entry, lo, hi: (
-                f"time integrals at t = {t!r}, x = {points[entry[0]].tolist()}: "
+            TIME_LADDER, lambda count, idx: ruled_part(points[idx], t, count),
+            len(points),
+            lambda e, lo, hi: (
+                f"time integrals at t = {t!r}, x = {points[e].tolist()}: "
                 f"the {lo}- and {hi}-node Gauss-Legendre time rules"),
             f"no setting raises the top of {TIME_LADDER[-1]} nodes")
-        return (total + ruled_total[:, 0]).reshape(X.shape[:-1])
+        return (total + ruled_total).reshape(X.shape[:-1])
 
     return SolutionEvaluator(problem, evaluate)

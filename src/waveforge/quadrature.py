@@ -7,8 +7,10 @@ heat propagator's Gaussian sums share one bounded reduction,
 :func:`centre_sums`, which returns the data's size with every sum, and
 every rule sized by a companion-rule estimate (the sphere degree, the
 Gauss-Hermite count and the time rule) climbs one ladder, :func:`climb`,
-which splits the entries still pending into product blocks.  All rules
-are immutable value objects and all operations are pure.
+on flat entries: a point of the time ladder, a (centre, step) pair of
+the sphere and Gauss-Hermite ladders, which :func:`ladder_sums` maps to
+a kernel's points x times.  All rules are immutable value objects and
+all operations are pure.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ __all__ = [
     "SPHERE_LADDER",
     "check_sphere",
     "climb",
+    "ladder_sums",
     "double_factorial",
 ]
 
@@ -54,7 +57,6 @@ def double_factorial(k: int) -> float:
 class GaussRule:
     nodes: np.ndarray
     weights: np.ndarray
-    interval: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -140,7 +142,7 @@ def gauss_legendre(count: int, a: float, b: float) -> GaussRule:
     nodes, weights = _unit_rule(count)
     half = 0.5 * (b - a)
     mid = 0.5 * (b + a)
-    return GaussRule(mid + half * nodes, half * weights, (a, b))
+    return GaussRule(mid + half * nodes, half * weights)
 
 
 def _polar_rule(count: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -205,76 +207,76 @@ def brief(field) -> str:
     return text if len(text) <= FIELD_TEXT else text[:FIELD_TEXT] + "..."
 
 
-def _pending_blocks(pending: np.ndarray) -> list:
-    """The product blocks (rows, cols) of a (P, J) boolean array's true
-    entries: the columns true at the same rows, in order of their first
-    column, each with those rows.  Columns with no true entry are left out."""
-    groups = {}
-    for j, col in enumerate(pending.T):
-        if col.any():
-            groups.setdefault(col.tobytes(), []).append(j)
-    return [(np.flatnonzero(pending[:, cols[0]]), np.array(cols))
-            for cols in groups.values()]
+def climb(rungs: Sequence[int], sums: Callable, count: int,
+          unresolved: Callable[[int, int, int], str], remedy: str = ""):
+    """Values and sizes of entries 0..count-1, each on the first rule of
+    the ladder ``rungs`` that agrees with the one below.
 
-
-def climb(rungs: Sequence[int], sums: Callable, shape: tuple,
-          unresolved: Callable[[tuple, int, int], str], remedy: str = ""):
-    """Values and sizes of every entry of a (P, J) array of ``shape``,
-    each on the first rule of the ladder ``rungs`` that agrees with the
-    one below.
-
-    ``sums(rung, rows, cols)`` returns the values and the data's size on
-    rule ``rung`` for one product block of entries, the index arrays
-    ``rows`` x ``cols``, shape (len(rows), len(cols)) each.  Every rung
-    asks only for pending entries: columns pending at the same rows share
-    one block, and while every entry is pending the block is the whole
-    array.  An entry moves up one rung while the last two differ by
-    more than :data:`TOLERANCE` of its size under the larger.  One still
-    pending on the top rung raises
-    :class:`~waveforge.errors.UnresolvedData`: ``unresolved(entry, lo,
-    hi)`` names the entry (an index pair) and the top two rungs, the gap
-    and the size follow, and ``remedy``, if given, ends the message: what
-    raises the top, or that nothing does.  A one-rung ladder is that rule
-    alone, unchecked.
+    ``sums(rung, idx)`` returns the values and the data's size on rule
+    ``rung`` for the entries of the index array ``idx``, shape (len(idx),)
+    each.  Every rung asks once, for the entries still pending, in order.
+    An entry moves up one rung while the last two differ by more than
+    :data:`TOLERANCE` of its size under the larger.  One still pending on
+    the top rung raises :class:`~waveforge.errors.UnresolvedData`:
+    ``unresolved(entry, lo, hi)`` names the first such entry and the top
+    two rungs, the gap and the size follow, and ``remedy``, if given, ends
+    the message: what raises the top, or that nothing does.  A one-rung
+    ladder is that rule alone, unchecked.
     """
-    out, mag = np.empty(shape), np.empty(shape)
-    pending = np.ones(shape, dtype=bool)
-
-    def blocks(rung):
-        if pending.all():
-            return sums(rung, np.arange(shape[0]), np.arange(shape[1]))
-        vals, size = np.zeros(shape), np.zeros(shape)
-        for rows, cols in _pending_blocks(pending):
-            block = np.ix_(rows, cols)
-            vals[block], size[block] = sums(rung, rows, cols)
-        return vals, size
-
-    lo, size = blocks(rungs[0])
+    idx = np.arange(count)
+    lo, size = sums(rungs[0], idx)
     if len(rungs) == 1:
         return lo, size
+    out, mag = np.empty(count), np.empty(count)
     for rung in rungs[1:]:
-        hi, size = blocks(rung)
+        hi, size = sums(rung, idx)
         gap = np.abs(hi - lo)
-        done = pending & (gap <= TOLERANCE * size)
-        out[done], mag[done] = hi[done], size[done]
-        pending &= ~done
-        if not pending.any():
+        done = gap <= TOLERANCE * size
+        out[idx[done]], mag[idx[done]] = hi[done], size[done]
+        keep = ~done
+        idx, lo, gap, size = idx[keep], hi[keep], gap[keep], size[keep]
+        if not idx.size:
             return out, mag
-        lo = hi
-    entry = tuple(np.argwhere(pending)[0].tolist())
-    message = (f"{unresolved(entry, rungs[-2], rungs[-1])} differ by {gap[entry]:.3g}, "
-               f"more than {TOLERANCE:g} of the data's size {size[entry]:.3g}")
+    message = (f"{unresolved(int(idx[0]), rungs[-2], rungs[-1])} differ by {gap[0]:.3g}, "
+               f"more than {TOLERANCE:g} of the data's size {size[0]:.3g}")
     raise UnresolvedData(f"{message}; {remedy}" if remedy else message)
 
 
+def ladder_sums(g, rungs: Sequence[int], rule: Callable, centres, steps,
+                t_args, t_weights, unresolved: Callable, remedy: str):
+    """:func:`climb` over the product of points and steps: the values and
+    sizes of :func:`centre_sums` at every point of ``centres`` and step of
+    ``steps`` (J,), shape (P, J) each for (P, n) points and (J,) for one
+    point (n,).
+
+    Entry e is point e // J at step e % J, and each rung sums the pending
+    entries on ``rule(rung)``, its nodes and weights.  ``t_args`` (J,), or
+    with ``t_weights`` (J, S) both, are each step's time arguments, zero if
+    None, as :func:`centre_sums` takes them.  ``unresolved(x, j, lo, hi)``
+    names an unresolved entry by its point x, a list, and step index j.
+    """
+    x = np.asarray(centres, dtype=float)
+    centres, steps = np.atleast_2d(x), np.asarray(steps, dtype=float)
+    J = steps.size
+
+    def sums(rung, idx):
+        p, j = np.divmod(idx, J)
+        times = (None if a is None else np.asarray(a)[j] for a in (t_args, t_weights))
+        return centre_sums(g, centres[p], steps[j], *rule(rung), *times)
+
+    out = climb(rungs, sums, len(centres) * J,
+                lambda e, lo, hi: unresolved(centres[e // J].tolist(), e % J, lo, hi),
+                remedy)
+    return tuple(v.reshape(x.shape[:-1] + (J,)) for v in out)
+
+
 # Most field values one reduction builds at once, a value being a point at
-# one source time: chunks of whole centres while one centre's rows fit,
-# else rows of a single centre, else runs of one row's nodes, so no field
-# call outgrows BATCH_POINTS unless one row of nodes does, and then none
-# builds more values than that row has nodes.  Larger chunks were no
-# faster, and freeing their larger arrays raises malloc's mmap threshold,
-# so more freed memory stays resident: 1 << 20 added 25 MiB to the
-# whole-space configs' peak RSS.
+# one source time: chunks of whole entries while one entry's row fits,
+# else runs of one row's nodes, so no field call outgrows BATCH_POINTS
+# unless one row of nodes does, and then none builds more values than
+# that row has nodes.  Larger chunks were no faster, and freeing their
+# larger arrays raises malloc's mmap threshold, so more freed memory stays
+# resident: 1 << 20 added 25 MiB to the whole-space configs' peak RSS.
 BATCH_POINTS = 1 << 16
 # A row of more nodes is summed in chunks of this many, in node order; the
 # boundaries are fixed, so a value depends neither on its batch nor on
@@ -292,34 +294,35 @@ def row_dot(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def centre_sums(g, centres: np.ndarray, steps, nodes: np.ndarray,
                 weights: np.ndarray, t_args=None, t_weights=None):
-    """sum_d weights[d] g(x + s_j u_d) for every centre x (P, n) and step
-    s_j (J,), and the data's size sum_d weights[d] |g(x + s_j u_d)| from
-    the same values, shape (P, J) each, with u_d the rows of ``nodes``
-    (D, n).
+    """sum_d weights[d] g(x_e + s_e u_d) for every entry e, a centre x_e of
+    ``centres`` (E, n) with its own step s_e of ``steps`` (E,), and the
+    data's size sum_d weights[d] |g(x_e + s_e u_d)| from the same values,
+    shape (E,) each, with u_d the rows of ``nodes`` (D, n).
 
-    ``g(points, offsets, t)`` takes per-axis arrays: ``points`` is a
-    :class:`~waveforge.expr.Mesh` of the n coordinates x_a + s_j u_da,
-    (C, J', D', 1) each, ``offsets`` one of the offsets s_j u_da, (J', D',
-    1) each, and ``t`` the time arguments (J', 1, S); it returns values
-    (C, J', D', S).  ``t_args`` is each step's time argument, (J,), zero if
-    None.  With ``t_weights`` both are (J, S), S source times per step: g
-    is then sum_k t_weights[j, k] g(., t_args[j, k]), of size sum_k
-    |t_weights[j, k]| |g(., t_args[j, k])|.  The field is evaluated once on
-    that trailing source-time axis, so a subexpression that does not read
-    t is computed once per point, and the axis is contracted per point by
+    ``g(points, steps, nodes, t)`` takes per-axis arrays: ``points`` is a
+    :class:`~waveforge.expr.Mesh` of the n coordinates x_ea + s_e u_da,
+    (E', D', 1) each, ``steps`` the entries' steps (E', 1, 1), ``nodes`` a
+    Mesh of the node coordinates u_da, (D', 1) each, and ``t`` the time
+    arguments (E', 1, S); it returns values (E', D', S).  ``t_args`` is
+    each entry's time argument, (E,), zero if None.  With ``t_weights``
+    both are (E, S), S source times per entry: g is then sum_k
+    t_weights[e, k] g(., t_args[e, k]), of size sum_k |t_weights[e, k]|
+    |g(., t_args[e, k])|.  The field is evaluated once on that trailing
+    source-time axis, so a subexpression that does not read t is computed
+    once per point, and the axis is contracted per point by
     :func:`row_dot`, before the node sum.
 
-    A zero step is g at the centre itself, exactly.  Each (centre, step)
-    is reduced by its own dot product per chunk of :data:`ROW_CHUNK`
-    nodes, the chunks' sums added in node order, so its value does not
-    depend on how the work is chunked.
+    A zero step is g at the centre itself, exactly.  Each entry is reduced
+    by its own dot product per chunk of :data:`ROW_CHUNK` nodes, the
+    chunks' sums added in node order, so its value does not depend on how
+    the work is chunked.
     """
     steps = np.asarray(steps, dtype=float)
     if t_weights is None:
         t_args = np.broadcast_to(0.0 if t_args is None else t_args, steps.shape)[:, None]
     sources = t_args.shape[1]
     axes = range(centres.shape[1])
-    out = np.empty((len(centres), steps.size))
+    out = np.empty(steps.size)
     mag = np.empty_like(out)
     zero = steps == 0.0
     # a zero step takes one node of weight 1: the centre
@@ -328,35 +331,33 @@ def centre_sums(g, centres: np.ndarray, steps, nodes: np.ndarray,
         width = min(len(w), ROW_CHUNK)  # nodes a row sums at once
         budget = max(BATCH_POINTS, width)  # most values a field call builds
         span = max(1, min(width, budget // sources))  # nodes a field call takes
-        rows = max(1, min(idx.size, budget // (span * sources)))
-        step = max(1, budget // (rows * span * sources))
-        for i in range(0, len(centres), step):
-            x = centres[i:i + step]
-            for j in range(0, idx.size, rows):
-                r = idx[j:j + rows]
-                t = t_args[r, None]
-                tw = None if t_weights is None else t_weights[r, None]
+        rows = max(1, budget // (span * sources))  # entries a field call takes
+        for j in range(0, idx.size, rows):
+            r = idx[j:j + rows]
+            x, s, t = centres[r, :, None, None], steps[r, None, None], t_args[r, None]
+            tw = None if t_weights is None else t_weights[r, None]
 
-                def reduced(a, b):
-                    """Nodes a:b's values and sizes, (C, R, b - a) each; the
-                    field's values are freed on return."""
-                    offs = Mesh(steps[r, None, None] * u[a:b, k, None] for k in axes)
-                    vals = g(Mesh(x[:, k, None, None, None] + offs[k] for k in axes),
-                             offs, t)
-                    if tw is None:
-                        return vals[..., 0], np.abs(vals[..., 0])
-                    return row_dot(vals, tw), row_dot(np.abs(vals), np.abs(tw))
+            def reduced(a, b):
+                """Nodes a:b's values and sizes, (E', b - a) each; the
+                field's values are freed on return."""
+                ua = Mesh(u[a:b, k, None] for k in axes)
+                pts = Mesh(s * uk for uk in ua)
+                for p, k in zip(pts, axes):
+                    p += x[:, k]
+                vals = g(pts, s, ua, t)
+                if tw is None:
+                    return vals[..., 0], np.abs(vals[..., 0])
+                return row_dot(vals, tw), row_dot(np.abs(vals), np.abs(tw))
 
-                block = np.s_[i:i + step, r]
-                for k in range(0, len(w), width):
-                    end = min(k + width, len(w))
-                    parts = [reduced(a, min(a + span, end)) for a in range(k, end, span)]
-                    vals, sizes = parts[0] if len(parts) == 1 else (
-                        np.concatenate(p, axis=-1) for p in zip(*parts))
-                    part = row_dot(vals, w[k:end])
-                    out[block] = part if k == 0 else out[block] + part
-                    part = row_dot(sizes, w[k:end])
-                    mag[block] = part if k == 0 else mag[block] + part
+            for k in range(0, len(w), width):
+                end = min(k + width, len(w))
+                parts = [reduced(a, min(a + span, end)) for a in range(k, end, span)]
+                vals, sizes = parts[0] if len(parts) == 1 else (
+                    np.concatenate(p, axis=-1) for p in zip(*parts))
+                part = row_dot(vals, w[k:end])
+                out[r] = part if k == 0 else out[r] + part
+                part = row_dot(sizes, w[k:end])
+                mag[r] = part if k == 0 else mag[r] + part
     return out, mag
 
 
@@ -365,9 +366,9 @@ def spherical_mean(field: Expr, center: Sequence[float], radius: float,
     """Mean of ``field`` over the sphere of given radius around ``center``."""
     f = compile_field(field)
     center = np.asarray(center, dtype=float)
-    means, _ = centre_sums(lambda pts, offs, t: f(pts, t), center[None, :],
+    means, _ = centre_sums(lambda pts, s, u, t: f(pts, t), center[None, :],
                            [radius], rule.directions, rule.weights)
-    return float(means[0, 0])
+    return float(means[0])
 
 
 def iterated_time_integral(g: Callable[[np.ndarray], np.ndarray], m: int,
@@ -408,12 +409,12 @@ class SinhKernel:
       M'' + (4/r) M' = M[Lap f].
 
     The field is compiled once, its gradient and Laplacian and each rule
-    by the first mean that uses them.  Each application reduces the
-    Darboux integrand by :func:`centre_sums`, vectorized over points and
-    times, and returns the data's size with the values.  Each (point,
-    time) climbs the sphere degrees of :data:`SPHERE_LADDER` below
-    ``spec.sphere_degree``, then that degree, the top rung, by
-    :func:`climb`; data that the top two rules do not resolve raise
+    by the first mean that uses them.  Each application is one
+    :func:`ladder_sums` of the Darboux integrand over the points and
+    times, and returns the data's size with the values: each (point,
+    time) entry climbs the sphere degrees of :data:`SPHERE_LADDER` below
+    ``spec.sphere_degree``, then that degree, the top rung; data that the
+    top two rules do not resolve raise
     :class:`~waveforge.errors.UnresolvedData`.  A top at or below the
     first rung is one fixed rule, unchecked.  ``rule`` is the top rung's
     rule.
@@ -463,41 +464,32 @@ class SinhKernel:
         every rung by :func:`centre_sums`.  ``cosh`` applies C_a in place
         of S_a.
         """
-        x = np.asarray(x, dtype=float)
         ts = np.asarray(ts, dtype=float)
         f, k = self._f, 1.0 / (self.n - 2)
         grad = self._grad if cosh or self.n == 5 else ()
         lap = self._lap if cosh and self.n == 5 else None
 
-        def integrand(pts, offs, t):
+        def integrand(pts, r, u, t):
             # f + k r w.grad(f), and with the Laplacian + k r^2 Lap f
             vals = f(pts, t)
             if grad:
-                slope = [k * o for o in offs]  # k r w
-                for s, g in zip(slope, grad):
-                    vals += s * g(pts, t)
+                slope = u[0] * grad[0](pts, t)
+                for ua, g in zip(u[1:], grad[1:]):
+                    slope += ua * g(pts, t)
+                slope *= k * r
+                vals += slope
                 if lap is not None:
-                    r2 = np.stack([s * o for s, o in zip(slope, offs)], axis=-1)
-                    vals += r2.sum(axis=-1) * lap(pts, t)
+                    vals += k * r * r * lap(pts, t)
             return vals
 
-        centres = np.atleast_2d(x)
-        steps = self.a * ts
-        t_args = np.broadcast_to(0.0 if t_args is None else t_args,
-                                 steps.shape if t_weights is None else np.shape(t_weights))
-
-        def sums(degree, rows, cols):
+        def sphere_nodes(degree):
             rule = sphere_rule(self.n, degree)
-            return centre_sums(integrand, centres[rows], steps[cols],
-                               rule.directions, rule.weights, t_args[cols],
-                               None if t_weights is None else t_weights[cols])
+            return rule.directions, rule.weights
 
-        means, mag = climb(
-            self.rungs, sums, (len(centres), steps.size),
-            lambda entry, lo, hi: (
-                f"sphere means of {brief(self.field)} at t = {float(ts[entry[1]])!r}, "
-                f"x = {centres[entry[0]].tolist()}: the degree-{lo} and "
-                f"degree-{hi} sphere rules"),
+        means, mag = ladder_sums(
+            integrand, self.rungs, sphere_nodes, x, self.a * ts, t_args, t_weights,
+            lambda x, j, lo, hi: (
+                f"sphere means of {brief(self.field)} at t = {float(ts[j])!r}, "
+                f"x = {x}: the degree-{lo} and degree-{hi} sphere rules"),
             f"raise [quadrature] sphere_degree above {self.rungs[-1]}")
-        out = (means, mag) if cosh else (ts * means, np.abs(ts) * mag)
-        return tuple(v[0] for v in out) if x.ndim == 1 else out
+        return (means, mag) if cosh else (ts * means, np.abs(ts) * mag)

@@ -19,8 +19,9 @@ from waveforge import cli
 from waveforge.cli import main
 from waveforge.config import MAX_ROWS, dump_config, load_config, parse_config
 from waveforge.errors import ConfigError, InvalidBox
-from waveforge.expr import Mesh
-from waveforge.ibvp import build_basis
+from waveforge.expr import Mesh, parse
+from waveforge.ibvp import build_basis, solve_ibvp
+from waveforge.problems import CauchyProblem
 from waveforge.oracle import ModeProblem, mode_solve
 from test_wave_solver import _stopping_counts
 
@@ -657,6 +658,24 @@ class TestSolveCommand:
         assert rows.shape == (64 * 64 * 16, 5)
         exact = np.exp(-0.3) * np.prod(np.sin(rows[:, :3]), axis=1)
         assert np.allclose(rows[:, 4], exact, rtol=0, atol=1e-12)
+
+    def test_box_sine_table_memory_bounded(self):
+        # a long 1-D axis holds its sine table, points times k_max values,
+        # and no temporary of that size: the traced peak was 98 MiB at
+        # 2^18 points, k_max 24, when the sine was not taken in place
+        p = CauchyProblem("heat-product", 1, 1, (1.0,), None, (parse("sin(x1)", 1),))
+        ev = solve_ibvp(p, build_basis([math.pi], 24))
+        x = np.linspace(0.1, 3.0, 1 << 18)
+        ev.evaluate(Mesh((x,)), [0.5])  # the amplitudes, cached
+        table = x.nbytes * 24
+        tracemalloc.start()
+        try:
+            u = ev.evaluate(Mesh((x,)), [0.5])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table <= peak < 1.25 * table
+        assert np.allclose(u[:, 0], math.exp(-0.5) * np.sin(x), rtol=0, atol=1e-12)
 
     def test_heat_window_rejected(self, tmp_path, capsys):
         # the Gauss-Hermite rules have no window and start on the ladder's

@@ -137,6 +137,18 @@ class TestResolution:
         assert "Gauss-Hermite" in msg
         assert msg.endswith("; no setting raises the top of 96 nodes per axis")
 
+    @pytest.mark.parametrize("lams", [[0.0, 1.0], [0.0, 1.0, 0.01]])
+    def test_message_names_the_unresolved_entry(self, lams):
+        # every rule gives 0 at x = 0 and the centre value at lam = 0, and
+        # lam = 0.01 is resolved, so the first unresolved entry is point 1
+        # at lam = 1: flat entry 3 of 4, or 4 of 6
+        prop = HeatPropagator(parse("sin(8*x1)", 1))
+        with pytest.raises(UnresolvedData) as info:
+            prop.apply_many([[0.0], [0.3]], lams)
+        assert str(info.value).startswith(
+            "e^(lam Lap) of sin(8*x1) at diffusion time lam = 1.0, x = [0.3]: "
+            "the 64- and 96-node Gauss-Hermite rules per axis differ by")
+
     def test_unresolved_through_the_solver(self):
         p = CauchyProblem("heat-product", 1, 1, (1.0,), None,
                           (parse("sin(8*x1)", 1),))
@@ -155,13 +167,13 @@ class TestResolution:
         lams = np.array([0.0, 0.05, 0.3, 1.0, 0.3, 1.0])
         t_args = np.array([0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
         asked = {}  # node count: entries asked on that rule, in rung order
-        sums = heat_solver.centre_sums
+        sums = quadrature.centre_sums
 
         def recording(g, centres, steps, nodes, w, *times):
-            asked[len(w)] = asked.get(len(w), 0) + len(centres) * len(steps)
+            asked[len(w)] = asked.get(len(w), 0) + len(steps)
             return sums(g, centres, steps, nodes, w, *times)
 
-        monkeypatch.setattr(heat_solver, "centre_sums", recording)
+        monkeypatch.setattr(quadrature, "centre_sums", recording)
         batch, _ = prop.apply_many(points, lams, t_args)
         rungs, ladder = list(asked.items()), heat_solver.LADDER
         # the ladder in order: every entry is asked on the first pair, some

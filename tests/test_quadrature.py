@@ -201,7 +201,7 @@ class TestCentreSums:
     """The sums and the data's size sum_d w_d |g| come from the same values."""
 
     @staticmethod
-    def _g(pts, offs, t):
+    def _g(pts, s, u, t):
         # changes sign on every sphere of radius >= 0.4 used below; the
         # points come as per-axis coordinate arrays
         return np.sin(3.0 * pts[0]) - 0.2
@@ -209,17 +209,27 @@ class TestCentreSums:
     CENTRES = np.array([[0.1, 0.2, -0.3], [1.0, 0.0, 0.5]])
     STEPS = np.array([0.0, 0.4, 1.3])
 
+    @classmethod
+    def _entries(cls, centres, *per_step):
+        """Every (centre, step) pair as flat entries, centre-major: the
+        entries' centres, then each per-step array repeated per centre."""
+        reps = len(centres)
+        return (np.repeat(centres, len(cls.STEPS), axis=0),
+                *(np.tile(a, (reps,) + (1,) * (a.ndim - 1)) for a in per_step))
+
     def _reduce(self):
         rule = sphere_rule(3, 6)
-        return centre_sums(self._g, self.CENTRES, self.STEPS,
-                           rule.directions, rule.weights)
+        centres, steps = self._entries(self.CENTRES, self.STEPS)
+        sums, sizes = centre_sums(self._g, centres, steps,
+                                  rule.directions, rule.weights)
+        return sums.reshape(2, 3), sizes.reshape(2, 3)
 
     def test_sizes_are_weighted_absolute_values(self):
         rule = sphere_rule(3, 6)
         sums, sizes = self._reduce()
         for p, x in enumerate(self.CENTRES):
             for j, s in enumerate(self.STEPS[1:], 1):
-                vals = self._g(tuple((x + s * rule.directions).T), None, 0.0)
+                vals = self._g(tuple((x + s * rule.directions).T), None, None, 0.0)
                 assert vals.min() < 0 < vals.max()
                 assert sums[p, j] == pytest.approx(np.dot(rule.weights, vals),
                                                    rel=1e-13)
@@ -229,7 +239,7 @@ class TestCentreSums:
 
     def test_zero_step_size_is_the_centre_value(self):
         sums, sizes = self._reduce()
-        at_centre = self._g(tuple(self.CENTRES.T), None, 0.0)
+        at_centre = self._g(tuple(self.CENTRES.T), None, None, 0.0)
         assert sums[:, 0].tolist() == at_centre.tolist()
         assert sizes[:, 0].tolist() == np.abs(at_centre).tolist()
 
@@ -241,19 +251,31 @@ class TestCentreSums:
         np.testing.assert_allclose(chunked_sums, sums, rtol=1e-14, atol=1e-16)
         np.testing.assert_allclose(chunked_sizes, sizes, rtol=1e-14, atol=0)
 
+    def test_entries_are_pairs_in_any_order(self):
+        # an entry's sum depends on its own centre and step only
+        rule = sphere_rule(3, 6)
+        sums, sizes = self._reduce()
+        centres = self.CENTRES[[1, 0, 1, 0]]
+        steps = self.STEPS[[2, 1, 0, 2]]
+        got = centre_sums(self._g, centres, steps, rule.directions, rule.weights)
+        assert got[0].tolist() == [sums[1, 2], sums[0, 1], sums[1, 0], sums[0, 2]]
+        assert got[1].tolist() == [sizes[1, 2], sizes[0, 1], sizes[1, 0], sizes[0, 2]]
+
     # per step: three source times and their weights, some negative
     SIGMAS = np.array([[0.1, 0.5, 0.9], [0.2, 0.4, 0.7], [0.3, 0.6, 0.8]])
     OMEGAS = np.array([[0.3, -0.2, 0.5], [0.1, 0.4, -0.6], [0.2, 0.2, 0.2]])
 
     @staticmethod
-    def _gt(pts, offs, t):
+    def _gt(pts, s, u, t):
         return np.sin(3.0 * pts[0]) * np.cos(2.0 * t) - 0.2 * t
 
     def _weighted(self, g=None, centres=None):
         rule = sphere_rule(3, 6)
-        return centre_sums(g or self._gt, self.CENTRES if centres is None else centres,
-                           self.STEPS, rule.directions, rule.weights,
-                           self.SIGMAS, self.OMEGAS)
+        centres = self.CENTRES if centres is None else centres
+        entries = self._entries(centres, self.STEPS, self.SIGMAS, self.OMEGAS)
+        sums, sizes = centre_sums(g or self._gt, entries[0], entries[1],
+                                  rule.directions, rule.weights, *entries[2:])
+        return sums.reshape(-1, 3), sizes.reshape(-1, 3)
 
     def test_source_times_weighted_before_the_node_sum(self):
         rule = sphere_rule(3, 6)
@@ -262,7 +284,7 @@ class TestCentreSums:
             for j, s in enumerate(self.STEPS):
                 nodes, w = ((x[None], np.ones(1)) if s == 0.0
                             else (x + s * rule.directions, rule.weights))
-                vals = np.array([self._gt(tuple(nodes.T), None, sigma)
+                vals = np.array([self._gt(tuple(nodes.T), None, None, sigma)
                                  for sigma in self.SIGMAS[j]])  # (S, D)
                 assert sums[p, j] == pytest.approx(
                     w @ (self.OMEGAS[j] @ vals), rel=1e-13, abs=1e-15)
@@ -276,14 +298,32 @@ class TestCentreSums:
         # computed once per point; the times carry all S source times
         shapes = []
 
-        def g(pts, offs, t):
-            shapes.append((tuple(x.shape for x in pts), np.shape(t)))
-            return self._gt(pts, offs, t)
+        def g(pts, s, u, t):
+            shapes.append((tuple(x.shape for x in pts), s.shape,
+                           tuple(x.shape for x in u), np.shape(t)))
+            return self._gt(pts, s, u, t)
 
         self._weighted(g)
-        # the zero step's centres, then the two other steps' 72 directions
-        assert shapes == [(((2, 1, 1, 1),) * 3, (1, 1, 3)),
-                          (((2, 2, 72, 1),) * 3, (2, 1, 3))]
+        # the two zero-step entries' centres, then the four other entries'
+        # 72 directions
+        assert shapes == [(((2, 1, 1),) * 3, (2, 1, 1), ((1, 1),) * 3, (2, 1, 3)),
+                          (((4, 72, 1),) * 3, (4, 1, 1), ((72, 1),) * 3, (4, 1, 3))]
+
+    def test_points_are_centre_plus_step_times_node(self):
+        # the field gets each entry's points x_e + s_e u_d, its step s_e and
+        # the nodes u_d: the zero-step entries' centres, then the others
+        rule = sphere_rule(3, 6)
+        centres, steps = self._entries(self.CENTRES, self.STEPS)
+        calls = [centres[steps == 0.0], centres[steps != 0.0]]
+
+        def g(pts, s, u, t):
+            x = calls.pop(0)
+            for k in range(3):
+                assert np.array_equal(pts[k], s * u[k] + x[:, k, None, None])
+            return self._g(pts, s, u, t)
+
+        centre_sums(g, centres, steps, rule.directions, rule.weights)
+        assert not calls
 
     def test_weighted_values_independent_of_the_batch(self, monkeypatch):
         sums, sizes = self._weighted()
@@ -292,13 +332,13 @@ class TestCentreSums:
             assert np.array_equal(alone[0][0], sums[p])
             assert np.array_equal(alone[1][0], sizes[p])
         # 72 directions at 3 source times: a field call takes 24 nodes of
-        # one centre and step, the most one 72-node row allows
+        # one entry, the most one 72-node row allows
         values = []
 
-        def g(pts, offs, t):
+        def g(pts, s, u, t):
             values.append(int(np.prod(np.broadcast_shapes(*(x.shape for x in pts),
                                                           np.shape(t)))))
-            return self._gt(pts, offs, t)
+            return self._gt(pts, s, u, t)
 
         monkeypatch.setattr(quadrature, "BATCH_POINTS", 40)
         small = self._weighted(g)
@@ -324,7 +364,7 @@ class TestCentreSums:
         # value at its first
         f = quadrature.compile_field(parse(text, 3))
         with pytest.raises(DomainError):
-            self._weighted(lambda pts, offs, t: f(pts, t))
+            self._weighted(lambda pts, s, u, t: f(pts, t))
 
 
 class TestIteratedTimeIntegral:
@@ -426,7 +466,7 @@ class TestSinhKernel:
         sums = quadrature.centre_sums
 
         def recording(g, centres, steps, nodes, w, *times):
-            asked[len(w)] = asked.get(len(w), 0) + len(centres) * len(steps)
+            asked[len(w)] = asked.get(len(w), 0) + len(steps)
             return sums(g, centres, steps, nodes, w, *times)
 
         monkeypatch.setattr(quadrature, "centre_sums", recording)
@@ -463,6 +503,17 @@ class TestSinhKernel:
                 r"the degree-12 and degree-16 sphere rules differ by")) as info:
             kern.apply([0.3, -0.2, 0.5], 2.0)
         assert str(info.value).endswith("; raise [quadrature] sphere_degree above 16")
+
+    def test_message_names_the_unresolved_entry(self):
+        # every rule gives the exact mean 0 at x1 = 0 and at t = 0, and
+        # resolves t = 0.1, so the first unresolved entry is point 1 at
+        # t = 2, flat entry 4 of 6
+        kern = SinhKernel(parse("sin(20*x1)", 3), 1.0)
+        with pytest.raises(UnresolvedData) as info:
+            kern.apply_many([[0.0, 0.1, 0.2], [0.3, -0.2, 0.5]], [0.0, 2.0, 0.1])
+        assert str(info.value).startswith(
+            "sphere means of sin(20*x1) at t = 2.0, x = [0.3, -0.2, 0.5]: "
+            "the degree-12 and degree-16 sphere rules differ by")
 
     @pytest.mark.parametrize("n, sinh, cosh", [(3, 1, 4), (5, 6, 7)])
     def test_fields_compiled_by_their_first_use(self, n, sinh, cosh, monkeypatch):
@@ -560,112 +611,77 @@ class TestClimb:
     def _sums(stop, calls):
         """Synthetic rules: entry e on rung r gives 1 + r 1e-12 from the rung
         stop[e] on, so neighbours agree there, and r below it; its size is
-        1 + e.  Each block asked for is recorded as (rung, rows, cols)."""
+        1 + e.  Each call is recorded as (rung, idx)."""
         stop = np.asarray(stop)
-        size = 1.0 + np.arange(stop.size).reshape(stop.shape)
+        size = 1.0 + np.arange(stop.size)
 
-        def sums(rung, rows, cols):
-            calls.append((rung, rows.copy(), cols.copy()))
-            block = np.ix_(rows, cols)
-            vals = np.where(rung >= stop[block], 1.0 + rung * 1e-12, float(rung))
-            return vals, size[block]
+        def sums(rung, idx):
+            calls.append((rung, idx.copy()))
+            vals = np.where(rung >= stop[idx], 1.0 + rung * 1e-12, float(rung))
+            return vals, size[idx]
         return sums
 
     @staticmethod
-    def _asked(calls, shape):
+    def _asked(calls, count):
         """Per rung, in order, how often each entry was asked for."""
         asked = {}
-        for rung, rows, cols in calls:
-            asked.setdefault(rung, np.zeros(shape, dtype=int))[np.ix_(rows, cols)] += 1
+        for rung, idx in calls:
+            np.add.at(asked.setdefault(rung, np.zeros(count, dtype=int)), idx, 1)
         return asked
 
     def test_entries_stop_on_different_rungs(self):
-        stop = [[2, 3, 5], [2, 5, 3]]
+        stop = [2, 3, 5, 2, 5, 3]
         calls = []
-        out, mag = climb(self.RUNGS, self._sums(stop, calls), (2, 3),
+        out, mag = climb(self.RUNGS, self._sums(stop, calls), 6,
                          lambda entry, lo, hi: "never")
         # accepted on the upper rule of the first agreeing pair: 3, 5 or 8
         upper = {2: 3, 3: 5, 5: 8}
-        want = [[1.0 + upper[s] * 1e-12 for s in row] for row in stop]
-        assert out.tolist() == want
-        assert mag.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+        assert out.tolist() == [1.0 + upper[s] * 1e-12 for s in stop]
+        assert mag.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
         # each rung asks once for each entry still climbing, and for no other
-        asked = self._asked(calls, (2, 3))
+        asked = self._asked(calls, 6)
         assert list(asked) == [2, 3, 5, 8]
         assert (asked[2] == 1).all() and (asked[3] == 1).all()
-        assert asked[5].tolist() == [[0, 1, 1], [0, 1, 1]]
-        assert asked[8].tolist() == [[0, 0, 1], [0, 1, 0]]
-
-    def test_blocks_are_pending_products(self):
-        # columns 0 and 2 stay pending at the same rows; 0 and 3 differ on
-        # rung 5 and agree on rung 8
-        stop = np.array([[2, 5, 2, 3], [5, 3, 5, 5], [2, 5, 2, 2]])
-        calls = []
-        climb(self.RUNGS, self._sums(stop, calls), stop.shape,
-              lambda entry, lo, hi: "never")
-        for rung, rows, cols in calls:
-            i = self.RUNGS.index(rung)
-            # pending on rung i: no pair below it agreed
-            pending = stop > self.RUNGS[i - 2] if i >= 2 else np.ones_like(stop, bool)
-            for j in cols:
-                # every entry of the block pending, and the column's every
-                # pending row in it
-                assert np.flatnonzero(pending[:, j]).tolist() == rows.tolist()
-        blocks = [(rung, rows.tolist(), cols.tolist()) for rung, rows, cols in calls]
-        assert sorted(blocks) == [
-            (2, [0, 1, 2], [0, 1, 2, 3]), (3, [0, 1, 2], [0, 1, 2, 3]),
-            (5, [0, 1], [3]), (5, [0, 1, 2], [1]), (5, [1], [0, 2]),
-            (8, [0, 2], [1]), (8, [1], [0, 2, 3])]
-
-    def test_all_pending_is_one_block(self, monkeypatch):
-        # nothing agrees below rung 5, so rungs 2, 3 and 5 each ask for the
-        # whole array at once, without grouping columns; rung 8 asks for
-        # the two entries whose pair (3, 5) differed, in separate blocks
-        stop = [[3, 3, 5], [5, 3, 3]]
-        calls, grouped = [], []
-        pending_blocks = quadrature._pending_blocks
-        monkeypatch.setattr(quadrature, "_pending_blocks",
-                            lambda pending: grouped.append(1) or pending_blocks(pending))
-        climb(self.RUNGS, self._sums(stop, calls), (2, 3),
-              lambda entry, lo, hi: "never")
-        blocks = [(rung, rows.tolist(), cols.tolist()) for rung, rows, cols in calls]
-        assert blocks[:3] == [(r, [0, 1], [0, 1, 2]) for r in (2, 3, 5)]
-        assert sorted(blocks[3:]) == [(8, [0], [2]), (8, [1], [0])]
-        assert len(grouped) == 1
+        assert asked[5].tolist() == [0, 1, 1, 0, 1, 1]
+        assert asked[8].tolist() == [0, 0, 1, 0, 1, 0]
+        # in one call per rung, the pending entries in order
+        assert [(rung, idx.tolist()) for rung, idx in calls] == [
+            (2, [0, 1, 2, 3, 4, 5]), (3, [0, 1, 2, 3, 4, 5]),
+            (5, [1, 2, 4, 5]), (8, [2, 4])]
 
     def test_one_rung_is_unchecked(self):
         calls = []
-        out, mag = climb((4,), self._sums([[6], [4]], calls), (2, 1),
+        out, mag = climb((4,), self._sums([6, 4], calls), 2,
                          lambda entry, lo, hi: "never")
-        assert out.tolist() == [[4.0], [1.0 + 4e-12]]
-        assert mag.tolist() == [[1.0], [2.0]] and len(calls) == 1
+        assert out.tolist() == [4.0, 1.0 + 4e-12]
+        assert mag.tolist() == [1.0, 2.0] and len(calls) == 1
 
     def test_two_rungs(self):
         calls = []
-        out, mag = climb((4, 6), self._sums([[4], [4]], calls), (2, 1),
+        out, mag = climb((4, 6), self._sums([4, 4], calls), 2,
                          lambda entry, lo, hi: "never")
-        assert out.tolist() == [[1.0 + 6e-12]] * 2
-        assert mag.tolist() == [[1.0], [2.0]]
+        assert out.tolist() == [1.0 + 6e-12] * 2
+        assert mag.tolist() == [1.0, 2.0]
         with pytest.raises(UnresolvedData, match="the 4- and 6-node rules"):
-            climb((4, 6), self._sums([[4], [6]], []), (2, 1),
+            climb((4, 6), self._sums([4, 6], []), 2,
                   lambda entry, lo, hi: f"entry {entry}: the {lo}- and {hi}-node rules")
 
     def test_past_the_top(self):
-        stop = [[2, 3, 5], [9, 5, 9]]
+        stop = [2, 3, 5, 9, 5, 9]
         with pytest.raises(UnresolvedData) as err:
-            climb(self.RUNGS, self._sums(stop, []), (2, 3),
+            climb(self.RUNGS, self._sums(stop, []), 6,
                   lambda entry, lo, hi: f"entry {entry}: rules {lo} and {hi}")
         # the first unresolved entry; the top pair gives 8 and 5
         assert str(err.value) == (
-            "entry (1, 0): rules 5 and 8 differ by 3, more than 1e-10 of the "
+            "entry 3: rules 5 and 8 differ by 3, more than 1e-10 of the "
             "data's size 4")
 
     def test_remedy_ends_the_message(self):
-        stop = [[2, 3, 5], [9, 5, 9]]
+        stop = [2, 3, 5, 9, 5, 9]
         with pytest.raises(UnresolvedData) as err:
-            climb(self.RUNGS, self._sums(stop, []), (2, 3),
+            climb(self.RUNGS, self._sums(stop, []), 6,
                   lambda entry, lo, hi: f"entry {entry}: rules {lo} and {hi}",
                   "raise the top")
         assert str(err.value) == (
-            "entry (1, 0): rules 5 and 8 differ by 3, more than 1e-10 of the "
+            "entry 3: rules 5 and 8 differ by 3, more than 1e-10 of the "
             "data's size 4; raise the top")

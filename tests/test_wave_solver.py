@@ -392,6 +392,13 @@ class TestEvaluatorInterface:
             ev.evaluate(np.zeros((2, 3)), 0.5)
         with pytest.raises(DataCountMismatch, match=r"got 2 axes and \(1,\)"):
             ev.evaluate(Mesh(np.meshgrid([0.1], [0.2], sparse=True)), [0.5])
+        # axes that do not broadcast, on an n = 3 wave mesh and a 2-D box
+        with pytest.raises(DataCountMismatch, match=(
+                r"mesh axes of shapes \[\(3,\), \(2,\), \(1,\)\] do not broadcast")):
+            ev.evaluate(Mesh((np.zeros(3), np.zeros(2), np.zeros(1))), [0.5])
+        with pytest.raises(DataCountMismatch, match=(
+                r"mesh axes of shapes \[\(3,\), \(2,\)\] do not broadcast")):
+            _evaluator("box").evaluate(Mesh((np.zeros(3), np.zeros(2))), [0.5])
 
     @pytest.mark.parametrize("family", ["wave-m2-source", "heat-equal", "box"])
     def test_mesh_matches_its_points(self, family):
