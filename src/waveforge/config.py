@@ -52,9 +52,9 @@ _DOMAIN_FIXED = {"t", "box", "k_max"}
 _QUAD_KEYS = {"n_time", "n_radial", "sphere_degree"}
 _OUTPUT_KEYS = {"path", "format"}
 # Most output rows, grid points times times: at 2^20 rows a 1-D box heat
-# config (k_max 24) and an n = 3 wave config (phi0 = sin(x1), one time)
-# solve in 2.3 s and 7.0 s on one x86-64 core, peaking at 256 and 198 MiB,
-# and write CSVs of 72 and 123 MB
+# config (k_max 24), an n = 3 wave config (phi0 = sin(x1), one time) and the
+# same with f = 0.4 cos(0.9 t) sin(x1 + 0.5 x2) take 2.3, 6.4 and 46 s on one
+# x86-64 core, peaking at 256, 160 and 966 MiB, with CSVs of 72, 123, 123 MB
 MAX_ROWS = 1 << 20
 
 

@@ -28,7 +28,7 @@ from .quadrature import brief, ladder_sums
 __all__ = ["HeatPropagator", "check_heat", "heat_propagate", "solve_heat_product"]
 
 # Per-axis Gauss-Hermite node counts a (point, diffusion time) climbs by
-# quadrature.climb; the data's size under a rule is sum w |f|
+# quadrature.ladder_sums; the data's size under a rule is sum w |f|
 LADDER = (8, 12, 16, 24, 32, 48, 64, 96)
 
 
@@ -111,9 +111,9 @@ def check_heat(n: int) -> None:
 def solve_heat_product(problem: CauchyProblem) -> SolutionEvaluator:
     """Solver for prod_j (d/dt - a_j Lap) u = f with m initial data, any
     positive speeds.  It takes no rule sizes: its time rules climb
-    :data:`~waveforge.problems.TIME_LADDER` per point and its Gauss-Hermite
-    rules :data:`LADDER` per diffusion time, both by
-    :func:`~waveforge.quadrature.climb`."""
+    :data:`~waveforge.problems.TIME_LADDER` per point by ``climb``, its
+    Gauss-Hermite rules :data:`LADDER` per (point, diffusion time) by
+    :func:`~waveforge.quadrature.ladder_sums`."""
     if problem.kind != "heat-product":
         raise InvalidOrder(f"expected heat-product, got {problem.kind}")
     check_heat(problem.n)

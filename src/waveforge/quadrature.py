@@ -250,7 +250,8 @@ def ladder_sums(g, rungs: Sequence[int], rule: Callable, centres, steps,
     point (n,).
 
     Entry e is point e // J at step e % J, and each rung sums the pending
-    entries on ``rule(rung)``, its nodes and weights.  ``t_args`` (J,), or
+    entries on ``rule(rung)``, its nodes and weights, passing them to
+    :func:`centre_sums` as (point, step) index pairs.  ``t_args`` (J,), or
     with ``t_weights`` (J, S) both, are each step's time arguments, zero if
     None, as :func:`centre_sums` takes them.  ``unresolved(x, j, lo, hi)``
     names an unresolved entry by its point x, a list, and step index j.
@@ -258,13 +259,9 @@ def ladder_sums(g, rungs: Sequence[int], rule: Callable, centres, steps,
     x = np.asarray(centres, dtype=float)
     centres, steps = np.atleast_2d(x), np.asarray(steps, dtype=float)
     J = steps.size
-
-    def sums(rung, idx):
-        p, j = np.divmod(idx, J)
-        times = (None if a is None else np.asarray(a)[j] for a in (t_args, t_weights))
-        return centre_sums(g, centres[p], steps[j], *rule(rung), *times)
-
-    out = climb(rungs, sums, len(centres) * J,
+    out = climb(rungs, lambda rung, idx: centre_sums(
+                    g, centres, steps, *rule(rung), t_args, t_weights, np.divmod(idx, J)),
+                len(centres) * J,
                 lambda e, lo, hi: unresolved(centres[e // J].tolist(), e % J, lo, hi),
                 remedy)
     return tuple(v.reshape(x.shape[:-1] + (J,)) for v in out)
@@ -293,23 +290,25 @@ def row_dot(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def centre_sums(g, centres: np.ndarray, steps, nodes: np.ndarray,
-                weights: np.ndarray, t_args=None, t_weights=None):
+                weights: np.ndarray, t_args=None, t_weights=None, pairs=None):
     """sum_d weights[d] g(x_e + s_e u_d) for every entry e, a centre x_e of
     ``centres`` (E, n) with its own step s_e of ``steps`` (E,), and the
     data's size sum_d weights[d] |g(x_e + s_e u_d)| from the same values,
-    shape (E,) each, with u_d the rows of ``nodes`` (D, n).
+    shape (E,) each, with u_d the rows of ``nodes`` (D, n).  With index
+    arrays ``pairs`` (E,) each, entry e is centre pairs[0][e] at step
+    pairs[1][e], with that step's times, gathered one chunk at a time.
 
     ``g(points, steps, nodes, t)`` takes per-axis arrays: ``points`` is a
     :class:`~waveforge.expr.Mesh` of the n coordinates x_ea + s_e u_da,
     (E', D', 1) each, ``steps`` the entries' steps (E', 1, 1), ``nodes`` a
     Mesh of the node coordinates u_da, (D', 1) each, and ``t`` the time
     arguments (E', 1, S); it returns values (E', D', S).  ``t_args`` is
-    each entry's time argument, (E,), zero if None.  With ``t_weights``
-    both are (E, S), S source times per entry: g is then sum_k
-    t_weights[e, k] g(., t_args[e, k]), of size sum_k |t_weights[e, k]|
-    |g(., t_args[e, k])|.  The field is evaluated once on that trailing
-    source-time axis, so a subexpression that does not read t is computed
-    once per point, and the axis is contracted per point by
+    each step's time argument, aligned with ``steps``, zero if None.  With
+    ``t_weights`` both have a trailing axis of S source times: g at step j
+    is then sum_k t_weights[j, k] g(., t_args[j, k]), of size sum_k
+    |t_weights[j, k]| |g(., t_args[j, k])|.  The field is evaluated once
+    on that source-time axis, so a subexpression that does not read t is
+    computed once per point, and the axis is contracted per point by
     :func:`row_dot`, before the node sum.
 
     A zero step is g at the centre itself, exactly.  Each entry is reduced
@@ -320,11 +319,14 @@ def centre_sums(g, centres: np.ndarray, steps, nodes: np.ndarray,
     steps = np.asarray(steps, dtype=float)
     if t_weights is None:
         t_args = np.broadcast_to(0.0 if t_args is None else t_args, steps.shape)[:, None]
+    else:
+        t_args = np.asarray(t_args, dtype=float)
     sources = t_args.shape[1]
     axes = range(centres.shape[1])
-    out = np.empty(steps.size)
+    point, step = (np.arange(steps.size),) * 2 if pairs is None else pairs
+    out = np.empty(step.size)
     mag = np.empty_like(out)
-    zero = steps == 0.0
+    zero = (steps == 0.0)[step]
     # a zero step takes one node of weight 1: the centre
     for idx, u, w in ((np.flatnonzero(zero), np.zeros_like(nodes[:1]), np.ones(1)),
                       (np.flatnonzero(~zero), nodes, weights)):
@@ -334,8 +336,9 @@ def centre_sums(g, centres: np.ndarray, steps, nodes: np.ndarray,
         rows = max(1, budget // (span * sources))  # entries a field call takes
         for j in range(0, idx.size, rows):
             r = idx[j:j + rows]
-            x, s, t = centres[r, :, None, None], steps[r, None, None], t_args[r, None]
-            tw = None if t_weights is None else t_weights[r, None]
+            p, q = point[r], step[r]
+            x, s, t = centres[p, :, None, None], steps[q, None, None], t_args[q, None]
+            tw = None if t_weights is None else t_weights[q, None]
 
             def reduced(a, b):
                 """Nodes a:b's values and sizes, (E', b - a) each; the

@@ -169,9 +169,9 @@ class TestResolution:
         asked = {}  # node count: entries asked on that rule, in rung order
         sums = quadrature.centre_sums
 
-        def recording(g, centres, steps, nodes, w, *times):
-            asked[len(w)] = asked.get(len(w), 0) + len(steps)
-            return sums(g, centres, steps, nodes, w, *times)
+        def recording(g, centres, steps, nodes, w, t_args, t_weights, pairs):
+            asked[len(w)] = asked.get(len(w), 0) + len(pairs[1])
+            return sums(g, centres, steps, nodes, w, t_args, t_weights, pairs)
 
         monkeypatch.setattr(quadrature, "centre_sums", recording)
         batch, _ = prop.apply_many(points, lams, t_args)

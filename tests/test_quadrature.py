@@ -277,6 +277,17 @@ class TestCentreSums:
                                   rule.directions, rule.weights, *entries[2:])
         return sums.reshape(-1, 3), sizes.reshape(-1, 3)
 
+    def test_pairs_index_centres_and_steps(self):
+        # entries named by (centre, step) index pairs take the step's times
+        # and give the sums of the same entries spelled out, in any order
+        rule = sphere_rule(3, 6)
+        sums, sizes = self._weighted()
+        point, step = np.array([1, 0, 1, 0, 1]), np.array([2, 1, 0, 2, 1])
+        got = centre_sums(self._gt, self.CENTRES, self.STEPS, rule.directions,
+                          rule.weights, self.SIGMAS, self.OMEGAS, (point, step))
+        assert got[0].tolist() == sums[point, step].tolist()
+        assert got[1].tolist() == sizes[point, step].tolist()
+
     def test_source_times_weighted_before_the_node_sum(self):
         rule = sphere_rule(3, 6)
         sums, sizes = self._weighted()
@@ -465,9 +476,9 @@ class TestSinhKernel:
         asked = {}  # directions: entries asked on that rule, in rung order
         sums = quadrature.centre_sums
 
-        def recording(g, centres, steps, nodes, w, *times):
-            asked[len(w)] = asked.get(len(w), 0) + len(steps)
-            return sums(g, centres, steps, nodes, w, *times)
+        def recording(g, centres, steps, nodes, w, t_args, t_weights, pairs):
+            asked[len(w)] = asked.get(len(w), 0) + len(pairs[1])
+            return sums(g, centres, steps, nodes, w, t_args, t_weights, pairs)
 
         monkeypatch.setattr(quadrature, "centre_sums", recording)
         batch, _ = kern.apply_many(points, ts)

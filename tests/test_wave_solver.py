@@ -3,6 +3,7 @@ oracle."""
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -658,6 +659,24 @@ class TestMemoryBound:
         whole = prop.apply_many(points, lams, sigmas, omegas)
         assert max(sizes) > 1 << 16
         assert np.array_equal(split[0], whole[0]) and np.array_equal(split[1], whole[1])
+
+    def test_step_times_not_copied_per_entry(self):
+        # 256 points x 8 diffusion times x 512 source times: a per-entry
+        # copy of the times and their weights would take 16 MiB
+        prop = heat_solver.HeatPropagator(parse("x1*t", 1))
+        points = np.linspace(-1.0, 1.0, 256)[:, None]
+        lams = np.linspace(0.0, 1.0, 8)
+        sigmas = np.tile(np.linspace(0.0, 1.0, 512), (8, 1))
+        omegas = np.full((8, 512), 1.0 / 512)
+        tracemalloc.start()
+        try:
+            vals, _ = prop.apply_many(points, lams, sigmas, omegas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+        np.testing.assert_allclose(vals, np.broadcast_to(0.5 * points, vals.shape),
+                                   rtol=1e-13, atol=1e-15)
 
     def test_node_chunks_batch_independent(self):
         prop = heat_solver.HeatPropagator(parse("sin(4*x1)*cos(x2)*cos(x3)", 3))
