@@ -47,8 +47,8 @@ from .quadrature import QuadratureSpec, check_sphere
 
 __all__ = ["GridAxis", "ProblemConfig", "load_config", "parse_config", "dump_config"]
 
-_PROBLEM_KEYS = {"kind", "n", "m", "speeds"}
-_DOMAIN_FIXED = {"t", "box", "k_max"}
+_PROBLEM_KEYS = ("kind", "n", "m", "speeds")
+_DOMAIN_FIXED = ("t", "box", "k_max")
 _QUAD_KEYS = {"n_time", "n_radial", "sphere_degree"}
 _OUTPUT_KEYS = {"path", "format"}
 # Most output rows, grid points times times: at 2^20 rows a 1-D box heat
@@ -101,6 +101,19 @@ def _axis(raw: str, key: str) -> GridAxis:
     return GridAxis(lo, hi, count)
 
 
+def _section(cp, name: str, allowed, required=()):
+    """The [name] section, or {} if it is absent, once it holds no key
+    outside ``allowed`` and every key of ``required``."""
+    sec = cp[name] if name in cp else {}
+    unknown = set(sec) - set(allowed)
+    if unknown:
+        raise ConfigError(f"unknown [{name}] keys: {sorted(unknown)}")
+    for key in required:
+        if key not in sec:
+            raise ConfigError(f"missing [{name}] key '{key}'")
+    return sec
+
+
 def parse_config(text: str) -> ProblemConfig:
     """Parse and validate config text into a ready-to-solve description."""
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
@@ -117,13 +130,7 @@ def parse_config(text: str) -> ProblemConfig:
         if required not in cp:
             raise ConfigError(f"missing [{required}] section")
 
-    prob = cp["problem"]
-    unknown = set(prob) - _PROBLEM_KEYS
-    if unknown:
-        raise ConfigError(f"unknown [problem] keys: {sorted(unknown)}")
-    for key in _PROBLEM_KEYS:
-        if key not in prob:
-            raise ConfigError(f"missing [problem] key '{key}'")
+    prob = _section(cp, "problem", _PROBLEM_KEYS, _PROBLEM_KEYS)
     kind = prob["kind"].strip()
     if kind not in KINDS:
         raise ConfigError(f"kind must be one of {KINDS}, got '{kind}'")
@@ -135,17 +142,10 @@ def parse_config(text: str) -> ProblemConfig:
         raise ConfigError(f"bad [problem] value: {exc}") from None
 
     n_data = 2 * m if kind != "heat-product" else m
-    data_keys = {f"phi{r}" for r in range(n_data)}
-    source_text = None
-    data_texts: list[Optional[str]] = [None] * n_data
-    if "data" in cp:
-        sec = cp["data"]
-        unknown = set(sec) - data_keys - {"f"}
-        if unknown:
-            raise ConfigError(f"unknown [data] keys: {sorted(unknown)}")
-        source_text = sec.get("f")
-        for r in range(n_data):
-            data_texts[r] = sec.get(f"phi{r}")
+    data_keys = [f"phi{r}" for r in range(n_data)]
+    sec = _section(cp, "data", data_keys + ["f"])
+    source_text = sec.get("f")
+    data_texts = [sec.get(key) for key in data_keys]
 
     def parse_expr(txt, label):
         try:
@@ -159,19 +159,9 @@ def parse_config(text: str) -> ProblemConfig:
         for r, txt in enumerate(data_texts)
     )
 
-    dom = cp["domain"]
-    axis_keys = {f"x{i + 1}" for i in range(n)}
-    unknown = set(dom) - axis_keys - _DOMAIN_FIXED
-    if unknown:
-        raise ConfigError(f"unknown [domain] keys: {sorted(unknown)}")
-    axes = []
-    for i in range(n):
-        key = f"x{i + 1}"
-        if key not in dom:
-            raise ConfigError(f"missing [domain] key '{key}'")
-        axes.append(_axis(dom[key], key))
-    if "t" not in dom:
-        raise ConfigError("missing [domain] key 't'")
+    axis_keys = [f"x{i + 1}" for i in range(n)]
+    dom = _section(cp, "domain", [*axis_keys, *_DOMAIN_FIXED], [*axis_keys, "t"])
+    axes = [_axis(dom[key], key) for key in axis_keys]
     t_axis = _axis(dom["t"], "t")
     rows = math.prod(ax.count for ax in axes) * t_axis.count
     if rows > MAX_ROWS:
@@ -196,28 +186,17 @@ def parse_config(text: str) -> ProblemConfig:
         except ValueError as exc:
             raise ConfigError(f"bad k_max: {exc}") from None
 
-    quad_kwargs = {}
-    if "quadrature" in cp:
-        sec = cp["quadrature"]
-        unknown = set(sec) - _QUAD_KEYS
-        if unknown:
-            raise ConfigError(f"unknown [quadrature] keys: {sorted(unknown)}")
-        try:
-            for key in sec:
-                quad_kwargs[key] = int(sec[key])
-        except ValueError as exc:
-            raise ConfigError(f"bad [quadrature] value: {exc}") from None
+    sec = _section(cp, "quadrature", _QUAD_KEYS)
+    try:
+        quad_kwargs = {key: int(sec[key]) for key in sec}
+    except ValueError as exc:
+        raise ConfigError(f"bad [quadrature] value: {exc}") from None
 
-    output_path = "out.csv"
-    if "output" in cp:
-        sec = cp["output"]
-        unknown = set(sec) - _OUTPUT_KEYS
-        if unknown:
-            raise ConfigError(f"unknown [output] keys: {sorted(unknown)}")
-        output_path = sec.get("path", output_path)
-        fmt = sec.get("format", "csv")
-        if fmt != "csv":
-            raise ConfigError(f"only csv output is supported, got '{fmt}'")
+    sec = _section(cp, "output", _OUTPUT_KEYS)
+    output_path = sec.get("path", "out.csv")
+    fmt = sec.get("format", "csv")
+    if fmt != "csv":
+        raise ConfigError(f"only csv output is supported, got '{fmt}'")
 
     try:
         problem = CauchyProblem(kind, n, m, speeds, source, data)

@@ -24,12 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DataCountMismatch,
-    InvalidBox,
-    InvalidOrder,
-    NegativeDiffusionTime,
-)
+from .errors import DataCountMismatch, InvalidBox, InvalidOrder
 from .expr import Expr, Mesh, compile_field
 from .kernels import exp_divided_differences
 from .problems import CauchyProblem, SolutionEvaluator
@@ -58,14 +53,15 @@ BOUNDARY_DATA_TOL = 1e-8
 class EigenBasis:
     """Sine eigenbasis of the Dirichlet Laplacian on a box.
 
-    Modes are all multi-indices in {1..k_max}^d, flattened in order of
-    nondecreasing eigenvalue lam_k = sum_i (k_i pi / L_i)^2.
+    Modes are all multi-indices in {1..k_max}^d in the C order of the
+    (k_max,)^d index tensor, not in eigenvalue order: every mode array a
+    has a[k] at k - 1 of ``a.reshape((k_max,) * d)``.
     """
 
     L: tuple[float, ...]
     k_max: int
     modes: np.ndarray  # (M, d) integer multi-indices
-    eigenvalues: np.ndarray  # (M,) sorted nondecreasing
+    eigenvalues: np.ndarray  # (M,) lam_k = sum_i (k_i pi / L_i)^2
     norm: float  # prod_i sqrt(2 / L_i)
 
     @property
@@ -75,11 +71,6 @@ class EigenBasis:
     @property
     def count(self) -> int:
         return self.modes.shape[0]
-
-    @property
-    def grid_index(self) -> np.ndarray:
-        """Flat position of each mode in the (k_max,)^d tensor of k - 1."""
-        return np.ravel_multi_index(tuple((self.modes - 1).T), (self.k_max,) * self.d)
 
 
 @dataclass(frozen=True)
@@ -121,15 +112,13 @@ def build_basis(L, k_max: int = DEFAULT_K_MAX) -> EigenBasis:
     grids = np.meshgrid(*axes, indexing="ij")
     modes = np.stack([g.reshape(-1) for g in grids], axis=-1)
     lam = ((modes * (np.pi / np.asarray(L))) ** 2).sum(axis=1)
-    order = np.argsort(lam, kind="stable")
     norm = float(np.prod([math.sqrt(2.0 / v) for v in L]))
-    return EigenBasis(L, int(k_max), modes[order], lam[order], norm)
+    return EigenBasis(L, int(k_max), modes, lam, norm)
 
 
 @functools.lru_cache(maxsize=8)
 def _projection_plan(L: tuple[float, ...], k_max: int, quad_count: int):
-    """Gauss nodes as an open mesh, weighted per-axis sine matrices,
-    reorder index.
+    """Gauss nodes as an open mesh, and the weighted per-axis sine matrices.
 
     The mesh holds each axis's nodes along its own axis of the q^d grid,
     shapes (q, 1, 1), (1, q, 1), (1, 1, q) at d = 3.  The plan depends only
@@ -147,11 +136,9 @@ def _projection_plan(L: tuple[float, ...], k_max: int, quad_count: int):
         * rule.weights[None, :]
         for rule, Li in zip(rules, L)
     )
-    # from the k-grid layout to the basis's eigenvalue ordering
-    idx = build_basis(L, k_max).grid_index
-    for arr in (*mesh, idx, *mats):
+    for arr in (*mesh, *mats):
         arr.flags.writeable = False
-    return mesh, mats, idx
+    return mesh, mats
 
 
 def project(field, basis: EigenBasis, quad_count: int | None = None,
@@ -163,22 +150,25 @@ def project(field, basis: EigenBasis, quad_count: int | None = None,
     through for fields with explicit time dependence.  The field is
     evaluated on the tensor Gauss grid as an open mesh, so a factor that
     reads one coordinate costs q values, not q^d, and the Gauss sum is
-    contracted one axis at a time (sum factorisation).
+    contracted one axis at a time (sum factorisation).  The result is the
+    (k_1, ..., k_d) tensor flattened, already the basis's mode order.
     """
     f = compile_field(field) if isinstance(field, Expr) else field
     if quad_count is None:
         quad_count = max(2 * basis.k_max + 8, 32)
-    mesh, mats, idx = _projection_plan(basis.L, basis.k_max, quad_count)
+    mesh, mats = _projection_plan(basis.L, basis.k_max, quad_count)
     tensor = f(mesh, t)
     # each step contracts the leading node axis and appends a mode axis,
     # so after d steps the axes are (k_1, ..., k_d)
     for mat in mats:
         tensor = np.tensordot(tensor, mat, axes=([0], [1]))
-    return ModeCoefficients(basis, tensor.reshape(-1)[idx])
+    return ModeCoefficients(basis, tensor.reshape(-1))
 
 
 class IbvpEvaluator(SolutionEvaluator):
-    """Series evaluator with access to per-mode amplitudes."""
+    """Series evaluator with per-mode amplitudes, aligned with basis.modes
+    and cached per time; ``amplitudes``, ``amplitude_derivatives`` and so
+    ``energy`` check t by ``check_times``, as ``evaluate`` does."""
 
     def __init__(self, problem, basis, amplitude_fn, derivative_fn=None):
         self.basis = basis
@@ -189,6 +179,7 @@ class IbvpEvaluator(SolutionEvaluator):
         super().__init__(problem, self._synthesize)
 
     def amplitudes(self, t: float) -> np.ndarray:
+        self.check_times(t)
         t = float(t)
         # threads evaluating chunks of points wait for one computation
         with self._lock:
@@ -202,6 +193,7 @@ class IbvpEvaluator(SolutionEvaluator):
                 "amplitude derivatives available only for single-factor "
                 "homogeneous problems"
             )
+        self.check_times(t)
         return self._der_fn(float(t))
 
     def energy(self, t: float) -> float:
@@ -213,20 +205,21 @@ class IbvpEvaluator(SolutionEvaluator):
 
     def _synthesize(self, X, t):
         """The series on the mesh X by sum factorisation (Orszag 1980): the
-        amplitudes, scattered into the (k_max,)^d mode tensor, are
-        contracted one axis at a time with the sine table of that axis's
-        own coordinates, so a grid's intermediates hold g_1..g_i k_max^(d-i)
-        values.  Elementwise multiply-adds in a fixed order, unlike a BLAS
-        product, keep a point's value independent of its batch and mesh.
+        amplitudes, read as the (k_max,)^d mode tensor they are laid out
+        in, are contracted one axis at a time with the sine table of that
+        axis's own coordinates, so a grid's intermediates hold
+        g_1..g_i k_max^(d-i) values.  Elementwise multiply-adds in a fixed
+        order, unlike a BLAS product, keep a point's value independent of
+        its batch and mesh.
         """
         b = self.basis
         k = np.arange(1, b.k_max + 1)
-        acc = np.zeros(b.k_max**b.d)
-        acc[b.grid_index] = self.amplitudes(t)
+        acc = self.amplitudes(t)
         for x, Li in zip(X, b.L):
             table = np.multiply.outer(x, k * (np.pi / Li))
             np.sin(table, out=table)
-            acc = acc.reshape(acc.shape[:-1] + (b.k_max, -1))
+            # an explicit size: on an empty mesh axis -1 cannot be inferred
+            acc = acc.reshape(acc.shape[:-1] + (b.k_max, acc.shape[-1] // b.k_max))
             out = table[..., 0, None] * acc[..., 0, :]
             for j in range(1, b.k_max):
                 out += table[..., j, None] * acc[..., j, :]
@@ -295,17 +288,11 @@ def solve_ibvp(problem: CauchyProblem, basis: EigenBasis,
         # np.roll wraps the top row, which is zero until the last pass
         poly = np.roll(poly, 1, axis=0) - r * poly
 
-    def check_time(t):
-        # heat modes decay forward in time only; backwards they overflow
-        if heat and t < 0:
-            raise NegativeDiffusionTime(f"heat time must be >= 0, got {t}")
-
     # Duhamel nodes per impulse-response call: nodes x modes stays within
     # BATCH_POINTS, or one node when the modes alone exceed it
     chunk = max(1, BATCH_POINTS // basis.count)
 
     def amplitude_fn(t):
-        check_time(t)
         out = np.real((newton * exp_divided_differences(roots, t)).sum(axis=0))
         if src is not None and t != 0.0:
             # the impulse response is the last divided difference, for a
@@ -322,7 +309,6 @@ def solve_ibvp(problem: CauchyProblem, basis: EigenBasis,
     if m == 1 and src is None:
 
         def derivative_fn(t):
-            check_time(t)
             phi = exp_divided_differences(roots, t)
             dphi = roots * phi
             dphi[1:] += phi[:-1]

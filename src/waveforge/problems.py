@@ -113,7 +113,8 @@ class SolutionEvaluator:
     for an open mesh (:class:`~waveforge.expr.Mesh`).  The solver supplies
     ``fn(X, t)``, its values on the mesh X at one time, a point array being
     the mesh of its columns; a point's value must not depend on the other
-    points in the call.  ``__call__`` wraps it.
+    points in the call.  ``__call__`` wraps it, and :meth:`check_times` is
+    the time check of every entry point.
     """
 
     def __init__(self, problem: CauchyProblem, fn: Callable):
@@ -139,6 +140,16 @@ class SolutionEvaluator:
         except ValueError:
             raise DataCountMismatch(f"mesh axes of shapes {[x.shape for x in X]} "
                                     f"do not broadcast") from None
+        self.check_times(times)
+        out = np.empty(shape + (times.size,))
+        for j, t in enumerate(times):
+            out[..., j] = self._fn(X, float(t))
+        return out
+
+    def check_times(self, times) -> None:
+        """Reject a time, or an array of them, outside the solution's
+        domain: a non-finite one, or for diffusion a negative one."""
+        times = np.asarray(times, dtype=float)
         # diffusion runs forward only; backwards its modes blow up
         if self.problem.kind == "heat-product":
             bad = ~(np.isfinite(times) & (times >= 0))
@@ -148,10 +159,6 @@ class SolutionEvaluator:
         elif not np.isfinite(times).all():
             raise DomainError(
                 f"time must be finite, got {times[~np.isfinite(times)][0]}")
-        out = np.empty(shape + (times.size,))
-        for j, t in enumerate(times):
-            out[..., j] = self._fn(X, float(t))
-        return out
 
     def __call__(self, x: Sequence[float], t: float) -> float:
         return float(self.evaluate(np.asarray(x, dtype=float)[None], [float(t)])[0, 0])

@@ -171,6 +171,25 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown .problem. keys"):
             parse_config(text)
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("speeds = 2.0", "speeds = 2.0\nspede = 1", "unknown [problem] keys: ['spede']"),
+        ("phi1 = 1", "phi1 = 1\nphi2 = 0", "unknown [data] keys: ['phi2']"),
+        ("t = 0:1:3", "t = 0:1:3\nx4 = 0:0:1", "unknown [domain] keys: ['x4']"),
+        ("[output]", "[quadrature]\nn_tim = 8\n\n[output]",
+         "unknown [quadrature] keys: ['n_tim']"),
+        ("[output]", "[output]\nfmt = csv", "unknown [output] keys: ['fmt']"),
+        ("kind = wave-multiple\n", "", "missing [problem] key 'kind'"),
+        ("speeds = 2.0\n", "", "missing [problem] key 'speeds'"),
+        ("x2 = 0:0:1\n", "", "missing [domain] key 'x2'"),
+        ("t = 0:1:3\n", "", "missing [domain] key 't'"),
+    ])
+    def test_section_key_messages(self, old, new, message):
+        # one fault per config, so the message names exactly that key
+        text = KIRCHHOFF.format(path="o.csv")
+        assert text.count(old) == 1
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(text.replace(old, new))
+
     def test_bad_expression_reports_position(self):
         text = KIRCHHOFF.format(path="o.csv").replace(
             "phi1 = 1", "phi1 = sin(x1) + frob(x1)"

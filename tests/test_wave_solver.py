@@ -414,6 +414,17 @@ class TestEvaluatorInterface:
         assert got.shape == tuple(len(a) for a in axes) + (2,)
         assert np.array_equal(got.reshape(-1, 2), ev.evaluate(points, times))
 
+    @pytest.mark.parametrize("family", ["wave-m1", "heat-equal", "box"])
+    def test_no_points(self, family):
+        # an empty point set, or a mesh with one empty axis, gives its
+        # point shape + (T,) from every solver
+        ev = _evaluator(family)
+        n, times = ev.problem.n, [0.0, 0.5]
+        assert ev.evaluate(np.zeros((0, n)), times).shape == (0, 2)
+        axes = [np.linspace(0.1, 0.9, 3 if i else 0) for i in range(n)]
+        mesh = Mesh(np.meshgrid(*axes, indexing="ij", sparse=True))
+        assert ev.evaluate(mesh, times).shape == (0,) + (3,) * (n - 1) + (2,)
+
     @pytest.mark.parametrize("kind", ["wave-multiple", "wave-distinct"])
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_non_finite_time_rejected(self, kind, t):
