@@ -6,8 +6,9 @@ Subcommands::
     waveforge verify <suite>        run a verification suite (or 'all')
     waveforge sum-series ...        Abel-Poisson sum of a Fourier series
 
-Exit codes: 0 success, 1 verification failure, 2 configuration or usage
-error, 3 evaluation failure.
+``--threads N`` goes to ``SolutionEvaluator.evaluate``, the one place a
+grid is split for threads.  Exit codes: 0 success, 1 verification failure,
+2 configuration or usage error, 3 evaluation failure.
 """
 
 from __future__ import annotations
@@ -15,13 +16,12 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import os
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .config import ProblemConfig, dump_config, load_config
+from .config import MAX_ROWS, ProblemConfig, dump_config, load_config
 from .errors import ConfigError, WaveforgeError
 from .expr import Mesh, parse
 from .heat_solver import solve_heat_product
@@ -50,18 +50,21 @@ def build_evaluator(cfg: ProblemConfig):
     return solve_wave(cfg.problem, cfg.quadrature)
 
 
+def _fail(message, code: int = EXIT_CONFIG) -> int:
+    """Report ``message`` on stderr as an error; returns ``code``."""
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
 def _cmd_solve(args) -> int:
     if args.threads < 1:
-        print(f"error: --threads must be >= 1, got {args.threads}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail(f"--threads must be >= 1, got {args.threads}")
     try:
         cfg = load_config(args.config)
     except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail(f"cannot read config: {exc}")
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail(exc)
     if args.dump_config:
         sys.stdout.write(dump_config(cfg))
         return EXIT_OK
@@ -70,22 +73,9 @@ def _cmd_solve(args) -> int:
         axes = [ax.points() for ax in cfg.axes]
         mesh = Mesh(np.meshgrid(*axes, indexing="ij", sparse=True))
         times = cfg.t_axis.points()
-        # a point's value does not depend on the other points in its call, so
-        # every thread count gives the same output; this thread takes the first
-        # slab of the longest axis, so one thread starts no pool, and no more
-        # pool threads start than there are CPUs (with the bounded reductions
-        # a pool thread's own malloc arena adds no measurable peak RSS)
-        a = max(range(len(axes)), key=lambda i: len(axes[i]))
-        slabs = [Mesh(s if i == a else x for i, x in enumerate(mesh))
-                 for s in np.array_split(mesh[a], min(args.threads, len(axes[a])), axis=a)]
-        workers = min(len(slabs) - 1, os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-            rest = [pool.submit(ev.evaluate, s, times) for s in slabs[1:]]
-            parts = [ev.evaluate(slabs[0], times)] + [f.result() for f in rest]
-        values = np.concatenate(parts, axis=a)
+        values = ev.evaluate(mesh, times, threads=args.threads)
     except WaveforgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EVAL
+        return _fail(exc, EXIT_EVAL)
 
     header = ",".join([f"x{i + 1}" for i in range(cfg.problem.n)] + ["t", "u"])
     return _write(cfg.output_path,
@@ -99,8 +89,7 @@ def _write(path: str, lines) -> int:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(lines)
     except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail(f"cannot write output: {exc}")
     return EXIT_OK
 
 
@@ -122,9 +111,7 @@ def _cmd_verify(args) -> int:
 
     if args.suite != "all" and args.suite not in SUITES:
         names = ", ".join(sorted(SUITES) + ["all"])
-        print(f"error: unknown suite '{args.suite}' (choose from {names})",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail(f"unknown suite '{args.suite}' (choose from {names})")
     results = run_suite(args.suite)
     for res in results:
         print(res.line())
@@ -137,9 +124,19 @@ def _cmd_sum_series(args) -> int:
     # like verify, sum-series needs a module that solve never uses
     from .opcalc import FourierSeriesSpec, abel_poisson_sum
 
+    try:
+        lo, hi, count = args.x_range.split(":")
+        lo, hi, count = float(lo), float(hi), int(count)
+    except ValueError:
+        return _fail("--x-range must be lo:hi:count")
+    for flag, v in (("--z", args.z), ("--half-period", args.half_period),
+                    ("--x-range bound", lo), ("--x-range bound", hi)):
+        if not math.isfinite(v):
+            return _fail(f"{flag} must be finite, got {v}")
+    if not 0 <= count <= MAX_ROWS:  # the row cap of solve
+        return _fail(f"--x-range count must be between 0 and {MAX_ROWS}, got {count}")
     if args.z >= 0:
-        print("error: z must be negative", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail("z must be negative")
     try:
         gens = {}
         if args.generator:
@@ -147,23 +144,15 @@ def _cmd_sum_series(args) -> int:
         if args.sine_generator:
             gens["s_minus"] = parse(args.sine_generator, 1)
         if not gens:
-            print("error: need --generator or --sine-generator", file=sys.stderr)
-            return EXIT_CONFIG
+            return _fail("need --generator or --sine-generator")
         spec = FourierSeriesSpec(args.half_period, **gens)
     except WaveforgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        lo, hi, count = args.x_range.split(":")
-        xs = np.linspace(float(lo), float(hi), int(count))
-    except ValueError:
-        print("error: --x-range must be lo:hi:count", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail(exc)
+    xs = np.linspace(lo, hi, count)
     try:
         values = [abel_poisson_sum(spec, float(x), args.z) for x in xs]
     except WaveforgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EVAL
+        return _fail(exc, EXIT_EVAL)
     lines = ["x,f_z\n"] + [f"{_format(float(x))},{_format(v)}\n"
                            for x, v in zip(xs, values)]
     if args.output:

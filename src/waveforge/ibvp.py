@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 import warnings
 from dataclasses import dataclass
 
@@ -32,7 +31,6 @@ from .quadrature import BATCH_POINTS, QuadratureSpec, gauss_legendre
 
 __all__ = [
     "EigenBasis",
-    "ModeCoefficients",
     "build_basis",
     "check_box",
     "project",
@@ -71,19 +69,6 @@ class EigenBasis:
     @property
     def count(self) -> int:
         return self.modes.shape[0]
-
-
-@dataclass(frozen=True)
-class ModeCoefficients:
-    basis: EigenBasis
-    values: np.ndarray  # aligned with basis.modes
-
-    def coeff(self, k) -> float:
-        k = np.asarray(k)
-        hit = np.flatnonzero((self.basis.modes == k).all(axis=1))
-        if hit.size != 1:
-            raise InvalidOrder(f"mode {tuple(k)} not in basis")
-        return float(self.values[hit[0]])
 
 
 def check_box(L, k_max: int) -> tuple[float, ...]:
@@ -142,7 +127,7 @@ def _projection_plan(L: tuple[float, ...], k_max: int, quad_count: int):
 
 
 def project(field, basis: EigenBasis, quad_count: int | None = None,
-            t: float = 0.0) -> ModeCoefficients:
+            t: float = 0.0) -> np.ndarray:
     """Coefficients c_k = integral of field * e_k over the box.
 
     ``field`` may be an expression or a compiled callable that takes an
@@ -150,8 +135,9 @@ def project(field, basis: EigenBasis, quad_count: int | None = None,
     through for fields with explicit time dependence.  The field is
     evaluated on the tensor Gauss grid as an open mesh, so a factor that
     reads one coordinate costs q values, not q^d, and the Gauss sum is
-    contracted one axis at a time (sum factorisation).  The result is the
-    (k_1, ..., k_d) tensor flattened, already the basis's mode order.
+    contracted one axis at a time (sum factorisation).  The result, shape
+    (M,), is the (k_1, ..., k_d) tensor flattened, already the basis's mode
+    order.
     """
     f = compile_field(field) if isinstance(field, Expr) else field
     if quad_count is None:
@@ -162,30 +148,32 @@ def project(field, basis: EigenBasis, quad_count: int | None = None,
     # so after d steps the axes are (k_1, ..., k_d)
     for mat in mats:
         tensor = np.tensordot(tensor, mat, axes=([0], [1]))
-    return ModeCoefficients(basis, tensor.reshape(-1))
+    return tensor.reshape(-1)
 
 
 class IbvpEvaluator(SolutionEvaluator):
-    """Series evaluator with per-mode amplitudes, aligned with basis.modes
-    and cached per time; ``amplitudes``, ``amplitude_derivatives`` and so
-    ``energy`` check t by ``check_times``, as ``evaluate`` does."""
+    """Series evaluator with per-mode amplitudes, aligned with basis.modes.
+
+    Its ``at(t)`` computes the amplitudes at t once and returns the series
+    over them, so every slab of a threaded ``evaluate`` shares them and the
+    time loop holds at most two times' amplitudes at once.  ``amplitudes``,
+    ``amplitude_derivatives`` and so ``energy`` check t by
+    ``check_times``, as ``evaluate`` does.
+    """
 
     def __init__(self, problem, basis, amplitude_fn, derivative_fn=None):
         self.basis = basis
         self._amp_fn = amplitude_fn
         self._der_fn = derivative_fn
-        self._cache: dict[float, np.ndarray] = {}
-        self._lock = threading.Lock()
-        super().__init__(problem, self._synthesize)
+        super().__init__(problem, self._series_at)
+
+    def _series_at(self, t: float):
+        amps = self.amplitudes(t)
+        return lambda X: self._synthesize(X, amps)
 
     def amplitudes(self, t: float) -> np.ndarray:
         self.check_times(t)
-        t = float(t)
-        # threads evaluating chunks of points wait for one computation
-        with self._lock:
-            if t not in self._cache:
-                self._cache[t] = self._amp_fn(t)
-        return self._cache[t]
+        return self._amp_fn(float(t))
 
     def amplitude_derivatives(self, t: float) -> np.ndarray:
         if self._der_fn is None:
@@ -198,23 +186,26 @@ class IbvpEvaluator(SolutionEvaluator):
 
     def energy(self, t: float) -> float:
         """Sum over modes of T'^2 + a^2 lam T^2 (single-factor wave)."""
+        self.check_times(t)
+        if self.problem.kind == "heat-product":
+            raise InvalidOrder("energy is defined for the single-factor wave only")
         amps = self.amplitudes(t)
         ders = self.amplitude_derivatives(t)
         a = self.problem.speeds[0]
         return float(np.sum(ders**2 + a * a * self.basis.eigenvalues * amps**2))
 
-    def _synthesize(self, X, t):
-        """The series on the mesh X by sum factorisation (Orszag 1980): the
-        amplitudes, read as the (k_max,)^d mode tensor they are laid out
-        in, are contracted one axis at a time with the sine table of that
-        axis's own coordinates, so a grid's intermediates hold
-        g_1..g_i k_max^(d-i) values.  Elementwise multiply-adds in a fixed
-        order, unlike a BLAS product, keep a point's value independent of
-        its batch and mesh.
+    def _synthesize(self, X, amps):
+        """The series with mode amplitudes ``amps`` on the mesh X by sum
+        factorisation (Orszag 1980): the amplitudes, read as the
+        (k_max,)^d mode tensor they are laid out in, are contracted one
+        axis at a time with the sine table of that axis's own coordinates,
+        so a grid's intermediates hold g_1..g_i k_max^(d-i) values.
+        Elementwise multiply-adds in a fixed order, unlike a BLAS product,
+        keep a point's value independent of its batch and mesh.
         """
         b = self.basis
         k = np.arange(1, b.k_max + 1)
-        acc = self.amplitudes(t)
+        acc = amps
         for x, Li in zip(X, b.L):
             table = np.multiply.outer(x, k * (np.pi / Li))
             np.sin(table, out=table)
@@ -228,25 +219,17 @@ class IbvpEvaluator(SolutionEvaluator):
 
 
 def _check_boundary_data(problem: CauchyProblem, basis: EigenBasis):
-    probes = []
-    for i, Li in enumerate(basis.L):
-        for edge in (0.0, Li):
-            for frac in (0.25, 0.7):
-                p = [frac * v for v in basis.L]
-                p[i] = edge
-                probes.append(p)
-    probes = np.asarray(probes)
-    for e in problem.data:
-        if e is None:
-            continue
-        vals = compile_field(e)(probes)
-        if np.max(np.abs(vals)) > BOUNDARY_DATA_TOL:
-            warnings.warn(
-                "initial data does not vanish on the box boundary; the "
-                "sine series converges slowly there (Gibbs oscillations)",
-                stacklevel=3,
-            )
-            break
+    # two points on each face, every other coordinate a fraction of its side
+    probes = np.array([[edge if j == i else frac * v for j, v in enumerate(basis.L)]
+                       for i, Li in enumerate(basis.L) for edge in (0.0, Li)
+                       for frac in (0.25, 0.7)])
+    if any(e is not None and np.max(np.abs(compile_field(e)(probes))) > BOUNDARY_DATA_TOL
+           for e in problem.data):
+        warnings.warn(
+            "initial data does not vanish on the box boundary; the "
+            "sine series converges slowly there (Gibbs oscillations)",
+            stacklevel=3,
+        )
 
 
 def solve_ibvp(problem: CauchyProblem, basis: EigenBasis,
@@ -261,7 +244,7 @@ def solve_ibvp(problem: CauchyProblem, basis: EigenBasis,
     m = problem.m
     lam = basis.eigenvalues
     data = np.array([
-        np.zeros(basis.count) if e is None else project(e, basis).values
+        np.zeros(basis.count) if e is None else project(e, basis)
         for e in problem.data
     ])
     src = None if problem.source is None else compile_field(problem.source)
@@ -302,7 +285,7 @@ def solve_ibvp(problem: CauchyProblem, basis: EigenBasis,
                 zs, ws = z[i:i + chunk], wz[i:i + chunk]
                 g = exp_divided_differences(roots[:, None], (t - t * zs)[:, None])[-1]
                 for gi, zi, wi in zip(np.real(g), zs, ws):
-                    out = out + t * wi * gi * project(src, basis, t=t * zi).values
+                    out = out + t * wi * gi * project(src, basis, t=t * zi)
         return out
 
     derivative_fn = None

@@ -11,7 +11,9 @@ and wave solvers supply only their kernel.
 from __future__ import annotations
 
 import math
+import os
 from collections import defaultdict
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -108,20 +110,22 @@ class CauchyProblem:
 class SolutionEvaluator:
     """The one evaluation entry point of every solver.
 
-    ``evaluate(X, times (T,))`` returns the solution on the product of X
-    and the times, shape (P, T) for (P, n) points X and (g1, ..., gn, T)
-    for an open mesh (:class:`~waveforge.expr.Mesh`).  The solver supplies
-    ``fn(X, t)``, its values on the mesh X at one time, a point array being
-    the mesh of its columns; a point's value must not depend on the other
-    points in the call.  ``__call__`` wraps it, and :meth:`check_times` is
-    the time check of every entry point.
+    ``evaluate(X, times (T,), threads=1)`` returns the solution on the
+    product of X and the times, shape (P, T) for (P, n) points X and
+    (g1, ..., gn, T) for an open mesh (:class:`~waveforge.expr.Mesh`).  The
+    solver supplies ``at(t)``, its solution at one time as a function of a
+    mesh, a point array being the mesh of its columns; a point's value must
+    not depend on the other points in the call.  ``evaluate`` calls
+    ``at(t)`` once per time, and with ``threads`` > 1 applies its function
+    to slabs of X on that many threads.  ``__call__`` wraps it, and
+    :meth:`check_times` is the time check of every entry point.
     """
 
-    def __init__(self, problem: CauchyProblem, fn: Callable):
+    def __init__(self, problem: CauchyProblem, at: Callable):
         self.problem = problem
-        self._fn = fn
+        self._at = at
 
-    def evaluate(self, X, times) -> np.ndarray:
+    def evaluate(self, X, times, threads: int = 1) -> np.ndarray:
         times = np.asarray(times, dtype=float)
         n = self.problem.n
         if isinstance(X, Mesh):
@@ -142,8 +146,30 @@ class SolutionEvaluator:
                                     f"do not broadcast") from None
         self.check_times(times)
         out = np.empty(shape + (times.size,))
-        for j, t in enumerate(times):
-            out[..., j] = self._fn(X, float(t))
+        # a point's value does not depend on its slab, so every thread count
+        # gives the same values; the longest axis is cut once, this thread
+        # takes the first slab, and no more pool threads start than there
+        # are CPUs (with the bounded reductions a pool thread's own malloc
+        # arena adds no measurable peak RSS)
+        count = min(threads, max(shape, default=1))
+        first, mesh, rest = out, X, []
+        if count > 1:
+            a = int(np.argmax(shape)) - len(shape)  # from the end, as axes broadcast
+            cuts = [np.array_split(x, count, axis=a) if x.ndim >= -a and x.shape[a] > 1
+                    else [x] * count for x in X]
+            (first, mesh), *rest = zip(np.array_split(out, count, axis=a - 1),
+                                       map(Mesh, zip(*cuts)))
+        with ThreadPoolExecutor(max(1, min(len(rest), os.cpu_count() or 1))) as pool:
+            pending = []
+            for j, t in enumerate(times):
+                fn = self._at(float(t))
+                # the pool finishes the previous time while at(t) runs
+                for view, r in pending:
+                    view[...] = r.result()
+                pending = [(part[..., j], pool.submit(fn, s)) for part, s in rest]
+                first[..., j] = fn(mesh)
+            for view, r in pending:
+                view[...] = r.result()
         return out
 
     def check_times(self, times) -> None:
@@ -358,4 +384,4 @@ def cluster_evaluator(problem: CauchyProblem, kernel: Callable) -> SolutionEvalu
             f"no setting raises the top of {TIME_LADDER[-1]} nodes")
         return (total + ruled_total).reshape(X.shape[:-1])
 
-    return SolutionEvaluator(problem, evaluate)
+    return SolutionEvaluator(problem, lambda t: lambda X: evaluate(X, t))

@@ -1,5 +1,6 @@
 """Config parsing and the command-line front end."""
 
+import ast
 import concurrent.futures
 import hashlib
 import itertools
@@ -8,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -15,12 +17,12 @@ import numpy as np
 import pytest
 
 import waveforge
-from waveforge import cli
+from waveforge import cli, problems
 from waveforge.cli import main
 from waveforge.config import MAX_ROWS, dump_config, load_config, parse_config
 from waveforge.errors import ConfigError, InvalidBox
 from waveforge.expr import Mesh, parse
-from waveforge.ibvp import build_basis, solve_ibvp
+from waveforge.ibvp import IbvpEvaluator, build_basis, solve_ibvp
 from waveforge.problems import CauchyProblem
 from waveforge.oracle import ModeProblem, mode_solve
 from test_wave_solver import _stopping_counts
@@ -555,8 +557,11 @@ class TestSolveCommand:
         assert captured.out == ""
         assert not out.exists()
 
-    @pytest.mark.parametrize("text, t", [(FORCED_HEAT, 0.25), (FORCED_WAVE, 1.0)],
-                             ids=["heat", "wave-multiple"])
+    @pytest.mark.parametrize(
+        "text, t", [(FORCED_HEAT, 0.25), (FORCED_WAVE, 1.0),
+                    (FORCED_HEAT.replace("t = 0:0.25:2", "t = 0:0.25:2\nbox = "
+                                         f"{math.pi!r}, {math.pi!r}\nk_max = 8"), None)],
+        ids=["heat", "wave-multiple", "box-heat"])
     def test_threads_deterministic_with_a_source(self, text, t, tmp_path, monkeypatch):
         cfgf = tmp_path / "p.ini"
         outputs = []
@@ -566,6 +571,9 @@ class TestSolveCommand:
             assert main(["--threads", str(threads), "solve", str(cfgf)]) == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+        if t is None:
+            # the box's Duhamel rule is one fixed Gauss rule, not a ladder
+            return
         # the grid's points stop on different counts of the time ladder
         ev = cli.build_evaluator(load_config(str(cfgf)))
         points = np.array([[x1, 0.6, -0.2][:ev.problem.n]
@@ -588,7 +596,7 @@ class TestSolveCommand:
             """A pool that starts no thread: it runs each chunk on submit."""
 
             def __init__(self, max_workers):
-                self.max_workers, self.chunks = max_workers, 0
+                self.max_workers, self.slabs, self.submits = max_workers, set(), 0
                 pools.append(self)
 
             def __enter__(self):
@@ -597,43 +605,54 @@ class TestSolveCommand:
             def __exit__(self, *exc):
                 return False
 
-            def submit(self, fn, *args):
-                self.chunks += 1
+            def submit(self, fn, slab):
+                self.slabs.add(id(slab))
+                self.submits += 1
                 future = concurrent.futures.Future()
-                future.set_result(fn(*args))
+                future.set_result(fn(slab))
                 return future
 
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", Recorder)
+        monkeypatch.setattr(problems, "ThreadPoolExecutor", Recorder)
         cfgf = tmp_path / "p.ini"
         outputs = []
         # 40 grid points; the third run has more CPUs than chunks
         for threads, cpus in ((1, 2), (16, 2), (3, 8), (16, None)):
-            monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+            monkeypatch.setattr(problems.os, "cpu_count", lambda: cpus)
             out = tmp_path / f"{threads}-{cpus}.csv"
             cfgf.write_text(KIRCHHOFF.format(path=out)
                             .replace("x1 = -0.5:0.5:3", "x1 = -0.5:0.5:40"))
             assert main(["--threads", str(threads), "solve", str(cfgf)]) == 0
             outputs.append(out.read_bytes())
-        # N chunks, this thread taking the first; at most one worker a CPU
-        assert [(p.max_workers, p.chunks) for p in pools] == [
+        # N slabs, cut once, this thread taking the first at each of the
+        # three times; at most one worker a CPU
+        assert [(p.max_workers, len(p.slabs)) for p in pools] == [
             (1, 0), (2, 15), (2, 2), (1, 15)]
+        assert all(p.submits == 3 * len(p.slabs) for p in pools)
         assert all(o == outputs[0] for o in outputs)
 
     def test_threads_split_the_longest_axis(self, tmp_path, monkeypatch):
         # x2 is the longest axis: --threads 4 evaluates four slabs of it, each
-        # with all of x1, and writes the bytes one thread writes
-        shapes = []
+        # with all of x1, at each of the three times, the calling thread
+        # taking the first, and writes the bytes one thread writes
+        shapes, first_slab_threads = [], set()
         build = cli.build_evaluator
 
         def recording_build(cfg):
             ev = build(cfg)
-            evaluate = ev.evaluate
+            at = ev._at
 
-            def recorded(X, times):
-                shapes.append(X.shape)
-                return evaluate(X, times)
+            def recorded(t):
+                fn = at(t)
 
-            ev.evaluate = recorded
+                def slab(X):
+                    shapes.append(X.shape)
+                    if X[1].flat[0] == -0.4:
+                        first_slab_threads.add(threading.get_ident())
+                    return fn(X)
+
+                return slab
+
+            ev._at = recorded
             return ev
 
         monkeypatch.setattr(cli, "build_evaluator", recording_build)
@@ -646,13 +665,37 @@ class TestSolveCommand:
                             .replace("x2 = 0:0:1", "x2 = -0.4:0.4:7"))
             assert main(["--threads", str(threads), "solve", str(cfgf)]) == 0
             outputs.append(out.read_bytes())
-        assert sorted(shapes) == [(3, 1, 1, 3)] + [(3, 2, 1, 3)] * 3 + [(3, 7, 1, 3)]
+        assert sorted(shapes) == ([(3, 1, 1, 3)] * 3 + [(3, 2, 1, 3)] * 9
+                                  + [(3, 7, 1, 3)] * 3)
+        assert first_slab_threads == {threading.get_ident()}
         assert outputs[0] == outputs[1]
         # a harmonic phi1 gives u = t phi1, in itertools.product order
         _, rows = _read_csv(tmp_path / "4.csv")
         assert np.allclose(rows[:, 4], rows[:, 3] * (rows[:, 0] + 2 * rows[:, 1]),
                            rtol=0, atol=1e-12)
         assert np.array_equal(rows[:7 * 3:3, 1], np.linspace(-0.4, 0.4, 7))
+
+    def test_threads_compute_amplitudes_once_per_time(self, tmp_path, monkeypatch):
+        # the slabs of one time share its amplitudes
+        calls = []
+        amplitudes = IbvpEvaluator.amplitudes
+
+        def counted(self, t):
+            calls.append(t)
+            return amplitudes(self, t)
+
+        monkeypatch.setattr(IbvpEvaluator, "amplitudes", counted)
+        cfgf = tmp_path / "p.ini"
+        outputs = []
+        for threads in (1, 4):
+            calls.clear()
+            out = tmp_path / f"{threads}.csv"
+            cfgf.write_text(BOX_MODE.format(pi=math.pi, path=out)
+                            .replace("x1 = 0.5:2.5:3", "x1 = 0.5:2.5:8"))
+            assert main(["--threads", str(threads), "solve", str(cfgf)]) == 0
+            assert calls == [0.0, 0.5, 1.0]
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_box_grid_memory_bounded(self, tmp_path):
         # the box synthesizes on per-axis sine tables, so a 64 x 64 x 16 grid
@@ -731,9 +774,9 @@ class TestSolveCommand:
             ev = build(cfg)
             evaluate = ev.evaluate
 
-            def counted(X, times):
+            def counted(X, times, threads=1):
                 calls.append((type(X), X.shape, times.shape))
-                return evaluate(X, times)
+                return evaluate(X, times, threads)
 
             ev.evaluate = counted
             return ev
@@ -916,6 +959,23 @@ class TestSolveImports:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == ""
 
+    def test_threads_split_in_one_module(self):
+        # problems.py alone splits a grid for threads; no solver holds
+        # concurrency state
+        pkg = Path(waveforge.__file__).resolve().parent
+        importers = []
+        for path in sorted(pkg.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                if any(n == "threading" or n.startswith("concurrent") for n in names):
+                    importers.append(path.name)
+        assert set(importers) == {"problems.py"}
+
     def test_solve_loads_neither_scipy_nor_oracle(self, tmp_path):
         # solvers stay independent of the oracle, and solve runs on numpy
         # alone; a fresh interpreter shows what one solve imports
@@ -961,6 +1021,24 @@ class TestSumSeriesCommand:
             "sum-series", "--generator", "x1", "--z", "0.0",
         ])
         assert rc == 2
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--z", "nan"], "--z must be finite, got nan"),
+        (["--z=-inf"], "--z must be finite, got -inf"),
+        (["--z=-0.1", "--half-period", "nan"], "--half-period must be finite, got nan"),
+        (["--z=-0.1", "--half-period", "inf"], "--half-period must be finite, got inf"),
+        (["--z=-0.1", "--x-range", "nan:1:3"],
+         "--x-range bound must be finite, got nan"),
+        (["--z=-0.1", "--x-range", "0:inf:3"],
+         "--x-range bound must be finite, got inf"),
+        (["--z=-0.1", f"--x-range=0:1:{MAX_ROWS + 1}"],
+         f"--x-range count must be between 0 and {MAX_ROWS}, got {MAX_ROWS + 1}"),
+    ])
+    def test_bad_numbers_rejected(self, flags, message, capsys):
+        # each used to exit 3 after a numpy warning, or to run unbounded
+        assert main(["sum-series", "--generator", "x1"] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
 
     def test_generator_required(self):
         assert main(["sum-series", "--z", "-0.1"]) == 2

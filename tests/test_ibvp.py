@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from waveforge.errors import (
     DataCountMismatch,
     DomainError,
     InvalidBox,
+    InvalidOrder,
     NegativeDiffusionTime,
 )
 from waveforge.expr import compile_field, parse
@@ -20,6 +22,11 @@ from waveforge.oracle import ModeProblem, mode_solve
 from waveforge.problems import CauchyProblem
 
 PI = math.pi
+
+
+def _coeff(values, basis, k):
+    """The coefficient of mode k in a projection onto ``basis``."""
+    return values.reshape((basis.k_max,) * basis.d)[tuple(np.subtract(k, 1))]
 
 
 class TestBasis:
@@ -63,28 +70,29 @@ class TestBasis:
 class TestProjection:
     def test_projects_own_mode(self):
         b = build_basis([PI], 8)
-        mc = project(parse("sqrt(2/pi)*sin(x1)", 1), b)
-        assert mc.coeff([1]) == pytest.approx(1.0, abs=1e-12)
-        assert np.max(np.abs(mc.values[1:])) < 1e-10
+        values = project(parse("sqrt(2/pi)*sin(x1)", 1), b)
+        assert values.shape == (8,)
+        assert _coeff(values, b, [1]) == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(values[1:])) < 1e-10
 
     def test_zero_field(self):
         b = build_basis([PI], 8)
-        mc = project(parse("0", 1), b)
-        assert np.max(np.abs(mc.values)) == 0.0
+        values = project(parse("0", 1), b)
+        assert np.max(np.abs(values)) == 0.0
 
     def test_parabola_series(self):
         # x(pi - x) on [0, pi]: orthonormal coefficients
         # c_k = sqrt(2/pi) * 2 (1 - (-1)^k) / k^3
         b = build_basis([PI], 8)
-        mc = project(parse("x1*(pi - x1)", 1), b)
+        values = project(parse("x1*(pi - x1)", 1), b)
         for k in range(1, 9):
             exact = math.sqrt(2 / PI) * 2 * (1 - (-1) ** k) / k**3
-            assert mc.coeff([k]) == pytest.approx(exact, abs=1e-12)
+            assert _coeff(values, b, [k]) == pytest.approx(exact, abs=1e-12)
 
     def test_parseval_partial_sums(self):
         b = build_basis([PI], 16)
-        mc = project(parse("x1*(pi - x1)", 1), b)
-        partial = np.cumsum(mc.values**2)
+        values = project(parse("x1*(pi - x1)", 1), b)
+        partial = np.cumsum(values**2)
         assert np.all(np.diff(partial) >= 0)
 
     @pytest.mark.parametrize(
@@ -102,10 +110,11 @@ class TestProjection:
             ),
             d,
         )
-        mc = project(mode, build_basis(L, 6))
-        assert mc.coeff(k) == pytest.approx(1.0, abs=1e-12)
-        hit = (mc.basis.modes == k).all(axis=1)
-        assert np.max(np.abs(mc.values[~hit])) < 1e-10
+        b = build_basis(L, 6)
+        values = project(mode, b)
+        assert _coeff(values, b, k) == pytest.approx(1.0, abs=1e-12)
+        hit = (b.modes == k).all(axis=1)
+        assert np.max(np.abs(values[~hit])) < 1e-10
 
         # every coefficient against an explicit Gauss sum, mode by mode
         basis = build_basis(L, 3)
@@ -115,20 +124,20 @@ class TestProjection:
             d,
         )
         q = 12
-        mc = project(bump, basis, quad_count=q)
+        values = project(bump, basis, quad_count=q)
         unit, unit_w = np.polynomial.legendre.leggauss(q)
         axes = [0.5 * Li * (unit + 1.0) for Li in L]
         weights = [0.5 * Li * unit_w for Li in L]
         f = compile_field(bump)
         nodes = list(itertools.product(range(q), repeat=d))
-        values = {
+        at_nodes = {
             idx: float(f(np.array([axes[i][j] for i, j in enumerate(idx)])))
             for idx in nodes
         }
-        for kvec, got in zip(basis.modes, mc.values):
+        for kvec, got in zip(basis.modes, values):
             total = 0.0
             for idx in nodes:
-                term = values[idx]
+                term = at_nodes[idx]
                 for i, j in enumerate(idx):
                     term *= (
                         weights[i][j]
@@ -448,3 +457,34 @@ class TestDiagnostics:
         p = CauchyProblem("wave-multiple", 1, 1, (1.0,), None, (None, None))
         ev = solve_ibvp(p, b)
         assert ev([0.7], 1.0) == 0.0
+
+    def test_heat_has_no_energy(self):
+        # the wave energy of a heat box's amplitudes would be a meaningless
+        # number (1.1557 here); a bad time is still reported as a bad time
+        ev = solve_ibvp(CauchyProblem("heat-product", 1, 1, (1.0,), None,
+                                      (parse("sin(x1)", 1),)),
+                        build_basis([PI], 8))
+        with pytest.raises(InvalidOrder, match="energy is defined for the "
+                                               "single-factor wave"):
+            ev.energy(0.5)
+        with pytest.raises(NegativeDiffusionTime):
+            ev.energy(-0.5)
+
+
+class TestTimeLoopMemory:
+    def test_amplitudes_do_not_accumulate(self):
+        # one time's amplitudes at a time: 2,000 times of 576 modes held for
+        # the evaluator's life would peak at 9.2 MB
+        ev = solve_ibvp(CauchyProblem("heat-product", 2, 1, (1.0,), None,
+                                      (parse("sin(x1)*sin(x2)", 2),)),
+                        build_basis([PI, PI], 24))
+        times = np.linspace(0.0, 1.0, 2000)
+        tracemalloc.start()
+        try:
+            values = ev.evaluate(np.array([[0.5, 1.0]]), times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        exact = np.exp(-2 * times) * math.sin(0.5) * math.sin(1.0)
+        assert np.allclose(values[0], exact, rtol=0, atol=1e-13)

@@ -413,6 +413,12 @@ class TestEvaluatorInterface:
         got = ev.evaluate(mesh, times)
         assert got.shape == tuple(len(a) for a in axes) + (2,)
         assert np.array_equal(got.reshape(-1, 2), ev.evaluate(points, times))
+        # slabs of the longest axis give the same bits: of the points, of the
+        # mesh, and of a mesh whose later axes have fewer dimensions
+        mixed = Mesh(x.reshape(x.shape[i:]) for i, x in enumerate(mesh))
+        assert np.array_equal(ev.evaluate(points, times, threads=3), got.reshape(-1, 2))
+        for X in (mesh, mixed):
+            assert np.array_equal(ev.evaluate(X, times, threads=3), got)
 
     @pytest.mark.parametrize("family", ["wave-m1", "heat-equal", "box"])
     def test_no_points(self, family):
