@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -74,17 +75,19 @@ class EigenBasis:
 def check_box(L, k_max: int) -> tuple[float, ...]:
     """The side lengths of the box prod [0, L_i] as floats, once they and
     the mode cutoff ``k_max`` are valid: 1 to 3 sides, each positive and
-    finite, and 1 <= k_max with k_max^d <= :data:`MAX_MODES`.  Raises
-    :class:`~waveforge.errors.InvalidBox` otherwise."""
+    finite, and an integer 1 <= k_max with k_max^d <= :data:`MAX_MODES`.
+    Raises :class:`~waveforge.errors.InvalidBox` otherwise."""
     L = tuple(float(v) for v in np.atleast_1d(L))
     if len(L) not in (1, 2, 3):
         raise InvalidBox(f"box dimension must be 1..3, got {len(L)}")
     if not all(0 < v < math.inf for v in L):
         raise InvalidBox(f"box side lengths must be positive and finite: {L}")
+    if not isinstance(k_max, numbers.Integral):
+        raise InvalidBox(f"k_max must be an integer, got {k_max!r}")
     if k_max < 1:
         raise InvalidBox(f"k_max must be >= 1, got {k_max}")
-    if k_max ** len(L) > MAX_MODES:
-        raise InvalidBox(f"k_max = {k_max} gives {k_max ** len(L)} modes in "
+    if int(k_max) ** len(L) > MAX_MODES:
+        raise InvalidBox(f"k_max = {k_max} gives {int(k_max) ** len(L)} modes in "
                          f"{len(L)} dimensions, more than {MAX_MODES}")
     return L
 
@@ -112,14 +115,14 @@ def _projection_plan(L: tuple[float, ...], k_max: int, quad_count: int):
     hands the same ones to every caller.
     """
     rules = [gauss_legendre(quad_count, 0.0, Li) for Li in L]
-    mesh = Mesh(np.meshgrid(*[r.nodes for r in rules], indexing="ij", sparse=True))
+    mesh = Mesh(np.meshgrid(*[z for z, _ in rules], indexing="ij", sparse=True))
     # per-axis sine matrices k x q, weights folded in
     k = np.arange(1, k_max + 1)
     mats = tuple(
         math.sqrt(2.0 / Li)
-        * np.sin(np.outer(k, rule.nodes) * (np.pi / Li))
-        * rule.weights[None, :]
-        for rule, Li in zip(rules, L)
+        * np.sin(np.outer(k, z) * (np.pi / Li))
+        * w[None, :]
+        for (z, w), Li in zip(rules, L)
     )
     for arr in (*mesh, *mats):
         arr.flags.writeable = False
@@ -249,8 +252,7 @@ def solve_ibvp(problem: CauchyProblem, basis: EigenBasis,
     ])
     src = None if problem.source is None else compile_field(problem.source)
 
-    unit = gauss_legendre(spec.n_time, 0.0, 1.0)
-    z, wz = unit.nodes, unit.weights
+    z, wz = gauss_legendre(spec.n_time, 0.0, 1.0)
     heat = problem.kind == "heat-product"
     # roots of each mode's characteristic polynomial, shape (N, M): heat
     # factors s + a lam, wave factors s^2 + a^2 lam

@@ -349,8 +349,7 @@ def cluster_evaluator(problem: CauchyProblem, kernel: Callable) -> SolutionEvalu
     def ruled_part(points, t, count):
         """The ruled terms at time t on the count-node rule, and their
         size, shape (P,) each."""
-        rule = gauss_legendre(count, 0.0, 1.0)
-        z, wz = rule.nodes, rule.weights
+        z, wz = gauss_legendre(count, 0.0, 1.0)
         tau, rest = t * z, t - t * z
         sigma = rest[:, None] * z
         out, mag = np.zeros((2, len(points), count))

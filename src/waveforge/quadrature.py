@@ -4,29 +4,31 @@ The sinh kernel is the workhorse of every wave-type solver here: in
 Darboux's form it is one spherical mean of the field and its radial
 derivatives per time, over the sphere of radius a*t.  Sphere means and the
 heat propagator's Gaussian sums share one bounded reduction,
-:func:`centre_sums`, which returns the data's size with every sum, and
-every rule sized by a companion-rule estimate (the sphere degree, the
-Gauss-Hermite count and the time rule) climbs one ladder, :func:`climb`,
-on flat entries: a point of the time ladder, a (centre, step) pair of
-the sphere and Gauss-Hermite ladders, which :func:`ladder_sums` maps to
-a kernel's points x times.  All rules are immutable value objects and
-all operations are pure.
+:func:`centre_sums`, which takes every rule's nodes as an open mesh and
+returns the data's size with every sum, and every rule sized by a
+companion-rule estimate (the sphere degree, the Gauss-Hermite count and
+the time rule) climbs one ladder, :func:`climb`, on flat entries: a point
+of the time ladder, a (centre, step) pair of the sphere and Gauss-Hermite
+ladders, which :func:`ladder_sums` maps to a kernel's points x times.
+All operations are pure.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import InvalidInterval, InvalidOrder, UnresolvedData, UnsupportedDimension
+from .errors import (DimensionError, DomainError, InvalidInterval, InvalidOrder,
+                     UnresolvedData, UnsupportedDimension)
 from .expr import Expr, Mesh, compile_field, differentiate, laplacian
 
 __all__ = [
-    "GaussRule",
     "SphereRule",
     "QuadratureSpec",
     "gauss_legendre",
@@ -51,12 +53,6 @@ def double_factorial(k: int) -> float:
         result *= k
         k -= 2
     return result
-
-
-@dataclass(frozen=True)
-class GaussRule:
-    nodes: np.ndarray
-    weights: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -85,7 +81,7 @@ class QuadratureSpec:
     ``sphere_degree`` is the top rung of the sinh kernel's sphere ladder
     (:data:`SPHERE_LADDER`), which each sphere mean climbs.  ``n_radial``
     is accepted and validated but unused: the sinh kernel needs no radial
-    rule.  Every count is at least 2, ``n_time`` at most
+    rule.  Every count is an integer, at least 2, ``n_time`` at most
     :data:`MAX_TIME_NODES` and ``sphere_degree`` at most 1448, the n = 3
     bound of :func:`check_sphere`.
     """
@@ -96,7 +92,10 @@ class QuadratureSpec:
 
     def __post_init__(self):
         for name in ("n_time", "n_radial", "sphere_degree"):
-            if getattr(self, name) < 2:
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise InvalidOrder(f"{name} must be an integer, got {value!r}")
+            if value < 2:
                 raise InvalidOrder(f"{name} must be at least 2")
         if self.n_time > MAX_TIME_NODES:
             raise InvalidOrder(f"n_time = {self.n_time} is more than "
@@ -112,7 +111,7 @@ def check_sphere(n: int, degree: int) -> None:
         raise UnsupportedDimension(f"sphere rules exist for n in {{3, 5}}, not {n}")
     if degree < 2:
         raise InvalidOrder("degree must be at least 2")
-    count = 2 * degree ** (n - 1)
+    count = 2 * int(degree) ** (n - 1)
     if count > MAX_SPHERE_DIRECTIONS:
         raise InvalidOrder(f"sphere_degree = {degree} gives {count} directions "
                            f"at n = {n}, more than {MAX_SPHERE_DIRECTIONS}")
@@ -129,20 +128,21 @@ def _unit_rule(count: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def gauss_legendre(count: int, a: float, b: float) -> GaussRule:
-    """Gauss-Legendre rule with ``count`` nodes mapped to (a, b).
+def gauss_legendre(count: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the Gauss-Legendre rule with ``count`` nodes
+    mapped to (a, b), a finite interval.
 
     The rule on (-1, 1) is computed once per count (:func:`_unit_rule`)
     and scaled here, so the returned arrays are new on every call.
     """
     if count < 1:
         raise InvalidOrder("node count must be positive")
-    if a >= b:
-        raise InvalidInterval(f"need a < b, got ({a}, {b})")
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise InvalidInterval(f"need finite a < b, got ({a}, {b})")
     nodes, weights = _unit_rule(count)
     half = 0.5 * (b - a)
     mid = 0.5 * (b + a)
-    return GaussRule(mid + half * nodes, half * weights)
+    return mid + half * nodes, half * weights
 
 
 def _polar_rule(count: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -250,7 +250,7 @@ def ladder_sums(g, rungs: Sequence[int], rule: Callable, centres, steps,
     point (n,).
 
     Entry e is point e // J at step e % J, and each rung sums the pending
-    entries on ``rule(rung)``, its nodes and weights, passing them to
+    entries on ``rule(rung)``, its node mesh and weights, passing them to
     :func:`centre_sums` as (point, step) index pairs.  ``t_args`` (J,), or
     with ``t_weights`` (J, S) both, are each step's time arguments, zero if
     None, as :func:`centre_sums` takes them.  ``unresolved(x, j, lo, hi)``
@@ -268,14 +268,15 @@ def ladder_sums(g, rungs: Sequence[int], rule: Callable, centres, steps,
 
 
 # Most field values one reduction builds at once, a value being a point at
-# one source time: chunks of whole entries while one entry's row fits,
-# else runs of one row's nodes, so no field call outgrows BATCH_POINTS
-# unless one row of nodes does, and then none builds more values than
-# that row has nodes.  Larger chunks were no faster, and freeing their
-# larger arrays raises malloc's mmap threshold, so more freed memory stays
-# resident: 1 << 20 added 25 MiB to the whole-space configs' peak RSS.
+# one source time: chunks of whole entries while one entry's row fits, else
+# runs of slices of the row's first node axis, so no field call outgrows
+# BATCH_POINTS unless one row, or one slice at all source times, does.
+# Larger chunks were no faster, and freeing their larger arrays raises
+# malloc's mmap threshold, so more freed memory stays resident: 1 << 20
+# added 25 MiB to the whole-space configs' peak RSS.
 BATCH_POINTS = 1 << 16
-# A row of more nodes is summed in chunks of this many, in node order; the
+# A row of more nodes is summed in chunks of whole slices of its first
+# node axis, at most this many nodes or one slice, in node order; the
 # boundaries are fixed, so a value depends neither on its batch nor on
 # BATCH_POINTS
 ROW_CHUNK = 1 << 16
@@ -289,32 +290,37 @@ def row_dot(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return (values[..., None, :] @ weights[..., :, None])[..., 0, 0]
 
 
-def centre_sums(g, centres: np.ndarray, steps, nodes: np.ndarray,
+def centre_sums(g, centres: np.ndarray, steps, nodes: Mesh,
                 weights: np.ndarray, t_args=None, t_weights=None, pairs=None):
     """sum_d weights[d] g(x_e + s_e u_d) for every entry e, a centre x_e of
     ``centres`` (E, n) with its own step s_e of ``steps`` (E,), and the
     data's size sum_d weights[d] |g(x_e + s_e u_d)| from the same values,
-    shape (E,) each, with u_d the rows of ``nodes`` (D, n).  With index
-    arrays ``pairs`` (E,) each, entry e is centre pairs[0][e] at step
-    pairs[1][e], with that step's times, gathered one chunk at a time.
+    shape (E,) each, with u_d the points of the open mesh ``nodes``: n
+    arrays with the axes of ``weights`` that broadcast to its shape, a
+    sphere rule's (D,) direction coordinates or a tensor rule's (q, 1, 1),
+    (1, q, 1), (1, 1, q).  With index arrays ``pairs`` (E,) each, entry e
+    is centre pairs[0][e] at step pairs[1][e], with that step's times,
+    gathered one chunk at a time.
 
-    ``g(points, steps, nodes, t)`` takes per-axis arrays: ``points`` is a
-    :class:`~waveforge.expr.Mesh` of the n coordinates x_ea + s_e u_da,
-    (E', D', 1) each, ``steps`` the entries' steps (E', 1, 1), ``nodes`` a
-    Mesh of the node coordinates u_da, (D', 1) each, and ``t`` the time
-    arguments (E', 1, S); it returns values (E', D', S).  ``t_args`` is
-    each step's time argument, aligned with ``steps``, zero if None.  With
-    ``t_weights`` both have a trailing axis of S source times: g at step j
-    is then sum_k t_weights[j, k] g(., t_args[j, k]), of size sum_k
-    |t_weights[j, k]| |g(., t_args[j, k])|.  The field is evaluated once
-    on that source-time axis, so a subexpression that does not read t is
-    computed once per point, and the axis is contracted per point by
+    ``g(points, steps, nodes, t)`` takes arrays with an entry axis first,
+    then the node axes, D' slices of the first, then a source-time axis:
+    the :class:`~waveforge.expr.Mesh` of the coordinates
+    x_ea + s_e u_da, (E', D', 1) each for (D,) nodes, the steps (E', 1, 1),
+    the Mesh of the u_da, (D', 1) each, and the time arguments (E', 1, S);
+    it returns values (E', D', S).  On a tensor rule x1 is (E', D', 1, 1, 1)
+    and x3 (E', 1, 1, q, 1), so what reads x1 alone costs D' values.
+    ``t_args`` is each step's time argument, aligned with ``steps``, zero if
+    None.  With ``t_weights`` both have a trailing axis of S source times:
+    g at step j is then sum_k t_weights[j, k] g(., t_args[j, k]), of size
+    sum_k |t_weights[j, k]| |g(., t_args[j, k])|.  The field is evaluated
+    once on that source-time axis, so a subexpression that does not read t
+    is computed once per point, and the axis is contracted per point by
     :func:`row_dot`, before the node sum.
 
     A zero step is g at the centre itself, exactly.  Each entry is reduced
-    by its own dot product per chunk of :data:`ROW_CHUNK` nodes, the
-    chunks' sums added in node order, so its value does not depend on how
-    the work is chunked.
+    by its own dot product per chunk of :data:`ROW_CHUNK` nodes, over its
+    values with the node axes flattened, the chunks' sums added in node
+    order, so its value does not depend on how the work is chunked.
     """
     steps = np.asarray(steps, dtype=float)
     if t_weights is None:
@@ -322,32 +328,35 @@ def centre_sums(g, centres: np.ndarray, steps, nodes: np.ndarray,
     else:
         t_args = np.asarray(t_args, dtype=float)
     sources = t_args.shape[1]
-    axes = range(centres.shape[1])
     point, step = (np.arange(steps.size),) * 2 if pairs is None else pairs
     out = np.empty(step.size)
     mag = np.empty_like(out)
     zero = (steps == 0.0)[step]
     # a zero step takes one node of weight 1: the centre
-    for idx, u, w in ((np.flatnonzero(zero), np.zeros_like(nodes[:1]), np.ones(1)),
+    for idx, u, w in ((np.flatnonzero(zero), Mesh(np.zeros(1) for _ in nodes), np.ones(1)),
                       (np.flatnonzero(~zero), nodes, weights)):
-        width = min(len(w), ROW_CHUNK)  # nodes a row sums at once
-        budget = max(BATCH_POINTS, width)  # most values a field call builds
-        span = max(1, min(width, budget // sources))  # nodes a field call takes
-        rows = max(1, budget // (span * sources))  # entries a field call takes
+        inner = w[0].size  # nodes in one slice of the first node axis
+        width = min(len(w), max(1, ROW_CHUNK // inner))  # slices a row sums at once
+        budget = max(BATCH_POINTS, width * inner)  # most values a field call builds
+        span = max(1, min(width, budget // (inner * sources)))  # slices a field call takes
+        rows = max(1, budget // (span * inner * sources))  # entries a field call takes
+        lead = (-1,) + (1,) * w.ndim  # an entry axis, then the node axes
+        flat = w.reshape(-1)
         for j in range(0, idx.size, rows):
             r = idx[j:j + rows]
             p, q = point[r], step[r]
-            x, s, t = centres[p, :, None, None], steps[q, None, None], t_args[q, None]
+            x = centres[p].T.reshape((len(nodes),) + lead + (1,))
+            s, t = steps[q].reshape(lead + (1,)), t_args[q].reshape(lead + (sources,))
             tw = None if t_weights is None else t_weights[q, None]
 
             def reduced(a, b):
-                """Nodes a:b's values and sizes, (E', b - a) each; the
+                """Slices a:b's values and sizes, (E', nodes) each; the
                 field's values are freed on return."""
-                ua = Mesh(u[a:b, k, None] for k in axes)
+                ua = Mesh((uk[a:b] if len(uk) > 1 else uk)[..., None] for uk in u)
                 pts = Mesh(s * uk for uk in ua)
-                for p, k in zip(pts, axes):
-                    p += x[:, k]
-                vals = g(pts, s, ua, t)
+                for pk, xk in zip(pts, x):
+                    pk += xk
+                vals = g(pts, s, ua, t).reshape(len(r), -1, sources)
                 if tw is None:
                     return vals[..., 0], np.abs(vals[..., 0])
                 return row_dot(vals, tw), row_dot(np.abs(vals), np.abs(tw))
@@ -357,20 +366,24 @@ def centre_sums(g, centres: np.ndarray, steps, nodes: np.ndarray,
                 parts = [reduced(a, min(a + span, end)) for a in range(k, end, span)]
                 vals, sizes = parts[0] if len(parts) == 1 else (
                     np.concatenate(p, axis=-1) for p in zip(*parts))
-                part = row_dot(vals, w[k:end])
+                part = row_dot(vals, flat[k * inner:end * inner])
                 out[r] = part if k == 0 else out[r] + part
-                part = row_dot(sizes, w[k:end])
+                part = row_dot(sizes, flat[k * inner:end * inner])
                 mag[r] = part if k == 0 else mag[r] + part
     return out, mag
 
 
 def spherical_mean(field: Expr, center: Sequence[float], radius: float,
                    rule: SphereRule) -> float:
-    """Mean of ``field`` over the sphere of given radius around ``center``."""
-    f = compile_field(field)
+    """Mean of ``field`` over the sphere of given radius around ``center``;
+    the rule and the centre must have the field's dimension."""
     center = np.asarray(center, dtype=float)
-    means, _ = centre_sums(lambda pts, s, u, t: f(pts, t), center[None, :],
-                           [radius], rule.directions, rule.weights)
+    if rule.n != field.ndim or center.shape != (field.ndim,):
+        raise DimensionError(f"a field on R^{field.ndim} needs a centre and a rule of "
+                             f"its dimension, got {center.shape} and n = {rule.n}")
+    f = compile_field(field)
+    means, _ = centre_sums(lambda pts, s, u, t: f(pts, t), center[None, :], [radius],
+                           Mesh(rule.directions.T), rule.weights)
     return float(means[0])
 
 
@@ -384,6 +397,10 @@ def iterated_time_integral(g: Callable[[np.ndarray], np.ndarray], m: int,
     """
     if m < 1:
         raise InvalidOrder(f"fold count must be >= 1, got {m}")
+    if rule_count < 1:
+        raise InvalidOrder(f"rule_count must be >= 1, got {rule_count}")
+    if not math.isfinite(t):
+        raise DomainError(f"time must be finite, got {t}")
     if t == 0.0:
         return 0.0
     nodes, weights = _unit_rule(rule_count)
@@ -487,7 +504,7 @@ class SinhKernel:
 
         def sphere_nodes(degree):
             rule = sphere_rule(self.n, degree)
-            return rule.directions, rule.weights
+            return Mesh(rule.directions.T), rule.weights
 
         means, mag = ladder_sums(
             integrand, self.rungs, sphere_nodes, x, self.a * ts, t_args, t_weights,

@@ -1,6 +1,8 @@
 """Diffusion semigroup and the heat-product solvers."""
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,6 +114,97 @@ class TestPropagator:
         p = CauchyProblem("heat-product", 2, 1, (1.0,), None, (parse(text, 2),))
         with pytest.raises(NegativeDiffusionTime):
             solve_heat_product(p).evaluate(np.zeros((1, 2)), [0.5, lam])
+
+
+class TestHermiteMesh:
+    """Gauss-Hermite rules reach the field as open meshes of per-axis nodes,
+    and no tensor rule outlives its call."""
+
+    FIELD = "sin(4*x1)*cos(x2)*cos(x3)"
+
+    def test_rule_is_an_open_mesh(self):
+        nodes, weights = heat_solver.hermite_rule(3, 8)
+        assert [u.shape for u in nodes] == [(8, 1, 1), (1, 8, 1), (1, 1, 8)]
+        assert weights.shape == (8, 8, 8) and weights.sum() == pytest.approx(1.0)
+        z, w = np.polynomial.hermite.hermgauss(8)
+        assert np.array_equal(nodes[1].ravel(), 2.0 * z)
+        assert np.array_equal(weights[:, 2, 5], w / w.sum() * (w[2] / w.sum())
+                              * (w[5] / w.sum()))
+
+    def test_no_rule_held_after_a_call(self):
+        # the call climbs to 64 nodes per axis; a cache of the tensor rules
+        # held 13 MiB after it
+        prop = HeatPropagator(parse(self.FIELD, 3))
+        for obj in vars(heat_solver).values():
+            getattr(obj, "cache_clear", lambda: None)()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            prop.apply_many([[0.3, 0.2, 0.1]], [2.0])
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 1 << 20
+
+    def test_one_axis_factor_costs_q_values(self, monkeypatch):
+        # each coordinate reaches the field as an array along its own node
+        # axis, so sin(4 x1) is computed on q values a call, not q^3
+        shapes = []
+
+        def recording(compile_field):
+            def compile_recorded(e):
+                field = compile_field(e)
+
+                def recorded(X, t=0.0):
+                    shapes.append(tuple(np.shape(x) for x in X))
+                    return field(X, t)
+
+                return recorded
+
+            return compile_recorded
+
+        monkeypatch.setattr(heat_solver, "compile_field",
+                            recording(heat_solver.compile_field))
+        HeatPropagator(parse(self.FIELD, 3)).apply_many([0.3, 0.2, 0.1], [0.5])
+        assert len(shapes) >= 2
+        for (s1, s2, s3), q in zip(shapes, heat_solver.LADDER):
+            assert s1 == (1, q, 1, 1, 1)
+            assert s2 == (1, 1, q, 1, 1) and s3 == (1, 1, 1, q, 1)
+
+    def test_high_rung_values_do_not_depend_on_the_batch(self, monkeypatch):
+        # t-weighted entries that climb to 48 nodes per axis or more, on rows
+        # cut into chunks of whole slices: the values are byte-identical
+        # alone and batched, and under any BATCH_POINTS
+        prop = HeatPropagator(parse("sin(4*x1 - t)*cos(x2)*cos(x3)", 3))
+        points = np.array([[0.3, 0.2, 0.1], [-1.1, 0.4, 2.0]])
+        lams = np.array([0.5, 1.0])
+        sigmas = np.array([[0.1, 0.2, 0.3, 0.4], [0.5, 0.6, 0.7, 0.8]])
+        omegas = np.array([[0.4, -0.1, 0.3, 0.2], [0.1, 0.2, -0.3, 0.5]])
+        asked, sums = [], quadrature.centre_sums
+
+        def recording(g, centres, steps, nodes, w, *rest):
+            asked.append(len(w))
+            return sums(g, centres, steps, nodes, w, *rest)
+
+        monkeypatch.setattr(quadrature, "centre_sums", recording)
+        whole = prop.apply_many(points, lams, sigmas, omegas)
+        assert max(asked) >= 48
+        monkeypatch.setattr(quadrature, "ROW_CHUNK", 5000)
+        chunked = prop.apply_many(points, lams, sigmas, omegas)
+        # other chunks round differently, within eps of the data's size
+        np.testing.assert_allclose(chunked[0], whole[0], rtol=0,
+                                   atol=1e-15 * whole[1].max())
+        np.testing.assert_allclose(chunked[1], whole[1], rtol=1e-15, atol=0)
+        for budget in (1 << 20, 1 << 16, 4000, 1):
+            monkeypatch.setattr(quadrature, "BATCH_POINTS", budget)
+            got = prop.apply_many(points, lams, sigmas, omegas)
+            assert np.array_equal(got[0], chunked[0])
+            assert np.array_equal(got[1], chunked[1])
+            single = np.array([[prop.apply_many(x, [lam], sigmas[j:j + 1],
+                                                omegas[j:j + 1])[0][0]
+                                for j, lam in enumerate(lams)] for x in points])
+            assert np.array_equal(single, chunked[0])
 
 
 class TestResolution:

@@ -59,6 +59,19 @@ class TestBasis:
             with pytest.raises(InvalidBox, match="positive and finite"):
                 build_basis([1.0, side], 4)
 
+    @pytest.mark.parametrize("k_max", [2.5, 3.0, math.nan, "3"])
+    def test_k_max_must_be_an_integer(self, k_max):
+        # 2.5 built 3 float modes under k_max 2, and NaN failed in numpy
+        with pytest.raises(InvalidBox, match="k_max must be an integer"):
+            build_basis([PI], k_max)
+
+    def test_numpy_integer_k_max_accepted(self):
+        b = build_basis([PI, 1.0], np.int64(3))
+        assert b.count == 9 and b.modes.dtype.kind == "i"
+        # the mode count is an exact integer, not a wrapped int32
+        with pytest.raises(InvalidBox, match="k_max = 2000 gives 8000000000 modes"):
+            build_basis([1.0] * 3, np.int32(2000))
+
     def test_mode_count_bounded(self):
         # checked before any mode array exists: 2000^3 would be 64 GB
         assert build_basis([1.0] * 3, 101).count == 101**3

@@ -1,5 +1,6 @@
 """Gauss rules, sphere means, iterated integrals, and the sinh kernel."""
 
+import functools
 import math
 
 import numpy as np
@@ -10,13 +11,14 @@ from scipy.special import gammaln, roots_jacobi
 
 from waveforge import quadrature
 from waveforge.errors import (
+    DimensionError,
     DomainError,
     InvalidInterval,
     InvalidOrder,
     UnresolvedData,
     UnsupportedDimension,
 )
-from waveforge.expr import parse
+from waveforge.expr import Mesh, parse
 from waveforge.quadrature import (
     QuadratureSpec,
     SPHERE_LADDER,
@@ -42,14 +44,21 @@ class TestDoubleFactorial:
 
 class TestGaussLegendre:
     def test_polynomial_exactness(self):
-        rule = gauss_legendre(8, 0.0, 2.0)
+        nodes, weights = gauss_legendre(8, 0.0, 2.0)
         # degree 15 polynomial integrated exactly
-        vals = rule.nodes**15
-        assert np.dot(rule.weights, vals) == pytest.approx(2.0**16 / 16, rel=1e-14)
+        vals = nodes**15
+        assert np.dot(weights, vals) == pytest.approx(2.0**16 / 16, rel=1e-14)
 
     def test_interval_validation(self):
         with pytest.raises(InvalidInterval):
             gauss_legendre(4, 1.0, 1.0)
+
+    @pytest.mark.parametrize("a, b", [(math.nan, 1.0), (0.0, math.nan),
+                                      (-math.inf, 1.0), (0.0, math.inf)])
+    def test_bounds_must_be_finite(self, a, b):
+        # a NaN bound gave an all-NaN rule, an infinite one a RuntimeWarning
+        with pytest.raises(InvalidInterval, match="finite"):
+            gauss_legendre(4, a, b)
 
     def test_count_validation(self):
         with pytest.raises(InvalidOrder):
@@ -73,12 +82,12 @@ class TestGaussLegendre:
         assert not nodes.flags.writeable and not weights.flags.writeable
         # the returned rules are scaled copies: changing one reaches no cache
         unit = np.polynomial.legendre.leggauss(13)
-        assert rules[1].nodes.tolist() == unit[0].tolist()
-        rules[1].nodes[:] = 0.0
-        rules[1].weights[:] = 0.0
+        assert rules[1][0].tolist() == unit[0].tolist()
+        rules[1][0][:] = 0.0
+        rules[1][1][:] = 0.0
         again = gauss_legendre(13, -1.0, 1.0)
-        assert again.nodes.tolist() == unit[0].tolist()
-        assert again.weights.tolist() == unit[1].tolist()
+        assert again[0].tolist() == unit[0].tolist()
+        assert again[1].tolist() == unit[1].tolist()
         assert calls == [13]
 
 
@@ -196,6 +205,13 @@ class TestSphereRules:
         e = parse("x1^2 + 5", 3)
         assert spherical_mean(e, [2, 0, 0], 0.0, rule) == pytest.approx(9.0)
 
+    @pytest.mark.parametrize("n, centre", [(5, [0, 0, 0]), (3, [0, 0, 0, 0, 0]),
+                                           (3, [0, 0])])
+    def test_dimensions_must_match_the_field(self, n, centre):
+        # three coordinates of five-dimensional directions gave -5e-17
+        with pytest.raises(DimensionError):
+            spherical_mean(parse("x1", 3), centre, 1.0, sphere_rule(n, 4))
+
 
 class TestCentreSums:
     """The sums and the data's size sum_d w_d |g| come from the same values."""
@@ -221,7 +237,7 @@ class TestCentreSums:
         rule = sphere_rule(3, 6)
         centres, steps = self._entries(self.CENTRES, self.STEPS)
         sums, sizes = centre_sums(self._g, centres, steps,
-                                  rule.directions, rule.weights)
+                                  Mesh(rule.directions.T), rule.weights)
         return sums.reshape(2, 3), sizes.reshape(2, 3)
 
     def test_sizes_are_weighted_absolute_values(self):
@@ -257,7 +273,8 @@ class TestCentreSums:
         sums, sizes = self._reduce()
         centres = self.CENTRES[[1, 0, 1, 0]]
         steps = self.STEPS[[2, 1, 0, 2]]
-        got = centre_sums(self._g, centres, steps, rule.directions, rule.weights)
+        got = centre_sums(self._g, centres, steps, Mesh(rule.directions.T),
+                          rule.weights)
         assert got[0].tolist() == [sums[1, 2], sums[0, 1], sums[1, 0], sums[0, 2]]
         assert got[1].tolist() == [sizes[1, 2], sizes[0, 1], sizes[1, 0], sizes[0, 2]]
 
@@ -274,7 +291,7 @@ class TestCentreSums:
         centres = self.CENTRES if centres is None else centres
         entries = self._entries(centres, self.STEPS, self.SIGMAS, self.OMEGAS)
         sums, sizes = centre_sums(g or self._gt, entries[0], entries[1],
-                                  rule.directions, rule.weights, *entries[2:])
+                                  Mesh(rule.directions.T), rule.weights, *entries[2:])
         return sums.reshape(-1, 3), sizes.reshape(-1, 3)
 
     def test_pairs_index_centres_and_steps(self):
@@ -283,7 +300,7 @@ class TestCentreSums:
         rule = sphere_rule(3, 6)
         sums, sizes = self._weighted()
         point, step = np.array([1, 0, 1, 0, 1]), np.array([2, 1, 0, 2, 1])
-        got = centre_sums(self._gt, self.CENTRES, self.STEPS, rule.directions,
+        got = centre_sums(self._gt, self.CENTRES, self.STEPS, Mesh(rule.directions.T),
                           rule.weights, self.SIGMAS, self.OMEGAS, (point, step))
         assert got[0].tolist() == sums[point, step].tolist()
         assert got[1].tolist() == sizes[point, step].tolist()
@@ -333,7 +350,7 @@ class TestCentreSums:
                 assert np.array_equal(pts[k], s * u[k] + x[:, k, None, None])
             return self._g(pts, s, u, t)
 
-        centre_sums(g, centres, steps, rule.directions, rule.weights)
+        centre_sums(g, centres, steps, Mesh(rule.directions.T), rule.weights)
         assert not calls
 
     def test_weighted_values_independent_of_the_batch(self, monkeypatch):
@@ -377,6 +394,38 @@ class TestCentreSums:
         with pytest.raises(DomainError):
             self._weighted(lambda pts, s, u, t: f(pts, t))
 
+    def test_tensor_mesh_sliced_along_its_first_axis(self, monkeypatch):
+        # a 3 x 4 x 2 tensor rule: each coordinate keeps its own node axis,
+        # calls take whole slices of the first, and the sums are those over
+        # the flat (24, 3) nodes
+        axes = (np.array([-1.0, 0.2, 0.9]), np.array([-0.7, -0.1, 0.4, 1.1]),
+                np.array([-0.5, 0.6]))
+        w = functools.reduce(np.multiply.outer, [np.linspace(0.1, 0.3, a.size) for a in axes])
+        nodes = Mesh(np.meshgrid(*axes, indexing="ij", sparse=True))
+        flat = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+        centres, steps = self._entries(self.CENTRES, self.STEPS)
+        shapes = []
+
+        def g(pts, s, u, t):
+            shapes.append((tuple(x.shape for x in pts), tuple(x.shape for x in u)))
+            return np.cos(pts[0]) * np.exp(pts[1] * pts[2]) - 0.4
+
+        sums, sizes = centre_sums(g, centres, steps, nodes, w)
+        assert shapes[1] == (((4, 3, 1, 1, 1), (4, 1, 4, 1, 1), (4, 1, 1, 2, 1)),
+                             ((3, 1, 1, 1), (1, 4, 1, 1), (1, 1, 2, 1)))
+        for e, (x, s) in enumerate(zip(centres, steps)):
+            u, wf = (flat, w.ravel()) if s else (np.zeros((1, 3)), np.ones(1))
+            vals = g(tuple((x + s * u).T), None, (), 0.0)
+            assert sums[e] == pytest.approx(wf @ vals, rel=1e-14, abs=1e-15)
+            assert sizes[e] == pytest.approx(wf @ np.abs(vals), rel=1e-14)
+        # rows of 8 nodes each sum one 4 x 2 slice
+        monkeypatch.setattr(quadrature, "ROW_CHUNK", 8)
+        shapes.clear()
+        chunked = centre_sums(g, centres, steps, nodes, w)
+        assert shapes[1][0] == ((4, 1, 1, 1, 1), (4, 1, 4, 1, 1), (4, 1, 1, 2, 1))
+        np.testing.assert_allclose(chunked[0], sums, rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(chunked[1], sizes, rtol=1e-14, atol=0)
+
 
 class TestIteratedTimeIntegral:
     def test_single_fold(self):
@@ -410,6 +459,16 @@ class TestIteratedTimeIntegral:
     def test_fold_count_validation(self):
         with pytest.raises(InvalidOrder):
             iterated_time_integral(lambda t: t, 0, 1.0)
+
+    def test_rule_count_validation(self):
+        with pytest.raises(InvalidOrder, match="rule_count"):
+            iterated_time_integral(np.cos, 1, 1.0, rule_count=0)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_time_must_be_finite(self, t):
+        # NaN gave nan, an infinite time a RuntimeWarning
+        with pytest.raises(DomainError, match="finite"):
+            iterated_time_integral(np.cos, 1, t)
 
 
 class TestSinhKernel:
@@ -598,6 +657,20 @@ class TestQuadratureSpec:
         with pytest.raises(InvalidOrder):
             QuadratureSpec(n_time=1)
 
+    @pytest.mark.parametrize("name", ["n_time", "n_radial", "sphere_degree"])
+    @pytest.mark.parametrize("value", [8.5, 8.0, math.nan, "8"])
+    def test_counts_must_be_integers(self, name, value):
+        # sphere_degree = 8.5 ran a 17-angle rule; n_time = 8.5 or NaN
+        # failed later in numpy
+        with pytest.raises(InvalidOrder, match=f"{name} must be an integer"):
+            QuadratureSpec(**{name: value})
+
+    def test_numpy_integers_accepted(self):
+        spec = QuadratureSpec(n_time=np.int64(8), sphere_degree=np.int32(6))
+        assert spec.n_time == 8 and spec.sphere_degree == 6
+        with pytest.raises(InvalidOrder, match="sphere_degree = 50000 gives"):
+            QuadratureSpec(sphere_degree=np.int32(50000))
+
     def test_sizes_bounded(self):
         assert QuadratureSpec(n_time=1024, sphere_degree=1448).n_time == 1024
         with pytest.raises(InvalidOrder, match="n_time = 1025 is more than 1024"):
@@ -611,8 +684,8 @@ class TestQuadratureSpec:
     @given(st.integers(2, 40))
     @settings(max_examples=20, deadline=None)
     def test_gauss_weight_sum(self, count):
-        rule = gauss_legendre(count, -1.0, 3.0)
-        assert rule.weights.sum() == pytest.approx(4.0, rel=1e-13)
+        _, weights = gauss_legendre(count, -1.0, 3.0)
+        assert weights.sum() == pytest.approx(4.0, rel=1e-13)
 
 
 class TestClimb:
