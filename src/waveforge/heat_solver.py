@@ -4,7 +4,8 @@ Covers prod_j (d/dt - a_j Lap) u = f with m initial data and any positive
 speeds.  Confluent partial fractions over the speed clusters
 (:func:`~waveforge.problems.cluster_evaluator`) write the solution as
 t^(i-1)/(i-1)! e^{t c Lap} of Laplacian powers of the data, and time
-integrals of such terms, for each cluster centre c.
+integrals of such terms, for each cluster centre c; the propagator
+carries the speed, ``HeatPropagator(field, c)``.
 
 The diffusion semigroup e^{lam Lap} is the Gaussian convolution, realized
 by tensor Gauss-Hermite rules on open meshes of per-axis nodes, so a
@@ -47,7 +48,8 @@ def hermite_rule(n: int, count: int) -> tuple[Mesh, np.ndarray]:
 
 
 class HeatPropagator:
-    """Evaluator of e^{lam Lap} f at points, vectorized over lam.
+    """Evaluator of e^{a lam Lap} f at points, vectorized over lam, for the
+    speed ``a`` (default 1).
 
     Substituting y = x + sqrt(lam) * zeta turns the Gaussian convolution
     into a lam-independent weight exp(-|zeta|^2/4) / (4 pi)^(n/2), so each
@@ -58,15 +60,16 @@ class HeatPropagator:
     by one :func:`~waveforge.quadrature.centre_sums` on its rule's mesh.
     """
 
-    def __init__(self, field: Expr):
+    def __init__(self, field: Expr, a: float = 1.0):
         check_heat(field.ndim)
         self.field = field
+        self.a = float(a)
         f = compile_field(field)
         self._g = lambda pts, s, u, t: f(pts, t)
 
     def apply_many(self, x, lams: np.ndarray, t_args=None, t_weights=None):
-        """Semigroup at each diffusion time in ``lams`` (zeros allowed), and
-        sum w |f| under each entry's accepted rule, the data's size there.
+        """Semigroup e^{a lam Lap} at each lam in ``lams`` (zeros allowed),
+        and sum w |f| under each entry's accepted rule, the data's size there.
 
         ``x`` is one point (n,) or many (P, n); each result has shape
         (len(lams),) or (P, len(lams)).  ``t_args``, aligned with ``lams``,
@@ -76,7 +79,7 @@ class HeatPropagator:
         size to sum_k |t_weights[j, k]| |f(., t_args[j, k])|, both passed
         through every rung by :func:`~waveforge.quadrature.centre_sums`.
         """
-        lams = np.asarray(lams, dtype=float)
+        lams = self.a * np.asarray(lams, dtype=float)
         bad = ~(np.isfinite(lams) & (lams >= 0))
         if bad.any():
             raise NegativeDiffusionTime(
@@ -113,10 +116,4 @@ def solve_heat_product(problem: CauchyProblem) -> SolutionEvaluator:
         raise InvalidOrder(f"expected heat-product, got {problem.kind}")
     check_heat(problem.n)
 
-    def kernel(field):
-        # one propagator serves every speed: the speed scales the diffusion time
-        prop = HeatPropagator(field)
-        return lambda points, c, taus, t_args=None, cosh=False, t_weights=None: (
-            prop.apply_many(points, c * taus, t_args, t_weights))
-
-    return cluster_evaluator(problem, kernel)
+    return cluster_evaluator(problem, HeatPropagator)

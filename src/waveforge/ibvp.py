@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataCountMismatch, InvalidBox, InvalidOrder
+from .errors import DataCountMismatch, DomainError, InvalidBox, InvalidOrder
 from .expr import Expr, Mesh, compile_field
 from .kernels import exp_divided_differences
 from .problems import CauchyProblem, SolutionEvaluator
@@ -202,14 +202,24 @@ class IbvpEvaluator(SolutionEvaluator):
         factorisation (Orszag 1980): the amplitudes, read as the
         (k_max,)^d mode tensor they are laid out in, are contracted one
         axis at a time with the sine table of that axis's own coordinates,
-        so a grid's intermediates hold g_1..g_i k_max^(d-i) values.
+        so a grid's intermediates hold g_1..g_i k_max^(d-i) values.  A
+        coordinate outside [0, L_i] raises
+        :class:`~waveforge.errors.DomainError`; the walls are in the box.
         Elementwise multiply-adds in a fixed order, unlike a BLAS product,
         keep a point's value independent of its batch and mesh.
         """
         b = self.basis
         k = np.arange(1, b.k_max + 1)
         acc = amps
-        for x, Li in zip(X, b.L):
+        for i, (x, Li) in enumerate(zip(X, b.L)):
+            # past a wall the series is the data's odd periodic extension
+            lo, hi = (float(x.min()), float(x.max())) if x.size else (0.0, Li)
+            if not lo >= 0:
+                raise DomainError(f"x{i + 1} = {lo!r} lies outside the box, "
+                                  "below its wall at 0")
+            if not hi <= Li:
+                raise DomainError(f"x{i + 1} = {hi!r} lies outside the box, "
+                                  f"above its wall at {Li!r}")
             table = np.multiply.outer(x, k * (np.pi / Li))
             np.sin(table, out=table)
             # an explicit size: on an empty mesh axis -1 cannot be inferred

@@ -10,6 +10,7 @@ and wave solvers supply only their kernel.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from collections import defaultdict
@@ -89,6 +90,11 @@ class CauchyProblem:
         if not all(0 < a < math.inf for a in self.speeds):
             raise NonPositiveSpeed(
                 f"speeds must be positive and finite: {self.speeds}")
+        # the wave's factors take a^2, which must not overflow
+        if self.kind != "heat-product" and not all(math.isfinite(a * a)
+                                                   for a in self.speeds):
+            raise NonPositiveSpeed(
+                f"wave speeds must have a finite square: {self.speeds}")
         if self.kind in ("wave-distinct",) and self.m >= 2:
             require_distinct(self.speeds)
         if self.kind == "wave-multiple" and any(
@@ -117,8 +123,10 @@ class SolutionEvaluator:
     mesh, a point array being the mesh of its columns; a point's value must
     not depend on the other points in the call.  ``evaluate`` calls
     ``at(t)`` once per time, and with ``threads`` > 1 applies its function
-    to slabs of X on that many threads.  ``__call__`` wraps it, and
-    :meth:`check_times` is the time check of every entry point.
+    to slabs of X on that many threads; a value that is not finite raises
+    :class:`~waveforge.errors.DomainError` naming its point and time.
+    ``__call__`` wraps it, and :meth:`check_times` is the time check of
+    every entry point.
     """
 
     def __init__(self, problem: CauchyProblem, at: Callable):
@@ -170,6 +178,11 @@ class SolutionEvaluator:
                 first[..., j] = fn(mesh)
             for view, r in pending:
                 view[...] = r.result()
+        if not np.isfinite(out).all():
+            *i, j = np.argwhere(~np.isfinite(out))[0]
+            x = [float(np.broadcast_to(v, shape)[tuple(i)]) for v in X]
+            raise DomainError(
+                f"the solution is not finite at x = {x}, t = {float(times[j])!r}")
         return out
 
     def check_times(self, times) -> None:
@@ -292,17 +305,12 @@ def cluster_evaluator(problem: CauchyProblem, kernel: Callable) -> SolutionEvalu
     the counts, so its rule does not depend on its batch; at t = 0 every
     ruled term vanishes and none is taken.
 
-    ``kernel(field)`` returns ``apply(points, c, taus, t_args=None,
-    cosh=False, t_weights=None)``: K = L^-1[1/(s^nu - c Lap)] of the field
-    at each time in ``taus``, or with ``cosh`` its time derivative, and the
-    kernel applied to the absolute value of its integrand under its rule,
-    the data's size there; shape (P, len(taus)) each.  ``t_args``, aligned
-    with ``taus``, is the field's time argument.  With ``t_weights`` both
-    have shape (len(taus), S), and the kernel at taus[k] is applied to
-    sum_j t_weights[k, j] field(., t_args[k, j]), its size to the same sum
-    of absolute values.  Then K^(j) is c^(j//nu) Lap^(j//nu) times K, or
-    for odd j with nu = 2 its derivative.  One kernel serves each field and
-    Laplacian power, K and K' alike.
+    ``kernel(field, c)`` is K = L^-1[1/(s^nu - c Lap)] of the field, the
+    speed in the kernel, a :class:`~waveforge.quadrature.SinhKernel` or a
+    :class:`~waveforge.heat_solver.HeatPropagator`: K and the data's size
+    are its ``apply_many(points, taus, t_args, t_weights=...)``, and K' on
+    the wave's rows with ``cosh=True``.  K^(j) is c^(j//nu) Lap^(j//nu) K,
+    or for odd j with nu = 2 its derivative.
     """
     nu = 1 if problem.kind == "heat-product" else 2
     centres, _, fractions = cluster_fractions(np.asarray(problem.speeds) ** nu)
@@ -332,19 +340,19 @@ def cluster_evaluator(problem: CauchyProblem, kernel: Callable) -> SolutionEvalu
                 values[key] = P.polyadd(values[key], coeff * c ** (j // nu) * bj)
     integrals = {key: W for key, W in integrals.items() if W.any()}
     values = {key: b for key, b in values.items() if b.any()}
-    # one kernel per field and Laplacian power
-    kernels = {}
-    for g, q, *_ in list(integrals) + list(values):
-        if (g, q) not in kernels:
-            kernels[g, q] = kernel(laplacian_power(fields[g], q))
-    # the ruled terms (kernel, c, cosh, row, coefficients): the integral
-    # terms with their weight W, then the source's value terms with b
-    terms = [(kernels[g, q], c, False, "source" if g == source else "datum", W)
+    # one kernel per field, Laplacian power and centre, K and K' alike
+    kernels = functools.cache(lambda g, q, c: kernel(laplacian_power(fields[g], q), c))
+
+    def apply(g, q, c, odd=False):
+        fn = kernels(g, q, c).apply_many
+        return functools.partial(fn, cosh=True) if odd else fn
+
+    # the ruled terms (apply, row, coefficients): the integral terms with
+    # their weight W, then the source's value terms with b
+    terms = [(apply(g, q, c), "source" if g == source else "datum", W)
              for (g, q, c), W in integrals.items()]
-    terms += [(kernels[g, q], c, odd, "value", b)
-              for (g, q, c, odd), b in values.items() if g == source]
-    data_values = [(kernels[g, q], c, odd, b)
-                   for (g, q, c, odd), b in values.items() if g != source]
+    terms += [(apply(*key), "value", b) for key, b in values.items() if key[0] == source]
+    data_values = [(apply(*key), b) for key, b in values.items() if key[0] != source]
 
     def ruled_part(points, t, count):
         """The ruled terms at time t on the count-node rule, and their
@@ -353,15 +361,16 @@ def cluster_evaluator(problem: CauchyProblem, kernel: Callable) -> SolutionEvalu
         tau, rest = t * z, t - t * z
         sigma = rest[:, None] * z
         out, mag = np.zeros((2, len(points), count))
-        for apply, c, cosh, row, coeffs in terms:
+        for fn, row, coeffs in terms:
+            omega = None
             if row == "datum":
                 beta, args = _polyval2d(coeffs, t, tau), (tau,)
             elif row == "source":
                 omega = rest[:, None] * wz * _polyval2d(coeffs, t - sigma, tau[:, None])
-                beta, args = 1.0, (tau, sigma, False, omega)
+                beta, args = 1.0, (tau, sigma)
             else:
-                beta, args = P.polyval(rest, coeffs), (rest, tau, cosh)
-            vals, size = apply(points, c, *args)
+                beta, args = P.polyval(rest, coeffs), (rest, tau)
+            vals, size = fn(points, *args, t_weights=omega)
             out += beta * vals
             mag += np.abs(beta) * size
         return t * row_dot(out, wz), abs(t) * row_dot(mag, wz)
@@ -370,8 +379,8 @@ def cluster_evaluator(problem: CauchyProblem, kernel: Callable) -> SolutionEvalu
         # climb's entries are points: the mesh's points as rows
         points = np.stack(np.broadcast_arrays(*X), axis=-1).reshape(-1, len(X))
         total = np.zeros(points.shape[0])
-        for apply, c, cosh, b in data_values:
-            total += P.polyval(t, b) * apply(points, c, np.array([t]), None, cosh)[0][:, 0]
+        for fn, b in data_values:
+            total += P.polyval(t, b) * fn(points, np.array([t]))[0][:, 0]
         if t == 0.0 or not terms:
             return total.reshape(X.shape[:-1])
         ruled_total, _ = climb(

@@ -417,7 +417,8 @@ def iterated_time_integral(g: Callable[[np.ndarray], np.ndarray], m: int,
 
 class SinhKernel:
     """Evaluator of S_a(t) = sinh(a t Lap^(1/2)) / (a Lap^(1/2)) applied to a
-    field, and of its time derivative C_a(t) = cosh(a t Lap^(1/2)).
+    field, and of its time derivative C_a(t) = cosh(a t Lap^(1/2)), at the
+    kernel's own speed a >= 0 (a = 0 gives S_0(t) = t, C_0 = 1).
 
     Both take Darboux's form (Evans, *Partial Differential Equations*,
     2.4.1), S_a(t) = (t^-1 d/dt)^((n-3)/2) (t^(n-2) M(t)) / (n-2)!! in the

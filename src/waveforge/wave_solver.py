@@ -10,9 +10,11 @@ Both take one path, :func:`~waveforge.problems.cluster_evaluator` with
 s^2 in place of s and the squared speeds: confluent partial fractions
 over the speed clusters reduce the solution to sinh kernels S_a of
 Laplacian powers of the data, integrated against polynomial weights in
-time.  Time derivatives are exact: they move onto the weights and onto
-boundary terms, where S_a'' = a^2 Lap S_a turns every derivative of the
-kernel into a sinh or cosh kernel of a Laplacian power of the data.
+time.  The kernel carries the speed: each cluster centre c = a^2 gets a
+:class:`~waveforge.quadrature.SinhKernel` at a = sqrt(c).  Time
+derivatives are exact: they move onto the weights and onto boundary
+terms, where S_a'' = a^2 Lap S_a turns every derivative of the kernel
+into a sinh or cosh kernel of a Laplacian power of the data.
 """
 
 from __future__ import annotations
@@ -37,15 +39,5 @@ def solve_wave(problem: CauchyProblem,
         )
     spec = spec or QuadratureSpec()
 
-    def kernel(field):
-        # one kernel serves every speed: S_a(t) = S_1(a t) / a, C_a(t) = C_1(a t)
-        unit = SinhKernel(field, 1.0, spec)
-
-        def apply(points, c, taus, t_args=None, cosh=False, t_weights=None):
-            a = math.sqrt(c)
-            vals, size = unit.apply_many(points, a * taus, t_args, cosh, t_weights)
-            return (vals, size) if cosh else (vals / a, size / a)
-
-        return apply
-
-    return cluster_evaluator(problem, kernel)
+    return cluster_evaluator(
+        problem, lambda field, c: SinhKernel(field, math.sqrt(c), spec))

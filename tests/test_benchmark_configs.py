@@ -6,14 +6,18 @@ the tests, and not only in a benchmark run.
 """
 
 import importlib.util
+import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
 
 from waveforge.cli import main
 
-_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+_ROOT = pathlib.Path(__file__).resolve().parents[1]
+_PATH = _ROOT / "perfbench" / "workloads.py"
 _spec = importlib.util.spec_from_file_location("perfbench_workloads", _PATH)
 workloads = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(workloads)
@@ -34,3 +38,29 @@ def test_config_solves_to_its_reference(workload, name, tmp_path):
     ok, worst, why = workloads.check_csv(cfg, cfg.output,
                                          cfg.reference(rows[:, :-1], rows[:, -1]))
     assert ok, f"{name}: {why}"
+
+
+def test_traced_pass_solves_to_the_references(tmp_path):
+    # one traced pass of perfbench/child.py, every layer wrapped: a wrap
+    # point's counter reads the kernel's rule and time arguments, so a change
+    # to those fails here and not only in a benchmark run
+    configs = [cfg for w in ("cauchy-high-order", "box-modes")
+               for cfg in workloads.build(w, 0, "min")]
+    inis = []
+    for i, cfg in enumerate(configs):
+        cfg.output = str(tmp_path / f"{i}-{cfg.name}.csv")
+        cfg.sections["output"] = {"path": cfg.output}
+        inis.append(tmp_path / f"{i}-{cfg.name}.ini")
+        inis[-1].write_text(cfg.ini_text())
+    run = subprocess.run(
+        [sys.executable, str(_ROOT / "perfbench" / "child.py"), "trace", str(tmp_path),
+         *map(str, inis)],
+        env=dict(os.environ, PYTHONPATH=str(_ROOT / "src")),
+        capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1])["codes"] == [0] * len(configs)
+    for cfg in configs:
+        rows = cfg.rows()
+        ok, worst, why = workloads.check_csv(cfg, cfg.output,
+                                             cfg.reference(rows[:, :-1], rows[:, -1]))
+        assert ok, f"{cfg.name}: {why}"

@@ -300,6 +300,19 @@ class TestConfigParsing:
         assert "positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("base", ["box", "whole-space"])
+    def test_wave_speed_with_an_overflowing_square_exit_code(self, tmp_path, capsys,
+                                                             base):
+        # 1e160^2 overflows: a configuration error, before numpy warns
+        out = tmp_path / "o.csv"
+        cfgf = tmp_path / "p.ini"
+        text = (BOX_MODE.format(pi=math.pi, path=out) if base == "box"
+                else KIRCHHOFF.format(path=out))
+        cfgf.write_text(re.sub(r"speeds = .*", "speeds = 1e160", text))
+        assert main(["solve", str(cfgf)]) == 2
+        assert "wave speeds must have a finite square" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_quadrature_overrides(self):
         text = KIRCHHOFF.format(path="o.csv") + (
             "\n[quadrature]\nn_time = 16\n"
@@ -464,6 +477,47 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert "the degree-12 and degree-16 sphere rules" in err
         assert "; raise [quadrature] sphere_degree above 16" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_speed_whose_square_underflows(self, tmp_path, m):
+        # at a = 1e-300 the kernel's speed a^2 is 0: the solution is the free
+        # motion phi0 + t phi1, not 0/0
+        out = tmp_path / "o.csv"
+        cfgf = tmp_path / "p.ini"
+        cfgf.write_text(KIRCHHOFF.format(path=out)
+                        .replace("m = 1", f"m = {m}")
+                        .replace("speeds = 2.0", "speeds = " + ", ".join(["1e-300"] * m))
+                        .replace("phi1 = 1", "phi0 = sin(x1)\nphi1 = cos(x1)")
+                        .replace("t = 0:1:3", "t = 0:1:2"))
+        assert main(["solve", str(cfgf)]) == 0
+        _, rows = _read_csv(out)
+        want = np.sin(rows[:, 0]) + rows[:, 3] * np.cos(rows[:, 0])
+        assert np.all(np.abs(rows[:, 4] - want) <= 1e-15 * np.abs(want))
+
+    def test_non_finite_solution_exit_code(self, tmp_path, capsys):
+        # t^2/2 overflows at t = 1e200: an evaluation failure, and no CSV
+        out = tmp_path / "o.csv"
+        cfgf = tmp_path / "p.ini"
+        cfgf.write_text("\n".join([
+            "[problem]", "kind = heat-product", "n = 1", "m = 3", "speeds = 1, 1, 1",
+            "[data]", "phi2 = 1", "[domain]", "x1 = 0.5:0.5:1", "t = 1e200:1e200:1",
+            "[output]", f"path = {out}", ""]))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert main(["solve", str(cfgf)]) == 3
+        assert capsys.readouterr().err == (
+            "error: the solution is not finite at x = [0.5], t = 1e+200\n")
+        assert not out.exists()
+
+    def test_box_point_outside_the_box_exit_code(self, tmp_path, capsys):
+        # past a wall the sine series is the data's odd periodic extension
+        out = tmp_path / "o.csv"
+        cfgf = tmp_path / "p.ini"
+        cfgf.write_text(BOX_MODE.format(pi=math.pi, path=out)
+                        .replace("x1 = 0.5:2.5:3", "x1 = -1:5:4"))
+        assert main(["solve", str(cfgf)]) == 3
+        assert capsys.readouterr().err == (
+            "error: x1 = -1.0 lies outside the box, below its wall at 0\n")
         assert not out.exists()
 
     def test_unwritable_output_exit_code(self, tmp_path, capsys):

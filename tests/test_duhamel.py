@@ -1,6 +1,8 @@
 """The Duhamel term of the whole-space solvers, kernel time outside and
 source time inside, against the conical product in the other order."""
 
+import types
+
 import numpy as np
 import pytest
 
@@ -86,15 +88,15 @@ def test_count_entries_per_point_and_rung(case, monkeypatch):
 
     def recorded(cluster_evaluator):
         def build(problem, kernel):
-            def recording(field):
-                apply = kernel(field)
+            def recording(field, c):
+                apply = kernel(field, c).apply_many
 
-                def call(points, c, taus, t_args=None, cosh=False, t_weights=None):
+                def call(points, taus, t_args=None, t_weights=None, **cosh):
                     events.append(("kernel", len(points), np.size(taus),
                                    np.shape(t_weights)))
-                    return apply(points, c, taus, t_args, cosh, t_weights)
+                    return apply(points, taus, t_args, t_weights=t_weights, **cosh)
 
-                return call
+                return types.SimpleNamespace(apply_many=call)
 
             return cluster_evaluator(problem, recording)
 

@@ -88,6 +88,17 @@ class TestPropagator:
         with pytest.raises(NegativeDiffusionTime):
             ev.evaluate(np.array([[0.3]]), [0.5, -0.5])
 
+    @pytest.mark.parametrize("a", [0.3, 2.5, 1e-300])
+    def test_speed_scales_the_diffusion_time(self, a):
+        # HeatPropagator(f, a) is e^{a lam Lap}, bit for bit the unit-speed
+        # propagator at the diffusion times a * lam
+        f = parse("sin(2*x1)*cos(x2) + x1^2*x2", 2)
+        x = np.array([[0.3, -0.2], [1.1, 0.4]])
+        lams = np.array([0.0, 0.2, 0.7, 1.5])
+        got = HeatPropagator(f, a).apply_many(x, lams)
+        want = HeatPropagator(f).apply_many(x, a * lams)
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
     def test_semigroup_property(self):
         # two short steps equal one long step on a Gaussian
         sigma, t1, t2 = 1.0, 0.3, 0.4

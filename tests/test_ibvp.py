@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -16,7 +17,7 @@ from waveforge.errors import (
     InvalidOrder,
     NegativeDiffusionTime,
 )
-from waveforge.expr import compile_field, parse
+from waveforge.expr import Mesh, compile_field, parse
 from waveforge.ibvp import build_basis, project, solve_ibvp
 from waveforge.oracle import ModeProblem, mode_solve
 from waveforge.problems import CauchyProblem
@@ -230,6 +231,26 @@ class TestSynthesis:
                 total += term
             expected.append(total)
         assert np.max(np.abs(ev.evaluate(points, [t])[:, 0] - expected)) < 1e-13
+
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("side", ["below", "above"])
+    def test_points_outside_the_box_rejected(self, axis, side):
+        # the walls are in the box, where the series vanishes; a coordinate
+        # past one raises, as a point and on a mesh
+        L = (1.0, 2.0)
+        p = CauchyProblem("wave-multiple", 2, 1, (1.0,), None,
+                          (parse("x1*(1 - x1)*x2*(2 - x2)", 2), None))
+        ev = solve_ibvp(p, build_basis(L, 5))
+        corners = np.array(list(itertools.product((0.0, 1.0), (0.0, 2.0))))
+        assert np.all(np.abs(ev.evaluate(corners, [0.6])) < 1e-12)
+        x, wall = (L[axis] + 1e-9, repr(L[axis])) if side == "above" else (-1e-9, "0")
+        past = np.array([[0.5, 1.0]])
+        past[0, axis] = x
+        message = f"x{axis + 1} = {x!r} lies outside the box, {side} its wall at {wall}"
+        for X in (past, Mesh(np.meshgrid(*past.T, indexing="ij", sparse=True))):
+            with pytest.raises(DomainError, match=re.escape(message) + "$"):
+                ev.evaluate(X, [0.6])
 
 
 class TestWaveSolutions:

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from waveforge import heat_solver, problems, quadrature
+from waveforge import heat_solver, problems, quadrature, wave_solver
 from waveforge.errors import (
     DataCountMismatch,
     DegenerateSpeeds,
@@ -22,7 +22,7 @@ from waveforge.errors import (
 from waveforge.expr import Mesh, parse
 from waveforge.heat_solver import solve_heat_product
 from waveforge.ibvp import build_basis, solve_ibvp
-from waveforge.kernels import exp_divided_differences
+from waveforge.kernels import cluster_fractions, exp_divided_differences
 from waveforge.oracle import ModeProblem, mode_solve
 from waveforge.problems import CauchyProblem, SolutionEvaluator
 from waveforge.quadrature import QuadratureSpec
@@ -51,6 +51,19 @@ class TestValidation:
         speeds = (1.0, a) if m == 2 else (a,)
         data = (None,) * (m if kind == "heat-product" else 2 * m)
         with pytest.raises(NonPositiveSpeed, match="positive and finite"):
+            CauchyProblem(kind, 3, m, speeds, None, data)
+
+    @pytest.mark.parametrize("kind", problems.KINDS)
+    def test_wave_speed_square_must_be_finite(self, kind):
+        # a wave factor takes a^2, which overflows for a = 1e160; a heat
+        # factor takes a itself
+        m = 2 if kind == "wave-distinct" else 1
+        speeds = (1.0, 1e160) if m == 2 else (1e160,)
+        data = (None,) * (m if kind == "heat-product" else 2 * m)
+        if kind == "heat-product":
+            assert CauchyProblem(kind, 3, m, speeds, None, data).speeds == speeds
+            return
+        with pytest.raises(NonPositiveSpeed, match="finite square"):
             CauchyProblem(kind, 3, m, speeds, None, data)
 
     def test_distinct_speeds_required(self):
@@ -204,6 +217,21 @@ class TestDistinctSpeeds:
         phase = math.sin(float(np.dot(k, X3)))
         t = 0.8
         assert ev(X3, t) == pytest.approx(mode_solve(mp, t) * phase, abs=1e-7)
+
+    def test_kernels_carry_the_centre_speed(self, monkeypatch):
+        # each cluster centre c = a_j^2 gets its own SinhKernel at a = sqrt(c)
+        speeds, built = (0.8, 1.3, 2.1), []
+        kernel = wave_solver.SinhKernel
+        monkeypatch.setattr(wave_solver, "SinhKernel", lambda field, a, spec: (
+            built.append(a) or kernel(field, a, spec)))
+        data = (None,) * 5 + (parse("sin(x1)", 3),)
+        ev = solve_wave(CauchyProblem("wave-distinct", 3, 3, speeds, None, data))
+        centres = cluster_fractions(np.square(speeds))[0]
+        assert sorted(set(built)) == sorted(math.sqrt(c) for c in centres)
+        assert len(centres) == 3
+        mp = ModeProblem("wave", speeds, (1.0, 0.0, 0.0), (0.0,) * 5 + (1.0,))
+        assert ev(X3, 0.8) == pytest.approx(mode_solve(mp, 0.8) * math.sin(X3[0]),
+                                            abs=1e-7)
 
     def test_single_factor_delegates(self):
         p = CauchyProblem(
