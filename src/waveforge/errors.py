@@ -39,7 +39,8 @@ class InvalidOrder(WaveforgeError):
 
 
 class DegenerateSpeeds(WaveforgeError):
-    """Two propagation speeds closer than the separation tolerance."""
+    """Two speeds closer than ``kernels.SPEED_SEPARATION`` of their size,
+    given to the simple-pole weights; the solvers merge such speeds."""
 
 
 class NonPositiveSpeed(WaveforgeError):

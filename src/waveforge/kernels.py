@@ -24,12 +24,12 @@ __all__ = [
     "exp_divided_differences",
     "speed_clusters",
     "cluster_fractions",
-    "require_distinct",
     "SPEED_SEPARATION",
 ]
 
-# the simple-pole weights below blow up like 1/separation, so they and the
-# wave-distinct input check refuse closer speeds; desk-scale speeds are O(1)
+# the simple-pole weights below blow up like 1/separation, so they refuse
+# speeds whose differences are within this fraction of their size; the
+# solvers take no such weights and merge near-equal speeds into one cluster
 SPEED_SEPARATION = 1e-9
 
 _EPS = np.finfo(float).eps
@@ -41,31 +41,25 @@ class PartialFractionWeights:
     weights: tuple[float, ...]
 
 
-def require_distinct(a) -> None:
-    """Raise DegenerateSpeeds naming the first pair closer than SPEED_SEPARATION."""
-    for j in range(len(a)):
-        for i in range(j):
-            if abs(a[j] - a[i]) < SPEED_SEPARATION:
-                raise DegenerateSpeeds(
-                    f"speeds {a[i]} and {a[j]} closer than {SPEED_SEPARATION}"
-                )
-
-
-def _check_distinct(a):
-    a = [float(v) for v in a]
-    if len(a) < 2:
-        raise InvalidOrder("partial-fraction weights need at least two speeds")
-    # NaN and inf pass the separation check and give NaN weights
-    if not all(math.isfinite(v) for v in a):
-        raise NonPositiveSpeed(f"speeds must be finite: {a}")
-    require_distinct(a)
-    return a
-
-
 def _fraction_weights(a, power: int) -> PartialFractionWeights:
     """Weights a_j^(power (m-1)) / prod_{i != j} (a_j^power - a_i^power)."""
+    a = [float(v) for v in a]
     m = len(a)
+    if m < 2:
+        raise InvalidOrder("partial-fraction weights need at least two speeds")
+    # NaN and inf give NaN weights
+    if not all(math.isfinite(v) for v in a):
+        raise NonPositiveSpeed(f"speeds must be finite: {a}")
+    if power == 2 and any(v <= 0 for v in a):
+        raise NonPositiveSpeed(f"second-order weights need positive speeds: {a}")
+    # the powers the weights divide by, so squares that underflow to one
+    # value are refused too
     v = [x ** power for x in a]
+    for j in range(m):
+        for i in range(j):
+            if math.isclose(v[i], v[j], rel_tol=SPEED_SEPARATION):
+                raise DegenerateSpeeds(f"speeds {a[i]} and {a[j]} closer than "
+                                       f"{SPEED_SEPARATION} of their size")
     return PartialFractionWeights(tuple(a), tuple(
         a[j] ** (power * (m - 1)) / math.prod(v[j] - v[i] for i in range(m) if i != j)
         for j in range(m)))
@@ -73,14 +67,11 @@ def _fraction_weights(a, power: int) -> PartialFractionWeights:
 
 def first_order_weights(a) -> PartialFractionWeights:
     """Weights a_j^(m-1) / prod_{i != j} (a_j - a_i); they sum to 1."""
-    return _fraction_weights(_check_distinct(a), 1)
+    return _fraction_weights(a, 1)
 
 
 def second_order_weights(a) -> PartialFractionWeights:
     """Weights a_j^(2m-2) / prod_{i != j} (a_j^2 - a_i^2) for positive speeds."""
-    a = _check_distinct(a)
-    if any(v <= 0 for v in a):
-        raise NonPositiveSpeed(f"second-order weights need positive speeds: {a}")
     return _fraction_weights(a, 2)
 
 

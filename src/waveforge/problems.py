@@ -30,14 +30,14 @@ from .errors import (
     UnsupportedDimension,
 )
 from .expr import Expr, Mesh, laplacian_power
-from .kernels import cluster_fractions, require_distinct
+from .kernels import cluster_fractions
 from .quadrature import climb, double_factorial, gauss_legendre, row_dot
 
 __all__ = ["CauchyProblem", "SolutionEvaluator", "KINDS", "TIME_LADDER",
            "cluster_evaluator"]
 
-# operator families: m-fold wave with one speed, product of wave factors
-# with distinct speeds, and product of heat factors with any speeds
+# operator families: m-fold wave with one speed, and products of wave or
+# of heat factors with any speeds
 KINDS = ("wave-multiple", "wave-distinct", "heat-product")
 
 # Gauss-Legendre counts of the whole-space time rules a point climbs by
@@ -52,7 +52,9 @@ class CauchyProblem:
     kind      one of :data:`KINDS`
     n         spatial dimension (wave kinds need odd n in {3, 5})
     m         number of operator factors, >= 1
-    speeds    one speed per factor ("wave-multiple" repeats a single one)
+    speeds    one positive speed per factor ("wave-multiple" repeats a
+              single one); equal and near-equal speeds of the other kinds
+              are merged into one cluster by cluster_evaluator
     source    right-hand side f(x, t), or None for the homogeneous problem
     data      initial data, lowest time-derivative first; wave kinds take
               2m entries, heat kinds m; None entries mean zero
@@ -95,10 +97,9 @@ class CauchyProblem:
                                                    for a in self.speeds):
             raise NonPositiveSpeed(
                 f"wave speeds must have a finite square: {self.speeds}")
-        if self.kind in ("wave-distinct",) and self.m >= 2:
-            require_distinct(self.speeds)
-        if self.kind == "wave-multiple" and any(
-                abs(v - self.speeds[0]) >= 1e-14 for v in self.speeds):
+        # equal up to rounding, relative to the speeds' size
+        if self.kind == "wave-multiple" and not all(
+                math.isclose(v, self.speeds[0], rel_tol=1e-14) for v in self.speeds):
             raise InvalidOrder(
                 f"wave-multiple repeats one speed, got unequal speeds {self.speeds}"
             )

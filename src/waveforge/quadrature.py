@@ -220,16 +220,24 @@ def climb(rungs: Sequence[int], sums: Callable, count: int,
     the top rung raises :class:`~waveforge.errors.UnresolvedData`:
     ``unresolved(entry, lo, hi)`` names the first such entry and the top
     two rungs, the gap and the size follow, and ``remedy``, if given, ends
-    the message: what raises the top, or that nothing does.  A one-rung
-    ladder is that rule alone, unchecked.
+    the message: what raises the top, or that nothing does.  A value or
+    size that is not finite, as after an overflow, raises
+    :class:`~waveforge.errors.DomainError` at the first pair of rungs that
+    compares it, ``unresolved`` naming the first such entry and that pair;
+    no rule resolves it.  A one-rung ladder is that rule alone, unchecked.
     """
     idx = np.arange(count)
     lo, size = sums(rungs[0], idx)
     if len(rungs) == 1:
         return lo, size
     out, mag = np.empty(count), np.empty(count)
-    for rung in rungs[1:]:
+    for below, rung in zip(rungs, rungs[1:]):
         hi, size = sums(rung, idx)
+        bad = ~(np.isfinite(lo) & np.isfinite(hi) & np.isfinite(size))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise DomainError(f"{unresolved(int(idx[i]), below, rung)} give {lo[i]:.3g} "
+                              f"and {hi[i]:.3g} of size {size[i]:.3g}: not finite")
         gap = np.abs(hi - lo)
         done = gap <= TOLERANCE * size
         out[idx[done]], mag[idx[done]] = hi[done], size[done]
@@ -407,11 +415,7 @@ def iterated_time_integral(g: Callable[[np.ndarray], np.ndarray], m: int,
     tau = 0.5 * t * (nodes + 1.0)
     w = 0.5 * t * weights
     values = np.asarray(g(tau), dtype=float)
-    if m == 1:
-        integrand = values * tau
-    else:
-        integrand = (t**2 - tau**2) ** (m - 1) / double_factorial(2 * m - 2) \
-            * values * tau
+    integrand = (t**2 - tau**2) ** (m - 1) / double_factorial(2 * m - 2) * values * tau
     return float(np.dot(w, integrand))
 
 

@@ -53,14 +53,16 @@ def _suite_modes() -> list[CheckResult]:
     out = []
     rng = np.random.default_rng(20240811)
     x = np.array([0.4, -0.2, 0.7, 0.1, 0.3])
-    # wave-distinct-near: speeds 1e-6 apart, merged into one cluster
+    # wave-distinct-near: speeds 1e-6 apart, merged into one cluster;
+    # wave-distinct-equal: one speed twice, a double pole
     for name, kind, n, m, gap in (
             ("wave-multiple-m1", "wave-multiple", 3, 1, 0.0),
             ("wave-multiple-m2", "wave-multiple", 3, 2, 0.0),
             ("wave-multiple-m3", "wave-multiple", 3, 3, 0.0),
             ("wave-distinct-m2", "wave-distinct", 3, 2, 0.5),
             ("wave-distinct-near", "wave-distinct", 3, 2, 1e-6),
-            ("wave5-multiple-m2", "wave-multiple", 5, 2, 0.0)):
+            ("wave5-multiple-m2", "wave-multiple", 5, 2, 0.0),
+            ("wave-distinct-equal", "wave-distinct", 3, 2, 0.0)):
         k = tuple(float(v) for v in rng.uniform(0.5, 1.5, size=n))
         a = float(rng.uniform(0.8, 1.6))
         speeds = (a,) * m if kind == "wave-multiple" else (a, a + gap)

@@ -4,7 +4,7 @@ Two operator families are covered:
 
 * ``wave-multiple``: the m-fold power (d^2/dt^2 - a^2 Lap)^m u = f,
 * ``wave-distinct``: the product prod_j (d^2/dt^2 - a_j^2 Lap) u = f
-  with positive pairwise-distinct speeds.
+  with any positive speeds, equal and near-equal ones included.
 
 Both take one path, :func:`~waveforge.problems.cluster_evaluator` with
 s^2 in place of s and the squared speeds: confluent partial fractions
@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import math
 
-from .errors import InvalidOrder, UnsupportedDimension
+from .errors import InvalidOrder
 from .problems import CauchyProblem, SolutionEvaluator, cluster_evaluator
-from .quadrature import QuadratureSpec, SinhKernel
+from .quadrature import QuadratureSpec, SinhKernel, check_sphere
 
 __all__ = ["solve_wave"]
 
@@ -33,11 +33,8 @@ def solve_wave(problem: CauchyProblem,
     """Solver for both wave families, with 2m initial data."""
     if problem.kind not in ("wave-multiple", "wave-distinct"):
         raise InvalidOrder(f"not a wave problem kind: {problem.kind}")
-    if problem.n not in (3, 5):
-        raise UnsupportedDimension(
-            f"whole-space wave solvers need n in {{3, 5}}, got {problem.n}"
-        )
     spec = spec or QuadratureSpec()
+    check_sphere(problem.n, spec.sphere_degree)
 
     return cluster_evaluator(
         problem, lambda field, c: SinhKernel(field, math.sqrt(c), spec))

@@ -3,6 +3,7 @@
 import ast
 import concurrent.futures
 import hashlib
+import importlib
 import itertools
 import math
 import os
@@ -42,6 +43,29 @@ x1 = -0.5:0.5:3
 x2 = 0:0:1
 x3 = 0:0:1
 t = 0:1:3
+
+[output]
+path = {path}
+"""
+
+WAVE_M2 = """
+[problem]
+kind = {kind}
+n = 3
+m = 2
+speeds = {speeds}
+
+[data]
+phi0 = sin(x1 + 0.5*x2)
+phi1 = 0.3*sin(x1 + 0.5*x2)
+phi2 = -0.5*sin(x1 + 0.5*x2)
+phi3 = 0.2*sin(x1 + 0.5*x2)
+
+[domain]
+x1 = -0.5:0.5:3
+x2 = 0.2:0.2:1
+x3 = 0:0:1
+t = 0:1.3:3
 
 [output]
 path = {path}
@@ -509,6 +533,46 @@ class TestSolveCommand:
             "error: the solution is not finite at x = [0.5], t = 1e+200\n")
         assert not out.exists()
 
+    def test_overflow_in_a_time_rule_exit_code(self, tmp_path, capsys):
+        # the ruled terms overflow at t = 1e200: a value that is not finite,
+        # reported where the time ladder meets it, not as rules that differ
+        out = tmp_path / "o.csv"
+        cfgf = tmp_path / "p.ini"
+        cfgf.write_text("\n".join([
+            "[problem]", "kind = heat-product", "n = 1", "m = 3", "speeds = 1, 2, 3",
+            "[data]", "phi2 = 1", "[domain]", "x1 = 0.3:0.3:1", "t = 1e200:1e200:1",
+            "[output]", f"path = {out}", ""]))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert main(["solve", str(cfgf)]) == 3
+        assert capsys.readouterr().err == (
+            "error: time integrals at t = 1e+200, x = [0.3]: the 8- and 12-node "
+            "Gauss-Legendre time rules give inf and inf of size inf: not finite\n")
+        assert not out.exists()
+
+    def test_wave_distinct_equal_speeds_exit_code(self, tmp_path):
+        # one speed twice is a double pole, the same solve as wave-multiple
+        csvs = []
+        for kind in ("wave-distinct", "wave-multiple"):
+            out = tmp_path / f"{kind}.csv"
+            cfgf = tmp_path / f"{kind}.ini"
+            cfgf.write_text(WAVE_M2.format(kind=kind, speeds="1.0, 1.0", path=out))
+            assert main(["solve", str(cfgf)]) == 0
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1]
+
+    def test_wave_distinct_small_speeds_solve(self, tmp_path):
+        # 1e-10 and 3e-10 are three times apart, whatever their absolute gap
+        out = tmp_path / "o.csv"
+        cfgf = tmp_path / "p.ini"
+        cfgf.write_text(WAVE_M2.format(kind="wave-distinct", speeds="1e-10, 3e-10",
+                                       path=out))
+        assert main(["solve", str(cfgf)]) == 0
+        _, rows = _read_csv(out)
+        mp = ModeProblem("wave", (1e-10, 3e-10), (1.0, 0.5, 0.0), (1.0, 0.3, -0.5, 0.2))
+        for x1, x2, _, t, u in rows:
+            assert u == pytest.approx(mode_solve(mp, t) * math.sin(x1 + 0.5 * x2),
+                                      abs=1e-12)
+
     def test_box_point_outside_the_box_exit_code(self, tmp_path, capsys):
         # past a wall the sine series is the data's odd periodic extension
         out = tmp_path / "o.csv"
@@ -905,6 +969,7 @@ class TestVerifyCommand:
         assert "PASS modes/wave-distinct-m2:" in out
         assert "PASS modes/wave-distinct-near:" in out
         assert "PASS modes/wave5-multiple-m2:" in out
+        assert "PASS modes/wave-distinct-equal:" in out
 
     def test_wave_suite_covers_the_sphere_ladder(self, capsys):
         assert main(["verify", "wave"]) == 0
@@ -1029,6 +1094,16 @@ class TestSolveImports:
                 if any(n == "threading" or n.startswith("concurrent") for n in names):
                     importers.append(path.name)
         assert set(importers) == {"problems.py"}
+
+    def test_every_exported_name_exists(self):
+        # a public name that goes must leave __all__ with it
+        pkg = Path(waveforge.__file__).resolve().parent
+        stale = []
+        for path in sorted(pkg.glob("*.py")):
+            module = importlib.import_module(f"waveforge.{path.stem}")
+            stale += [f"{path.stem}.{name}" for name in getattr(module, "__all__", ())
+                      if not hasattr(module, name)]
+        assert stale == []
 
     def test_solve_loads_neither_scipy_nor_oracle(self, tmp_path):
         # solvers stay independent of the oracle, and solve runs on numpy

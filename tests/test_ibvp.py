@@ -310,6 +310,20 @@ class TestWaveSolutions:
         exact = math.sin(0.7) * (math.cos(t) - math.cos(2 * t))
         assert ev([0.7], t) == pytest.approx(exact, abs=1e-10)
 
+    def test_distinct_equal_speeds_are_wave_multiple(self):
+        # a repeated speed is a repeated root of each mode, bit for bit the
+        # same as wave-multiple
+        b = build_basis([PI, PI], 6)
+        data = (parse("sin(x1)*sin(2*x2)", 2), None, None,
+                parse("x1*(x1 - pi)*sin(x2)", 2))
+        points = np.array([[0.7, 0.4], [2.0, 1.5]])
+
+        def values(kind):
+            p = CauchyProblem(kind, 2, 2, (1.0, 1.0), parse("sin(x1)*sin(x2)*t", 2), data)
+            return solve_ibvp(p, b).evaluate(points, [0.0, 0.8, 1.9])
+
+        assert values("wave-distinct").tobytes() == values("wave-multiple").tobytes()
+
     def test_wave_source_duhamel(self):
         # f = sin(x1) sin(t) drives T = (sin t - t cos t)/2 on the first mode
         b = build_basis([PI], 10)

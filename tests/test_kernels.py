@@ -32,9 +32,16 @@ class TestFirstOrderWeights:
         pf = first_order_weights([0.5, 1.2, 2.7])
         assert sum(pf.weights) == pytest.approx(1.0, abs=1e-12)
 
-    def test_degenerate_rejected(self):
-        with pytest.raises(DegenerateSpeeds):
-            first_order_weights([1.0, 1.0 + 1e-12])
+    @pytest.mark.parametrize("speeds", [[1.0, 1.0 + 1e-12], [0.0, 0.0],
+                                        [1e-10, 2e-10, 2e-10 + 1e-20]])
+    def test_degenerate_rejected(self, speeds):
+        with pytest.raises(DegenerateSpeeds, match="of their size"):
+            first_order_weights(speeds)
+
+    def test_separation_relative_to_size(self):
+        # 2e-10 apart is three times apart at this scale
+        pf = first_order_weights([1e-10, 3e-10])
+        assert pf.weights == pytest.approx((-0.5, 1.5), rel=1e-15)
 
     def test_single_speed_rejected(self):
         with pytest.raises(InvalidOrder):
@@ -64,6 +71,14 @@ class TestSecondOrderWeights:
     def test_negative_speed_rejected(self):
         with pytest.raises(NonPositiveSpeed):
             second_order_weights([1.0, -2.0])
+
+    def test_separation_relative_to_size(self):
+        pf = second_order_weights([1e-10, 2e-10])
+        assert pf.weights == pytest.approx((-1.0 / 3.0, 4.0 / 3.0), rel=1e-15)
+        # squares that underflow to one value are refused, not divided by
+        for speeds in ([1.0, 1.0 + 1e-12], [1e-200, 3e-200]):
+            with pytest.raises(DegenerateSpeeds):
+                second_order_weights(speeds)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("weights", [first_order_weights, second_order_weights])

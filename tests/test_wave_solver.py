@@ -12,7 +12,6 @@ import pytest
 from waveforge import heat_solver, problems, quadrature, wave_solver
 from waveforge.errors import (
     DataCountMismatch,
-    DegenerateSpeeds,
     DomainError,
     InvalidOrder,
     NonPositiveSpeed,
@@ -67,15 +66,27 @@ class TestValidation:
             CauchyProblem(kind, 3, m, speeds, None, data)
 
     def test_distinct_speeds_required(self):
-        with pytest.raises(DegenerateSpeeds):
-            CauchyProblem("wave-distinct", 3, 2, (1.0, 1.0), None, (None,) * 4)
         # wave-multiple repeats one speed; unequal ones are not silently dropped
         with pytest.raises(InvalidOrder, match=r"\(1\.0, 2\.0\)"):
             CauchyProblem("wave-multiple", 3, 2, (1.0, 2.0), None, (None,) * 4)
 
+    @pytest.mark.parametrize("speeds, equal", [
+        ((1e-15, 5e-15), False), ((1.0, 1.0 + 1e-13), False),
+        ((1000.0, 1000.0000000000001), True)])
+    def test_wave_multiple_speeds_equal_by_scale(self, speeds, equal):
+        # equal up to rounding relative to the speeds, not within 1e-14
+        if equal:
+            assert CauchyProblem("wave-multiple", 3, 2, speeds, None,
+                                 (None,) * 4).speeds == speeds
+            return
+        with pytest.raises(InvalidOrder, match="unequal speeds"):
+            CauchyProblem("wave-multiple", 3, 2, speeds, None, (None,) * 4)
+
     def test_even_dimension_rejected_at_solve(self):
+        # solve_wave runs the config's own check_sphere, so both say the same
         p = CauchyProblem("wave-multiple", 2, 1, (1.0,), None, (None, None))
-        with pytest.raises(UnsupportedDimension):
+        with pytest.raises(UnsupportedDimension,
+                           match=r"^sphere rules exist for n in \{3, 5\}, not 2$"):
             solve_wave(p)
 
     def test_data_dimension_must_match(self):
@@ -383,6 +394,37 @@ class TestNearEqualSpeeds:
 
         near = value("wave-distinct", (1.0, 1.0 + delta))
         assert abs(near - value("wave-multiple", (1.0, 1.0))) <= 2 * delta
+
+    @pytest.mark.parametrize("speeds", [
+        (1.1, 1.1), (1.1, 1.1 + 1e-12), (1.1, 1.1 + 1e-9), (1e-10, 3e-10),
+        (1.1, 1.1, 1.1), (1.1, 1.1 + 1e-12, 1.1 + 2e-12),
+        (1.1, 1.1 + 1e-9, 1.1 + 2e-9)])
+    def test_equal_and_near_speeds_against_mode_oracle(self, speeds):
+        # wave-distinct takes any positive speeds: the clusters merge equal
+        # and near-equal ones, and no separation is refused
+        m, k = len(speeds), (0.8, 0.5, -0.3)
+        x = np.array([0.3, -0.2, 0.5])
+        vals = (0.3, -0.2, 0.5, 0.1, -0.4, 0.25)[:2 * m]
+        data = tuple(parse(f"{v!r}*sin(0.8*x1 + 0.5*x2 - 0.3*x3)", 3) for v in vals)
+        ev = solve_wave(CauchyProblem("wave-distinct", 3, m, speeds, None, data))
+        mp = ModeProblem("wave", speeds, k, vals)
+        for t in (0.5, 1.3):
+            exact = mode_solve(mp, t) * math.sin(float(np.dot(k, x)))
+            assert ev(x, t) == pytest.approx(exact, abs=1e-12)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_equal_speeds_are_wave_multiple(self, m):
+        # one speed repeated takes the same path, bit for bit, as wave-multiple
+        data = (parse("sin(x1)", 3), parse("0.5*sin(2*x1)", 3), None,
+                parse("0.3*cos(x2)", 3), None, parse("x3", 3))[:2 * m]
+        source = parse("sin(x1)*cos(t)", 3)
+        points = np.array([X3, [0.1, 0.5, -0.3]])
+
+        def values(kind):
+            p = CauchyProblem(kind, 3, m, (1.2,) * m, source, data)
+            return solve_wave(p).evaluate(points, [0.0, 0.6, 1.1])
+
+        assert values("wave-distinct").tobytes() == values("wave-multiple").tobytes()
 
 
 class TestEvaluatorInterface:
