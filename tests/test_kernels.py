@@ -32,9 +32,13 @@ class TestFirstOrderWeights:
         pf = first_order_weights([0.5, 1.2, 2.7])
         assert sum(pf.weights) == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("speeds", [[1.0, 1.0 + 1e-12], [0.0, 0.0],
+    def test_degenerate_rejected(self):
+        with pytest.raises(DegenerateSpeeds, match="of their size"):
+            first_order_weights([1.0, 1.0 + 1e-12])
+
+    @pytest.mark.parametrize("speeds", [[0.0, 0.0],
                                         [1e-10, 2e-10, 2e-10 + 1e-20]])
-    def test_degenerate_rejected(self, speeds):
+    def test_degenerate_rejected_at_any_scale(self, speeds):
         with pytest.raises(DegenerateSpeeds, match="of their size"):
             first_order_weights(speeds)
 
