@@ -50,10 +50,7 @@ def _fraction_weights(a, power: int) -> PartialFractionWeights:
     # NaN and inf give NaN weights
     if not all(math.isfinite(v) for v in a):
         raise NonPositiveSpeed(f"speeds must be finite: {a}")
-    if power == 2 and any(v <= 0 for v in a):
-        raise NonPositiveSpeed(f"second-order weights need positive speeds: {a}")
-    # the powers the weights divide by, so squares that underflow to one
-    # value are refused too
+    # compared as the powers the weights divide by, so equal squares fail
     v = [x ** power for x in a]
     for j in range(m):
         for i in range(j):
@@ -72,6 +69,8 @@ def first_order_weights(a) -> PartialFractionWeights:
 
 def second_order_weights(a) -> PartialFractionWeights:
     """Weights a_j^(2m-2) / prod_{i != j} (a_j^2 - a_i^2) for positive speeds."""
+    if any(-math.inf < float(v) <= 0 for v in a):  # NaN, -inf: not finite
+        raise NonPositiveSpeed(f"second-order weights need positive speeds: {a}")
     return _fraction_weights(a, 2)
 
 
@@ -112,8 +111,13 @@ def cluster_fractions(values):
     several, whose simple poles do not.  The coefficients are Taylor
     coefficients about each centre (Hermite interpolation), so a cluster
     needs no 1/separation weights.
+
+    They are built at unit scale, the values over a power of two 2^e, so
+    P's coefficients neither underflow nor overflow; the centres then take
+    2^e and alpha[l, i-1] 2^(e q), q its Laplacian power, both exactly.
     """
-    centres, sizes = speed_clusters(values)
+    _, e = math.frexp(max(values))
+    centres, sizes = speed_clusters(np.ldexp(values, -e))
     poly = np.ones(1)
     for c, n in zip(centres, sizes):
         poly = P.polymul(poly, P.polypow([-c, 1.0], n))
@@ -132,8 +136,8 @@ def cluster_fractions(values):
                                / (c - c2) ** (n2 + k) for k in range(n)]
                     series = np.convolve(series, inverse)[:n]
             alpha[l, :n] = series[::-1]
-        fractions.append((p, alpha))
-    return centres, sizes, fractions
+        fractions.append((p, np.ldexp(alpha, e * (np.arange(max(sizes)) - r + p))))
+    return np.ldexp(centres, e), sizes, fractions
 
 
 # Taylor degree for exp of a matrix scaled to infinity norm <= 1: the

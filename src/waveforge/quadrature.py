@@ -221,10 +221,9 @@ def climb(rungs: Sequence[int], sums: Callable, count: int,
     ``unresolved(entry, lo, hi)`` names the first such entry and the top
     two rungs, the gap and the size follow, and ``remedy``, if given, ends
     the message: what raises the top, or that nothing does.  A value or
-    size that is not finite, as after an overflow, raises
-    :class:`~waveforge.errors.DomainError` at the first pair of rungs that
-    compares it, ``unresolved`` naming the first such entry and that pair;
-    no rule resolves it.  A one-rung ladder is that rule alone, unchecked.
+    size that is not finite raises :class:`~waveforge.errors.DomainError`
+    at the first pair of rungs that compares it, ``unresolved`` naming its
+    entry and that pair.  A one-rung ladder is that rule alone, unchecked.
     """
     idx = np.arange(count)
     lo, size = sums(rungs[0], idx)
@@ -415,7 +414,7 @@ def iterated_time_integral(g: Callable[[np.ndarray], np.ndarray], m: int,
     tau = 0.5 * t * (nodes + 1.0)
     w = 0.5 * t * weights
     values = np.asarray(g(tau), dtype=float)
-    integrand = (t**2 - tau**2) ** (m - 1) / double_factorial(2 * m - 2) * values * tau
+    integrand = ((t - tau) * (t + tau)) ** (m - 1) / double_factorial(2 * m - 2) * values * tau
     return float(np.dot(w, integrand))
 
 

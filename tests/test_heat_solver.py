@@ -494,6 +494,19 @@ class TestDistinctSpeeds:
             exact = _plane_wave_amplitude(speeds, 0.95, t, "heat") * math.sin(0.38)
             assert ev([0.4], t) == pytest.approx(exact, rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("speeds", [(1e-200, 2e-200, 3e-200),
+                                        (1e-200, 1e-200, 3e-200)])
+    def test_tiny_speeds_against_mode_oracle(self, speeds):
+        # the products of the speeds underflow; the fractions, built at
+        # unit scale, do not
+        vals = (0.3, -0.2, 0.5)
+        data = tuple(parse(f"{v!r}*sin(0.8*x1)", 1) for v in vals)
+        ev = solve_heat_product(CauchyProblem("heat-product", 1, 3, speeds, None, data))
+        mp = ModeProblem("heat", speeds, (0.8,), vals)
+        for t in (0.0, 0.5, 1.3):
+            exact = mode_solve(mp, t) * math.sin(0.8 * 0.4)
+            assert ev([0.4], t) == pytest.approx(exact, abs=1e-15)
+
     @pytest.mark.parametrize("delta", [1e-4, 1e-8, 1e-12])
     def test_near_equal_speeds_limit(self, delta):
         # speeds closing in on each other tend to the equal-speed answer

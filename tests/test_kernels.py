@@ -404,6 +404,21 @@ class TestClusterFractions:
                     assert self._fractions(speeds, lam, r, t) == pytest.approx(
                         self._newton(speeds, lam, r, t), rel=0, abs=1e-14)
 
+    @pytest.mark.parametrize("speeds", [(1.0, 2.0, 3.0), (1.0, 1.0, 3.0), (0.7, 0.7, 0.7)])
+    @pytest.mark.parametrize("e", [-700, 300])
+    def test_scale_is_exact(self, speeds, e):
+        # at 2^e times the values, the centres are 2^e times the unit ones
+        # and each pole 2^(e q) times, q its Laplacian power, though the
+        # products of 2^-700-sized values underflow
+        centres, sizes, fractions = cluster_fractions(speeds)
+        got_centres, got_sizes, got = cluster_fractions(np.ldexp(speeds, e))
+        assert got_sizes == sizes
+        assert got_centres.tobytes() == np.ldexp(centres, e).tobytes()
+        for r, ((p, alpha), (got_p, got_alpha)) in enumerate(zip(fractions, got)):
+            q = np.arange(alpha.shape[1]) - r + p
+            assert got_p == p
+            assert got_alpha.tobytes() == np.ldexp(alpha, e * q).tobytes()
+
     def test_one_cluster_needs_no_integrals(self):
         _, _, fractions = cluster_fractions((1.3,) * 4)
         assert [p for p, _ in fractions] == [0] * 4

@@ -456,6 +456,14 @@ class TestIteratedTimeIntegral:
         literal = nested(lambda tau: tau**p, m, t)
         assert collapsed == pytest.approx(literal, rel=1e-12, abs=1e-13)
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_overflow_gives_inf(self, m):
+        # the weight is a numpy product: a square past the float range
+        # overflows to inf, not to a Python OverflowError
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            got = iterated_time_integral(lambda t: np.ones_like(t), m, 1e160)
+        assert got == math.inf
+
     def test_fold_count_validation(self):
         with pytest.raises(InvalidOrder):
             iterated_time_integral(lambda t: t, 0, 1.0)

@@ -398,7 +398,8 @@ class TestNearEqualSpeeds:
     @pytest.mark.parametrize("speeds", [
         (1.1, 1.1), (1.1, 1.1 + 1e-12), (1.1, 1.1 + 1e-9), (1e-10, 3e-10),
         (1.1, 1.1, 1.1), (1.1, 1.1 + 1e-12, 1.1 + 2e-12),
-        (1.1, 1.1 + 1e-9, 1.1 + 2e-9)])
+        (1.1, 1.1 + 1e-9, 1.1 + 2e-9), (1e-100, 2e-100, 3e-100),
+        (1e-100, 1e-100, 3e-100)])
     def test_equal_and_near_speeds_against_mode_oracle(self, speeds):
         # wave-distinct takes any positive speeds: the clusters merge equal
         # and near-equal ones, and no separation is refused
