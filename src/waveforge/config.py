@@ -42,7 +42,7 @@ from .errors import ConfigError, WaveforgeError
 from .expr import parse
 from .heat_solver import check_heat
 from .ibvp import DEFAULT_K_MAX, check_box
-from .problems import KINDS, CauchyProblem
+from .problems import KINDS, CauchyProblem, check_counts
 from .quadrature import QuadratureSpec, check_sphere
 
 __all__ = ["GridAxis", "ProblemConfig", "load_config", "parse_config", "dump_config"]
@@ -140,6 +140,11 @@ def parse_config(text: str) -> ProblemConfig:
         speeds = tuple(float(v) for v in prob["speeds"].split(","))
     except ValueError as exc:
         raise ConfigError(f"bad [problem] value: {exc}") from None
+    # before n and m size the lists of data and domain keys
+    try:
+        check_counts(kind, n, m, speeds)
+    except WaveforgeError as exc:
+        raise ConfigError(str(exc)) from None
 
     n_data = 2 * m if kind != "heat-product" else m
     data_keys = [f"phi{r}" for r in range(n_data)]

@@ -50,15 +50,20 @@ def _fraction_weights(a, power: int) -> PartialFractionWeights:
     # NaN and inf give NaN weights
     if not all(math.isfinite(v) for v in a):
         raise NonPositiveSpeed(f"speeds must be finite: {a}")
+    # a float power past the largest float raises OverflowError
+    try:
+        v = [x ** power for x in a]
+        top = [x ** (power * (m - 1)) for x in a]
+    except OverflowError:
+        raise NonPositiveSpeed(f"speeds too large for their powers: {a}") from None
     # compared as the powers the weights divide by, so equal squares fail
-    v = [x ** power for x in a]
     for j in range(m):
         for i in range(j):
             if math.isclose(v[i], v[j], rel_tol=SPEED_SEPARATION):
                 raise DegenerateSpeeds(f"speeds {a[i]} and {a[j]} closer than "
                                        f"{SPEED_SEPARATION} of their size")
     return PartialFractionWeights(tuple(a), tuple(
-        a[j] ** (power * (m - 1)) / math.prod(v[j] - v[i] for i in range(m) if i != j)
+        top[j] / math.prod(v[j] - v[i] for i in range(m) if i != j)
         for j in range(m)))
 
 

@@ -34,7 +34,7 @@ from .kernels import cluster_fractions
 from .quadrature import climb, double_factorial, gauss_legendre, row_dot
 
 __all__ = ["CauchyProblem", "SolutionEvaluator", "KINDS", "TIME_LADDER",
-           "cluster_evaluator"]
+           "check_counts", "cluster_evaluator"]
 
 # operator families: m-fold wave with one speed, and products of wave or
 # of heat factors with any speeds
@@ -68,25 +68,12 @@ class CauchyProblem:
     data: tuple[Optional[Expr], ...]
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise InvalidOrder(f"unknown problem kind '{self.kind}'")
-        if self.m < 1:
-            raise InvalidOrder(f"order must be >= 1, got {self.m}")
-        if self.n < 1 or self.n > 5:
-            raise UnsupportedDimension(
-                f"dimension must be between 1 and 5, got {self.n}"
-            )
-        # solvers impose their own sharper dimension limits (odd n for
-        # whole-space wave kinds, n <= 3 for diffusion and boxes)
+        check_counts(self.kind, self.n, self.m, self.speeds)
         expected = 2 * self.m if self.kind != "heat-product" else self.m
         if len(self.data) != expected:
             raise DataCountMismatch(
                 f"{self.kind} of order {self.m} needs {expected} data "
                 f"entries, got {len(self.data)}"
-            )
-        if len(self.speeds) != self.m:
-            raise DataCountMismatch(
-                f"need one speed per factor ({self.m}), got {len(self.speeds)}"
             )
         # NaN fails both comparisons
         if not all(0 < a < math.inf for a in self.speeds):
@@ -112,6 +99,21 @@ class CauchyProblem:
             raise DataCountMismatch(
                 f"source has dimension {self.source.ndim}, problem has {self.n}"
             )
+
+
+def check_counts(kind: str, n: int, m: int, speeds: Sequence[float]):
+    """The checks of :class:`CauchyProblem` on its kind, dimension, order
+    and speed count, which a config runs before it lists keys by n and m."""
+    if kind not in KINDS:
+        raise InvalidOrder(f"unknown problem kind '{kind}'")
+    if m < 1:
+        raise InvalidOrder(f"order must be >= 1, got {m}")
+    # solvers impose their own sharper dimension limits (odd n for
+    # whole-space wave kinds, n <= 3 for diffusion and boxes)
+    if n < 1 or n > 5:
+        raise UnsupportedDimension(f"dimension must be between 1 and 5, got {n}")
+    if len(speeds) != m:
+        raise DataCountMismatch(f"need one speed per factor ({m}), got {len(speeds)}")
 
 
 class SolutionEvaluator:

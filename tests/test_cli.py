@@ -950,6 +950,62 @@ class TestSolveCommand:
         assert dump_config(reparsed) == text
 
 
+class TestUnusualInput:
+    """Valid but unusual input: a clean exit, never a traceback."""
+
+    def _solve(self, tmp_path, phi, **problem):
+        out = tmp_path / "o.csv"
+        cfgf = tmp_path / "p.ini"
+        text = KIRCHHOFF.format(path=out).replace("phi1 = 1", phi)
+        for key, value in problem.items():
+            text = re.sub(rf"{key} = .*", f"{key} = {value}", text)
+        cfgf.write_text(text)
+        return main(["solve", str(cfgf)]), out
+
+    def test_polynomial_of_200_terms(self, tmp_path):
+        # its code nested 200 parentheses, which Python does not compile
+        poly = "+".join(f"{k}*x1" for k in range(1, 201))
+        code, out = self._solve(tmp_path, f"phi0 = {poly}")
+        assert code == 0
+        _, rows = _read_csv(out)
+        # within 1e-13 of the data's size, 10050 at |x1| = 0.5
+        assert np.allclose(rows[:, 4], 20100 * rows[:, 0], rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("text, message", [
+        ("(" * 300 + "x1" + ")" * 300, "levels deep"),
+        ("-" * 2000 + "x1", "levels deep"),
+        ("x1" + "+x1" * 5000, "levels deep"),
+        ("x1" + "^x1" * 400, "levels deep"),
+        ("x\u00b2", "unknown identifier"),
+    ])
+    def test_refused_text(self, tmp_path, capsys, text, message):
+        # these raised RecursionError, MemoryError or ValueError
+        code, out = self._solve(tmp_path, f"phi0 = {text}")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: in phi0: syntax error at offset")
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("m", 10**6, "need one speed per factor (1000000), got 1"),
+        ("n", 10**6, "dimension must be between 1 and 5, got 1000000"),
+    ])
+    def test_counts_checked_before_keys_are_listed(self, tmp_path, capsys, key,
+                                                   value, message):
+        # m = 10^6 listed 2 * 10^6 data keys first: 1.9 s and 280 MiB
+        tracemalloc.start()
+        try:
+            code, out = self._solve(tmp_path, "phi0 = x1", **{key: value})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert peak < 2**20
+        assert not out.exists()
+
+
 class TestVerifyCommand:
     def test_unknown_suite(self):
         assert main(["verify", "bogus"]) == 2

@@ -13,8 +13,10 @@ from waveforge.errors import (
     DomainError,
     ExprSyntaxError,
     UnknownSymbol,
+    WaveforgeError,
 )
 from waveforge.expr import (
+    MAX_DEPTH,
     Mesh,
     Num,
     compile_field,
@@ -26,6 +28,7 @@ from waveforge.expr import (
     parse,
     to_string,
 )
+from waveforge import expr
 
 
 class TestParsing:
@@ -75,6 +78,191 @@ class TestParsing:
         assert compile_field(e)(np.array([[3.0]]))[0] == 9.0
         assert eval_real(laplacian(e), [3.0]) == pytest.approx(2.0)
         assert eval_real(differentiate(parse("x1^2", 1), "x01"), [3.0]) == 6.0
+
+
+# Each text's printed form, or its error's class, offset and message, as
+# the parser before the token pass gave them (an error without an offset,
+# DimensionError, gives its whole text).  The texts reach every branch of
+# the grammar and of the tokens: operators at each precedence, '^' to the
+# right, unary minus either side of '^', calls, variables, numbers and the
+# ways each of them fails.
+_GOLDEN = [
+    ('1 + 2*3', 1, '1+2*3'),
+    ('2^3^2', 1, '2^3^2'),
+    ('-x1^2', 1, '-x1^2'),
+    ('-x1*x2', 2, '(-x1)*x2'),
+    ('x1 - -x2', 2, 'x1-(-x2)'),
+    ('2^-x1^2', 1, '2^(-x1^2)'),
+    ('(x1 + x2)*t', 2, '(x1+x2)*t'),
+    ('x1/x2/t', 2, 'x1/x2/t'),
+    ('x1-(x2-t)', 2, 'x1-(x2-t)'),
+    ('x1*-x2*t', 2, 'x1*(-x2)*t'),
+    ('x1+-x2*t', 2, 'x1+(-x2)*t'),
+    ('-(-x1)', 1, '-(-x1)'),
+    ('--x1', 1, '-(-x1)'),
+    ('-2^2', 1, '-2^2'),
+    ('x1 * 2 ^ - 3', 1, 'x1*2^(-3)'),
+    ('(x1)^2', 1, 'x1^2'),
+    ('sin(x1)^2', 1, 'sin(x1)^2'),
+    ('x1^x2^t', 2, 'x1^x2^t'),
+    ('pi', 1, '3.141592653589793'),
+    ('t', 0, 't'),
+    ('x01', 1, 'x1'),
+    ('x00', 1, (DimensionError, None, "variable 'x00' out of range for dimension 1")),
+    ('x3', 2, (DimensionError, None, "variable 'x3' out of range for dimension 2")),
+    ('x0', 2, (DimensionError, None, "variable 'x0' out of range for dimension 2")),
+    ('x', 1, (UnknownSymbol, 0, "unknown identifier 'x'")),
+    ('y1', 1, (UnknownSymbol, 0, "unknown identifier 'y1'")),
+    ('X1', 1, (UnknownSymbol, 0, "unknown identifier 'X1'")),
+    ('_a', 1, (UnknownSymbol, 0, "unknown identifier '_a'")),
+    ('é', 1, (UnknownSymbol, 0, "unknown identifier 'é'")),
+    ('e', 1, (UnknownSymbol, 0, "unknown identifier 'e'")),
+    ('sin(x1) + frob(x1)', 1, (UnknownSymbol, 10, "unknown function 'frob'")),
+    ('frob', 1, (UnknownSymbol, 0, "unknown identifier 'frob'")),
+    ('sin', 1, (UnknownSymbol, 0, "unknown identifier 'sin'")),
+    ('sin (x1)', 1, 'sin(x1)'),
+    ('atan(abs(x1))', 1, 'atan(abs(x1))'),
+    ('pi(x1)', 1, (UnknownSymbol, 0, "unknown function 'pi'")),
+    ('t(x1)', 1, (UnknownSymbol, 0, "unknown function 't'")),
+    ('x1(2)', 1, (UnknownSymbol, 0, "unknown function 'x1'")),
+    ('sqrt(x1', 1, (ExprSyntaxError, 7, "expected ')'")),
+    ('(x1', 1, (ExprSyntaxError, 3, "expected ')'")),
+    ('((x1)', 1, (ExprSyntaxError, 5, "expected ')'")),
+    ('x1 )', 1, (ExprSyntaxError, 3, 'unexpected trailing input')),
+    ('', 1, (ExprSyntaxError, 0, 'unexpected end of input')),
+    ('   ', 1, (ExprSyntaxError, 3, 'unexpected end of input')),
+    ('x1 +', 1, (ExprSyntaxError, 4, 'unexpected end of input')),
+    ('x1^', 1, (ExprSyntaxError, 3, 'unexpected end of input')),
+    ('x1 + * x2', 2, (ExprSyntaxError, 5, "unexpected character '*'")),
+    ('+x1', 1, (ExprSyntaxError, 0, "unexpected character '+'")),
+    (')', 1, (ExprSyntaxError, 0, "unexpected character ')'")),
+    ('abs()', 1, (ExprSyntaxError, 4, "unexpected character ')'")),
+    ('x1 + ( )', 1, (ExprSyntaxError, 7, "unexpected character ')'")),
+    ('#', 1, (ExprSyntaxError, 0, "unexpected character '#'")),
+    ('1.5e3', 1, '1500'),
+    ('1e-3', 1, '0.001'),
+    ('1E+2', 1, '100'),
+    ('.5', 1, '0.5'),
+    ('1.', 1, '1'),
+    ('1.2.3', 1, (ExprSyntaxError, 0, "bad numeric literal '1.2.3'")),
+    ('.', 1, (ExprSyntaxError, 0, "bad numeric literal '.'")),
+    ('1e', 1, (ExprSyntaxError, 1, 'unexpected trailing input')),
+    ('1e+', 1, (ExprSyntaxError, 1, 'unexpected trailing input')),
+    ('2x1', 1, (ExprSyntaxError, 1, 'unexpected trailing input')),
+    ('x1.5', 1, (ExprSyntaxError, 2, 'unexpected trailing input')),
+    ('1e5x', 1, (ExprSyntaxError, 3, 'unexpected trailing input')),
+    ('1/0', 1, '1/0'),
+    ('0.1+1e16', 1, '0.1+1e+16'),
+    ('x1 x2', 2, (ExprSyntaxError, 3, 'unexpected trailing input')),
+    ('sin(x1)(x2)', 1, (ExprSyntaxError, 7, 'unexpected trailing input')),
+    ('x1 ½', 1, (ExprSyntaxError, 3, 'unexpected trailing input')),
+    ('½', 1, (ExprSyntaxError, 0, "unexpected character '½'")),
+    ('x1\t*\nx2', 2, 'x1*x2'),
+    ('x1\xa0+\u2003x2', 2, 'x1+x2'),
+    ("(" * 50 + "x1" + ")" * 50, 1, 'x1'),
+]
+
+
+class TestParserTable:
+    @pytest.mark.parametrize("text, n, want", _GOLDEN)
+    def test_as_before(self, text, n, want):
+        if isinstance(want, str):
+            assert to_string(parse(text, n)) == want
+            return
+        cls, position, message = want
+        with pytest.raises(WaveforgeError) as info:
+            parse(text, n)
+        assert type(info.value) is cls
+        assert getattr(info.value, "position", None) == position
+        assert (info.value.message if position is not None
+                else str(info.value)) == message
+
+    # digits are ASCII: the parser before the token pass read any Unicode
+    # digit, so 'x²' raised a bare ValueError, and '²' or '1²' a bad literal
+    @pytest.mark.parametrize("text, cls, position, message", [
+        ("x\u00b2", UnknownSymbol, 0, "unknown identifier 'x\u00b2'"),
+        ("x1\u00b2", UnknownSymbol, 0, "unknown identifier 'x1\u00b2'"),
+        ("x\u0661", UnknownSymbol, 0, "unknown identifier 'x\u0661'"),
+        ("\u00b2", ExprSyntaxError, 0, "unexpected character '\u00b2'"),
+        ("\u0663", ExprSyntaxError, 0, "unexpected character '\u0663'"),
+        ("1\u00b2", ExprSyntaxError, 1, "unexpected trailing input"),
+    ])
+    def test_digits_are_ascii(self, text, cls, position, message):
+        with pytest.raises(cls) as info:
+            parse(text, 2)
+        assert (info.value.position, info.value.message) == (position, message)
+
+    def test_long_index_out_of_range(self):
+        # int() refuses a 5000-digit string; the index is out of range
+        with pytest.raises(DimensionError, match="out of range"):
+            parse("x" + "1" * 5000, 3)
+        assert to_string(parse("x" + "0" * 5000 + "2", 3)) == "x2"
+
+    @pytest.mark.parametrize("var", ["x\u00b9", "x\u0661", "y1", "x"])
+    def test_differentiate_reads_ascii_digits(self, var):
+        with pytest.raises(DimensionError, match="unknown variable"):
+            differentiate(parse("x1^2", 1), var)
+
+    def test_differentiate_out_of_range(self):
+        with pytest.raises(DimensionError, match="out of range for dimension 1"):
+            differentiate(parse("x1^2", 1), "x2")
+
+    def test_infinite_literal_prints(self):
+        # the printer took int() of inf and raised OverflowError
+        assert to_string(parse("-1e400*x1", 1)) == "(-inf)*x1"
+
+
+def _chain(op, count):
+    """x1 followed by ``count`` more x1, each after ``op``."""
+    return "x1" + f"{op}x1" * count
+
+
+class TestDepthBound:
+    @pytest.mark.parametrize("op", ["+", "*", "^"])
+    def test_chain_height(self, op):
+        assert parse(_chain(op, MAX_DEPTH), 1)
+        text = _chain(op, MAX_DEPTH + 1)
+        with pytest.raises(ExprSyntaxError, match="levels deep") as info:
+            parse(text, 1)
+        # a left chain is refused at the operator that makes it too tall,
+        # 602; '^' groups to the right, so at the operand nested too deep
+        assert info.value.position == 3 * MAX_DEPTH + (3 if op == "^" else 2)
+
+    @pytest.mark.parametrize("text", [
+        "(" * 300 + "x1" + ")" * 300,
+        "-" * 2000 + "x1",
+        "sin(" * 300 + "x1" + ")" * 300,
+        _chain("+", 5000),
+        _chain("^", 400),
+    ])
+    def test_deep_text_refused(self, text):
+        with pytest.raises(ExprSyntaxError, match=f"more than {MAX_DEPTH} levels"):
+            parse(text, 1)
+
+    def test_polynomial_of_200_terms(self):
+        e = parse("+".join(f"{k}*x1" for k in range(1, 201)), 1)
+        x = np.array([[0.5], [-2.0]])
+        assert np.array_equal(compile_field(e)(x), 20100 * x[:, 0])
+        assert eval_real(laplacian(e), [0.3]) == 0.0
+
+    def test_shallow_code_unchanged(self):
+        # no statement nests deeper than expr._INLINE_DEPTH operations:
+        # below that a DAG without shared nodes is one expression
+        def source(count):
+            return expr._source(parse(_chain("+", count), 1).root, repr)[0]
+
+        assert source(expr._INLINE_DEPTH).count("\n") == 2  # def, return
+        # past it, the node at that depth becomes a temporary
+        lines = source(150).splitlines()
+        assert [line.split(" = ")[0] for line in lines[1:-1]] == ["    _0"]
+        assert compile_field(parse(_chain("+", 150), 1))(np.array([[2.0]]))[0] == 302.0
+
+    def test_derived_expression_too_deep(self):
+        # within the bound, but a derivative of the tower x1^x1^...^x1
+        # nests past Python's recursion limit
+        e = parse(_chain("^", MAX_DEPTH - 1), 1)
+        with pytest.raises(DomainError, match="nests too deeply"):
+            laplacian(e)
 
 
 class TestEvaluation:
@@ -377,6 +565,17 @@ _expr_texts = st.sampled_from(sorted(_REFERENCE))
 
 
 class TestProperties:
+    # any characters, often the grammar's pieces and Unicode digits
+    @given(st.lists(st.characters() | st.sampled_from(
+        ["x", "x1", "t", "sin", "1", ".", "e", "(", ")", "-", "^", "*", " ",
+         "\u00b2", "\u0661"])).map("".join), st.integers(0, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_any_text_parses_or_is_refused(self, text, n):
+        try:
+            parse(text, n)
+        except WaveforgeError:
+            pass
+
     @given(_expr_texts, st.floats(-2.0, 2.0))
     @settings(max_examples=60, deadline=None)
     def test_print_parse_roundtrip(self, text, x):

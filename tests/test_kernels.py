@@ -92,6 +92,16 @@ class TestSecondOrderWeights:
             with pytest.raises(NonPositiveSpeed, match="finite"):
                 weights(speeds)
 
+    @pytest.mark.parametrize("weights, speeds", [
+        (first_order_weights, [1e200, 2e200, 3e200]),
+        (second_order_weights, [1e200, 2e200]),
+        (first_order_weights, [1e110, 2e110, 3e110, 4e110]),
+    ])
+    def test_overflowing_powers_rejected(self, weights, speeds):
+        # the float powers raised a bare OverflowError
+        with pytest.raises(NonPositiveSpeed, match="too large"):
+            weights(speeds)
+
     @given(_distinct_speeds)
     @settings(max_examples=80, deadline=None)
     def test_moment_identities(self, speeds):
