@@ -489,16 +489,17 @@ def differentiate(e: Expr, var: str) -> Expr:
         if axis is None:
             raise DimensionError(f"unknown variable '{var}'")
         var = axis
-    return Expr(_simplify(_d(e.root, var)), e.ndim)
+    return Expr(_simplify(_d(_simplify(e.root), var)), e.ndim)
 
 
 @_recursion_checked
 def laplacian(e: Expr) -> Expr:
     """Sum of second spatial derivatives."""
+    root = _simplify(e.root)
     total: Node = Num(0.0)
     for i in range(e.ndim):
         var = f"x{i + 1}"
-        second = _d(_simplify(_d(e.root, var)), var)
+        second = _d(_simplify(_d(root, var)), var)
         total = Bin("+", total, second)
     return Expr(_simplify(total), e.ndim)
 

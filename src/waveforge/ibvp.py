@@ -11,7 +11,8 @@ P(lam_k, D) T = g whose solutions are sums of divided differences of
 e^{zt} at the roots of P(lam_k, .).  One closed form covers every family
 and every speed cluster: the data in Newton form against those divided
 differences, plus a Duhamel integral of the last one, taken at all the
-time rule's nodes in as few calls as BATCH_POINTS allows.
+time rule's nodes in as few calls as BATCH_POINTS allows.  The solver,
+:class:`IbvpEvaluator`, builds the roots, the Newton form and the rule once.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -155,20 +157,53 @@ def project(field, basis: EigenBasis, quad_count: int | None = None,
 
 
 class IbvpEvaluator(SolutionEvaluator):
-    """Series evaluator with per-mode amplitudes, aligned with basis.modes.
+    """The box solver: the series over basis.modes of the mode amplitudes.
 
-    Its ``at(t)`` computes the amplitudes at t once and returns the series
-    over them, so every slab of a threaded ``evaluate`` shares them and the
-    time loop holds at most two times' amplitudes at once.  ``amplitudes``,
-    ``amplitude_derivatives`` and so ``energy`` check t by
-    ``check_times``, as ``evaluate`` does.
+    The constructor checks the problem against the box, warns where the
+    data do not vanish on its walls, projects the data and keeps each
+    mode's characteristic roots, the data's Newton form, the compiled
+    source and the ``n_time`` Gauss rule of the Duhamel integral.
+    ``at(t)`` computes the amplitudes at t once and returns the series over
+    them, so every slab of a threaded ``evaluate`` shares them and the time
+    loop holds at most two times' amplitudes.  Each amplitude method, and
+    ``energy``, checks t by ``check_times`` first, as ``evaluate`` does.
     """
 
-    def __init__(self, problem, basis, amplitude_fn, derivative_fn=None):
-        self.basis = basis
-        self._amp_fn = amplitude_fn
-        self._der_fn = derivative_fn
+    def __init__(self, problem: CauchyProblem, basis: EigenBasis,
+                 spec: QuadratureSpec | None = None):
+        if problem.n != basis.d:
+            raise DataCountMismatch(
+                f"problem dimension {problem.n} != box dimension {basis.d}"
+            )
+        _check_boundary_data(problem, basis)
         super().__init__(problem, self._series_at)
+        self.basis = basis
+        data = np.array([
+            np.zeros(basis.count) if e is None else project(e, basis)
+            for e in problem.data
+        ])
+        self._source = None if problem.source is None else compile_field(problem.source)
+        self._rule = gauss_legendre((spec or QuadratureSpec()).n_time, 0.0, 1.0)
+
+        # roots of each mode's characteristic polynomial, shape (N, M): heat
+        # factors s + a lam, wave factors s^2 + a^2 lam
+        a = np.asarray(problem.speeds)[:, None]
+        if problem.kind == "heat-product":
+            roots = -a * basis.eigenvalues
+        else:
+            w = 1j * a * np.sqrt(basis.eigenvalues)
+            roots = np.stack([w, -w], axis=1).reshape(2 * problem.m, basis.count)
+
+        # Newton form c_j = [(D - r_{j-1}) ... (D - r_0) T](0) of the data;
+        # the rows of `poly` are the coefficients of that operator in D
+        poly = np.zeros_like(roots)
+        poly[0] = 1.0
+        newton = np.empty_like(roots)
+        for j, r in enumerate(roots):
+            newton[j] = (poly * data).sum(axis=0)
+            # np.roll wraps the top row, which is zero until the last pass
+            poly = np.roll(poly, 1, axis=0) - r * poly
+        self._roots, self._newton = roots, newton
 
     def _series_at(self, t: float):
         amps = self.amplitudes(t)
@@ -176,24 +211,41 @@ class IbvpEvaluator(SolutionEvaluator):
 
     def amplitudes(self, t: float) -> np.ndarray:
         self.check_times(t)
-        return self._amp_fn(float(t))
+        t = float(t)
+        out = np.real((self._newton * exp_divided_differences(self._roots, t)).sum(axis=0))
+        if self._source is not None and t != 0.0:
+            # the impulse response is the last divided difference, for as
+            # many nodes per call as nodes x modes within BATCH_POINTS allows
+            # (one at least); the source is projected one node at a time and
+            # the terms are added in node order
+            z, wz = self._rule
+            chunk = max(1, BATCH_POINTS // self.basis.count)
+            for i in range(0, len(z), chunk):
+                zs, ws = z[i:i + chunk], wz[i:i + chunk]
+                g = exp_divided_differences(self._roots[:, None], (t - t * zs)[:, None])[-1]
+                for gi, zi, wi in zip(np.real(g), zs, ws):
+                    out = out + t * wi * gi * project(self._source, self.basis, t=t * zi)
+        return out
 
     def amplitude_derivatives(self, t: float) -> np.ndarray:
-        if self._der_fn is None:
+        self.check_times(t)
+        if self.problem.m != 1 or self._source is not None:
             raise InvalidOrder(
                 "amplitude derivatives available only for single-factor "
                 "homogeneous problems"
             )
-        self.check_times(t)
-        return self._der_fn(float(t))
+        phi = exp_divided_differences(self._roots, float(t))
+        dphi = self._roots * phi
+        dphi[1:] += phi[:-1]
+        return np.real((self._newton * dphi).sum(axis=0))
 
     def energy(self, t: float) -> float:
         """Sum over modes of T'^2 + a^2 lam T^2 (single-factor wave)."""
         self.check_times(t)
         if self.problem.kind == "heat-product":
             raise InvalidOrder("energy is defined for the single-factor wave only")
-        amps = self.amplitudes(t)
         ders = self.amplitude_derivatives(t)
+        amps = self.amplitudes(t)
         a = self.problem.speeds[0]
         return float(np.sum(ders**2 + a * a * self.basis.eigenvalues * amps**2))
 
@@ -238,75 +290,18 @@ def _check_boundary_data(problem: CauchyProblem, basis: EigenBasis):
                        for frac in (0.25, 0.7)])
     if any(e is not None and np.max(np.abs(compile_field(e)(probes))) > BOUNDARY_DATA_TOL
            for e in problem.data):
+        # point at the user's call of solve_ibvp or IbvpEvaluator
+        frame, level = sys._getframe(), 1
+        while frame.f_globals["__name__"] == __name__:
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             "initial data does not vanish on the box boundary; the "
             "sine series converges slowly there (Gibbs oscillations)",
-            stacklevel=3,
+            stacklevel=level,
         )
 
 
 def solve_ibvp(problem: CauchyProblem, basis: EigenBasis,
                spec: QuadratureSpec | None = None) -> IbvpEvaluator:
     """Eigenfunction-expansion solver for any of the three families."""
-    if problem.n != basis.d:
-        raise DataCountMismatch(
-            f"problem dimension {problem.n} != box dimension {basis.d}"
-        )
-    spec = spec or QuadratureSpec()
-    _check_boundary_data(problem, basis)
-    m = problem.m
-    lam = basis.eigenvalues
-    data = np.array([
-        np.zeros(basis.count) if e is None else project(e, basis)
-        for e in problem.data
-    ])
-    src = None if problem.source is None else compile_field(problem.source)
-
-    z, wz = gauss_legendre(spec.n_time, 0.0, 1.0)
-    heat = problem.kind == "heat-product"
-    # roots of each mode's characteristic polynomial, shape (N, M): heat
-    # factors s + a lam, wave factors s^2 + a^2 lam
-    a = np.asarray(problem.speeds)[:, None]
-    if heat:
-        roots = -a * lam
-    else:
-        w = 1j * a * np.sqrt(lam)
-        roots = np.stack([w, -w], axis=1).reshape(2 * m, basis.count)
-
-    # Newton form c_j = [(D - r_{j-1}) ... (D - r_0) T](0) of the data;
-    # the rows of `poly` are the coefficients of that operator in D
-    poly = np.zeros_like(roots)
-    poly[0] = 1.0
-    newton = np.empty_like(roots)
-    for j, r in enumerate(roots):
-        newton[j] = (poly * data).sum(axis=0)
-        # np.roll wraps the top row, which is zero until the last pass
-        poly = np.roll(poly, 1, axis=0) - r * poly
-
-    # Duhamel nodes per impulse-response call: nodes x modes stays within
-    # BATCH_POINTS, or one node when the modes alone exceed it
-    chunk = max(1, BATCH_POINTS // basis.count)
-
-    def amplitude_fn(t):
-        out = np.real((newton * exp_divided_differences(roots, t)).sum(axis=0))
-        if src is not None and t != 0.0:
-            # the impulse response is the last divided difference, for a
-            # chunk of nodes per call; the source is projected one node at
-            # a time and the terms are added in node order
-            for i in range(0, len(z), chunk):
-                zs, ws = z[i:i + chunk], wz[i:i + chunk]
-                g = exp_divided_differences(roots[:, None], (t - t * zs)[:, None])[-1]
-                for gi, zi, wi in zip(np.real(g), zs, ws):
-                    out = out + t * wi * gi * project(src, basis, t=t * zi)
-        return out
-
-    derivative_fn = None
-    if m == 1 and src is None:
-
-        def derivative_fn(t):
-            phi = exp_divided_differences(roots, t)
-            dphi = roots * phi
-            dphi[1:] += phi[:-1]
-            return np.real((newton * dphi).sum(axis=0))
-
-    return IbvpEvaluator(problem, basis, amplitude_fn, derivative_fn)
+    return IbvpEvaluator(problem, basis, spec)

@@ -49,6 +49,17 @@ class CheckResult:
         )
 
 
+def _raises_unresolved(suite: str, name: str, run) -> CheckResult:
+    """A check that passes, measuring 0, when ``run()`` raises
+    :class:`~waveforge.errors.UnresolvedData`, and fails, measuring 1, when
+    it returns."""
+    try:
+        run()
+    except UnresolvedData:
+        return CheckResult(suite, name, 0.0, 0.0)
+    return CheckResult(suite, name, 1.0, 0.0)
+
+
 def _suite_modes() -> list[CheckResult]:
     out = []
     rng = np.random.default_rng(20240811)
@@ -94,12 +105,8 @@ def _suite_wave() -> list[CheckResult]:
 
     err = abs(mode(5)(x, 1.0) - math.cos(5.0) * math.sin(1.5))
     out.append(CheckResult("wave", "sphere-mode-resolved", err, 1e-12))
-    try:
-        mode(20)(x, 2.0)
-        missed = 1.0
-    except UnresolvedData:
-        missed = 0.0
-    out.append(CheckResult("wave", "sphere-unresolved-raises", missed, 0.0))
+    out.append(_raises_unresolved("wave", "sphere-unresolved-raises",
+                                  lambda: mode(20)(x, 2.0)))
     return out
 
 
@@ -154,12 +161,8 @@ def _suite_heat() -> list[CheckResult]:
     out.append(CheckResult("heat", "sharp-mode-resolved", err, 1e-12))
     p = CauchyProblem("heat-product", 1, 1, (1.0,), None,
                       (parse("sin(8*x1)", 1),))
-    try:
-        solve_heat_product(p)([0.3], 1.0)
-        missed = 1.0
-    except UnresolvedData:
-        missed = 0.0
-    out.append(CheckResult("heat", "unresolved-raises", missed, 0.0))
+    out.append(_raises_unresolved("heat", "unresolved-raises",
+                                  lambda: solve_heat_product(p)([0.3], 1.0)))
     # a fast source the time-rule ladder resolves, and one beyond it:
     # u(1, x) = sin(x1) Re[(e^{i nu} - e^{-1/2}) / (1/2 + i nu)]
     def forced(nu):
@@ -171,12 +174,8 @@ def _suite_heat() -> list[CheckResult]:
                               - math.exp(-0.5)) / complex(0.5, 120)).real
     err = abs(forced(120)([0.7], 1.0) - exact)
     out.append(CheckResult("heat", "time-rule-resolved", err, 1e-12))
-    try:
-        forced(300)([0.7], 1.0)
-        missed = 1.0
-    except UnresolvedData:
-        missed = 0.0
-    out.append(CheckResult("heat", "time-rule-unresolved-raises", missed, 0.0))
+    out.append(_raises_unresolved("heat", "time-rule-unresolved-raises",
+                                  lambda: forced(300)([0.7], 1.0)))
     return out
 
 

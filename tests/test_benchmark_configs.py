@@ -58,7 +58,15 @@ def test_traced_pass_solves_to_the_references(tmp_path):
         env=dict(os.environ, PYTHONPATH=str(_ROOT / "src")),
         capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stderr
-    assert json.loads(run.stdout.splitlines()[-1])["codes"] == [0] * len(configs)
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["codes"] == [0] * len(configs)
+    # a refactor that drops a wrap point leaves its layer's metrics at zero:
+    # only the layers with no wrap point left in the program may be absent,
+    # and the spans of the box amplitudes, the projections, the heat
+    # propagator and the sinh kernel must be recorded
+    assert set(result["absent"]) <= {"fd", "kernels", "oracle"}
+    assert {"ibvp.amplitudes", "ibvp.project", "heat_solver.propagate",
+            "quadrature.sinh"} <= set(result["trace"]["calls"])
     for cfg in configs:
         rows = cfg.rows()
         ok, worst, why = workloads.check_csv(cfg, cfg.output,

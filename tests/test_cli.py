@@ -971,6 +971,20 @@ class TestUnusualInput:
         # within 1e-13 of the data's size, 10050 at |x1| = 0.5
         assert np.allclose(rows[:, 4], 20100 * rows[:, 0], rtol=0, atol=1e-9)
 
+    def test_negative_constant_exponent(self, tmp_path):
+        # the sphere means' gradient of (x1-5)^-2 went through
+        # exp(-2*log(x1-5)), not finite for x1 < 5: exit 3
+        values = []
+        for i, phi in enumerate(["(x1-5)^-2", "(x1-5)^(-2)", "1/(x1-5)^2"]):
+            out, cfgf = tmp_path / f"{i}.csv", tmp_path / f"{i}.ini"
+            cfgf.write_text(_whole_space_config("wave-multiple", 3, out, ["0:0:1"] * 3)
+                            .replace("sin(x1)", phi))
+            assert main(["solve", str(cfgf)]) == 0
+            values.append(_read_csv(out)[1][0, 4])
+        # u(0, t) = d/dt [t / (25 - t^2)] = (25 + t^2) / (25 - t^2)^2 at t = 0.5
+        assert values[0] == values[1] == values[2]
+        assert values[0] == pytest.approx(25.25 / 24.75**2, rel=1e-12)
+
     @pytest.mark.parametrize("text, message", [
         ("(" * 300 + "x1" + ")" * 300, "levels deep"),
         ("-" * 2000 + "x1", "levels deep"),

@@ -384,6 +384,18 @@ class TestDifferentiation:
         with pytest.raises(DimensionError):
             differentiate(parse("x1", 1), "x2")
 
+    @pytest.mark.parametrize("text, x, want", [
+        ("x1^-2", -1.0, 2.0),
+        ("x1^(-2)", -1.0, 2.0),
+        ("x1^(4/2)", -1.5, -3.0),
+        ("(x1-5)^-2", 0.0, 2 / 125),
+    ])
+    def test_constant_exponent_takes_the_power_rule(self, text, x, want):
+        # -2 parses as a negation and 4/2 as a quotient; differentiated on
+        # the unsimplified DAG they took exp(b*log(a)), not finite for a < 0
+        e = differentiate(parse(text, 1), "x1")
+        assert eval_real(e, [x]) == pytest.approx(want, rel=1e-15)
+
 
 class TestCompiledField:
     def test_matches_math_reference(self):
@@ -542,6 +554,18 @@ class TestDag:
             assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
         # exponents add: Lap^3 had 2,551 nodes when denominators squared
         assert _distinct_nodes(laplacian_power(e, 3).root) < 1000
+
+    def test_negative_exponent_laplacian_powers(self):
+        # through exp(-log(1 + s)), Lap^1..4 had 56, 430, 3,851 and 33,906
+        # distinct nodes; with the power rule they match 1/(1 + s)'s values
+        e = parse("(1 + x1^2 + x2^2 + x3^2)^-1", 3)
+        ref = parse("1/(1 + x1^2 + x2^2 + x3^2)", 3)
+        X = np.array([[0.0, 3.9, 0.0], [0.3, -1.2, 2.5], [-6.0, 5.0, 5.0]])
+        for q, bound in zip(range(1, 5), (36, 119, 487, 2094)):
+            lap = laplacian_power(e, q)
+            assert _distinct_nodes(lap.root) <= bound
+            want = compile_field(laplacian_power(ref, q))(X)
+            assert np.max(np.abs(compile_field(lap)(X) - want) / np.abs(want)) < 1e-12
 
     def test_equal_subexpressions_are_one_node(self):
         e = parse("sin(x1)*x2 + sin(x1)", 2).root

@@ -18,9 +18,10 @@ from waveforge.errors import (
     NegativeDiffusionTime,
 )
 from waveforge.expr import Mesh, compile_field, parse
-from waveforge.ibvp import build_basis, project, solve_ibvp
+from waveforge.ibvp import IbvpEvaluator, build_basis, project, solve_ibvp
 from waveforge.oracle import ModeProblem, mode_solve
 from waveforge.problems import CauchyProblem
+from waveforge.quadrature import QuadratureSpec
 
 PI = math.pi
 
@@ -481,6 +482,70 @@ class TestTimeCheck:
                 getattr(ev, method)(t)
 
 
+    @pytest.mark.parametrize("method", ["amplitude_derivatives", "energy"])
+    def test_bad_time_reported_before_the_order(self, method):
+        # an m = 2 sourced wave has no amplitude derivatives, and a bad time
+        # is still what is reported
+        p = CauchyProblem("wave-multiple", 1, 2, (1.0, 1.0), parse("sin(x1)*t", 1),
+                          (parse("sin(x1)", 1), None, None, None))
+        ev = solve_ibvp(p, build_basis([PI], 8))
+        with pytest.raises(DomainError, match="time must be finite"):
+            getattr(ev, method)(math.nan)
+        with pytest.raises(InvalidOrder, match="amplitude derivatives available only"):
+            getattr(ev, method)(0.5)
+
+
+class TestEvaluator:
+    """IbvpEvaluator is the box solver, and solve_ibvp only constructs it."""
+
+    @staticmethod
+    def _heat_source():
+        mode = "sin(x1)*sin(2*x2)"
+        return CauchyProblem("heat-product", 2, 2, (0.6, 1.1),
+                             parse(f"cos(0.7*t)*{mode}", 2),
+                             (parse(f"0.5*{mode}", 2), parse(f"-0.3*{mode}", 2)))
+
+    @staticmethod
+    def _wave():
+        return CauchyProblem("wave-multiple", 2, 1, (1.3,), None,
+                             (parse("x1*(3 - x1)*sin(x2)", 2), parse("sin(2*x1)*x2*(2 - x2)", 2)))
+
+    @pytest.mark.parametrize("make, L", [("_heat_source", (PI, PI)), ("_wave", (3.0, 2.0))])
+    def test_direct_construction_matches_solve_ibvp(self, make, L):
+        p, basis, spec = getattr(self, make)(), build_basis(L, 6), QuadratureSpec(n_time=16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            direct, solved = IbvpEvaluator(p, basis, spec), solve_ibvp(p, basis, spec)
+        points = np.random.default_rng(3).uniform(0.0, 1.0, (7, 2)) * L
+        times = [0.0, 0.4, 1.1]
+        for t in times:
+            assert direct.amplitudes(t).tolist() == solved.amplitudes(t).tolist()
+        assert direct.evaluate(points, times).tolist() == solved.evaluate(points, times).tolist()
+        if p.kind == "wave-multiple":
+            assert direct.energy(0.7) == solved.energy(0.7)
+            assert (direct.amplitude_derivatives(0.7).tolist()
+                    == solved.amplitude_derivatives(0.7).tolist())
+
+    @pytest.mark.parametrize("m, source", [(1, "sin(x1)*sin(t)"), (2, None)])
+    def test_energy_refused_before_any_mode_kernel(self, monkeypatch, m, source):
+        # energy computed the amplitudes, a sourced problem's whole Duhamel
+        # sum included, before it refused the problem
+        p = CauchyProblem("wave-multiple", 1, m, (1.0,) * m,
+                          None if source is None else parse(source, 1),
+                          (parse("sin(x1)", 1),) + (None,) * (2 * m - 1))
+        ev = solve_ibvp(p, build_basis([PI], 8))
+        calls, exp_dd = [], ibvp.exp_divided_differences
+
+        def counted(*args):
+            calls.append(args)
+            return exp_dd(*args)
+
+        monkeypatch.setattr(ibvp, "exp_divided_differences", counted)
+        with pytest.raises(InvalidOrder, match="amplitude derivatives available only"):
+            ev.energy(0.5)
+        assert calls == []
+
+
 class TestDiagnostics:
     def test_dimension_mismatch(self):
         b = build_basis([PI, PI], 4)
@@ -499,6 +564,14 @@ class TestDiagnostics:
             warnings.simplefilter("always")
             solve_ibvp(p, b)
         assert any("boundary" in str(w.message) for w in caught)
+
+    @pytest.mark.parametrize("build", [solve_ibvp, IbvpEvaluator])
+    def test_boundary_warning_points_at_the_call(self, build):
+        p = CauchyProblem("heat-product", 1, 1, (1.0,), None, (parse("1", 1),))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            build(p, build_basis([PI], 8))
+        assert [w.filename for w in caught] == [__file__]
 
     def test_zero_problem(self):
         b = build_basis([PI], 8)
