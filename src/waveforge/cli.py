@@ -2,9 +2,9 @@
 
 Subcommands::
 
-    waveforge solve <config>        evaluate a problem on a grid, write CSV
-    waveforge verify <suite>        run a verification suite (or 'all')
-    waveforge sum-series ...        Abel-Poisson sum of a Fourier series
+    waveforge solve <config>            evaluate a problem on a grid, write CSV
+    waveforge verify [--json] <suite>   run a verification suite (or 'all')
+    waveforge sum-series ...            Abel-Poisson sum of a Fourier series
 
 ``--threads N`` goes to ``SolutionEvaluator.evaluate``, the one place a
 grid is split for threads.  Exit codes: 0 success, 1 verification failure,
@@ -113,10 +113,14 @@ def _cmd_verify(args) -> int:
         names = ", ".join(sorted(SUITES) + ["all"])
         return _fail(f"unknown suite '{args.suite}' (choose from {names})")
     results = run_suite(args.suite)
-    for res in results:
-        print(res.line())
     failed = [r for r in results if not r.passed]
-    print(f"{len(results) - len(failed)}/{len(results)} checks passed")
+    if args.json:
+        import json  # solve never needs it
+        print(json.dumps([dict(vars(r), passed=r.passed) for r in results]))
+    else:
+        for res in results:
+            print(res.line())
+        print(f"{len(results) - len(failed)}/{len(results)} checks passed")
     return EXIT_OK if not failed else EXIT_VERIFY_FAILED
 
 
@@ -184,6 +188,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", help="modes|wave|residual|heat|ibvp|opcalc|all")
+    p_verify.add_argument("--json", action="store_true", help="print the checks as JSON")
     p_verify.set_defaults(fn=_cmd_verify)
 
     p_sum = sub.add_parser("sum-series", help="Abel-Poisson Fourier summation")

@@ -520,30 +520,32 @@ def laplacian_power(e: Expr, p: int) -> Expr:
 _INLINE_DEPTH = 100
 
 
-def _source(root: Node, literal: Callable[[float], str]) -> tuple[str, bool]:
-    """Source of ``f(X, t)`` computing the DAG at ``root``, and whether it
-    reads ``t``.  ``X`` is the sequence of coordinate arrays: x_k is
-    ``X[k - 1]``.
+def _source(roots: Sequence[Node], literal: Callable[[float], str]) -> tuple[str, bool]:
+    """Source of ``f(X, t)`` computing the DAG at ``roots``, which returns
+    their values as a tuple, and whether it reads ``t``.  ``X`` is the
+    sequence of coordinate arrays: x_k is ``X[k - 1]``.
 
-    Distinct nodes are emitted once, in post-order.  A node with several
-    parents is assigned to a temporary, deleted after the last statement
-    that reads it; every other node is inlined into its parent, so a DAG
-    without shared nodes gives a single expression, unless it nests more
-    than _INLINE_DEPTH operations: the node past that depth is assigned
-    to a temporary too, which keeps every statement within Python's limit
-    of 200 nested parentheses.
+    Distinct nodes are emitted once, in post-order, so a node that several
+    roots share is computed once.  A node with several parents, the return
+    counting as a root's parent, is assigned to a temporary, deleted after
+    the last statement that reads it; every other node is inlined into its
+    parent, so a DAG without shared nodes gives a single expression,
+    unless it nests more than _INLINE_DEPTH operations: the node past that
+    depth is assigned to a temporary too, which keeps every statement
+    within Python's limit of 200 nested parentheses.
     """
     uses: dict = {}
     order = []
 
     def visit(node):
-        for child in _children(node):
-            uses[child] = uses.get(child, 0) + 1
-            if uses[child] == 1:
+        uses[node] = uses.get(node, 0) + 1
+        if uses[node] == 1:
+            for child in _children(node):
                 visit(child)
-        order.append(node)
+            order.append(node)
 
-    visit(root)
+    for root in roots:
+        visit(root)
     # per node: its code, the temporaries it reads, and how many inlined
     # operations its code nests
     text, temps, levels = {}, {}, {}
@@ -569,7 +571,7 @@ def _source(root: Node, literal: Callable[[float], str]) -> tuple[str, bool]:
             code = f"({args[0]})**({args[1]})"
         else:
             code = f"({args[0]}{node.op}{args[1]})"
-        if args and (uses.get(node, 0) > 1 or depth > _INLINE_DEPTH):
+        if args and (uses[node] > 1 or depth > _INLINE_DEPTH):
             name = f"_{len(body)}"
             body.append((name, code, read))
             code, read, depth = name, {name}, 0
@@ -577,24 +579,25 @@ def _source(root: Node, literal: Callable[[float], str]) -> tuple[str, bool]:
     last = {}
     for i, (_, _, read) in enumerate(body):
         last.update(dict.fromkeys(read, i))
+    live = set().union(*(temps[root] for root in roots))
     lines = ["def f(X, t):"]
     for i, (name, code, read) in enumerate(body):
         lines.append(f"    {name} = {code}")
-        dead = sorted(v for v in read if last[v] == i and v not in temps[root])
+        dead = sorted(v for v in read if last[v] == i and v not in live)
         if dead:
             lines.append(f"    del {', '.join(dead)}")
-    lines.append(f"    return {text[root]}")
+    lines.append(f"    return ({''.join(text[root] + ',' for root in roots)})")
     reads_t = any(isinstance(n, Var) and n.name == "t" for n in order)
     return "\n".join(lines) + "\n", reads_t
 
 
 @_memo
-def _compiled(root: Node, complex_mode: bool) -> tuple[Callable, bool]:
-    """The generated function of a simplified root, real or complex, and
-    whether it reads ``t``."""
+def _compiled(root: Node, more: tuple, complex_mode: bool) -> tuple[Callable, bool]:
+    """The generated function of the simplified roots ``(root, *more)``,
+    real or complex, and whether it reads ``t``."""
     # complex constants keep the principal value of an unfolded sqrt(-4)
     literal = (lambda v: f"complex({v!r})") if complex_mode else repr
-    source, reads_t = _source(root, literal)
+    source, reads_t = _source((root,) + more, literal)
     try:
         code = compile(source, "<expr>", "exec")
     except (SyntaxError, MemoryError, RecursionError):
@@ -604,20 +607,21 @@ def _compiled(root: Node, complex_mode: bool) -> tuple[Callable, bool]:
     return namespace["f"], reads_t
 
 
-def _call(fn: Callable, X: Sequence, t, dtype) -> np.ndarray:
-    """``fn(X, t)`` as an array, ``X`` the coordinates built with ``dtype``;
-    a non-finite value, or a complex value from real coordinates, raises
-    DomainError."""
+def _call(fn: Callable, X: Sequence, t, dtype) -> list:
+    """The values of ``fn(X, t)`` as arrays, ``X`` the coordinates built
+    with ``dtype``; a non-finite value, or a complex value from real
+    coordinates, raises DomainError."""
     try:
         with np.errstate(all="ignore"):
-            out = np.asarray(fn(X, t))
+            outs = [np.asarray(v) for v in fn(X, t)]
     except ArithmeticError as exc:  # Python arithmetic on two constants
         raise DomainError(f"evaluation failed: {exc}") from None
-    if out.dtype.kind == "c" and np.dtype(dtype).kind != "c":
-        raise DomainError("real evaluation produced a complex value")
-    if not np.isfinite(out).all():
-        raise DomainError("evaluation produced non-finite values")
-    return out
+    for out in outs:
+        if out.dtype.kind == "c" and np.dtype(dtype).kind != "c":
+            raise DomainError("real evaluation produced a complex value")
+        if not np.isfinite(out).all():
+            raise DomainError("evaluation produced non-finite values")
+    return outs
 
 
 def _axes(X: np.ndarray) -> tuple:
@@ -629,10 +633,10 @@ def _at_point(e: Expr, coords, t, dtype):
     X = np.asarray(coords, dtype=dtype)
     if X.shape != (e.ndim,):
         raise DimensionError(f"expected {e.ndim} coordinates, got {X.size}")
-    fn, reads_t = _compiled(_simplify(e.root), dtype is complex)
+    fn, reads_t = _compiled(_simplify(e.root), (), dtype is complex)
     if t is None and reads_t:
         raise DomainError("unbound variable 't'")
-    return _call(fn, _axes(X), dtype(0.0 if t is None else t), dtype)[()]
+    return _call(fn, _axes(X), dtype(0.0 if t is None else t), dtype)[0][()]
 
 
 @_recursion_checked
@@ -662,42 +666,42 @@ class Mesh(tuple):
 
 
 @_recursion_checked
-def compile_field(e: Expr) -> Callable:
-    """Compile to a numpy-vectorized callable ``f(X, t=0.0)``.
+def compile_field(e: Expr | Sequence[Expr]) -> Callable:
+    """Compile a field, or Q of one dimension, to a vectorized ``f(X, t=0.0)``.
 
     ``X`` is an array of points, shape ``(..., n)``, or an open mesh: a
     tuple of n coordinate arrays that broadcast against each other, such
     as a :class:`Mesh`.  On a mesh a subexpression is computed on the
     coordinates it reads, so one of x1 alone costs as many values as x1
     has.  ``t`` may be a scalar or an array that broadcasts against the
-    points; the result has the broadcast shape of the points and ``t``.
-    Non-finite results, and complex ones, raise :class:`DomainError`.
-    The result never shares memory with ``X`` or ``t``.
+    points; the result has the broadcast shape of the points and ``t``,
+    then Q fields on a new last axis, each node they share computed once.
+    Non-finite results, and complex ones, raise :class:`DomainError`.  The
+    result never shares memory with ``X`` or ``t``.
     """
-    root = _simplify(e.root)
-    fn, _ = _compiled(root, False)
+    fields = (e,) if isinstance(e, Expr) else tuple(e)
+    ndim = fields[0].ndim
+    if any(f.ndim != ndim for f in fields):
+        raise DimensionError(f"fields of dimensions {[f.ndim for f in fields]}")
+    roots = tuple(_simplify(f.root) for f in fields)
+    fn, _ = _compiled(roots[0], roots[1:], False)
     # a bare x_k or t returns the caller's array itself; every other root
     # computes a new one, copied only to broadcast it or to put it in C order
-    bare = isinstance(root, Var)
-    ndim = e.ndim
+    bare = isinstance(roots[0], Var)
 
     def field(X, t=0.0):
-        if isinstance(X, tuple):
-            coords = tuple(np.asarray(x, dtype=float) for x in X)
-            if len(coords) != ndim:
-                raise DimensionError(
-                    f"expected {ndim} coordinate arrays, got {len(coords)}"
-                )
-            shape = np.broadcast_shapes(*(x.shape for x in coords), np.shape(t))
-        else:
-            X = np.asarray(X, dtype=float)
-            if X.shape[-1] != ndim:
-                raise DimensionError(
-                    f"expected trailing axis of length {ndim}, got {X.shape[-1]}"
-                )
-            coords = _axes(X)
-            shape = np.broadcast_shapes(X.shape[:-1], np.shape(t))
-        out = _call(fn, coords, t, float).astype(float, copy=False)
+        coords = tuple(np.asarray(x, dtype=float) for x in (
+            X if isinstance(X, tuple) else _axes(np.asarray(X, dtype=float))))
+        if len(coords) != ndim:
+            raise DimensionError(f"expected {ndim} coordinates, got {len(coords)}")
+        shape = np.broadcast_shapes(*(x.shape for x in coords), np.shape(t))
+        outs = _call(fn, coords, t, float)
+        if not isinstance(e, Expr):
+            out = np.empty(shape + (len(outs),))
+            for k, v in enumerate(outs):
+                out[..., k] = v
+            return out
+        out = outs[0].astype(float, copy=False)
         if out.shape == shape and out.flags.c_contiguous and not bare:
             return out
         return np.broadcast_to(out, shape).copy()

@@ -5,7 +5,7 @@ speeds.  Confluent partial fractions over the speed clusters
 (:func:`~waveforge.problems.cluster_evaluator`) write the solution as
 t^(i-1)/(i-1)! e^{t c Lap} of Laplacian powers of the data, and time
 integrals of such terms, for each cluster centre c; the propagator
-carries the speed, ``HeatPropagator(field, c)``.
+carries the speed and the fields of a row, ``HeatPropagator(fields, c)``.
 
 The diffusion semigroup e^{lam Lap} is the Gaussian convolution, realized
 by tensor Gauss-Hermite rules on open meshes of per-axis nodes, so a
@@ -49,7 +49,8 @@ def hermite_rule(n: int, count: int) -> tuple[Mesh, np.ndarray]:
 
 class HeatPropagator:
     """Evaluator of e^{a lam Lap} f at points, vectorized over lam, for the
-    speed ``a`` (default 1).
+    speed ``a`` (default 1), of one field or a tuple of Q compiled as one
+    function and combined by each application's ``t_weights``.
 
     Substituting y = x + sqrt(lam) * zeta turns the Gaussian convolution
     into a lam-independent weight exp(-|zeta|^2/4) / (4 pi)^(n/2), so each
@@ -60,11 +61,11 @@ class HeatPropagator:
     by one :func:`~waveforge.quadrature.centre_sums` on its rule's mesh.
     """
 
-    def __init__(self, field: Expr, a: float = 1.0):
-        check_heat(field.ndim)
-        self.field = field
+    def __init__(self, fields, a: float = 1.0):
+        self.fields = (fields,) if isinstance(fields, Expr) else tuple(fields)
+        check_heat(self.fields[0].ndim)
         self.a = float(a)
-        f = compile_field(field)
+        f = compile_field(self.fields)
         self._g = lambda pts, s, u, t: f(pts, t)
 
     def apply_many(self, x, lams: np.ndarray, t_args=None, t_weights=None):
@@ -73,11 +74,11 @@ class HeatPropagator:
 
         ``x`` is one point (n,) or many (P, n); each result has shape
         (len(lams),) or (P, len(lams)).  ``t_args``, aligned with ``lams``,
-        is the field's time argument.  With ``t_weights`` both are
-        (len(lams), S), and the semigroup at lams[j] is applied to the
-        time-weighted field sum_k t_weights[j, k] f(., t_args[j, k]), its
-        size to sum_k |t_weights[j, k]| |f(., t_args[j, k])|, both passed
-        through every rung by :func:`~waveforge.quadrature.centre_sums`.
+        is the fields' time argument.  With ``t_weights`` (len(lams), S Q),
+        which Q fields need, ``t_args`` is (len(lams), S), and the
+        semigroup at lams[j] is applied to sum_kq t_weights[j, k Q + q]
+        f_q(., t_args[j, k]), its size to the sum of the terms' absolute
+        values, as :func:`~waveforge.quadrature.centre_sums` takes them.
         """
         lams = self.a * np.asarray(lams, dtype=float)
         bad = ~(np.isfinite(lams) & (lams >= 0))
@@ -89,7 +90,7 @@ class HeatPropagator:
             self._g, LADDER, functools.partial(hermite_rule, np.shape(x)[-1]), x,
             np.sqrt(lams), t_args, t_weights,
             lambda x, j, lo, hi: (
-                f"e^(lam Lap) of {brief(self.field)} at diffusion time lam = "
+                f"e^(lam Lap) of {brief(self.fields)} at diffusion time lam = "
                 f"{float(lams[j])!r}, x = {x}: "
                 f"the {lo}- and {hi}-node Gauss-Hermite rules per axis"),
             f"no setting raises the top of {LADDER[-1]} nodes per axis")

@@ -44,6 +44,9 @@ KINDS = ("wave-multiple", "wave-distinct", "heat-product")
 # quadrature.climb
 TIME_LADDER = (8, 12, 16, 24, 32, 48, 64)
 
+# fewest points a thread's slab takes (README "Threads")
+MIN_SLAB_POINTS = 256
+
 
 @dataclass(frozen=True)
 class CauchyProblem:
@@ -126,7 +129,8 @@ class SolutionEvaluator:
     mesh, a point array being the mesh of its columns; a point's value must
     not depend on the other points in the call.  ``evaluate`` calls
     ``at(t)`` once per time, and with ``threads`` > 1 applies its function
-    to slabs of X on that many threads; a value that is not finite raises
+    to slabs of X, of :data:`MIN_SLAB_POINTS` points or more, on at most
+    that many threads; a non-finite value raises
     :class:`~waveforge.errors.DomainError` naming its point and time.
     ``__call__`` wraps it, and :meth:`check_times` is the time check of
     every entry point.
@@ -162,7 +166,7 @@ class SolutionEvaluator:
         # takes the first slab, and no more pool threads start than there
         # are CPUs (with the bounded reductions a pool thread's own malloc
         # arena adds no measurable peak RSS)
-        count = min(threads, max(shape, default=1))
+        count = min(threads, max(shape, default=1), math.prod(shape) // MIN_SLAB_POINTS)
         first, mesh, rest = out, X, []
         if count > 1:
             a = int(np.argmax(shape)) - len(shape)  # from the end, as axes broadcast
@@ -303,12 +307,17 @@ def cluster_evaluator(problem: CauchyProblem, kernel: Callable) -> SolutionEvalu
     * the source's value term: tau = t - t z at the source time t z,
       beta = b(t - t z).
 
-    The size is the same sum with |t|, |beta| and the kernel's own size.
-    Each point is one entry of :func:`~waveforge.quadrature.climb` over
-    the counts, so its rule does not depend on its batch; at t = 0 every
-    ruled term vanishes and none is taken.
+    Each row kind (these three and the data's value terms), centre and K
+    or K' is one kernel of its fields' Laplacian powers, stacked, with the
+    betas as ``t_weights``; its ladders judge their sum, of size the same
+    sum with |t|, |beta| and the kernel's sizes.  Each point is one entry
+    of :func:`~waveforge.quadrature.climb` over the counts, so its rule
+    does not depend on its batch; the first two counts are one call, the
+    shorter rule's source times padded by its last at weight 0.  At t = 0
+    the ruled terms vanish and none is taken.  A weight that is not finite
+    makes u so with no kernel call.
 
-    ``kernel(field, c)`` is K = L^-1[1/(s^nu - c Lap)] of the field, the
+    ``kernel(fields, c)`` is K = L^-1[1/(s^nu - c Lap)] of the fields, the
     speed in the kernel, a :class:`~waveforge.quadrature.SinhKernel` or a
     :class:`~waveforge.heat_solver.HeatPropagator`: K and the data's size
     are its ``apply_many(points, taus, t_args, t_weights=...)``, and K' on
@@ -319,10 +328,9 @@ def cluster_evaluator(problem: CauchyProblem, kernel: Callable) -> SolutionEvalu
     centres, _, fractions = cluster_fractions(np.asarray(problem.speeds) ** nu)
     fields = problem.data + (problem.source,)
     source = len(fields) - 1
-    # per field g, Laplacian power q and centre c: the weight of the
-    # integral term, and the polynomial b(t) of the value term, K(t) or K'(t)
-    integrals = defaultdict(lambda: np.zeros((1, 1)))
-    values = defaultdict(lambda: np.zeros(1))
+    # per row kind, centre c and K or K': per field g and Laplacian power q,
+    # the weight W of its integral term or the polynomial b(t) of its value term
+    rows = defaultdict(dict)
     for g, field in enumerate(fields):
         if field is None:
             continue
@@ -337,57 +345,72 @@ def cluster_evaluator(problem: CauchyProblem, kernel: Callable) -> SolutionEvalu
             W, b = _derivative(W, b, nu - 1 - r % nu)
             q, c = i - r // nu + p, centres[l]
             if W is not None:
-                integrals[g, q, c] = _add2(integrals[g, q, c], coeff * W)
+                terms = rows["source" if g == source else "datum", c, False]
+                terms[g, q] = _add2(terms.get((g, q), np.zeros((1, 1))), coeff * W)
             for j, bj in enumerate(b):
-                key = (g, q + j // nu, c, j % nu == 1)
-                values[key] = P.polyadd(values[key], coeff * c ** (j // nu) * bj)
-    integrals = {key: W for key, W in integrals.items() if W.any()}
-    values = {key: b for key, b in values.items() if b.any()}
-    # one kernel per field, Laplacian power and centre, K and K' alike
-    kernels = functools.cache(lambda g, q, c: kernel(laplacian_power(fields[g], q), c))
+                if not bj.any():
+                    continue
+                terms = rows["value" if g == source else "data", c, j % nu == 1]
+                key = (g, q + j // nu)
+                terms[key] = P.polyadd(terms.get(key, np.zeros(1)),
+                                       coeff * c ** (j // nu) * bj)
+    # one kernel per row: (kind, its apply_many, the terms' W or b)
+    ruled, data = [], []
+    for (kind, c, odd), terms in rows.items():
+        terms = {key: v for key, v in terms.items() if v.any()}
+        if terms:
+            kern = kernel(tuple(laplacian_power(fields[g], q) for g, q in terms), c)
+            fn = functools.partial(kern.apply_many, cosh=True) if odd else kern.apply_many
+            (data if kind == "data" else ruled).append((kind, fn, list(terms.values())))
 
-    def apply(g, q, c, odd=False):
-        fn = kernels(g, q, c).apply_many
-        return functools.partial(fn, cosh=True) if odd else fn
-
-    # the ruled terms (apply, row, coefficients): the integral terms with
-    # their weight W, then the source's value terms with b
-    terms = [(apply(g, q, c), "source" if g == source else "datum", W)
-             for (g, q, c), W in integrals.items()]
-    terms += [(apply(*key), "value", b) for key, b in values.items() if key[0] == source]
-    data_values = [(apply(*key), b) for key, b in values.items() if key[0] != source]
-
-    def ruled_part(points, t, count):
-        """The ruled terms at time t on the count-node rule, and their
-        size, shape (P,) each."""
-        z, wz = gauss_legendre(count, 0.0, 1.0)
+    def summed(kernels, points, t, z, zs=None, ws=None):
+        """The kernels' rows at time t on the nodes z in (0, 1], each node's
+        source rule zs, ws on (0, 1), and their sizes, shape (P, len(z))
+        each; a weight that is not finite makes them inf."""
         tau, rest = t * z, t - t * z
-        sigma = rest[:, None] * z
-        out, mag = np.zeros((2, len(points), count))
-        for fn, row, coeffs in terms:
-            omega = None
-            if row == "datum":
-                beta, args = _polyval2d(coeffs, t, tau), (tau,)
-            elif row == "source":
-                omega = rest[:, None] * wz * _polyval2d(coeffs, t - sigma, tau[:, None])
-                beta, args = 1.0, (tau, sigma)
+        calls = []
+        for kind, fn, coeffs in kernels:
+            if kind == "source":
+                ts, args = tau, rest[:, None] * zs
+                beta = [rest[:, None] * ws * _polyval2d(W, t - args, tau[:, None])
+                        for W in coeffs]
+            elif kind == "value":
+                ts, args, beta = rest, tau[:, None], [P.polyval(rest, b) for b in coeffs]
             else:
-                beta, args = P.polyval(rest, coeffs), (rest, tau)
-            vals, size = fn(points, *args, t_weights=omega)
-            out += beta * vals
-            mag += np.abs(beta) * size
-        return t * row_dot(out, wz), abs(t) * row_dot(mag, wz)
+                ts, args = tau, np.zeros((len(z), 1))
+                beta = [_polyval2d(c, t, tau) if kind == "datum" else P.polyval(tau, c)
+                        for c in coeffs]
+            calls.append((fn, ts, args, np.stack(beta, axis=-1).reshape(len(z), -1)))
+        out, mag = np.zeros((2, len(points), len(z)))
+        if not all(np.isfinite(w).all() for *_, w in calls):
+            return out + np.inf, mag + np.inf
+        for fn, ts, args, w in calls:
+            vals, size = fn(points, ts, args, t_weights=w)
+            out += vals
+            mag += size
+        return out, mag
+
+    def ruled_part(points, t, counts):
+        """The ruled terms at time t on the rules of ``counts`` nodes, and
+        their size: one pair of shape (P,) arrays per count."""
+        rules = [gauss_legendre(count, 0.0, 1.0) for count in counts]
+        own, width = np.repeat(np.arange(len(rules)), counts), max(counts)
+        zs = np.array([np.pad(zc, (0, width - len(zc)), mode="edge") for zc, _ in rules])
+        ws = np.array([np.pad(wc, (0, width - len(wc))) for _, wc in rules])
+        out, mag = summed(ruled, points, t, np.concatenate([zc for zc, _ in rules]),
+                          zs[own], ws[own])
+        parts = np.cumsum(counts)[:-1]
+        return [(t * row_dot(o, wz), abs(t) * row_dot(m, wz)) for o, m, (_, wz) in
+                zip(np.split(out, parts, axis=1), np.split(mag, parts, axis=1), rules)]
 
     def evaluate(X, t):
         # climb's entries are points: the mesh's points as rows
         points = np.stack(np.broadcast_arrays(*X), axis=-1).reshape(-1, len(X))
-        total = np.zeros(points.shape[0])
-        for fn, b in data_values:
-            total += P.polyval(t, b) * fn(points, np.array([t]))[0][:, 0]
-        if t == 0.0 or not terms:
+        total = summed(data, points, t, np.ones(1))[0][:, 0]
+        if t == 0.0 or not ruled or not np.isfinite(total).all():
             return total.reshape(X.shape[:-1])
         ruled_total, _ = climb(
-            TIME_LADDER, lambda count, idx: ruled_part(points[idx], t, count),
+            TIME_LADDER, lambda counts, idx: ruled_part(points[idx], t, counts),
             len(points),
             lambda e, lo, hi: (
                 f"time integrals at t = {t!r}, x = {points[e].tolist()}: "

@@ -33,7 +33,6 @@ __all__ = [
     "QuadratureSpec",
     "gauss_legendre",
     "sphere_rule",
-    "spherical_mean",
     "iterated_time_integral",
     "SinhKernel",
     "SPHERE_LADDER",
@@ -201,9 +200,9 @@ SPHERE_LADDER = (4, 6, 8, 12, 16, 24, 32)
 FIELD_TEXT = 60
 
 
-def brief(field) -> str:
-    """``field``'s text for a message, cut to :data:`FIELD_TEXT` characters."""
-    text = str(field)
+def brief(fields: Sequence[Expr]) -> str:
+    """The fields' text for a message, cut to :data:`FIELD_TEXT` characters."""
+    text = ", ".join(map(str, fields))
     return text if len(text) <= FIELD_TEXT else text[:FIELD_TEXT] + "..."
 
 
@@ -212,9 +211,10 @@ def climb(rungs: Sequence[int], sums: Callable, count: int,
     """Values and sizes of entries 0..count-1, each on the first rule of
     the ladder ``rungs`` that agrees with the one below.
 
-    ``sums(rung, idx)`` returns the values and the data's size on rule
-    ``rung`` for the entries of the index array ``idx``, shape (len(idx),)
-    each.  Every rung asks once, for the entries still pending, in order.
+    ``sums(asked, idx)`` returns the values and the data's size, shape
+    (len(idx),) each, for the entries of the index array ``idx`` on each
+    rule of the tuple ``asked``: the first two rungs together, for every
+    entry, then each rung once, for the entries still pending, in order.
     An entry moves up one rung while the last two differ by more than
     :data:`TOLERANCE` of its size under the larger.  One still pending on
     the top rung raises :class:`~waveforge.errors.UnresolvedData`:
@@ -226,12 +226,13 @@ def climb(rungs: Sequence[int], sums: Callable, count: int,
     entry and that pair.  A one-rung ladder is that rule alone, unchecked.
     """
     idx = np.arange(count)
-    lo, size = sums(rungs[0], idx)
+    asked = list(sums(tuple(rungs[:2]), idx))
+    lo, size = asked.pop(0)
     if len(rungs) == 1:
         return lo, size
     out, mag = np.empty(count), np.empty(count)
     for below, rung in zip(rungs, rungs[1:]):
-        hi, size = sums(rung, idx)
+        hi, size = asked.pop(0) if asked else sums((rung,), idx)[0]
         bad = ~(np.isfinite(lo) & np.isfinite(hi) & np.isfinite(size))
         if bad.any():
             i = int(np.argmax(bad))
@@ -258,16 +259,17 @@ def ladder_sums(g, rungs: Sequence[int], rule: Callable, centres, steps,
 
     Entry e is point e // J at step e % J, and each rung sums the pending
     entries on ``rule(rung)``, its node mesh and weights, passing them to
-    :func:`centre_sums` as (point, step) index pairs.  ``t_args`` (J,), or
-    with ``t_weights`` (J, S) both, are each step's time arguments, zero if
-    None, as :func:`centre_sums` takes them.  ``unresolved(x, j, lo, hi)``
+    :func:`centre_sums` as (point, step) index pairs.  ``t_args`` (J,),
+    or (J, S) with ``t_weights`` (J, S Q), are each step's time arguments,
+    zero if None, as :func:`centre_sums` takes them.  ``unresolved(x, j, lo, hi)``
     names an unresolved entry by its point x, a list, and step index j.
     """
     x = np.asarray(centres, dtype=float)
     centres, steps = np.atleast_2d(x), np.asarray(steps, dtype=float)
     J = steps.size
-    out = climb(rungs, lambda rung, idx: centre_sums(
-                    g, centres, steps, *rule(rung), t_args, t_weights, np.divmod(idx, J)),
+    out = climb(rungs, lambda asked, idx: [centre_sums(
+                    g, centres, steps, *rule(rung), t_args, t_weights, np.divmod(idx, J))
+                    for rung in asked],
                 len(centres) * J,
                 lambda e, lo, hi: unresolved(centres[e // J].tolist(), e % J, lo, hi),
                 remedy)
@@ -293,7 +295,10 @@ def row_dot(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """weights . values[..., :] for every row of a (..., S) array, shape
     (...), ``weights`` (S,) or (..., S) broadcasting against the rows, by
     the dot product a lone row gets: a (P, S) @ (S,) product switches BLAS
-    routine with P, which would make a row's rounding depend on the batch."""
+    routine with P, which would make a row's rounding depend on the batch.
+    A row of one value is the product, which is that dot product too."""
+    if values.shape[-1] == 1:
+        return values[..., 0] * weights[..., 0]
     return (values[..., None, :] @ weights[..., :, None])[..., 0, 0]
 
 
@@ -314,27 +319,31 @@ def centre_sums(g, centres: np.ndarray, steps, nodes: Mesh,
     the :class:`~waveforge.expr.Mesh` of the coordinates
     x_ea + s_e u_da, (E', D', 1) each for (D,) nodes, the steps (E', 1, 1),
     the Mesh of the u_da, (D', 1) each, and the time arguments (E', 1, S);
-    it returns values (E', D', S).  On a tensor rule x1 is (E', D', 1, 1, 1)
-    and x3 (E', 1, 1, q, 1), so what reads x1 alone costs D' values.
-    ``t_args`` is each step's time argument, aligned with ``steps``, zero if
-    None.  With ``t_weights`` both have a trailing axis of S source times:
-    g at step j is then sum_k t_weights[j, k] g(., t_args[j, k]), of size
-    sum_k |t_weights[j, k]| |g(., t_args[j, k])|.  The field is evaluated
+    it returns values (E', D', S), or (E', D', S, Q) for Q fields.  On a
+    tensor rule x1 is (E', D', 1, 1, 1) and x3 (E', 1, 1, q, 1), so what
+    reads x1 alone costs D' values.  ``t_args`` is each step's time
+    argument, aligned with ``steps``, zero if None.  With ``t_weights``
+    (len(steps), S Q) it has S source times: g at step j is then
+    sum_kq t_weights[j, k Q + q] g_q(., t_args[j, k]), of size the sum of
+    the terms' absolute values; without, Q is 1.  The fields are evaluated
     once on that source-time axis, so a subexpression that does not read t
-    is computed once per point, and the axis is contracted per point by
-    :func:`row_dot`, before the node sum.
+    is computed once per point, and the S Q values are contracted per point
+    by :func:`row_dot`, before the node sum.
 
     A zero step is g at the centre itself, exactly.  Each entry is reduced
     by its own dot product per chunk of :data:`ROW_CHUNK` nodes, over its
     values with the node axes flattened, the chunks' sums added in node
     order, so its value does not depend on how the work is chunked.
     """
+    if np.shape(centres)[-1] != len(nodes):
+        raise DimensionError(f"{np.shape(centres)[-1]}-D centres, {len(nodes)}-D rule")
     steps = np.asarray(steps, dtype=float)
     if t_weights is None:
         t_args = np.broadcast_to(0.0 if t_args is None else t_args, steps.shape)[:, None]
     else:
         t_args = np.asarray(t_args, dtype=float)
     sources = t_args.shape[1]
+    cols = sources if t_weights is None else t_weights.shape[1]  # values a node takes
     point, step = (np.arange(steps.size),) * 2 if pairs is None else pairs
     out = np.empty(step.size)
     mag = np.empty_like(out)
@@ -345,8 +354,8 @@ def centre_sums(g, centres: np.ndarray, steps, nodes: Mesh,
         inner = w[0].size  # nodes in one slice of the first node axis
         width = min(len(w), max(1, ROW_CHUNK // inner))  # slices a row sums at once
         budget = max(BATCH_POINTS, width * inner)  # most values a field call builds
-        span = max(1, min(width, budget // (inner * sources)))  # slices a field call takes
-        rows = max(1, budget // (span * inner * sources))  # entries a field call takes
+        span = max(1, min(width, budget // (inner * cols)))  # slices a field call takes
+        rows = max(1, budget // (span * inner * cols))  # entries a field call takes
         lead = (-1,) + (1,) * w.ndim  # an entry axis, then the node axes
         flat = w.reshape(-1)
         for j in range(0, idx.size, rows):
@@ -363,7 +372,7 @@ def centre_sums(g, centres: np.ndarray, steps, nodes: Mesh,
                 pts = Mesh(s * uk for uk in ua)
                 for pk, xk in zip(pts, x):
                     pk += xk
-                vals = g(pts, s, ua, t).reshape(len(r), -1, sources)
+                vals = g(pts, s, ua, t).reshape(len(r), (b - a) * inner, cols)
                 if tw is None:
                     return vals[..., 0], np.abs(vals[..., 0])
                 return row_dot(vals, tw), row_dot(np.abs(vals), np.abs(tw))
@@ -378,20 +387,6 @@ def centre_sums(g, centres: np.ndarray, steps, nodes: Mesh,
                 part = row_dot(sizes, flat[k * inner:end * inner])
                 mag[r] = part if k == 0 else mag[r] + part
     return out, mag
-
-
-def spherical_mean(field: Expr, center: Sequence[float], radius: float,
-                   rule: SphereRule) -> float:
-    """Mean of ``field`` over the sphere of given radius around ``center``;
-    the rule and the centre must have the field's dimension."""
-    center = np.asarray(center, dtype=float)
-    if rule.n != field.ndim or center.shape != (field.ndim,):
-        raise DimensionError(f"a field on R^{field.ndim} needs a centre and a rule of "
-                             f"its dimension, got {center.shape} and n = {rule.n}")
-    f = compile_field(field)
-    means, _ = centre_sums(lambda pts, s, u, t: f(pts, t), center[None, :], [radius],
-                           Mesh(rule.directions.T), rule.weights)
-    return float(means[0])
 
 
 def iterated_time_integral(g: Callable[[np.ndarray], np.ndarray], m: int,
@@ -419,8 +414,8 @@ def iterated_time_integral(g: Callable[[np.ndarray], np.ndarray], m: int,
 
 
 class SinhKernel:
-    """Evaluator of S_a(t) = sinh(a t Lap^(1/2)) / (a Lap^(1/2)) applied to a
-    field, and of its time derivative C_a(t) = cosh(a t Lap^(1/2)), at the
+    """Evaluator of S_a(t) = sinh(a t Lap^(1/2)) / (a Lap^(1/2)) applied to
+    fields, and of its time derivative C_a(t) = cosh(a t Lap^(1/2)), at the
     kernel's own speed a >= 0 (a = 0 gives S_0(t) = t, C_0 = 1).
 
     Both take Darboux's form (Evans, *Partial Differential Equations*,
@@ -432,29 +427,31 @@ class SinhKernel:
       C_a = M[f + (r/3) w.grad f + (r^2/3) Lap f], by Darboux's equation
       M'' + (4/r) M' = M[Lap f].
 
-    The field is compiled once, its gradient and Laplacian and each rule
-    by the first mean that uses them.  Each application is one
-    :func:`ladder_sums` of the Darboux integrand over the points and
-    times, and returns the data's size with the values: each (point,
-    time) entry climbs the sphere degrees of :data:`SPHERE_LADDER` below
-    ``spec.sphere_degree``, then that degree, the top rung; data that the
-    top two rules do not resolve raise
+    ``fields`` is one :class:`~waveforge.expr.Expr` or a tuple of Q that
+    share every mean, compiled at once as one function that computes each
+    node they share once; their derivatives along each axis, their
+    Laplacians and the rules are built so by the first mean that uses
+    them.  Each application is one :func:`ladder_sums` of the Darboux
+    integrand over the points and times, and returns the data's size with
+    the values: each (point, time) entry climbs the sphere degrees of
+    :data:`SPHERE_LADDER` below ``spec.sphere_degree``, then that degree,
+    the top rung; data that the top two rules do not resolve raise
     :class:`~waveforge.errors.UnresolvedData`.  A top at or below the
     first rung is one fixed rule, unchecked.  ``rule`` is the top rung's
     rule.
     """
 
-    def __init__(self, field: Expr, a: float, spec: QuadratureSpec | None = None):
+    def __init__(self, fields, a: float, spec: QuadratureSpec | None = None):
         spec = spec or QuadratureSpec()
-        n = field.ndim
+        self.fields = (fields,) if isinstance(fields, Expr) else tuple(fields)
+        n = self.fields[0].ndim
         check_sphere(n, spec.sphere_degree)
         self.n = n
         self.a = float(a)
         self.spec = spec
-        self.field = field
         top = spec.sphere_degree
         self.rungs = tuple(d for d in SPHERE_LADDER if d < top) + (top,)
-        self._f = compile_field(field)
+        self._f = compile_field(self.fields)
 
     @property
     def rule(self) -> SphereRule:
@@ -462,12 +459,12 @@ class SinhKernel:
 
     @functools.cached_property
     def _grad(self) -> tuple:
-        return tuple(compile_field(differentiate(self.field, f"x{i + 1}"))
+        return tuple(compile_field([differentiate(f, f"x{i + 1}") for f in self.fields])
                      for i in range(self.n))
 
     @functools.cached_property
     def _lap(self):
-        return compile_field(laplacian(self.field))
+        return compile_field([laplacian(f) for f in self.fields])
 
     def apply(self, x: Sequence[float], t: float) -> float:
         return float(self.apply_many(x, np.asarray([t]))[0][0])
@@ -479,14 +476,12 @@ class SinhKernel:
         entry's accepted sphere rule, the data's size there.
 
         ``x`` is one point (n,) or many (P, n); each result has shape
-        (len(ts),) or (P, len(ts)).  ``t_args``, if given, is an array
-        aligned with ``ts`` holding the parameter passed to the field as
-        its explicit time argument.  With ``t_weights`` both are
-        (len(ts), S), and the kernel at ts[j] is applied to the time-weighted
-        field sum_k t_weights[j, k] f(., t_args[j, k]), its size to
-        sum_k |t_weights[j, k]| |f(., t_args[j, k])|, both passed through
-        every rung by :func:`centre_sums`.  ``cosh`` applies C_a in place
-        of S_a.
+        (len(ts),) or (P, len(ts)).  ``t_args``, if given, aligned with
+        ``ts``, is the fields' time argument.  With ``t_weights`` (len(ts),
+        S Q), which Q fields need, ``t_args`` is (len(ts), S), and the
+        kernel at ts[j] is applied to sum_kq t_weights[j, k Q + q] f_q(.,
+        t_args[j, k]), its size to the sum of the terms' absolute values,
+        as :func:`centre_sums` takes them.  ``cosh`` applies C_a.
         """
         ts = np.asarray(ts, dtype=float)
         f, k = self._f, 1.0 / (self.n - 2)
@@ -494,9 +489,11 @@ class SinhKernel:
         lap = self._lap if cosh and self.n == 5 else None
 
         def integrand(pts, r, u, t):
-            # f + k r w.grad(f), and with the Laplacian + k r^2 Lap f
+            # f + k r w.grad(f), and with the Laplacian + k r^2 Lap f, with
+            # the fields on a last axis
             vals = f(pts, t)
             if grad:
+                r, u = r[..., None], [ua[..., None] for ua in u]
                 slope = u[0] * grad[0](pts, t)
                 for ua, g in zip(u[1:], grad[1:]):
                     slope += ua * g(pts, t)
@@ -513,7 +510,7 @@ class SinhKernel:
         means, mag = ladder_sums(
             integrand, self.rungs, sphere_nodes, x, self.a * ts, t_args, t_weights,
             lambda x, j, lo, hi: (
-                f"sphere means of {brief(self.field)} at t = {float(ts[j])!r}, "
+                f"sphere means of {brief(self.fields)} at t = {float(ts[j])!r}, "
                 f"x = {x}: the degree-{lo} and degree-{hi} sphere rules"),
             f"raise [quadrature] sphere_degree above {self.rungs[-1]}")
         return (means, mag) if cosh else (ts * means, np.abs(ts) * mag)

@@ -15,6 +15,8 @@ import sys
 import pytest
 
 from waveforge.cli import main
+from waveforge.heat_solver import HeatPropagator
+from waveforge.quadrature import SinhKernel
 
 _ROOT = pathlib.Path(__file__).resolve().parents[1]
 _PATH = _ROOT / "perfbench" / "workloads.py"
@@ -38,6 +40,34 @@ def test_config_solves_to_its_reference(workload, name, tmp_path):
     ok, worst, why = workloads.check_csv(cfg, cfg.output,
                                          cfg.reference(rows[:, :-1], rows[:, -1]))
     assert ok, f"{name}: {why}"
+
+
+# kernel calls per solve of the "min" cauchy-high-order configs at seed 0:
+# one per row kind, cluster centre and K or K' for the first two time rules,
+# and one per later rung a point climbs to (10, 20, 16, 2, 21 and 5 calls
+# when each Laplacian power of each field was a kernel of its own)
+KERNEL_CALLS = {"wave3-m2-source": 4, "wave3-m3": 3, "wave3-distinct-m2-source": 8,
+                "wave5-m1": 2, "heat2-m3-distinct-source": 9, "heat3-m2-equal-source": 2}
+
+
+def test_kernel_calls_per_solve(tmp_path, monkeypatch):
+    calls = []
+    for owner in (SinhKernel, HeatPropagator):
+        def counted(self, *args, apply=owner.apply_many, **kwargs):
+            calls.append(self)
+            return apply(self, *args, **kwargs)
+
+        monkeypatch.setattr(owner, "apply_many", counted)
+    got = {}
+    for cfg in workloads.build("cauchy-high-order", 0, "min"):
+        cfg.output = str(tmp_path / f"{cfg.name}.csv")
+        cfg.sections["output"] = {"path": cfg.output}
+        ini = tmp_path / f"{cfg.name}.ini"
+        ini.write_text(cfg.ini_text())
+        calls.clear()
+        assert main(["solve", str(ini)]) == 0
+        got[cfg.name] = len(calls)
+    assert got == KERNEL_CALLS
 
 
 def test_traced_pass_solves_to_the_references(tmp_path):

@@ -5,6 +5,7 @@ import concurrent.futures
 import hashlib
 import importlib
 import itertools
+import json
 import math
 import os
 import re
@@ -24,7 +25,7 @@ from waveforge.config import MAX_ROWS, dump_config, load_config, parse_config
 from waveforge.errors import ConfigError, InvalidBox
 from waveforge.expr import Mesh, parse
 from waveforge.ibvp import IbvpEvaluator, build_basis, solve_ibvp
-from waveforge.problems import CauchyProblem
+from waveforge.problems import CauchyProblem, SolutionEvaluator
 from waveforge.oracle import ModeProblem, mode_solve
 from test_wave_solver import _stopping_counts
 
@@ -457,7 +458,9 @@ class TestSolveCommand:
         exact = np.sin(rows[:, 0]) * np.cos(rows[:, 1])
         assert np.allclose(rows[:, 2], exact, atol=1e-10)
 
-    def test_deterministic_output(self, tmp_path):
+    def test_deterministic_output(self, tmp_path, monkeypatch):
+        # slabs of any size, as a large grid takes them
+        monkeypatch.setattr(problems, "MIN_SLAB_POINTS", 1)
         digests = []
         for threads, name in ((None, "a.csv"), (None, "b.csv"), (4, "c.csv")):
             out = tmp_path / name
@@ -681,6 +684,8 @@ class TestSolveCommand:
                                          f"{math.pi!r}, {math.pi!r}\nk_max = 8"), None)],
         ids=["heat", "wave-multiple", "box-heat"])
     def test_threads_deterministic_with_a_source(self, text, t, tmp_path, monkeypatch):
+        # slabs of any size, as a large grid takes them
+        monkeypatch.setattr(problems, "MIN_SLAB_POINTS", 1)
         cfgf = tmp_path / "p.ini"
         outputs = []
         for threads in (1, 4):
@@ -708,6 +713,8 @@ class TestSolveCommand:
         assert not out.exists()
 
     def test_thread_pool_bounded_by_cpus(self, tmp_path, monkeypatch):
+        # slabs of any size, as a large grid takes them
+        monkeypatch.setattr(problems, "MIN_SLAB_POINTS", 1)
         pools = []
 
         class Recorder:
@@ -748,10 +755,33 @@ class TestSolveCommand:
         assert all(p.submits == 3 * len(p.slabs) for p in pools)
         assert all(o == outputs[0] for o in outputs)
 
+    @pytest.mark.parametrize("points, slabs", [(2 * problems.MIN_SLAB_POINTS - 1, 1),
+                                               (2 * problems.MIN_SLAB_POINTS, 2)])
+    def test_slabs_take_at_least_min_points(self, points, slabs):
+        # threads pay on slabs of MIN_SLAB_POINTS points or more; a grid that
+        # cannot fill two runs on the calling thread alone
+        problem = CauchyProblem("heat-product", 1, 1, (1.0,), None, (parse("x1", 1),))
+        calls = []
+
+        def at(t):
+            def fn(X):
+                calls.append((threading.get_ident(), np.shape(X[0])))
+                return np.zeros(np.shape(X[0]))
+
+            return fn
+
+        got = SolutionEvaluator(problem, at).evaluate(np.zeros((points, 1)), [0.5],
+                                                      threads=4)
+        assert got.shape == (points, 1)
+        assert len(calls) == slabs and sum(shape[0] for _, shape in calls) == points
+        assert len({ident for ident, _ in calls}) == slabs
+        assert threading.get_ident() in {ident for ident, _ in calls}
+
     def test_threads_split_the_longest_axis(self, tmp_path, monkeypatch):
         # x2 is the longest axis: --threads 4 evaluates four slabs of it, each
         # with all of x1, at each of the three times, the calling thread
         # taking the first, and writes the bytes one thread writes
+        monkeypatch.setattr(problems, "MIN_SLAB_POINTS", 1)
         shapes, first_slab_threads = [], set()
         build = cli.build_evaluator
 
@@ -795,6 +825,7 @@ class TestSolveCommand:
 
     def test_threads_compute_amplitudes_once_per_time(self, tmp_path, monkeypatch):
         # the slabs of one time share its amplitudes
+        monkeypatch.setattr(problems, "MIN_SLAB_POINTS", 1)
         calls = []
         amplitudes = IbvpEvaluator.amplitudes
 
@@ -1040,6 +1071,28 @@ class TestVerifyCommand:
         assert "PASS modes/wave-distinct-near:" in out
         assert "PASS modes/wave5-multiple-m2:" in out
         assert "PASS modes/wave-distinct-equal:" in out
+
+    def test_json_records(self, capsys, monkeypatch):
+        # one JSON array of the records the text lines print, the same exit
+        # codes
+        from waveforge import verify
+
+        assert main(["verify", "modes", "--json"]) == 0
+        records = json.loads(capsys.readouterr().out)
+        assert main(["verify", "modes"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(records) == len(lines) - 1 >= 7
+        for record, line in zip(records, lines):
+            assert set(record) == {"suite", "name", "measured", "tolerance", "passed"}
+            assert record["passed"] is True and record["suite"] == "modes"
+            assert line == verify.CheckResult(**{k: v for k, v in record.items()
+                                                 if k != "passed"}).line()
+        monkeypatch.setitem(verify.SUITES, "modes",
+                            lambda: [verify.CheckResult("modes", "off", 2.0, 1.0)])
+        assert main(["verify", "--json", "modes"]) == 1
+        assert json.loads(capsys.readouterr().out) == [
+            {"suite": "modes", "name": "off", "measured": 2.0, "tolerance": 1.0,
+             "passed": False}]
 
     def test_wave_suite_covers_the_sphere_ladder(self, capsys):
         assert main(["verify", "wave"]) == 0

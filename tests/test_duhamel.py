@@ -78,22 +78,24 @@ def test_matches_the_source_time_outer_order(case):
 @pytest.mark.parametrize("case", ["heat-n2-distinct", "wave3-multiple-m2",
                                   "wave3-multiple-m3", "wave3-distinct-m2"])
 def test_count_entries_per_point_and_rung(case, monkeypatch):
-    # every kernel call asks for as many times per point as the rung's rule
-    # has nodes, count and not count^2; the integral terms' calls carry the
-    # count source times of each kernel time
-    events = []
+    # every kernel call asks for as many times per point as the rungs' rules
+    # have nodes, count and not count^2, the first two rungs in one call;
+    # the source integral row carries the longest rule's count source times
+    # of each kernel time, for each of its Q fields
+    events, kernels = [], []
     rule = problems.gauss_legendre
     monkeypatch.setattr(problems, "gauss_legendre",
                         lambda count, a, b: events.append(("rung", count)) or rule(count, a, b))
 
     def recorded(cluster_evaluator):
         def build(problem, kernel):
-            def recording(field, c):
-                apply = kernel(field, c).apply_many
+            def recording(fields, c):
+                apply = kernel(fields, c).apply_many
+                kernels.append(fields)
 
                 def call(points, taus, t_args=None, t_weights=None, **cosh):
-                    events.append(("kernel", len(points), np.size(taus),
-                                   np.shape(t_weights)))
+                    events.append(("kernel", len(fields), len(points), np.size(taus),
+                                   np.shape(t_args), np.shape(t_weights)))
                     return apply(points, taus, t_args, t_weights=t_weights, **cosh)
 
                 return types.SimpleNamespace(apply_many=call)
@@ -109,19 +111,25 @@ def test_count_entries_per_point_and_rung(case, monkeypatch):
     ev = _solver(problem)(problem)
     points = np.random.default_rng(11).uniform(-0.5, 0.5, size=(3, problem.n))
     ev.evaluate(points, [0.8])
-    count, entries, weighted = None, {}, 0
+    # (the counts asked together, the kernel calls that take them)
+    blocks = []
     for event in events:
         if event[0] == "rung":
-            count = event[1]
-            continue
-        _, size, times, weights = event
-        assert size == len(points) and times == count
-        if weights:
-            assert weights == (count, count)
-            weighted += 1
-        entries[count] = entries.get(count, 0) + size * times
-    rungs = list(entries)
+            if not blocks or blocks[-1][1]:
+                blocks.append(([], []))
+            blocks[-1][0].append(event[1])
+        else:
+            blocks[-1][1].append(event[1:])
+    rungs = [count for asked, _ in blocks for count in asked]
     assert rungs == list(problems.TIME_LADDER[:len(rungs)]) and len(rungs) >= 2
-    assert weighted >= len(rungs)
-    # one weighted and one plain call per rung at most per Laplacian power
-    assert all(entries[c] <= 4 * len(points) * c for c in rungs)
+    assert [len(asked) for asked, _ in blocks] == [2] + [1] * (len(blocks) - 1)
+    for asked, calls in blocks:
+        # one call per kernel, each of every node of the rules per point
+        assert len(calls) == len(kernels)
+        widths = set()
+        for q, size, times, args, weights in calls:
+            assert size == len(points) and times == sum(asked)
+            assert args[0] == weights[0] == times
+            assert weights[1] == q * args[1] and args[1] in (1, max(asked))
+            widths.add(args[1])
+        assert max(asked) in widths

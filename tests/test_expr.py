@@ -245,11 +245,22 @@ class TestDepthBound:
         assert np.array_equal(compile_field(e)(x), 20100 * x[:, 0])
         assert eval_real(laplacian(e), [0.3]) == 0.0
 
+    def test_stacked_polynomials_of_200_terms(self):
+        # long chains as several roots of one function: each is cut into
+        # temporaries as it would be alone
+        one = "+".join(f"{k}*x1" for k in range(1, 201))
+        two = "+".join(f"{k}*x1^2" for k in range(1, 200))  # as deep as parse takes
+        fields = [parse(one, 1), parse(two, 1)]
+        f = compile_field(fields + [laplacian(fields[1]), fields[0]])
+        x = np.array([[0.5], [-2.0]])
+        want = [[20100 * v, 19900 * v * v, 39800, 20100 * v] for v in x[:, 0]]
+        assert np.array_equal(f(x), want)
+
     def test_shallow_code_unchanged(self):
         # no statement nests deeper than expr._INLINE_DEPTH operations:
         # below that a DAG without shared nodes is one expression
         def source(count):
-            return expr._source(parse(_chain("+", count), 1).root, repr)[0]
+            return expr._source((parse(_chain("+", count), 1).root,), repr)[0]
 
         assert source(expr._INLINE_DEPTH).count("\n") == 2  # def, return
         # past it, the node at that depth becomes a temporary
@@ -450,6 +461,44 @@ class TestCompiledField:
         assert not np.may_share_memory(got, t)
         got[:] = 7.0
         assert t.tolist() == [0.25, 0.5, 0.75]
+
+    def test_fields_stack_on_a_last_axis(self):
+        # each column is the field compiled alone, bit for bit, on points and
+        # on a mesh, and no column shares memory with the coordinates
+        texts = ["sin(x1)*x2 + t", "x2", "3", "sin(x1)*x2 + t", "t"]
+        fields = [parse(text, 2) for text in texts]
+        f = compile_field(fields)
+        pts = np.array([[0.5, 1.0], [2.0, -1.0], [-0.3, 0.2]])
+        mesh = (np.array([[0.5], [2.0]]), np.array([[1.0, -1.0, 0.2]]))
+        t = np.array([0.25, 0.5, 0.75])
+        for X, shape in ((pts, (3, 5)), (mesh, (2, 3, 5))):
+            got = f(X, t)
+            assert got.shape == shape
+            for k, e in enumerate(fields):
+                assert np.array_equal(got[..., k], compile_field(e)(X, t))
+            assert not any(np.may_share_memory(got, x) for x in (pts, *mesh, t))
+        assert compile_field(fields[:1])(pts).shape == (3, 1)
+
+    def test_shared_nodes_computed_once(self):
+        # sin(x1) and its product with x2 are read by two roots: each is one
+        # temporary, and a root the return reads is never deleted
+        roots = tuple(parse(text, 2).root for text in
+                      ("sin(x1)*x2 + 1", "cos(sin(x1)*x2)", "sin(x1)"))
+        source = expr._source(roots, repr)[0]
+        assert source.count("np.sin(X[0])") == 1
+        assert source.count("(_0*X[1])") == 1
+        assert "del" not in source
+        assert source.splitlines()[-1] == "    return ((_1+1.0),np.cos(_1),_0,)"
+
+    def test_stacked_dimensions_must_agree(self):
+        with pytest.raises(DimensionError):
+            compile_field([parse("x1", 1), parse("x1", 2)])
+
+    def test_one_stacked_field_not_finite(self):
+        f = compile_field([parse("x1", 1), parse("log(x1)", 1)])
+        assert f(np.array([[2.0]])).tolist() == [[2.0, math.log(2.0)]]
+        with pytest.raises(DomainError):
+            f(np.array([[-1.0]]))
 
 
 class TestOpenMesh:

@@ -55,6 +55,28 @@ class TestPropagator:
             math.sin(0.4) * 2.0
         )
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_stacked_fields_add(self, n, monkeypatch):
+        # Q fields on one propagator: e^(a lam Lap) of sum_kq w_kq f_q(., s_k)
+        # is the sum over q of each field's with its weights w_.q, values and
+        # sizes alike, on one fixed rule
+        monkeypatch.setattr(heat_solver, "LADDER", (12,))
+        rng = np.random.default_rng(n)
+        y = f"x{n}"
+        fields = tuple(parse(text, n) for text in (
+            f"sin(x1 - t)*cos(0.5*{y})", f"{y}*t^2 + x1^3", f"exp(-0.3*x1^2)*cos(t*{y})"))
+        points = rng.uniform(-1.0, 1.0, size=(3, n))
+        lams = np.array([0.0, 0.3, 0.8])
+        sigmas = rng.uniform(0.0, 1.0, size=(3, 2))
+        omegas = rng.normal(size=(3, 2 * len(fields)))
+        vals, size = HeatPropagator(fields, 0.7).apply_many(points, lams, sigmas, omegas)
+        each = [HeatPropagator(f, 0.7).apply_many(points, lams, sigmas,
+                                                  omegas[:, q::len(fields)])
+                for q, f in enumerate(fields)]
+        want = sum(v for v, _ in each)
+        np.testing.assert_allclose(vals, want, rtol=0, atol=1e-14 * np.abs(want).max())
+        np.testing.assert_allclose(size, sum(s for _, s in each), rtol=1e-14)
+
     def test_negative_time_rejected(self):
         with pytest.raises(NegativeDiffusionTime):
             heat_propagate(parse("x1", 1), -0.1, [0.0])

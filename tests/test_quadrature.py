@@ -18,7 +18,7 @@ from waveforge.errors import (
     UnresolvedData,
     UnsupportedDimension,
 )
-from waveforge.expr import Mesh, parse
+from waveforge.expr import Mesh, compile_field, differentiate, laplacian, parse
 from waveforge.quadrature import (
     QuadratureSpec,
     SPHERE_LADDER,
@@ -30,8 +30,17 @@ from waveforge.quadrature import (
     gauss_legendre,
     iterated_time_integral,
     sphere_rule,
-    spherical_mean,
 )
+
+
+def _sphere_mean(text, n, centre, radius, rule):
+    """The mean of the field ``text`` on R^n over the sphere of the given
+    radius around ``centre``, by :func:`centre_sums` on ``rule``."""
+    f = compile_field(parse(text, n))
+    means, _ = centre_sums(lambda pts, s, u, t: f(pts, t),
+                           np.asarray(centre, dtype=float)[None], [radius],
+                           Mesh(rule.directions.T), rule.weights)
+    return float(means[0])
 
 
 class TestDoubleFactorial:
@@ -184,33 +193,31 @@ class TestSphereRules:
         # mean of e^{x1} over radius-r sphere is sinh(r)/r
         rule = sphere_rule(3, 16)
         r = 1.3
-        got = spherical_mean(parse("exp(x1)", 3), [0, 0, 0], r, rule)
+        got = _sphere_mean("exp(x1)", 3, [0, 0, 0], r, rule)
         assert got == pytest.approx(math.sinh(r) / r, rel=1e-12)
 
     def test_mean_of_plane_wave_n5(self):
         # mean of sin(k.x) around x0: multiplies by the radial symbol
         rule = sphere_rule(5, 12)
-        e = parse("sin(x1 + 2*x2)", 5)
         x0 = np.array([0.4, -0.1, 0.2, 0.0, 0.3])
         r = 0.9
         kr = math.sqrt(5.0) * r
         # radial factor for n=5: 3 (sin s / s^3 - cos s / s^2)
         factor = 3.0 * (math.sin(kr) / kr**3 - math.cos(kr) / kr**2)
         exact = factor * math.sin(x0[0] + 2 * x0[1])
-        got = spherical_mean(e, x0, r, rule)
+        got = _sphere_mean("sin(x1 + 2*x2)", 5, x0, r, rule)
         assert got == pytest.approx(exact, rel=1e-10)
 
     def test_zero_radius(self):
         rule = sphere_rule(3, 4)
-        e = parse("x1^2 + 5", 3)
-        assert spherical_mean(e, [2, 0, 0], 0.0, rule) == pytest.approx(9.0)
+        assert _sphere_mean("x1^2 + 5", 3, [2, 0, 0], 0.0, rule) == pytest.approx(9.0)
 
     @pytest.mark.parametrize("n, centre", [(5, [0, 0, 0]), (3, [0, 0, 0, 0, 0]),
                                            (3, [0, 0])])
     def test_dimensions_must_match_the_field(self, n, centre):
         # three coordinates of five-dimensional directions gave -5e-17
         with pytest.raises(DimensionError):
-            spherical_mean(parse("x1", 3), centre, 1.0, sphere_rule(n, 4))
+            _sphere_mean("x1", 3, centre, 1.0, sphere_rule(n, 4))
 
 
 class TestCentreSums:
@@ -571,7 +578,7 @@ class TestSinhKernel:
         assert kern.rungs == (4,)
         x, t = np.array([0.3, -0.2, 0.5]), 2.0
         rule = sphere_rule(3, 4)
-        fixed = t * spherical_mean(parse("sin(20*x1)", 3), x, t, rule)
+        fixed = t * _sphere_mean("sin(20*x1)", 3, x, t, rule)
         assert kern.apply(x, t) == fixed
 
     def test_past_the_top_rung(self):
@@ -596,19 +603,24 @@ class TestSinhKernel:
     @pytest.mark.parametrize("n, sinh, cosh", [(3, 1, 4), (5, 6, 7)])
     def test_fields_compiled_by_their_first_use(self, n, sinh, cosh, monkeypatch):
         # the field at once; its gradient (n = 5, or a cosh mean) and its
-        # Laplacian (an n = 5 cosh mean) when a mean first uses them
+        # Laplacian (an n = 5 cosh mean) when a mean first uses them, each
+        # as a stack of one field
         compiled = []
         compile_field = quadrature.compile_field
         monkeypatch.setattr(quadrature, "compile_field",
-                            lambda e: compiled.append(e) or compile_field(e))
-        kern = SinhKernel(parse("sin(x1)*cos(x2)", n), 1.0)
-        assert len(compiled) == 1
+                            lambda e: compiled.append(tuple(e)) or compile_field(e))
+        e = parse("sin(x1)*cos(x2)", n)
+        grad = [(differentiate(e, f"x{i + 1}"),) for i in range(n)]
+        kern = SinhKernel(e, 1.0)
+        assert compiled == [(e,)]
         x = np.full(n, 0.2)
         for _ in range(2):
             kern.apply_many(x, np.array([0.3, 0.7]))
+            assert compiled == [(e,)] + grad * (n == 5)
             assert len(compiled) == sinh
         for _ in range(2):
             kern.apply_many(x, np.array([0.3, 0.7]), cosh=True)
+            assert compiled == [(e,)] + grad + [(laplacian(e),)] * (n == 5)
             assert len(compiled) == cosh
 
     def test_rules_built_by_their_first_use(self, monkeypatch):
@@ -649,6 +661,29 @@ class TestSinhKernel:
         each = [fixed.apply_many(points, ts, sigmas[:, k], cosh) for k in range(3)]
         np.testing.assert_allclose(
             size, sum(np.abs(omegas[:, k]) * each[k][1] for k in range(3)), rtol=1e-14)
+
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("cosh", [False, True])
+    def test_stacked_fields_add(self, n, cosh):
+        # Q fields on one kernel: the kernel of sum_kq w_kq f_q(., s_k) is the
+        # sum over q of each field's kernel with its weights w_.q, values and
+        # sizes alike, on one fixed rule
+        rng = np.random.default_rng(n + cosh)
+        fields = tuple(parse(text, n) for text in (
+            "sin(x1 - t)*cos(0.5*x2)", "x2*t^2 + x1^3", "exp(-0.3*x1^2)*cos(t*x2)"))
+        spec = QuadratureSpec(sphere_degree=4)
+        points = rng.uniform(-1.0, 1.0, size=(3, n))
+        ts = np.array([0.0, 0.3, 0.8, 1.4])
+        sigmas = rng.uniform(0.0, 1.0, size=(4, 2))
+        omegas = rng.normal(size=(4, 2 * len(fields)))
+        vals, size = SinhKernel(fields, 1.3, spec).apply_many(points, ts, sigmas, cosh,
+                                                               omegas)
+        each = [SinhKernel(f, 1.3, spec).apply_many(points, ts, sigmas, cosh,
+                                                    omegas[:, q::len(fields)])
+                for q, f in enumerate(fields)]
+        want = sum(v for v, _ in each)
+        np.testing.assert_allclose(vals, want, rtol=0, atol=1e-14 * np.abs(want).max())
+        np.testing.assert_allclose(size, sum(s for _, s in each), rtol=1e-14)
 
     def test_batched_matches_single(self):
         e = parse("sin(x1)*cos(x2)", 3)
@@ -703,22 +738,23 @@ class TestClimb:
     def _sums(stop, calls):
         """Synthetic rules: entry e on rung r gives 1 + r 1e-12 from the rung
         stop[e] on, so neighbours agree there, and r below it; its size is
-        1 + e.  Each call is recorded as (rung, idx)."""
+        1 + e.  Each call is recorded as (rungs asked, idx)."""
         stop = np.asarray(stop)
         size = 1.0 + np.arange(stop.size)
 
-        def sums(rung, idx):
-            calls.append((rung, idx.copy()))
-            vals = np.where(rung >= stop[idx], 1.0 + rung * 1e-12, float(rung))
-            return vals, size[idx]
+        def sums(asked, idx):
+            calls.append((asked, idx.copy()))
+            return [(np.where(rung >= stop[idx], 1.0 + rung * 1e-12, float(rung)),
+                     size[idx]) for rung in asked]
         return sums
 
     @staticmethod
     def _asked(calls, count):
         """Per rung, in order, how often each entry was asked for."""
         asked = {}
-        for rung, idx in calls:
-            np.add.at(asked.setdefault(rung, np.zeros(count, dtype=int)), idx, 1)
+        for rungs, idx in calls:
+            for rung in rungs:
+                np.add.at(asked.setdefault(rung, np.zeros(count, dtype=int)), idx, 1)
         return asked
 
     def test_entries_stop_on_different_rungs(self):
@@ -736,24 +772,24 @@ class TestClimb:
         assert (asked[2] == 1).all() and (asked[3] == 1).all()
         assert asked[5].tolist() == [0, 1, 1, 0, 1, 1]
         assert asked[8].tolist() == [0, 0, 1, 0, 1, 0]
-        # in one call per rung, the pending entries in order
-        assert [(rung, idx.tolist()) for rung, idx in calls] == [
-            (2, [0, 1, 2, 3, 4, 5]), (3, [0, 1, 2, 3, 4, 5]),
-            (5, [1, 2, 4, 5]), (8, [2, 4])]
+        # the first two rungs in one call, then one call per rung, the
+        # pending entries in order
+        assert [(rungs, idx.tolist()) for rungs, idx in calls] == [
+            ((2, 3), [0, 1, 2, 3, 4, 5]), ((5,), [1, 2, 4, 5]), ((8,), [2, 4])]
 
     def test_one_rung_is_unchecked(self):
         calls = []
         out, mag = climb((4,), self._sums([6, 4], calls), 2,
                          lambda entry, lo, hi: "never")
         assert out.tolist() == [4.0, 1.0 + 4e-12]
-        assert mag.tolist() == [1.0, 2.0] and len(calls) == 1
+        assert mag.tolist() == [1.0, 2.0] and [c[0] for c in calls] == [(4,)]
 
     def test_two_rungs(self):
         calls = []
         out, mag = climb((4, 6), self._sums([4, 4], calls), 2,
                          lambda entry, lo, hi: "never")
         assert out.tolist() == [1.0 + 6e-12] * 2
-        assert mag.tolist() == [1.0, 2.0]
+        assert mag.tolist() == [1.0, 2.0] and [c[0] for c in calls] == [(4, 6)]
         with pytest.raises(UnresolvedData, match="the 4- and 6-node rules"):
             climb((4, 6), self._sums([4, 6], []), 2,
                   lambda entry, lo, hi: f"entry {entry}: the {lo}- and {hi}-node rules")

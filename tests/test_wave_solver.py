@@ -18,7 +18,7 @@ from waveforge.errors import (
     UnresolvedData,
     UnsupportedDimension,
 )
-from waveforge.expr import Mesh, parse
+from waveforge.expr import Expr, Mesh, parse
 from waveforge.heat_solver import solve_heat_product
 from waveforge.ibvp import build_basis, solve_ibvp
 from waveforge.kernels import cluster_fractions, exp_divided_differences
@@ -473,9 +473,10 @@ class TestEvaluatorInterface:
             _evaluator("box").evaluate(Mesh((np.zeros(3), np.zeros(2))), [0.5])
 
     @pytest.mark.parametrize("family", ["wave-m2-source", "heat-equal", "box"])
-    def test_mesh_matches_its_points(self, family):
+    def test_mesh_matches_its_points(self, family, monkeypatch):
         # on an open mesh the result has the grid's shape + (T,), each value
         # bit for bit the one its point gives in the stacked grid
+        monkeypatch.setattr(problems, "MIN_SLAB_POINTS", 1)
         ev = _evaluator(family)
         axes = [np.linspace(0.1, 0.9, 4 - i) for i in range(ev.problem.n)]
         mesh = Mesh(np.meshgrid(*axes, indexing="ij", sparse=True))
@@ -673,19 +674,22 @@ class TestMemoryBound:
 
     @staticmethod
     def _record_sizes(monkeypatch, budget=1000) -> list:
-        """Values per field call, points times source times, recorded from
-        the next evaluators built, under a budget of ``budget`` values
-        (None: the default)."""
+        """Values per field call, points times source times times the Q
+        fields compiled together, recorded from the next evaluators built,
+        under a budget of ``budget`` values (None: the default)."""
         sizes = []
 
         def recording(compile_field):
             def compile_recorded(e):
                 field = compile_field(e)
+                q = 1 if isinstance(e, Expr) else len(e)
 
                 def recorded(X, t=0.0):
-                    sizes.append(int(np.prod(np.broadcast_shapes(np.shape(X)[:-1],
-                                                                 np.shape(t)))))
-                    return field(X, t)
+                    out = field(X, t)
+                    assert out.size == q * int(np.prod(np.broadcast_shapes(
+                        np.shape(X)[:-1], np.shape(t))))
+                    sizes.append(out.size)
+                    return out
 
                 return recorded
 
