@@ -10,9 +10,9 @@ On mode k the factored operator is a constant-coefficient ODE
 P(lam_k, D) T = g whose solutions are sums of divided differences of
 e^{zt} at the roots of P(lam_k, .).  One closed form covers every family
 and every speed cluster: the data in Newton form against those divided
-differences, plus a Duhamel integral of the last one, taken at all the
-time rule's nodes in as few calls as BATCH_POINTS allows.  The solver,
-:class:`IbvpEvaluator`, builds the roots, the Newton form and the rule once.
+differences, plus a Duhamel integral of the last one: per time, one kernel
+pass over the data's time and the rule's nodes, and the source projected at
+blocks of nodes.  :class:`IbvpEvaluator` builds roots, Newton form and rule once.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ def build_basis(L, k_max: int = DEFAULT_K_MAX) -> EigenBasis:
 
 
 @functools.lru_cache(maxsize=8)
-def _projection_plan(L: tuple[float, ...], k_max: int, quad_count: int):
+def _projection_plan(L: tuple[float, ...], k_max: int, quad_count: int | None):
     """Gauss nodes as an open mesh, and the weighted per-axis sine matrices.
 
     The mesh holds each axis's nodes along its own axis of the q^d grid,
@@ -116,6 +116,8 @@ def _projection_plan(L: tuple[float, ...], k_max: int, quad_count: int):
     onto one basis shares it.  The arrays are read-only because the cache
     hands the same ones to every caller.
     """
+    if quad_count is None:
+        quad_count = max(2 * k_max + 8, 32)
     rules = [gauss_legendre(quad_count, 0.0, Li) for Li in L]
     mesh = Mesh(np.meshgrid(*[z for z, _ in rules], indexing="ij", sparse=True))
     # per-axis sine matrices k x q, weights folded in
@@ -132,7 +134,7 @@ def _projection_plan(L: tuple[float, ...], k_max: int, quad_count: int):
 
 
 def project(field, basis: EigenBasis, quad_count: int | None = None,
-            t: float = 0.0) -> np.ndarray:
+            t: float | np.ndarray = 0.0) -> np.ndarray:
     """Coefficients c_k = integral of field * e_k over the box.
 
     ``field`` may be an expression or a compiled callable that takes an
@@ -142,18 +144,19 @@ def project(field, basis: EigenBasis, quad_count: int | None = None,
     reads one coordinate costs q values, not q^d, and the Gauss sum is
     contracted one axis at a time (sum factorisation).  The result, shape
     (M,), is the (k_1, ..., k_d) tensor flattened, already the basis's mode
-    order.
+    order.  Times of shape (C,) give (C, M), from one field call with a
+    leading time axis, each row bit for bit its own time's projection.
     """
     f = compile_field(field) if isinstance(field, Expr) else field
-    if quad_count is None:
-        quad_count = max(2 * basis.k_max + 8, 32)
     mesh, mats = _projection_plan(basis.L, basis.k_max, quad_count)
-    tensor = f(mesh, t)
-    # each step contracts the leading node axis and appends a mode axis,
-    # so after d steps the axes are (k_1, ..., k_d)
+    ts = np.reshape(t, (-1,) + (1,) * basis.d)
+    tensor = f(Mesh(x[None] for x in mesh), ts)
+    # each step contracts every time's leading node axis and appends a mode
+    # axis: one matrix product per time, the one a lone time makes, so a row
+    # does not depend on its block; after d steps the axes are (C, k_1..k_d)
     for mat in mats:
-        tensor = np.tensordot(tensor, mat, axes=([0], [1]))
-    return tensor.reshape(-1)
+        tensor = np.matmul(tensor.reshape(len(ts), mat.shape[1], -1).swapaxes(1, 2), mat.T)
+    return tensor.reshape(np.shape(t) + (basis.count,))
 
 
 class IbvpEvaluator(SolutionEvaluator):
@@ -183,6 +186,8 @@ class IbvpEvaluator(SolutionEvaluator):
             for e in problem.data
         ])
         self._source = None if problem.source is None else compile_field(problem.source)
+        mesh, _ = _projection_plan(basis.L, basis.k_max, None)
+        self._block = max(1, BATCH_POINTS // math.prod(mesh.shape[:-1]))  # nodes
         self._rule = gauss_legendre((spec or QuadratureSpec()).n_time, 0.0, 1.0)
 
         # roots of each mode's characteristic polynomial, shape (N, M): heat
@@ -212,42 +217,47 @@ class IbvpEvaluator(SolutionEvaluator):
     def amplitudes(self, t: float) -> np.ndarray:
         self.check_times(t)
         t = float(t)
-        out = np.real((self._newton * exp_divided_differences(self._roots, t)).sum(axis=0))
-        if self._source is not None and t != 0.0:
-            # the impulse response is the last divided difference, for as
-            # many nodes per call as nodes x modes within BATCH_POINTS allows
-            # (one at least); the source is projected one node at a time and
-            # the terms are added in node order
-            z, wz = self._rule
-            chunk = max(1, BATCH_POINTS // self.basis.count)
-            for i in range(0, len(z), chunk):
-                zs, ws = z[i:i + chunk], wz[i:i + chunk]
-                g = exp_divided_differences(self._roots[:, None], (t - t * zs)[:, None])[-1]
-                for gi, zi, wi in zip(np.real(g), zs, ws):
-                    out = out + t * wi * gi * project(self._source, self.basis, t=t * zi)
+        if self._source is None or t == 0.0:
+            return np.real((self._newton * exp_divided_differences(self._roots, t)).sum(axis=0))
+        # one kernel pass over [t, t - t z], the data's time then the Duhamel
+        # nodes (impulse response: the last divided difference), BATCH_POINTS
+        # values per call as per projection block; terms added in node order
+        z, wz = self._rule
+        zs = np.concatenate([[0.0], z])[:, None]  # entry j > 0 is node z[j - 1]
+        chunk = max(1, BATCH_POINTS // self.basis.count)
+        for i in range(0, len(zs), chunk):
+            phi = exp_divided_differences(self._roots[:, None], t - t * zs[i:i + chunk])
+            if i == 0:
+                out = np.real((self._newton * phi[:, 0]).sum(axis=0))
+            for j in range(max(i, 1), i + phi.shape[1], self._block):
+                c = project(self._source, self.basis,
+                            t=t * zs[j:min(j + self._block, i + phi.shape[1]), 0])
+                for gi, wi, ci in zip(np.real(phi[-1, j - i:]), wz[j - 1:], c):
+                    out = out + t * wi * gi * ci
         return out
 
     def amplitude_derivatives(self, t: float) -> np.ndarray:
-        self.check_times(t)
-        if self.problem.m != 1 or self._source is not None:
-            raise InvalidOrder(
-                "amplitude derivatives available only for single-factor "
-                "homogeneous problems"
-            )
-        phi = exp_divided_differences(self._roots, float(t))
-        dphi = self._roots * phi
-        dphi[1:] += phi[:-1]
-        return np.real((self._newton * dphi).sum(axis=0))
+        return self._homogeneous(t)[1]
 
     def energy(self, t: float) -> float:
         """Sum over modes of T'^2 + a^2 lam T^2 (single-factor wave)."""
         self.check_times(t)
         if self.problem.kind == "heat-product":
             raise InvalidOrder("energy is defined for the single-factor wave only")
-        ders = self.amplitude_derivatives(t)
-        amps = self.amplitudes(t)
+        amps, ders = self._homogeneous(t)
         a = self.problem.speeds[0]
         return float(np.sum(ders**2 + a * a * self.basis.eigenvalues * amps**2))
+
+    def _homogeneous(self, t: float):
+        """(T, T') at t from one kernel call: phi_k' = r_k phi_k + phi_{k-1}."""
+        self.check_times(t)
+        if self.problem.m != 1 or self._source is not None:
+            raise InvalidOrder("amplitude derivatives available only for "
+                               "single-factor homogeneous problems")
+        phi = exp_divided_differences(self._roots, float(t))
+        dphi = self._roots * phi
+        dphi[1:] += phi[:-1]
+        return tuple(np.real((self._newton * p).sum(axis=0)) for p in (phi, dphi))
 
     def _synthesize(self, X, amps):
         """The series with mode amplitudes ``amps`` on the mesh X by sum

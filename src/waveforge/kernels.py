@@ -174,7 +174,8 @@ def exp_divided_differences(roots, t):
     (fg)[r_k..r_i] = sum_{m=k..i} f[r_k..r_m] g[r_m..r_i], summed in m
     order.  The products this leaves out are exact zeros of the full
     matrix product, so while the entries are finite each result is
-    bit-identical to squaring the full N x N matrices.
+    bit-identical to squaring the full N x N matrices, as is a square
+    kept whole once every mode squares, and complex entries scaled by 1/j.
     """
     roots = np.asarray(roots)
     t = np.asarray(t, dtype=float)
@@ -194,12 +195,15 @@ def exp_divided_differences(roots, t):
     # h r_i X[i, k] + h X[i - 1, k], and X[i - 1, k] lies on the diagonal
     # before; the diagonals go last to first, so x[a - 1] is still the old one
     for j in range(_EXP_TAYLOR_DEGREE, 0, -1):
+        # complex / j is Smith's algorithm, exactly * (1 / j) when finite, at
+        # 4x the cost; a real a / j rounds unlike a * (1 / j), so it divides
+        scale, by = (np.multiply, 1.0 / j) if np.iscomplexobj(r) else (np.true_divide, j)
         for a in range(n - 1, 0, -1):
             x[a] = r[a:] * x[a]
             x[a] += h * x[a - 1][:-1]
-            x[a] /= j
+            scale(x[a], by, out=x[a])
         x[0] = r * x[0]
-        x[0] /= j
+        scale(x[0], by, out=x[0])
         x[0] += 1.0
     for i in range(int(s.max())):
         # entry (k + c, k) of the square sums X[k + c, k + a] X[k + a, k]
@@ -210,5 +214,5 @@ def exp_divided_differences(roots, t):
             for a in range(1, c + 1):
                 acc += x[c - a][a:a + n - c] * x[a][:n - c]
             square.append(acc)
-        x = [np.where(s > i, sq, old) for sq, old in zip(square, x)]
+        x = square if (s > i).all() else [np.where(s > i, sq, o) for sq, o in zip(square, x)]
     return np.stack([diagonal[0] for diagonal in x])

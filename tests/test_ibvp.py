@@ -171,13 +171,14 @@ class TestProjection:
 
 
 class TestDuhamelBatch:
-    """One divided-difference call gives the impulse responses of every
-    Duhamel node, each as its own call would."""
+    """One divided-difference call per time gives the data's divided
+    differences and the impulse responses of every Duhamel node, each as
+    its own call would."""
 
     @staticmethod
-    def _problem():
+    def _problem(source="cos(0.7*t)*sin(x1)*sin(2*x2)"):
         return CauchyProblem(
-            "heat-product", 2, 2, (0.6, 1.1), parse("cos(0.7*t)*sin(x1)*sin(2*x2)", 2),
+            "heat-product", 2, 2, (0.6, 1.1), source and parse(source, 2),
             (parse("sin(x1)*sin(x2)", 2), None))
 
     @staticmethod
@@ -196,8 +197,12 @@ class TestDuhamelBatch:
         ev = solve_ibvp(self._problem(), build_basis([PI, PI], 6))
         ev.amplitudes(0.8)
         ev.amplitudes(1.3)
-        # each time: the data's call, then one for all 32 Duhamel nodes
-        assert calls == [(), (32, 1)] * 2
+        # each time: one call over the data's time and the 32 Duhamel nodes
+        assert calls == [(33, 1)] * 2
+        # at t = 0, and without a source, there is no Duhamel integral
+        ev.amplitudes(0.0)
+        solve_ibvp(self._problem(None), build_basis([PI, PI], 6)).amplitudes(0.8)
+        assert calls[2:] == [(), ()]
 
     def test_chunks_match_one_call(self, monkeypatch):
         basis = build_basis([PI, PI], 6)
@@ -205,8 +210,101 @@ class TestDuhamelBatch:
         calls = self._record(monkeypatch)
         monkeypatch.setattr(ibvp, "BATCH_POINTS", 5 * basis.count)
         chunked = solve_ibvp(self._problem(), basis).amplitudes(0.8)
-        assert calls == [()] + [(5, 1)] * 6 + [(2, 1)]
+        # the data's time and 32 nodes, five times per call
+        assert calls == [(5, 1)] * 6 + [(3, 1)]
         assert chunked.tolist() == whole.tolist()
+
+
+class TestBlockProjection:
+    """A block of times projects in one field call, each row bit for bit
+    its own time's projection; the Duhamel source goes in blocks of at
+    most BATCH_POINTS field values."""
+
+    @pytest.mark.parametrize("L, k_max", [
+        ((PI,), 6), ((PI,), 1), ((1.0, 2.0), 5), ((1.0, 2.0), 1),
+        ((1.0, 1.5, 0.8), 4), ((1.0, 1.5, 0.8), 1)])
+    @pytest.mark.parametrize("text", ["sin(x1)*cos(0.7*t)", "exp(-t*x1) + t^2",
+                                      "x1*(1 - x1)"])
+    def test_rows_match_single_times(self, L, k_max, text):
+        # k_max 1 and d = 1 included, where one time's contractions are
+        # matrix-vector products, which BLAS sums in another order than
+        # matrix products: a block still makes one product per time
+        basis = build_basis(L, k_max)
+        f = compile_field(parse(text, len(L)))
+        ts = np.linspace(0.05, 1.6, 7)
+        block = project(f, basis, t=ts)
+        assert block.shape == (ts.size, basis.count)
+        for row, t in zip(block, ts):
+            assert row.tolist() == project(f, basis, t=t).tolist()
+
+    def test_source_blocks_within_bound(self, monkeypatch):
+        # q = 32 Gauss nodes per axis: 2 Duhamel nodes of 32^3 values each
+        # per field call, and every field the solver compiles is recorded
+        sizes, compile_field_ = [], ibvp.compile_field
+
+        def recording_compile(e):
+            f = compile_field_(e)
+
+            def field(X, t=0.0):
+                sizes.append(math.prod(np.broadcast_shapes(
+                    *(np.shape(x) for x in X), np.shape(t))))
+                return f(X, t)
+            return field
+
+        monkeypatch.setattr(ibvp, "compile_field", recording_compile)
+        p = CauchyProblem("wave-multiple", 3, 1, (0.9,),
+                          parse("cos(t)*sin(x1)*sin(x2)*sin(2*x3)", 3),
+                          (parse("sin(x1)*sin(x2)*sin(x3)", 3), None))
+        ev = solve_ibvp(p, build_basis([PI] * 3, 4))
+        sizes.clear()
+        ev.amplitudes(0.9)
+        assert sizes == [ibvp.BATCH_POINTS] * 16
+
+        # 2-D, 36 modes, 32^2 values per node, 100 nodes: kernel calls of 56
+        # entries and blocks of 2 nodes, which end where a call ends, so
+        # each node is projected once and the values are as one call's
+        p = TestDuhamelBatch._problem()
+        basis, spec = build_basis([PI, PI], 6), QuadratureSpec(n_time=100)
+        whole = solve_ibvp(p, basis, spec).amplitudes(0.8)
+        monkeypatch.setattr(ibvp, "BATCH_POINTS", 2 * 32**2)
+        ev = solve_ibvp(p, basis, spec)
+        sizes.clear()
+        assert ev.amplitudes(0.8).tolist() == whole.tolist()
+        assert max(sizes) == 2 * 32**2 and sum(sizes) == 100 * 32**2
+
+    def test_blocks_match_single_nodes(self, monkeypatch):
+        # blocks of 3 nodes, blocks of 2, and one node at a time
+        p = CauchyProblem("heat-product", 3, 2, (0.6, 1.1),
+                          parse("cos(t)*sin(x1)*x2*(2 - x2)*sin(2*x3)", 3),
+                          (parse("sin(x1)*sin(pi*x2)*sin(x3)", 3), None))
+        basis = build_basis([PI, 2.0, PI], 4)
+        default = solve_ibvp(p, basis).amplitudes(0.9)
+        for nodes in (3, 1):
+            monkeypatch.setattr(ibvp, "BATCH_POINTS", nodes * 32**3)
+            got = solve_ibvp(p, basis).amplitudes(0.9)
+            assert got.tolist() == default.tolist()
+
+    def test_many_nodes_small_box(self):
+        # k_max 1 takes all 1,025 times in one kernel call; the blocks keep
+        # the projections to 2 nodes of 32^3 values at a time, where the
+        # whole chunk at once would hold 256 MiB
+        p = CauchyProblem("heat-product", 3, 1, (1.0,),
+                          parse("sin(x1)*sin(x2)*sin(x3)*cos(t)", 3),
+                          (parse("sin(x1)*sin(x2)*sin(x3)", 3),))
+        ev = solve_ibvp(p, build_basis([PI] * 3, 1), QuadratureSpec(n_time=1024))
+        t = 0.9
+        tracemalloc.start()
+        try:
+            amp = ev.amplitudes(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        # T' + 3 T = c cos(t), T(0) = c, c = (pi/2)^(3/2) the data's coefficient
+        c = (PI / 2) ** 1.5
+        exact = c * math.exp(-3 * t) + c * (3 * math.cos(t) + math.sin(t)
+                                            - 3 * math.exp(-3 * t)) / 10
+        assert amp.tolist() == pytest.approx([exact], rel=1e-14)
 
 
 class TestSynthesis:
@@ -544,6 +642,25 @@ class TestEvaluator:
         with pytest.raises(InvalidOrder, match="amplitude derivatives available only"):
             ev.energy(0.5)
         assert calls == []
+
+    def test_energy_one_kernel_call(self, monkeypatch):
+        # the amplitudes and their derivatives share one divided-difference
+        # call, and give the energy of the two apart bit for bit
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ev = solve_ibvp(self._wave(), build_basis((3.0, 2.0), 6))
+        amps, ders = ev.amplitudes(0.7), ev.amplitude_derivatives(0.7)
+        a2_lam = 1.3 * 1.3 * ev.basis.eigenvalues
+        apart = float(np.sum(ders**2 + a2_lam * amps**2))
+        calls, exp_dd = [], ibvp.exp_divided_differences
+
+        def counted(*args):
+            calls.append(args)
+            return exp_dd(*args)
+
+        monkeypatch.setattr(ibvp, "exp_divided_differences", counted)
+        assert ev.energy(0.7) == apart
+        assert len(calls) == 1
 
 
 class TestDiagnostics:
