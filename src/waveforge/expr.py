@@ -4,7 +4,8 @@ Expressions are parsed from infix text into an immutable DAG over the
 variables ``x1..xn`` and ``t``.  Nodes are hash-consed, so equal
 subexpressions are one object, and a node's exact symbolic derivatives and
 simplified form are computed once and kept on it: Laplacian powers grow
-with their distinct subexpressions, not as trees.
+with their distinct subexpressions, not as trees.  Derivatives take the
+sum, product, chain and power rules only, so ``a/c^k`` is ``a*c^-k``.
 
 There is one evaluator: one code generator turns a DAG into a numpy
 function that computes each distinct node once, reading coordinate k as
@@ -354,19 +355,19 @@ def to_string(e: Expr) -> str:
 # Differentiation
 
 
-# d fn(u) / du
+# d fn(u) / du, each reciprocal a power, as the power rule writes it
 _OUTER = {
     "sin": lambda u: Call("cos", u),
     "cos": lambda u: Neg(Call("sin", u)),
-    "tan": lambda u: Bin("/", Num(1.0), Bin("^", Call("cos", u), Num(2.0))),
+    "tan": lambda u: Bin("^", Call("cos", u), Num(-2.0)),
     "exp": lambda u: Call("exp", u),
-    "log": lambda u: Bin("/", Num(1.0), u),
-    "sqrt": lambda u: Bin("/", Num(1.0), Bin("*", Num(2.0), Call("sqrt", u))),
+    "log": lambda u: Bin("^", u, Num(-1.0)),
+    "sqrt": lambda u: Bin("*", Num(0.5), Bin("^", u, Num(-0.5))),
     "sinh": lambda u: Call("cosh", u),
     "cosh": lambda u: Call("sinh", u),
-    "atan": lambda u: Bin("/", Num(1.0), Bin("+", Num(1.0), Bin("^", u, Num(2.0)))),
+    "atan": lambda u: Bin("^", Bin("+", Num(1.0), Bin("^", u, Num(2.0))), Num(-1.0)),
     # kink at 0 surfaces as DomainError on evaluation
-    "abs": lambda u: Bin("/", u, Call("abs", u)),
+    "abs": lambda u: Bin("*", u, Bin("^", Call("abs", u), Num(-1.0))),
 }
 
 
@@ -389,12 +390,11 @@ def _d(node: Node, var: str) -> Node:
     if op == "*":
         return Bin("+", Bin("*", _d(a, var), b), Bin("*", a, _d(b, var)))
     if op == "/":
-        # d(a/c^k) = a'/c^k - k a c'/c^(k+1), so exponents add, where
-        # (a'b - ab')/b^2 would square the denominator on every derivative
+        # a/c^k is a*c^-k: one DAG for both spellings, whose exponents add
+        # where a quotient rule would square the denominator every time
         c, k = (b.left, b.right.value) if (
             isinstance(b, Bin) and b.op == "^" and isinstance(b.right, Num)) else (b, 1.0)
-        rest = Bin("*", Bin("*", Num(k), a), _d(c, var))
-        return Bin("-", Bin("/", _d(a, var), b), Bin("/", rest, Bin("^", c, Num(k + 1.0))))
+        return _d(Bin("*", a, Bin("^", c, Num(-k))), var)
     # power: constant exponent gets the monomial rule, the general case
     # goes through exp/log
     if isinstance(b, Num):

@@ -325,10 +325,10 @@ def centre_sums(g, centres: np.ndarray, steps, nodes: Mesh,
     argument, aligned with ``steps``, zero if None.  With ``t_weights``
     (len(steps), S Q) it has S source times: g at step j is then
     sum_kq t_weights[j, k Q + q] g_q(., t_args[j, k]), of size the sum of
-    the terms' absolute values; without, Q is 1.  The fields are evaluated
-    once on that source-time axis, so a subexpression that does not read t
-    is computed once per point, and the S Q values are contracted per point
-    by :func:`row_dot`, before the node sum.
+    the terms' absolute values; without, S and Q are 1, of weight 1.  The
+    fields are evaluated once on that source-time axis, so a subexpression
+    that does not read t is computed once per point, and the S Q values are
+    contracted per point by :func:`row_dot`, before the node sum.
 
     A zero step is g at the centre itself, exactly.  Each entry is reduced
     by its own dot product per chunk of :data:`ROW_CHUNK` nodes, over its
@@ -338,12 +338,11 @@ def centre_sums(g, centres: np.ndarray, steps, nodes: Mesh,
     if np.shape(centres)[-1] != len(nodes):
         raise DimensionError(f"{np.shape(centres)[-1]}-D centres, {len(nodes)}-D rule")
     steps = np.asarray(steps, dtype=float)
-    if t_weights is None:
+    if t_weights is None:  # one source time of weight 1
         t_args = np.broadcast_to(0.0 if t_args is None else t_args, steps.shape)[:, None]
-    else:
-        t_args = np.asarray(t_args, dtype=float)
-    sources = t_args.shape[1]
-    cols = sources if t_weights is None else t_weights.shape[1]  # values a node takes
+        t_weights = np.ones((steps.size, 1))
+    t_args = np.asarray(t_args, dtype=float)
+    sources, cols = t_args.shape[1], t_weights.shape[1]  # cols: values a node takes
     point, step = (np.arange(steps.size),) * 2 if pairs is None else pairs
     out = np.empty(step.size)
     mag = np.empty_like(out)
@@ -363,7 +362,7 @@ def centre_sums(g, centres: np.ndarray, steps, nodes: Mesh,
             p, q = point[r], step[r]
             x = centres[p].T.reshape((len(nodes),) + lead + (1,))
             s, t = steps[q].reshape(lead + (1,)), t_args[q].reshape(lead + (sources,))
-            tw = None if t_weights is None else t_weights[q, None]
+            tw = t_weights[q, None]
 
             def reduced(a, b):
                 """Slices a:b's values and sizes, (E', nodes) each; the
@@ -373,8 +372,6 @@ def centre_sums(g, centres: np.ndarray, steps, nodes: Mesh,
                 for pk, xk in zip(pts, x):
                     pk += xk
                 vals = g(pts, s, ua, t).reshape(len(r), (b - a) * inner, cols)
-                if tw is None:
-                    return vals[..., 0], np.abs(vals[..., 0])
                 return row_dot(vals, tw), row_dot(np.abs(vals), np.abs(tw))
 
             for k in range(0, len(w), width):

@@ -564,6 +564,19 @@ def _distinct_nodes(root) -> int:
     return len(seen)
 
 
+def _radial_laplacian(coeffs: dict) -> dict:
+    """Lap of sum_a c_a (1+s)^a, s = |x|^2 in three dimensions, as {a: c_a}.
+
+    For radial f(s), Lap f = 4 s f'' + 6 f', which takes (1+s)^a to
+    (4a^2 + 2a)(1+s)^(a-1) - 4a(a-1)(1+s)^(a-2).
+    """
+    out = {}
+    for a, c in coeffs.items():
+        out[a - 1] = out.get(a - 1, 0) + c * (4 * a * a + 2 * a)
+        out[a - 2] = out.get(a - 2, 0) - c * 4 * a * (a - 1)
+    return out
+
+
 class TestDag:
     def test_gaussian_laplacian_power(self):
         # as a tree, Lap^4 of this Gaussian has about 1.7e5 node objects
@@ -582,27 +595,55 @@ class TestDag:
         assert np.max(np.abs(got - want)) < 1e-11 * np.max(np.abs(want))
 
     def test_rational_laplacian_powers(self):
-        # for radial f(s), s = |x|^2 in three dimensions, Lap f = 4 s f'' +
-        # 6 f', which takes (1+s)^-j to (4j^2 - 2j)(1+s)^-(j+1) -
-        # 4j(j+1)(1+s)^-(j+2): exact integer coefficients per power
+        # exact integer coefficients per power of (1+s)^-1
         e = parse("1/(1 + x1^2 + x2^2 + x3^2)", 3)
         X = np.array([[0.0, 3.9, 0.0], [0.3, -1.2, 2.5], [7.0, 0.0, -0.5],
                       [-6.0, 5.0, 5.0], [0.0, 0.0, 0.0]])
         s = np.sum(X**2, axis=1)
-        coeffs = {1: 1}
+        coeffs = {-1: 1}
         for q in range(1, 5):
-            nxt = dict.fromkeys(range(1, 2 * q + 2), 0)
-            for j, c in coeffs.items():
-                nxt[j + 1] += c * (4 * j * j - 2 * j)
-                nxt[j + 2] -= c * 4 * j * (j + 1)
-            coeffs = nxt
-            want = sum(c * (1 + s) ** -j for j, c in coeffs.items())
+            coeffs = _radial_laplacian(coeffs)
+            want = sum(c * (1 + s) ** a for a, c in coeffs.items())
             # Lap^4 at (0, 3.9, 0) overflowed while every derivative squared
             # its denominator
             got = compile_field(laplacian_power(e, q))(X)
             assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
         # exponents add: Lap^3 had 2,551 nodes when denominators squared
-        assert _distinct_nodes(laplacian_power(e, 3).root) < 1000
+        assert _distinct_nodes(laplacian_power(e, 3).root) <= 487
+
+    @pytest.mark.parametrize("text, lap", [
+        # Lap (1+s)^(1/2) by the recursion, and Lap log(1+s) = 4s(-(1+s)^-2)
+        # + 6(1+s)^-1
+        ("sqrt(1 + x1^2 + x2^2 + x3^2)", _radial_laplacian({0.5: 1})),
+        ("log(1 + x1^2 + x2^2 + x3^2)", {-1: 2, -2: 4}),
+    ])
+    def test_radial_laplacian_powers(self, text, lap):
+        # within |x| < 4: Lap^2 sqrt(1+s) = -15(1+s)^-3.5 is (1+s)^2 times
+        # smaller than its terms, so a far point keeps fewer digits
+        e = parse(text, 3)
+        X = np.array([[0.0, 3.9, 0.0], [0.3, -1.2, 2.5], [0.0, 0.0, 0.0],
+                      [1.0, -0.5, 0.25], [2.0, 1.5, -1.0]])
+        s = np.sum(X**2, axis=1)
+        for q in range(1, 4):
+            want = sum(c * (1 + s) ** a for a, c in lap.items())
+            got = compile_field(laplacian_power(e, q))(X)
+            assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
+            lap = _radial_laplacian(lap)
+
+    @pytest.mark.parametrize("quotient, power", [
+        ("1/(1+x1^2+x2^2+x3^2)", "(1+x1^2+x2^2+x3^2)^-1"),
+        ("1/(1+x1^2+x2^2+x3^2)^2", "(1+x1^2+x2^2+x3^2)^-2"),
+        ("x1/(1+x1^2+x2^2+x3^2)^2", "x1*(1+x1^2+x2^2+x3^2)^-2"),
+        ("sqrt(1+x1^2+x2^2+x3^2)", "(1+x1^2+x2^2+x3^2)^0.5"),
+        ("sin(x1)/(2+cos(x2))", "sin(x1)*(2+cos(x2))^-1"),
+    ])
+    def test_one_spelling_one_dag(self, quotient, power):
+        # a quotient takes the product and power rules, and sqrt's
+        # derivative is a power, so both spellings give the one node
+        a, b = parse(quotient, 3), parse(power, 3)
+        for _ in range(4):
+            a, b = laplacian(a), laplacian(b)
+            assert a.root is b.root
 
     def test_negative_exponent_laplacian_powers(self):
         # through exp(-log(1 + s)), Lap^1..4 had 56, 430, 3,851 and 33,906

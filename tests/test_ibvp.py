@@ -16,6 +16,7 @@ from waveforge.errors import (
     InvalidBox,
     InvalidOrder,
     NegativeDiffusionTime,
+    UnresolvedData,
 )
 from waveforge.expr import Mesh, compile_field, parse
 from waveforge.ibvp import IbvpEvaluator, build_basis, project, solve_ibvp
@@ -558,6 +559,19 @@ class TestHeatSolutions:
             return solve_ibvp(p, b)([0.7], 1.0)
 
         assert abs(value((1.0, 1.0 + delta)) - value((1.0, 1.0))) <= 2 * delta
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 3: a series that outruns its basis is silently wrong"))
+    def test_data_past_the_basis_not_silent(self):
+        # sin(25 x1) on [0, pi] is mode 25, past k_max 24: the series holds
+        # none of it.  A value must be right, or be refused
+        p = CauchyProblem("heat-product", 1, 1, (1.0,), None,
+                          (parse("sin(25*x1)", 1),))
+        try:
+            got = solve_ibvp(p, build_basis([PI], 24))([0.3], 1e-3)
+        except UnresolvedData:
+            return
+        assert got == pytest.approx(math.exp(-0.625) * math.sin(7.5), rel=1e-10)
 
 
 class TestTimeCheck:

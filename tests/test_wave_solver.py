@@ -589,6 +589,16 @@ class TestSphereLadder:
             ev([0.3, -0.2, 0.5, 0.1, 0.2], 1.0)
         assert str(info.value).endswith("; raise [quadrature] sphere_degree above 8")
 
+    @pytest.mark.xfail(strict=True, raises=UnresolvedData, reason=(
+        "ROADMAP item 8: the top rung's mean is never accepted on its own"))
+    def test_resolved_top_rung_accepted(self):
+        # the degree-16 means are right, but they differ from the degree-12
+        # ones by more than the tolerance, so the point is refused
+        p = CauchyProblem("wave-multiple", 3, 1, (1.0,), None,
+                          (parse("sin(5*x1)", 3), None))
+        got = solve_wave(p)([0.3, -0.2, 0.5], 2.0)
+        assert got == pytest.approx(math.cos(10) * math.sin(1.5), abs=1e-10)
+
     def test_message_quotes_a_cut_field(self):
         # verify's n=5 modes data at a top of 8: the message cuts the
         # field's text and still names the entry and the two degrees
