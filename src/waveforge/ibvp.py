@@ -8,7 +8,8 @@ the open mesh of per-axis Gauss nodes and contracts one axis at a time.
 
 On mode k the factored operator is a constant-coefficient ODE
 P(lam_k, D) T = g whose solutions are sums of divided differences of
-e^{zt} at the roots of P(lam_k, .).  One closed form covers every family
+e^{zt} at the roots of P(lam_k, .), exp and expm1 at one or two roots (a
+heat of one or two speeds, the single wave).  One form covers every family
 and every speed cluster: the data in Newton form against those divided
 differences, plus a Duhamel integral of the last one: per time, one kernel
 pass over the data's time and the rule's nodes, and the source projected at

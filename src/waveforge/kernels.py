@@ -4,7 +4,8 @@ These are the per-mode building blocks every solver shares: the
 confluent partial fractions over speed clusters that distribute a
 factored operator over single-factor propagators, and the divided
 differences of exp at the characteristic roots that give the
-initial-boundary solver its mode amplitudes.
+initial-boundary solver its mode amplitudes: exp and expm1 in closed form
+at one or two roots per mode, the Opitz matrix at three or more.
 """
 
 from __future__ import annotations
@@ -154,18 +155,23 @@ def exp_divided_differences(roots, t):
     """phi_k(t) = e^{zt}[r_0, ..., r_k] for k = 0..N-1, batched over modes.
 
     ``roots`` has shape (N, ...) with the N roots of each mode along the
-    first axis; ``t`` is a scalar or broadcasts against the mode axes.
-    The result has shape (N,) + broadcast(roots.shape[1:], t.shape):
-    roots (2, 1, 512) at t of shape (16, 1) give (2, 16, 512).
+    first axis; ``t`` has no more axes, and the result has the shape
+    np.broadcast_shapes(roots.shape, t.shape): roots (2, 1, 512) at t of
+    shape (16, 1) give (2, 16, 512), roots (2,) at t of shape (1,) give (2,).
     phi_0 = e^{r_0 t} and phi_k' = r_k phi_k + phi_{k-1}, so phi_{N-1} is
     the impulse response of prod_k (D - r_k).
 
-    The divided differences are the first column of exp(t Z), with Z lower
-    bidiagonal: the roots on the diagonal, ones below it (Opitz), so equal
-    and nearly equal roots need no special case and lose no digits
-    (McCurdy, Ng & Parlett 1984).  exp is a Taylor sum of t Z / 2^s,
-    squared s times; each mode takes the least s that brings its norm to
-    at most 1, since every needless squaring doubles its rounding error.
+    One or two roots take closed forms, e^{zt}[r_0, r_1] = e^{bt} t expm1(d)/d
+    with b the root of larger Re(r t) and d = (other - b) t, exact at any
+    root gap; closed forms lose digits once three or more roots cluster.
+
+    Otherwise the divided differences are the first column of exp(t Z),
+    with Z lower bidiagonal: the roots on the diagonal, ones below it
+    (Opitz), so equal and nearly equal roots need no special case and lose
+    no digits (McCurdy, Ng & Parlett 1984).  exp is a Taylor sum of
+    t Z / 2^s, squared s times; each mode takes the least s that brings its
+    norm to at most 1, since every needless squaring doubles its rounding
+    error.
 
     Every power of Z is lower triangular, so only the entries (i, k) with
     k <= i are kept, one array per diagonal.  Entry (i, k) of exp(hZ) is
@@ -180,6 +186,21 @@ def exp_divided_differences(roots, t):
     roots = np.asarray(roots)
     t = np.asarray(t, dtype=float)
     n = roots.shape[0]
+    if n <= 2:
+        # a trailing axis keeps each product off numpy's 0-d complex loop,
+        # which rounds unlike its vector loop
+        r = roots[..., None]
+        t = np.broadcast_to(t, np.broadcast_shapes(roots.shape, t.shape))[0][..., None]
+        phi = [np.exp(r[0] * t)]
+        if n == 2:
+            # b is r_1 where swap, else r_0; Re d <= 0, so expm1 cannot overflow
+            d = (r[1] - r[0]) * t
+            swap = d.real > 0
+            np.negative(d, out=d, where=swap)
+            psi = np.expm1(d, out=np.ones_like(d), where=d != 0)
+            np.divide(psi, d, out=psi, where=d != 0)
+            phi.append(np.exp(r[1] * t, out=phi[0].copy(), where=swap) * (t * psi))
+        return np.stack(phi)[..., 0]
     norm = np.abs(t) * (np.abs(roots).max(axis=0) + 1.0)
     s = np.ceil(np.log2(np.maximum(norm, 1.0)))
     h = t / 2.0**s

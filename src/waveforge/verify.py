@@ -224,6 +224,16 @@ def _suite_ibvp() -> list[CheckResult]:
         for t in (0.4, 1.1)
     )
     out.append(CheckResult("ibvp", "heat2-m2-source-modes", err, 1e-9))
+    # equal and near-equal heat speeds: the mode kernel's closed form at root gaps 0 and small
+    err = 0.0
+    for speeds in ((1.0, 1.0), (1.0, 1.0 + 1e-12), (1.0, 1.0 + 1e-6)):
+        ev = solve_ibvp(CauchyProblem(
+            "heat-product", 1, 2, speeds, parse("cos(0.7*t)*sin(x1)", 1),
+            (parse("0.5*sin(x1)", 1), parse("-0.3*sin(x1)", 1))), build_basis([math.pi], 8))
+        mp = ModeProblem("heat", speeds, (1.0,), (0.5, -0.3), source=parse("cos(0.7*t)", 0))
+        err = max(err, *(abs(ev([0.7], t) - mode_solve(mp, t) * math.sin(0.7))
+                         for t in (0.4, 1.1)))
+    out.append(CheckResult("ibvp", "heat2-near-equal-modes", err, 1e-9))
     return out
 
 

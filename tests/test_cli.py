@@ -1094,6 +1094,12 @@ class TestVerifyCommand:
             {"suite": "modes", "name": "off", "measured": 2.0, "tolerance": 1.0,
              "passed": False}]
 
+    def test_ibvp_suite_covers_near_equal_heat(self, capsys):
+        assert main(["verify", "ibvp", "--json"]) == 0
+        records = {r["name"]: r for r in json.loads(capsys.readouterr().out)}
+        assert records["heat2-near-equal-modes"]["passed"] is True
+        assert records["heat2-near-equal-modes"]["tolerance"] == 1e-9
+
     def test_wave_suite_covers_the_sphere_ladder(self, capsys):
         assert main(["verify", "wave"]) == 0
         out = capsys.readouterr().out

@@ -1,6 +1,7 @@
 """Partial-fraction weights, time symbols and divided differences of exp."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -251,14 +252,19 @@ class TestExpDividedDifferences:
 
     @staticmethod
     def _mode_roots(kind):
+        # two heat speeds and one wave speed take the closed form for two
+        # roots, two wave speeds the Opitz matrix; the slower heat speed
+        # first, or second, where the closed form swaps the roots
         lam = np.array([1e-12, 0.5, 2.0, 37.0, 900.0, 1.2e4])
         speeds = np.array([[0.7], [1.3]])
-        if kind == "heat":
-            return -speeds * lam
+        if kind.startswith("heat"):
+            return -(speeds[::-1] if kind == "heat-swapped" else speeds) * lam
+        if kind == "wave-pair":
+            speeds = speeds[:1]
         w = 1j * speeds * np.sqrt(lam)
-        return np.stack([w, -w], axis=1).reshape(4, lam.size)
+        return np.stack([w, -w], axis=1).reshape(-1, lam.size)
 
-    @pytest.mark.parametrize("kind", ["heat", "wave"])
+    @pytest.mark.parametrize("kind", ["heat", "heat-swapped", "wave", "wave-pair"])
     def test_batch_matches_single_calls(self, kind):
         # per-mode time arrays broadcast against the mode axis; each mode
         # is scaled on its own, so the large eigenvalues' many squarings
@@ -270,7 +276,7 @@ class TestExpDividedDifferences:
         for i, t in enumerate(ts):
             assert got[:, i].tolist() == exp_divided_differences(roots[:, i], t).tolist()
 
-    @pytest.mark.parametrize("kind", ["heat", "wave"])
+    @pytest.mark.parametrize("kind", ["heat", "heat-swapped", "wave", "wave-pair"])
     def test_node_axis_matches_single_calls(self, kind):
         # roots (N, 1, M) against times (Q, 1): every Duhamel node of the
         # box solver in one call, each equal to its own call
@@ -284,7 +290,8 @@ class TestExpDividedDifferences:
 
 def _full_matrix_divided_differences(roots, t):
     """The kernel's algorithm on full N x N matrices, upper triangle and
-    all: the reference that the lower-triangle kernel matches bit for bit."""
+    all: the reference that the lower-triangle kernel matches bit for bit
+    at three or more roots."""
     roots = np.asarray(roots)
     t = np.asarray(t, dtype=float)
     n = roots.shape[0]
@@ -306,6 +313,40 @@ def _full_matrix_divided_differences(roots, t):
     return x[:, 0]
 
 
+def _exact_divided_differences(roots, t):
+    """e^{zt}[r_0] and e^{zt}[r_0, r_1] at 50 digits, per mode: e^{r_0 t},
+    then (e^{r_1 t} - e^{r_0 t}) / (r_1 - r_0), or t e^{r_0 t} at equal roots."""
+    mpmath = pytest.importorskip("mpmath")
+    roots = np.asarray(roots)
+    t = np.asarray(t, dtype=float)
+    shape = np.broadcast_shapes(roots.shape, t.shape)
+    rs, ts = np.broadcast_to(roots, shape), np.broadcast_to(t, shape)
+    out = np.empty(shape, dtype=complex)
+    with mpmath.workdps(50):
+        for idx in np.ndindex(shape[1:]):
+            tk = mpmath.mpf(float(ts[(0,) + idx]))
+            r = [mpmath.mpc(complex(rs[(k,) + idx])) for k in range(shape[0])]
+            e = [mpmath.exp(rk * tk) for rk in r]
+            out[(0,) + idx] = complex(e[0])
+            if len(r) == 2:
+                out[(1,) + idx] = complex(
+                    tk * e[0] if r[0] == r[1] else (e[1] - e[0]) / (r[1] - r[0]))
+    return out
+
+
+# one or two roots take closed forms, which round unlike the Opitz matrix:
+# the bound on their distance from it and from the exact values, relative
+# to max(1, |t|) e^{max Re(r t)}; the worst measured over this file's
+# inputs is 1.4e-13 from the matrix and 1.0e-13 from the exact values
+_CLOSED_FORM_TOL = 1e-12
+
+
+def _assert_near(got, want, roots, t):
+    top = (np.asarray(roots) * np.asarray(t, dtype=float)).real.max(axis=0)
+    scale = np.maximum(1.0, np.abs(t)) * np.exp(top)
+    assert np.all(np.abs(got - want) <= _CLOSED_FORM_TOL * scale)
+
+
 def _roots_of_kind(kind, n):
     if kind == "real":
         return np.linspace(-3.0, 1.5, n)
@@ -318,8 +359,10 @@ def _roots_of_kind(kind, n):
 
 
 class TestLowerTriangle:
-    """The lower-triangle kernel equals the full-matrix algorithm bit for
-    bit: every product it leaves out is an exact zero of the full one."""
+    """At three or more roots the lower-triangle kernel equals the
+    full-matrix algorithm bit for bit: every product it leaves out is an
+    exact zero of the full one.  One or two roots take closed forms, within
+    _CLOSED_FORM_TOL of that algorithm and of the exact values."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("kind", ["real", "imaginary", "equal", "near-equal"])
@@ -330,7 +373,11 @@ class TestLowerTriangle:
         got = exp_divided_differences(roots, t)
         want = _full_matrix_divided_differences(roots, t)
         assert got.shape == want.shape
-        assert got.tolist() == want.tolist()
+        if n <= 2:
+            _assert_near(got, want, roots, t)
+            _assert_near(got, _exact_divided_differences(roots, t), roots, t)
+        else:
+            assert got.tolist() == want.tolist()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("kind", ["heat", "wave"])
@@ -347,11 +394,15 @@ class TestLowerTriangle:
         ts = 1.7 - 1.7 * np.linspace(0.02, 0.98, 5)
         norm = ts[:, None] * (np.abs(roots).max(axis=0) + 1.0)
         assert np.ceil(np.log2(norm)).max() >= 10
-        got = exp_divided_differences(roots[:, None], ts[:, None])
-        want = _full_matrix_divided_differences(roots[:, None], ts[:, None])
+        roots, ts = roots[:, None], ts[:, None]
+        got = exp_divided_differences(roots, ts)
+        want = _full_matrix_divided_differences(roots, ts)
         assert got.shape == want.shape == (n, ts.size, lam.size)
-        assert got.tolist() == want.tolist()
-
+        if n <= 2:
+            _assert_near(got, want, roots, ts)
+            _assert_near(got, _exact_divided_differences(roots, ts), roots, ts)
+        else:
+            assert got.tolist() == want.tolist()
 
     def test_random_roots(self):
         # numpy's complex multiply rounds differently by loop (scalar or
@@ -374,7 +425,54 @@ class TestLowerTriangle:
                 want = _full_matrix_divided_differences(roots, t)
                 got = exp_divided_differences(roots, t)
             if np.isfinite(want).all():
-                assert got.tolist() == want.tolist()
+                if n <= 2:
+                    _assert_near(got, want, roots, t)
+                else:
+                    assert got.tolist() == want.tolist()
+
+
+class TestClosedForms:
+    """One root gives e^{r_0 t}; two give e^{bt} t expm1(d) / d, b the root
+    with the larger Re(r t) and d = (other - b) t, or e^{bt} t at d = 0."""
+
+    @pytest.mark.parametrize("gap", [0.0, 1e-15, 1e-12, 1e-8, 1e-4])
+    @pytest.mark.parametrize("kind", ["heat", "wave"])
+    def test_close_roots(self, kind, gap):
+        # roots r and r (1 + gap) at eigenvalues up to 1.2e6 and times of
+        # both signs; the heat runs backwards only while e^{r t} is finite
+        lam = np.array([1e-12, 0.5, 37.0, 900.0, 1.2e4, 1.2e6])
+        if kind == "heat":
+            base, ts = -0.7 * lam, np.array([-5e-4, 0.0, 0.03, 0.4, 1.7])
+        else:
+            base, ts = 0.7j * np.sqrt(lam), np.array([-1.7, -0.4, 0.0, 0.4, 1.7])
+        roots, ts = np.stack([base, base * (1.0 + gap)])[:, None], ts[:, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = exp_divided_differences(roots, ts)
+        # the matrix squares every mode as often as the largest needs, and
+        # the squares it then discards overflow at e^{420}
+        with np.errstate(over="ignore"):
+            want = _full_matrix_divided_differences(roots, ts)
+        assert got.shape == want.shape == (2, ts.size, lam.size)
+        _assert_near(got, want, roots, ts)
+        _assert_near(got, _exact_divided_differences(roots, ts), roots, ts)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_shape_contract(self, n):
+        # np.broadcast_shapes(roots.shape, t.shape) on either path: t meets
+        # the trailing axes, the root axis too when the roots are 1-D
+        roots = _roots_of_kind("imaginary", n)
+        for modes, t in [((), 0.5), ((), np.array([0.5])), ((4,), np.full(4, 0.5)),
+                         ((1, 4), np.full((3, 1), 0.5)), ((3, 1), np.full((1, 4), 0.5))]:
+            r = np.broadcast_to(roots.reshape((n,) + (1,) * len(modes)), (n,) + modes)
+            got = exp_divided_differences(r, t)
+            assert got.shape == np.broadcast_shapes(r.shape, np.shape(t))
+            assert got.reshape(n, -1).T.tolist() == [
+                exp_divided_differences(roots, 0.5).tolist()] * (got.size // n)
+        if n > 1:
+            with pytest.raises(ValueError):
+                exp_divided_differences(roots, np.full(n + 1, 0.5))
+
 
 class TestClusterFractions:
     """The confluent partial fractions reproduce the mode ODE in Newton form."""
