@@ -17,8 +17,8 @@ A config is standard INI text with four or five sections::
     x2 = 0:0:1
     x3 = 0:0:1
     t = 0:1:3
-    box = 3.14159,3.14159       ; presence of box selects the boundary solver
-    k_max = 24
+    ; box = 3.14159,3.14159,3.14159  ; side lengths select the boundary solver
+    ; k_max = 24                     ; mode cutoff per axis (box only)
 
     [quadrature]                ; optional overrides
     n_time = 32

@@ -5,7 +5,11 @@ variables ``x1..xn`` and ``t``.  Nodes are hash-consed, so equal
 subexpressions are one object, and a node's exact symbolic derivatives and
 simplified form are computed once and kept on it: Laplacian powers grow
 with their distinct subexpressions, not as trees.  Derivatives take the
-sum, product, chain and power rules only, so ``a/c^k`` is ``a*c^-k``.
+sum, product, chain and power rules only, so ``a/c^k`` is ``a*c^-k``.  The
+simplified form is a normal form: numbers that meet in a product are one
+coefficient, and the terms of a sum with equal factors are collected, so
+each Laplacian power of a plane wave is one term; a collected sum is
+rebuilt as a balanced tree, which keeps it shallow enough to compile.
 
 There is one evaluator: one code generator turns a DAG into a numpy
 function that computes each distinct node once, reading coordinate k as
@@ -95,7 +99,7 @@ class _Interned:
     """
 
     def __new__(cls, *fields):
-        key = (cls,) + tuple(repr(f) if isinstance(f, float) else f for f in fields)
+        key = (cls, repr(fields[0])) if cls is Num else (cls, *fields)
         node = _INTERNED.get(key)
         if node is None:
             node = _INTERNED[key] = super().__new__(cls)
@@ -387,6 +391,8 @@ def _d(node: Node, var: str) -> Node:
         return Bin("+", _d(a, var), _d(b, var))
     if op == "-":
         return Bin("-", _d(a, var), _d(b, var))
+    if op == "*" and isinstance(a, Num):  # a coefficient, as _simplify leaves it
+        return Bin("*", a, _d(b, var))
     if op == "*":
         return Bin("+", Bin("*", _d(a, var), b), Bin("*", a, _d(b, var)))
     if op == "/":
@@ -407,17 +413,89 @@ def _is_num(node: Node, value=None) -> bool:
     return isinstance(node, Num) and (value is None or node.value == value)
 
 
+def _coefficient(node: Node) -> tuple[float, Node | None]:
+    """A simplified node as c·core: (value, None) for a number, (-1, x)
+    for -x, (c, x) for c*x and (1, x) for any other x."""
+    if isinstance(node, Num):
+        return node.value, None
+    if isinstance(node, Neg):
+        return -1.0, node.arg
+    if isinstance(node, Bin) and node.op == "*" and isinstance(node.left, Num):
+        return node.left.value, node.right
+    return 1.0, node
+
+
+def _scaled(c: float, node: Node) -> Node:
+    """c·node in normal form, for a simplified ``node``."""
+    if c == 1:
+        return node
+    cn, core = _coefficient(node)
+    c *= cn
+    if core is None or c == 0:
+        return Num(c if core is None else 0.0)
+    return core if c == 1 else Neg(core) if c == -1 else Bin("*", Num(c), core)
+
+
+@_memo
+def _terms(node: Node) -> dict:
+    """A simplified node as a sum through '+', '-' and negation: the
+    coefficients of its nonzero terms, each keyed by the tuple of its
+    factors that are not numbers, read through nested products."""
+    if isinstance(node, Num):
+        return {(): node.value} if node.value else {}
+    if isinstance(node, Neg):
+        return {k: -c for k, c in _terms(node.arg).items()}
+    if isinstance(node, Bin) and node.op in "+-":  # whose sides share no factors
+        right = _terms(node.right)
+        return _terms(node.left) | (right if node.op == "+" else {k: -c for k, c in right.items()})
+    if isinstance(node, Bin) and node.op == "*":  # a sum is one factor
+        (ka, ca), (kb, cb) = (next(iter(t.items())) if len(t := _terms(x)) == 1
+                              else ((x,), 1.0) for x in (node.left, node.right))
+        return {ka + kb: ca * cb}
+    return {(node,): 1.0}
+
+
+def _gather(node: Node, common: set, sign: float, out: dict):
+    """Add sign·node to ``out``: its terms with ``common`` factors as
+    {factors: coefficient}, and each addend that holds none as {node: ±1}."""
+    terms = _terms(node)
+    if terms.keys().isdisjoint(common):
+        if terms:
+            out[node] = out.get(node, 0.0) + sign
+    elif isinstance(node, Neg):
+        _gather(node.arg, common, -sign, out)
+    elif isinstance(node, Bin) and node.op in "+-":
+        _gather(node.left, common, sign, out)
+        _gather(node.right, common, sign if node.op == "+" else -sign, out)
+    else:
+        for k, c in terms.items():
+            out[k] = out.get(k, 0.0) + sign * c
+
+
+def _balanced(items: list) -> tuple[float, Node]:
+    """(s, node), s·node the sum of :func:`_gather`'s (key, coefficient)
+    ``items`` as a balanced tree; a chain would nest as deep as they are many."""
+    if len(items) > 1:
+        (sa, a), (sb, b) = _balanced(items[: len(items) // 2]), _balanced(items[len(items) // 2:])
+        return sa, Bin("+" if sa == sb else "-", a, b)
+    key, c = items[0]
+    if isinstance(key, tuple):  # collected: the product of its factors
+        key = functools.reduce(lambda x, y: Bin("*", x, y), key) if key else Num(1.0)
+    return (c, key) if abs(c) == 1 else (1.0, _scaled(c, key))
+
+
 @_memo
 def _simplify(node: Node) -> Node:
+    """The normal form of ``node``: constants folded, numbers that meet in
+    a product one coefficient, and the coefficients of a sum's terms with
+    equal factors, one object by hash-consing, added.  Only the sums that
+    hold such terms are taken apart; every other addend keeps its node,
+    which keeps the DAG shared.  The sum is rebuilt balanced, so that it
+    stays shallow enough to compile."""
     if isinstance(node, (Num, Var)):
         return node
     if isinstance(node, Neg):
-        arg = _simplify(node.arg)
-        if isinstance(arg, Num):
-            return Num(-arg.value)
-        if isinstance(arg, Neg):
-            return arg.arg
-        return Neg(arg)
+        return _scaled(-1.0, _simplify(node.arg))
     if isinstance(node, Call):
         arg = _simplify(node.arg)
         if isinstance(arg, Num):
@@ -437,24 +515,23 @@ def _simplify(node: Node) -> Node:
         # a negative base to a non-integer power gives a complex value
         if isinstance(value, float) and math.isfinite(value):
             return Num(value)
-    if op == "+":
-        if _is_num(a, 0.0):
-            return b
-        if _is_num(b, 0.0):
-            return a
-    elif op == "-":
-        if _is_num(b, 0.0):
-            return a
-        if _is_num(a, 0.0):
-            return _simplify(Neg(b))
-    elif op == "*":
-        if _is_num(a, 0.0) or _is_num(b, 0.0):
-            return Num(0.0)
-        if _is_num(a, 1.0):
-            return b
-        if _is_num(b, 1.0):
-            return a
-    elif op == "/":
+    if op in "+-":
+        ta, tb = _terms(a), _terms(b)
+        common = ta.keys() & tb.keys()
+        if ta and tb and not common:  # nothing to collect, the common case
+            return Bin(op, a, b)
+        out: dict = {}
+        _gather(a, common, 1.0, out)
+        _gather(b, common, 1.0 if op == "+" else -1.0, out)
+        items = [(key, c) for key, c in out.items() if c]
+        return _scaled(*_balanced(items)) if items else Num(0.0)
+    if op == "*":
+        (ca, A), (cb, B) = _coefficient(a), _coefficient(b)
+        if (A is None) != (B is None):  # a number times a node
+            return _scaled(ca * cb, A or B)
+        if A is not None and A is not a and B is not b:  # two coefficients meet
+            return _scaled(ca * cb, Bin("*", A, B))
+    if op == "/":
         if _is_num(a, 0.0) and not _is_num(b, 0.0):
             return Num(0.0)
         if _is_num(b, 1.0):
@@ -518,6 +595,9 @@ def laplacian_power(e: Expr, p: int) -> Expr:
 # inlined operations one statement nests at most; each adds one level of
 # parentheses, and Python's compiler refuses 200
 _INLINE_DEPTH = 100
+# temporaries one statement reads at most: each stays alive until the
+# statement runs, so a balanced sum inlined whole would hold all its terms'
+_INLINE_READS = 4
 
 
 def _source(roots: Sequence[Node], literal: Callable[[float], str]) -> tuple[str, bool]:
@@ -530,9 +610,10 @@ def _source(roots: Sequence[Node], literal: Callable[[float], str]) -> tuple[str
     counting as a root's parent, is assigned to a temporary, deleted after
     the last statement that reads it; every other node is inlined into its
     parent, so a DAG without shared nodes gives a single expression,
-    unless it nests more than _INLINE_DEPTH operations: the node past that
-    depth is assigned to a temporary too, which keeps every statement
-    within Python's limit of 200 nested parentheses.
+    unless it nests more than _INLINE_DEPTH operations or reads more than
+    _INLINE_READS temporaries: the node past that is assigned to a
+    temporary too, which keeps every statement within Python's limit of
+    200 nested parentheses and frees temporaries as a sum goes.
     """
     uses: dict = {}
     order = []
@@ -571,7 +652,7 @@ def _source(roots: Sequence[Node], literal: Callable[[float], str]) -> tuple[str
             code = f"({args[0]})**({args[1]})"
         else:
             code = f"({args[0]}{node.op}{args[1]})"
-        if args and (uses[node] > 1 or depth > _INLINE_DEPTH):
+        if args and (uses[node] > 1 or depth > _INLINE_DEPTH or len(read) > _INLINE_READS):
             name = f"_{len(body)}"
             body.append((name, code, read))
             code, read, depth = name, {name}, 0

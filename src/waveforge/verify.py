@@ -73,7 +73,8 @@ def _suite_modes() -> list[CheckResult]:
             ("wave-distinct-m2", "wave-distinct", 3, 2, 0.5),
             ("wave-distinct-near", "wave-distinct", 3, 2, 1e-6),
             ("wave5-multiple-m2", "wave-multiple", 5, 2, 0.0),
-            ("wave-distinct-equal", "wave-distinct", 3, 2, 0.0)):
+            ("wave-distinct-equal", "wave-distinct", 3, 2, 0.0),
+            ("wave-multiple-m5", "wave-multiple", 3, 5, 0.0)):
         k = tuple(float(v) for v in rng.uniform(0.5, 1.5, size=n))
         a = float(rng.uniform(0.8, 1.6))
         speeds = (a,) * m if kind == "wave-multiple" else (a, a + gap)

@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 import threading
 import tracemalloc
 from pathlib import Path
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 import waveforge
-from waveforge import cli, problems
+from waveforge import cli, config, problems
 from waveforge.cli import main
 from waveforge.config import MAX_ROWS, dump_config, load_config, parse_config
 from waveforge.errors import ConfigError, InvalidBox
@@ -185,6 +186,14 @@ class TestConfigParsing:
         again = parse_config(dump_config(cfg))
         assert again.box == cfg.box
         assert again.k_max == cfg.k_max
+
+    def test_module_docstring_example(self):
+        # the config module's example declared n = 3 with two box sides,
+        # which parse_config refuses
+        example = config.__doc__.split("::\n", 1)[1].split("\nUnknown", 1)[0]
+        cfg = parse_config(textwrap.dedent(example))
+        assert cfg.problem.n == 3 and cfg.box is None
+        assert cfg.output_path == "out.csv"
 
     def test_unknown_section(self):
         text = KIRCHHOFF.format(path="o.csv") + "\n[extras]\nfoo = 1\n"
@@ -1071,6 +1080,7 @@ class TestVerifyCommand:
         assert "PASS modes/wave-distinct-near:" in out
         assert "PASS modes/wave5-multiple-m2:" in out
         assert "PASS modes/wave-distinct-equal:" in out
+        assert "PASS modes/wave-multiple-m5:" in out
 
     def test_json_records(self, capsys, monkeypatch):
         # one JSON array of the records the text lines print, the same exit

@@ -577,22 +577,60 @@ def _radial_laplacian(coeffs: dict) -> dict:
     return out
 
 
+# data whose Laplacian powers the node counts and round trips below follow
+_LAP_DATA = [
+    "1.7*sin(0.8*x1 + 0.5*x2 - 0.3*x3 + 0.4)",
+    "0.4*cos(0.9*t)*sin(0.8*x1 + 0.5*x2 - 0.3*x3 + 0.4)",
+    "(1 + x1^2 + x2^2 + x3^2)^-1",
+    "exp(-(x1^2 + x2^2 + x3^2)/4)",
+    "sin(x1)*cos(2*x2)*exp(-x3^2)",
+]
+
+
 class TestDag:
     def test_gaussian_laplacian_power(self):
-        # as a tree, Lap^4 of this Gaussian has about 1.7e5 node objects
-        e = laplacian_power(parse("exp(-(x1^2 + x2^2 + x3^2)/4)", 3), 4)
-        assert _distinct_nodes(e.root) < 2000
+        # as a tree, Lap^4 of this Gaussian has about 1.7e5 node objects;
+        # Lap^5 compiles only while collected sums are rebuilt balanced
         X = np.random.default_rng(4).uniform(-1.5, 1.5, (8, 3))
-        got = compile_field(e)(X)
         # the heat flow exp(s Lap) takes the Gaussian to
-        # g(s) = (1+s)^(-3/2) exp(-|x|^2/(4(1+s))), so Lap^4 is the fourth
-        # s-derivative of g at 0: 4! times its Taylor coefficient, here by
+        # g(s) = (1+s)^(-3/2) exp(-|x|^2/(4(1+s))), so Lap^q is the q-th
+        # s-derivative of g at 0: q! times its Taylor coefficient, here by
         # the trapezoid rule on the circle |s| = 1/2
         s = 0.5 * np.exp(2j * np.pi * np.arange(64) / 64)
         r2 = np.sum(X**2, axis=1)[:, None]
         g = (1 + s) ** -1.5 * np.exp(-r2 / (4 * (1 + s)))
-        want = 24 * np.mean(g / s**4, axis=1).real
-        assert np.max(np.abs(got - want)) < 1e-11 * np.max(np.abs(want))
+        for q, bound in ((4, 2000), (5, 6000)):
+            e = laplacian_power(parse("exp(-(x1^2 + x2^2 + x3^2)/4)", 3), q)
+            assert _distinct_nodes(e.root) < bound
+            got = compile_field(e)(X)
+            want = math.factorial(q) * np.mean(g / s**q, axis=1).real
+            assert np.max(np.abs(got - want)) < 1e-11 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("text", _LAP_DATA[:2])
+    def test_plane_wave_laplacian_powers_stay_flat(self, text):
+        # Lap^q is (-|k|^2)^q times the datum; like terms collected, with
+        # numbers hoisted out of nested products, it stays one term
+        e = parse(text, 3)
+        X = np.random.default_rng(5).uniform(-3.0, 3.0, (16, 3))
+        t = np.linspace(-1.0, 2.0, 16)
+        datum = compile_field(e)(X, t)
+        for q in range(1, 7):
+            lap = laplacian_power(e, q)
+            assert _distinct_nodes(lap.root) <= 24
+            want = (-0.98) ** q * datum
+            got = compile_field(lap)(X, t)
+            assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("text", _LAP_DATA)
+    def test_laplacian_powers_print_and_parse_back(self, text):
+        # collected sums print negative coefficients, such as (-0.98)*...
+        X = np.random.default_rng(6).uniform(-2.0, 2.0, (16, 3))
+        e = parse(text, 3)
+        for q in range(1, 4):
+            e = laplacian(e)
+            want = compile_field(e)(X, 0.7)
+            got = compile_field(parse(to_string(e), 3))(X, 0.7)
+            assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
     def test_rational_laplacian_powers(self):
         # exact integer coefficients per power of (1+s)^-1
@@ -609,7 +647,7 @@ class TestDag:
             got = compile_field(laplacian_power(e, q))(X)
             assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
         # exponents add: Lap^3 had 2,551 nodes when denominators squared
-        assert _distinct_nodes(laplacian_power(e, 3).root) <= 487
+        assert _distinct_nodes(laplacian_power(e, 3).root) <= 434
 
     @pytest.mark.parametrize("text, lap", [
         # Lap (1+s)^(1/2) by the recursion, and Lap log(1+s) = 4s(-(1+s)^-2)
@@ -651,7 +689,7 @@ class TestDag:
         e = parse("(1 + x1^2 + x2^2 + x3^2)^-1", 3)
         ref = parse("1/(1 + x1^2 + x2^2 + x3^2)", 3)
         X = np.array([[0.0, 3.9, 0.0], [0.3, -1.2, 2.5], [-6.0, 5.0, 5.0]])
-        for q, bound in zip(range(1, 5), (36, 119, 487, 2094)):
+        for q, bound in zip(range(1, 5), (33, 113, 434, 1742)):
             lap = laplacian_power(e, q)
             assert _distinct_nodes(lap.root) <= bound
             want = compile_field(laplacian_power(ref, q))(X)
